@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal.windows import tukey
 
 from .dsp import TimeSeries
 from .errors import ValidationError
@@ -131,6 +130,9 @@ def waveform(params: ChirpParams, fs: float, m: int) -> TimeSeries:
         raise ValidationError(
             f"instantaneous frequency {f_peak} Hz reaches Nyquist {fs / 2.0} Hz"
         )
+    # deferred: scipy.signal dominates the import time of every command
+    from scipy.signal.windows import tukey
+
     t = np.arange(n_sig) / fs
     phase = params.phi0 + 2.0 * np.pi * (params.f0 * t + 0.5 * params.f1 * t * t)
     sig = np.sin(phase) * tukey(n_sig, alpha=2.0 * TAPER_FRAC)

@@ -37,6 +37,11 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _require_at_least(value: int, minimum: int, flag: str) -> None:
+    if value < minimum:
+        raise ValidationError(f"{flag} must be >= {minimum}, got {value}")
+
+
 def _derived_path(out: str, tag: str) -> str:
     p = Path(out)
     return str(p.with_name(p.stem + f".{tag}" + (p.suffix or ".csv")))
@@ -96,6 +101,8 @@ def _write_shot_files(args, result: qsim.ShotResult, marginal: np.ndarray,
 
 
 def cmd_qsim_count(args) -> None:
+    _require_at_least(args.p, 1, "--p")
+    _require_at_least(args.shots, 1, "--shots")
     n = len(args.data_bits)
     state, layout = qsim.counting_state(n, args.ignored, args.data_bits,
                                         args.p, cap=args.cap)
@@ -106,6 +113,8 @@ def cmd_qsim_count(args) -> None:
 
 
 def cmd_qsim_search(args) -> None:
+    _require_at_least(args.iterations, 0, "--iterations")
+    _require_at_least(args.shots, 1, "--shots")
     n = len(args.data_bits)
     state, layout = qsim.search_state(n, args.ignored, args.data_bits,
                                       args.iterations, cap=args.cap)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import welch
 
 from .errors import ValidationError
 
@@ -168,6 +167,8 @@ def estimate_psd(ts: TimeSeries, seg_len: int, overlap_frac: float = 0.5,
     n_segments = 1 + (ts.m - seg_len) // step
     if n_segments < 2:
         raise ValidationError("need at least 2 segments to average")
+    from scipy.signal import welch  # deferred, as in bank.waveform
+
     freqs, pxx = welch(
         ts.samples, fs=ts.fs, window="hann", nperseg=seg_len,
         noverlap=noverlap, average=average,

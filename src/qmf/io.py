@@ -15,6 +15,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -28,12 +29,13 @@ def provenance_line(command: str, config: dict, seed: int | None) -> str:
     return f"# qmf {__version__} | cmd={command} | seed={seed} | config={blob}"
 
 
-def _atomic_write(path: str | Path, text: str) -> None:
+def _atomic_write(path: str | Path, write: Callable[[TextIO], object]) -> None:
+    """Call ``write`` on a temp file beside ``path``, then rename it over ``path``."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            write(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -42,14 +44,18 @@ def _atomic_write(path: str | Path, text: str) -> None:
 
 
 def write_csv(path: str | Path, header: str, rows, provenance: str) -> None:
-    lines = [provenance, header]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Stream the rows into the file, one line each, without building the text."""
+    def write(fh: TextIO) -> None:
+        fh.write(f"{provenance}\n{header}\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+    _atomic_write(path, write)
 
 
 def write_json(path: str | Path, payload: dict, provenance: str) -> None:
     body = {"provenance": provenance, **payload}
-    _atomic_write(path, json.dumps(body, indent=2, sort_keys=False) + "\n")
+    text = json.dumps(body, indent=2, sort_keys=False) + "\n"
+    _atomic_write(path, lambda fh: fh.write(text))
 
 
 def read_time_series(path: str | Path) -> TimeSeries:

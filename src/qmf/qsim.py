@@ -1,5 +1,22 @@
 """Exact state-vector simulator for the string-matching search circuits.
 
+Two paths compute the same pre-measurement states.
+
+The template-vector path (``counting_state``, ``search_state``) is the
+one the CLI runs.  With its ancilla prepared in |->, the matching
+oracle acts on the template register as a diagonal +-1 sign vector, so
+one Grover step is a sign multiply followed by a reflection about the
+mean of a ``2**n`` vector.  The ancilla stays |-> through every step
+and is factored out, which halves memory: returned states cover the
+template register (low qubits) and, for counting, the counting register
+above it.  Before its inverse Fourier transform the counting circuit
+holds sum_j |j> (x) G^j|psi0> / sqrt(2**p); the power sweep fills row
+j of a ``(2**p, 2**n)`` block with G^j psi0, and one FFT along the
+counting axis is the inverse transform, qubit reversal included.
+
+The gate-level path (``init_state``, ``string_oracle``, ``diffusion``,
+``grover_iteration``, ``controlled_grover_powers``, ``inverse_qft``) is
+the circuit itself, kept as the cross-validation reference for tests.
 Amplitudes are a dense complex array indexed so that qubit ``t`` is bit
 ``t`` of the basis-state integer (little endian).  Gate kernels act in
 place through bit-stride reshapes of the contiguous amplitude buffer,
@@ -8,10 +25,10 @@ gates enumerate only the addressed indices.  The index partition of a
 kernel is a static function of its target qubit, which is what makes
 the kernels safe to parallelize internally over disjoint ranges.
 
-Register layout used by the search/counting circuits: the template
-register occupies the low qubits, the ancilla sits just above it, and
-the counting register occupies the top.  Counting qubit ``t`` controls
-the ``2**t``-th Grover power and contributes bit ``t`` of the outcome
+Register layout used by the gate-level circuits: the template register
+occupies the low qubits, the ancilla sits just above it, and the
+counting register occupies the top.  Counting qubit ``t`` controls the
+``2**t``-th Grover power and contributes bit ``t`` of the outcome
 integer ``b``; the inverse Fourier transform includes the final qubit
 reversal so that measured bitstrings read directly as ``b``.
 
@@ -30,7 +47,8 @@ import numpy as np
 
 from .errors import CapExceededError, ValidationError
 
-# 2**26 amplitudes = 1 GiB of complex128; override per call if needed.
+# Budget of 2**26 complex128 amplitudes (1 GiB) over all full-size
+# buffers a call holds at once; override per call if needed.
 DEFAULT_QUBIT_CAP = 26
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -56,14 +74,19 @@ class StateVector:
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Qubit index map: template low, ancilla above it, counting on top."""
+    """Qubit index map: template low, ancilla above it, counting on top.
+
+    ``ancilla`` is None in template-vector states, whose |-> ancilla is
+    factored out.
+    """
 
     template: range
-    ancilla: int
+    ancilla: int | None
     counting: range = field(default_factory=lambda: range(0))
 
     def __post_init__(self) -> None:
-        claimed = list(self.template) + [self.ancilla] + list(self.counting)
+        ancilla = [] if self.ancilla is None else [self.ancilla]
+        claimed = list(self.template) + ancilla + list(self.counting)
         if len(set(claimed)) != len(claimed):
             raise ValidationError("register ranges overlap")
         if sorted(claimed) != list(range(len(claimed))):
@@ -73,9 +96,15 @@ class RegisterLayout:
     def standard(cls, n: int, p: int = 0) -> "RegisterLayout":
         return cls(template=range(0, n), ancilla=n, counting=range(n + 1, n + 1 + p))
 
+    @classmethod
+    def factored(cls, n: int, p: int = 0) -> "RegisterLayout":
+        """Layout of a template-vector state: no ancilla qubit."""
+        return cls(template=range(0, n), ancilla=None, counting=range(n, n + p))
+
     @property
     def num_qubits(self) -> int:
-        return len(self.template) + 1 + len(self.counting)
+        has_ancilla = self.ancilla is not None
+        return len(self.template) + has_ancilla + len(self.counting)
 
 
 @dataclass(frozen=True)
@@ -372,21 +401,60 @@ def measure(state: StateVector, qubits: range, shots: int,
 
 
 # ---------------------------------------------------------------------------
-# end-to-end circuits
+# end-to-end circuits on the template vector
 
-def counting_state(n: int, q: int, data_bits: str, p: int,
-                   cap: int = DEFAULT_QUBIT_CAP) -> tuple[StateVector, RegisterLayout]:
-    """Run the full counting circuit and return the pre-measurement state."""
-    if n + p + 1 > cap:
-        raise CapExceededError(f"{n + p + 1} qubits exceed the cap of {cap}")
+def _check_cap(log2_amps: int, cap: int) -> None:
+    """Refuse a call whose full-size buffers hold more than 2**cap amplitudes."""
+    if log2_amps > cap:
+        raise CapExceededError(f"needs 2**{log2_amps} amplitudes, over the cap of 2**{cap}")
+
+
+def _oracle_spec(n: int, q: int, data_bits: str) -> StringOracleSpec:
     spec = StringOracleSpec(data_bits=data_bits, q_ignored=q)
     if spec.n != n:
         raise ValidationError(f"data_bits has {spec.n} bits, expected {n}")
-    layout = RegisterLayout.standard(n, p)
-    state = init_state(layout, cap)
-    controlled_grover_powers(state, layout, spec)
-    inverse_qft(state, layout.counting)
-    return state, layout
+    return spec
+
+
+def _oracle_signs(spec: StringOracleSpec) -> np.ndarray:
+    """Diagonal of the matching oracle on the template register.
+
+    This is the phase ``string_oracle`` kicks back off the |-> ancilla.
+    """
+    signs = np.ones(1 << spec.n)
+    signs[spec.matching_states()] = -1.0
+    return signs
+
+
+def _grover_step(psi: np.ndarray, signs: np.ndarray, out: np.ndarray) -> None:
+    """One Grover iteration on a template vector: sign flip, then diffusion.
+
+    ``out`` may be ``psi`` itself.
+    """
+    np.multiply(psi, signs, out=out)
+    np.subtract(2.0 * out.mean(), out, out=out)
+
+
+def counting_state(n: int, q: int, data_bits: str, p: int,
+                   cap: int = DEFAULT_QUBIT_CAP) -> tuple[StateVector, RegisterLayout]:
+    """Pre-measurement state of the counting circuit, ancilla factored out.
+
+    Amplitude ``b * 2**n + x`` belongs to counting outcome ``b`` and
+    template ``x``.  The power sweep block and the FFT output are held
+    at once, so the call needs ``n + p + 1 <= cap``.
+    """
+    if p < 1:
+        raise ValidationError(f"the counting register needs p >= 1 qubits, got {p}")
+    _check_cap(n + p + 1, cap)
+    signs = _oracle_signs(_oracle_spec(n, q, data_bits))
+    dim = 1 << p
+    block = np.empty((dim, 1 << n), dtype=np.complex128)
+    block[0] = 1.0 / math.sqrt(dim << n)
+    for j in range(1, dim):
+        _grover_step(block[j - 1], signs, out=block[j])
+    amps = np.fft.fft(block, axis=0)
+    amps /= math.sqrt(dim)
+    return StateVector(n + p, amps.reshape(-1)), RegisterLayout.factored(n, p)
 
 
 def run_counting_circuit(n: int, q: int, data_bits: str, p: int, shots: int,
@@ -399,19 +467,19 @@ def run_counting_circuit(n: int, q: int, data_bits: str, p: int, shots: int,
 
 def search_state(n: int, q: int, data_bits: str, k: int,
                  cap: int = DEFAULT_QUBIT_CAP) -> tuple[StateVector, RegisterLayout]:
-    """Run k plain Grover iterations and return the pre-measurement state."""
-    if n + 1 > cap:
-        raise CapExceededError(f"{n + 1} qubits exceed the cap of {cap}")
+    """k Grover iterations on the template vector, ancilla factored out.
+
+    The state and its real sign vector take 1.5 buffers of ``2**n``
+    amplitudes, so the call needs ``n + 1 <= cap``.
+    """
+    _check_cap(n + 1, cap)
     if k < 0:
         raise ValidationError(f"iteration count k={k} must be >= 0")
-    spec = StringOracleSpec(data_bits=data_bits, q_ignored=q)
-    if spec.n != n:
-        raise ValidationError(f"data_bits has {spec.n} bits, expected {n}")
-    layout = RegisterLayout.standard(n, p=0)
-    state = init_state(layout, cap)
+    signs = _oracle_signs(_oracle_spec(n, q, data_bits))
+    psi = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
     for _ in range(k):
-        grover_iteration(state, layout, spec)
-    return state, layout
+        _grover_step(psi, signs, out=psi)
+    return StateVector(n, psi), RegisterLayout.factored(n)
 
 
 def run_search_circuit(n: int, q: int, data_bits: str, k: int, shots: int,

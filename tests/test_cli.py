@@ -157,6 +157,34 @@ class TestQsim:
                    "--shots", 1, "--seed", 1, "--cap", 26,
                    "--out", tmp_path / "x.csv") == EXIT_CAP
 
+    @pytest.mark.parametrize("command,flags,flag", [
+        ("qsim-count", ("--p", 0), "--p"),
+        ("qsim-count", ("--p", -2), "--p"),
+        ("qsim-count", ("--p", 5, "--shots", 0), "--shots"),
+        ("qsim-search", ("--iterations", -1), "--iterations"),
+        ("qsim-search", ("--iterations", 2, "--shots", 0), "--shots"),
+    ])
+    def test_bad_flag_exits_4_naming_it(self, tmp_path, capsys, command, flags, flag):
+        assert run(command, "--data-bits", "000110", *flags, "--seed", 1,
+                   "--out", tmp_path / "x.csv") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{flag} must be >=" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_cli_runs_the_template_vector_path(self, tmp_path, monkeypatch):
+        from qmf import qsim
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gate-level reference reached from the CLI")
+
+        for name in ("controlled_grover_powers", "string_oracle", "grover_iteration",
+                     "init_state", "inverse_qft"):
+            monkeypatch.setattr(qsim, name, refuse)
+        assert run("qsim-count", "--data-bits", "000110", "--ignored", 1, "--p", 5,
+                   "--seed", 1, "--out", tmp_path / "c.csv") == EXIT_OK
+        assert run("qsim-search", "--data-bits", "000110", "--ignored", 1,
+                   "--iterations", 4, "--seed", 1, "--out", tmp_path / "s.csv") == EXIT_OK
+
     def test_seed_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "shots.csv"
         args = ("qsim-count", "--data-bits", "000110", "--ignored", 1,

@@ -16,6 +16,25 @@ def random_state(num_qubits, seed):
     return qsim.StateVector(num_qubits, amps)
 
 
+def reference_counting_amps(n, q, data_bits, p):
+    """Gate-level counting state with its |-> ancilla factored out."""
+    layout = qsim.RegisterLayout.standard(n, p)
+    state = qsim.init_state(layout)
+    qsim.controlled_grover_powers(state, layout, qsim.StringOracleSpec(data_bits, q))
+    qsim.inverse_qft(state, layout.counting)
+    # ancilla-0 half of |->: amplitudes of the factored state / sqrt(2)
+    return state.amps.reshape(1 << p, 2, 1 << n)[:, 0].reshape(-1) * math.sqrt(2.0)
+
+
+def reference_search_amps(n, q, data_bits, k):
+    """k gate-level Grover iterations with the |-> ancilla factored out."""
+    layout = qsim.RegisterLayout.standard(n, 0)
+    state = qsim.init_state(layout)
+    for _ in range(k):
+        qsim.grover_iteration(state, layout, qsim.StringOracleSpec(data_bits, q))
+    return state.amps.reshape(2, 1 << n)[0] * math.sqrt(2.0)
+
+
 def dense_fourier(p):
     d = 1 << p
     grid = np.outer(np.arange(d), np.arange(d))
@@ -28,6 +47,12 @@ class TestLayout:
         assert (list(lay.template), lay.ancilla, list(lay.counting)) == (
             list(range(6)), 6, list(range(7, 12)))
         assert lay.num_qubits == 12
+
+    def test_factored_layout_has_no_ancilla(self):
+        lay = qsim.RegisterLayout.factored(6, 5)
+        assert (list(lay.template), lay.ancilla, list(lay.counting)) == (
+            list(range(6)), None, list(range(6, 11)))
+        assert lay.num_qubits == 11
 
     def test_overlap_rejected(self):
         with pytest.raises(ValidationError):
@@ -220,7 +245,7 @@ class TestGroverIteration:
 
     def test_state_stays_in_matched_unmatched_plane(self):
         state, layout = qsim.search_state(6, 1, "000110", 3)
-        block = state.amps.reshape(2, 64)[0]  # ancilla-0 block
+        block = state.amps  # template vector; the |-> ancilla is factored out
         matched = block[[6, 7]]
         unmatched = np.delete(block, [6, 7])
         assert np.std(matched) < 1e-10
@@ -259,6 +284,43 @@ class TestControlledPowers:
         np.testing.assert_allclose(
             qsim.marginal_probs(a, lay.counting),
             qsim.marginal_probs(b, lay.counting), atol=1e-12)
+
+
+class TestTemplateVectorPath:
+    def test_counting_state_equals_gate_reference_on_c3_grid(self):
+        worst = 0.0
+        for n in range(4, 9):
+            for q in range(0, 3):
+                data_bits = format(3, f"0{n}b")
+                for p in range(4, 8):
+                    state, layout = qsim.counting_state(n, q, data_bits, p)
+                    assert layout == qsim.RegisterLayout.factored(n, p)
+                    want = reference_counting_amps(n, q, data_bits, p)
+                    worst = max(worst, float(np.max(np.abs(state.amps - want))))
+        assert worst < 1e-12
+
+    @pytest.mark.parametrize("n,q,data_bits,k", [
+        (3, 0, "101", 2), (5, 2, "00110", 1), (6, 1, "000110", 6), (7, 0, "1100101", 9)])
+    def test_search_state_equals_gate_reference(self, n, q, data_bits, k):
+        state, layout = qsim.search_state(n, q, data_bits, k)
+        assert layout == qsim.RegisterLayout.factored(n)
+        want = reference_search_amps(n, q, data_bits, k)
+        np.testing.assert_allclose(state.amps, want, rtol=0, atol=1e-12)
+
+    def test_counting_cap_counts_sweep_block_and_fft_output(self):
+        qsim.counting_state(4, 0, "0000", 5, cap=10)  # 2 * 2**9 amplitudes fit
+        with pytest.raises(CapExceededError):
+            qsim.counting_state(4, 0, "0000", 6, cap=10)
+
+    def test_search_cap(self):
+        qsim.search_state(9, 0, "0" * 9, 1, cap=10)
+        with pytest.raises(CapExceededError):
+            qsim.search_state(10, 0, "0" * 10, 1, cap=10)
+
+    @pytest.mark.parametrize("p", [0, -2])
+    def test_counting_register_must_be_nonempty(self, p):
+        with pytest.raises(ValidationError, match="p >= 1"):
+            qsim.counting_state(4, 0, "0000", p)
 
 
 class TestQft:
