@@ -8,6 +8,7 @@ evolution, phase maximization) while staying exactly reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,16 +76,27 @@ class BankSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BankSpec":
+        if not isinstance(cfg, dict):
+            raise ValidationError("bank config must be a JSON object")
         missing = [k for k in _CONFIG_KEYS if k not in cfg]
         if missing:
             raise ValidationError(f"bank config missing keys: {missing}")
+
+        def number(key: str, kind: type):
+            try:
+                return kind(cfg[key])
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError(
+                    f"bank config key {key!r} must be a number, got {cfg[key]!r}"
+                ) from None
+
         return cls(
-            f0_min=float(cfg["f0_min"]), f0_max=float(cfg["f0_max"]),
-            n_f0=int(cfg["n_f0"]),
-            f1_min=float(cfg["f1_min"]), f1_max=float(cfg["f1_max"]),
-            n_f1=int(cfg["n_f1"]),
-            fs=float(cfg["fs_hz"]), m_samples=int(cfg["m_samples"]),
-            dur=float(cfg["dur_s"]),
+            f0_min=number("f0_min", float), f0_max=number("f0_max", float),
+            n_f0=number("n_f0", int),
+            f1_min=number("f1_min", float), f1_max=number("f1_max", float),
+            n_f1=number("n_f1", int),
+            fs=number("fs_hz", float), m_samples=number("m_samples", int),
+            dur=number("dur_s", float),
         )
 
 
@@ -93,49 +105,91 @@ def bank_size(spec: BankSpec) -> int:
     return spec.n_f0 * spec.n_f1
 
 
-def _axis_value(lo: float, hi: float, count: int, i: int) -> float:
+def _axis_values(lo: float, hi: float, count: int, i: np.ndarray) -> np.ndarray:
     if count == 1:
-        return lo
+        return np.full(i.shape, lo)
     return lo + (hi - lo) * i / (count - 1)
 
 
-def index_to_params(spec: BankSpec, idx: int) -> ChirpParams:
-    """Closed-form lattice lookup, row-major with f0 fastest."""
+def lattice(spec: BankSpec, idx) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form lattice lookup of (f0, f1) arrays, row-major with f0 fastest."""
+    idx = np.asarray(idx)
     n = bank_size(spec)
-    if idx < 0 or idx >= n:
-        raise ValidationError(f"template index {idx} outside [0, {n})")
-    a, b = idx % spec.n_f0, idx // spec.n_f0
-    return ChirpParams(
-        f0=_axis_value(spec.f0_min, spec.f0_max, spec.n_f0, a),
-        f1=_axis_value(spec.f1_min, spec.f1_max, spec.n_f1, b),
-        dur=spec.dur,
-    )
+    outside = (idx < 0) | (idx >= n)
+    if outside.any():
+        raise ValidationError(f"template index {idx[outside][0]} outside [0, {n})")
+    return (_axis_values(spec.f0_min, spec.f0_max, spec.n_f0, idx % spec.n_f0),
+            _axis_values(spec.f1_min, spec.f1_max, spec.n_f1, idx // spec.n_f0))
 
 
-def waveform(params: ChirpParams, fs: float, m: int) -> TimeSeries:
-    """Tapered chirp over [0, dur), zero-padded to m samples.
+def index_to_params(spec: BankSpec, idx: int) -> ChirpParams:
+    """Parameters of one template: the one-index call of :func:`lattice`."""
+    f0, f1 = lattice(spec, [idx])
+    return ChirpParams(f0=float(f0[0]), f1=float(f1[0]), dur=spec.dur)
 
-    Rejects chirps whose instantaneous frequency reaches the Nyquist
+
+def tukey_window(m: int, alpha: float) -> np.ndarray:
+    """Tukey window of m points for 0 < alpha < 1.
+
+    Same formula and operations as ``scipy.signal.windows.tukey(m, alpha)``,
+    so equal to it bit for bit, without the import of ``scipy.signal``
+    (over a second per process).
+    """
+    n = np.arange(m, dtype=np.float64)
+    width = int(math.floor(alpha * (m - 1) / 2.0))
+    n1 = n[:width + 1]
+    n3 = n[m - width - 1:]
+    w = np.ones(m)
+    w[:width + 1] = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * n1 / alpha / (m - 1))))
+    w[m - width - 1:] = 0.5 * (1 + np.cos(np.pi * (-2.0 / alpha + 1 + 2.0 * n3 / alpha / (m - 1))))
+    return w
+
+
+def chirps(f0, f1, phases, dur: float, fs: float, m: int) -> np.ndarray:
+    """Tapered chirps over [0, dur) for every phase and every (f0[j], f1[j]).
+
+    Returns shape ``(len(phases), len(f0), n_sig)`` with n_sig =
+    round(dur * fs), not zero-padded.  Applies the checks of
+    :class:`ChirpParams` to every chirp, requires n_sig in [2, m], and
+    rejects chirps whose instantaneous frequency reaches the Nyquist
     frequency anywhere in [0, dur).
     """
-    n_sig = int(round(params.dur * fs))
+    f0 = np.asarray(f0, dtype=np.float64)
+    f1 = np.asarray(f1, dtype=np.float64)
+    bad = ~(f0 > 0.0)
+    if bad.any():
+        raise ValidationError(f"start frequency must be positive, got {f0[bad][0]}")
+    if not dur > 0.0:
+        raise ValidationError(f"duration must be positive, got {dur}")
+    f_end = f0 + f1 * dur
+    if not (f_end > 0.0).all():
+        raise ValidationError("instantaneous frequency goes non-positive")
+    n_sig = int(round(dur * fs))
     if n_sig < 2:
         raise ValidationError("chirp spans fewer than 2 samples")
     if n_sig > m:
         raise ValidationError(
             f"chirp of {n_sig} samples does not fit in {m} samples"
         )
-    f_peak = max(params.f0, params.freq_at(params.dur))
-    if f_peak >= fs / 2.0:
+    f_peak = np.maximum(f0, f_end)
+    bad = f_peak >= fs / 2.0
+    if bad.any():
         raise ValidationError(
-            f"instantaneous frequency {f_peak} Hz reaches Nyquist {fs / 2.0} Hz"
+            f"instantaneous frequency {f_peak[bad][0]} Hz reaches Nyquist {fs / 2.0} Hz"
         )
-    # deferred: scipy.signal dominates the import time of every command
-    from scipy.signal.windows import tukey
-
     t = np.arange(n_sig) / fs
-    phase = params.phi0 + 2.0 * np.pi * (params.f0 * t + 0.5 * params.f1 * t * t)
-    sig = np.sin(phase) * tukey(n_sig, alpha=2.0 * TAPER_FRAC)
+    sweep = 2.0 * np.pi * (f0[:, None] * t + 0.5 * f1[:, None] * t * t)
+    taper = tukey_window(n_sig, 2.0 * TAPER_FRAC)
+    out = np.empty((len(phases), f0.size, n_sig))
+    for row, phi0 in zip(out, phases):
+        np.sin(phi0 + sweep, out=row)
+        row *= taper
+    return out
+
+
+def waveform(params: ChirpParams, fs: float, m: int) -> TimeSeries:
+    """Tapered chirp over [0, dur), zero-padded to m samples (see :func:`chirps`)."""
+    sig = chirps([params.f0], [params.f1], (params.phi0,), params.dur, fs, m)[0, 0]
     out = np.zeros(m)
-    out[:n_sig] = sig
+    out[:sig.size] = sig
     return TimeSeries(samples=out, dt=1.0 / fs)

@@ -9,7 +9,6 @@ error, 3 resource cap exceeded, 4 numeric validation failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -22,14 +21,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_VALIDATION = 4
-
-
-def _load_json(path: str) -> dict:
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON ({exc})") from None
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -52,7 +43,7 @@ def _derived_path(out: str, tag: str) -> str:
 
 def cmd_mf_snr(args) -> None:
     ts = io.read_time_series(args.data)
-    spec = bank.BankSpec.from_config(_load_json(args.bank_config))
+    spec = bank.BankSpec.from_config(io.read_json(args.bank_config))
     if ts.m != spec.m_samples:
         raise ValidationError(
             f"data has {ts.m} samples but the bank expects {spec.m_samples}"
@@ -80,7 +71,8 @@ def cmd_count_dist(args) -> None:
     dist = amplify.counting_distribution(args.n_templates, args.matches, p)
     prov = io.provenance_line("count-dist", _config_echo(args), seed=None)
     # outcomes killed by exactly destructive interference are omitted
-    rows = ((b, repr(float(v))) for b, v in enumerate(dist.probs) if v > 0.0)
+    kept = np.flatnonzero(dist.probs > 0.0)
+    rows = io.repr_rows(kept.size, lambda j: (kept[j], dist.probs[kept[j]]))
     io.write_csv(args.out, "b,probability", rows, prov)
     print(f"p={p}, {dist.probs.size} outcomes -> {args.out}")
 
@@ -95,7 +87,7 @@ def _write_shot_files(args, result: qsim.ShotResult, marginal: np.ndarray,
     io.write_csv(args.out, "outcome_bits,count,probability", rows, prov)
     marg_out = args.marginal_out or _derived_path(args.out, "marginal")
     io.write_csv(marg_out, "outcome_int,probability",
-                 ((i, repr(float(v))) for i, v in enumerate(marginal)), prov)
+                 io.repr_rows(marginal.size, lambda j: (j, marginal[j])), prov)
     mode = max(result.counts, key=result.counts.get)
     print(f"{result.shots} shots, modal outcome {mode} -> {args.out}")
 
@@ -125,7 +117,7 @@ def cmd_qsim_search(args) -> None:
 
 
 def _scenario_args(args) -> tuple[pipeline.Scenario, dict, int]:
-    cfg = _load_json(args.config)
+    cfg = io.read_json(args.config)
     seed = args.seed if args.seed is not None else cfg.get("seed")
     if seed is None:
         raise ValidationError("a seed is required (flag --seed or config key)")
@@ -161,7 +153,7 @@ def cmd_fail_bound(args) -> None:
 
 
 def cmd_cw_cost(args) -> None:
-    cfg = _load_json(args.config) if args.config else {}
+    cfg = io.read_json(args.config) if args.config else {}
     spec = cw.CwSearchSpec.from_config(cfg)
     report = cw.quantum_cost(spec)
     prov = io.provenance_line("cw-cost", {**_config_echo(args), "spec": cfg}, seed=None)

@@ -206,6 +206,17 @@ def _check_grids(*series, psd: Psd) -> None:
         raise ValidationError("PSD grid does not match the spectra")
 
 
+def _analysis_band(band: np.ndarray | None, m_time: int, psd: Psd) -> np.ndarray:
+    """The band mask to use, checked against the grid and the PSD."""
+    if band is None:
+        band = band_mask(m_time)
+    if band.size != m_time // 2 + 1:
+        raise ValidationError("band mask length does not match the grid")
+    if (psd.values[band] <= 0.0).any():
+        raise ValidationError("PSD vanishes inside the analysis band")
+    return band
+
+
 def normalize_template(s: FrequencySeries, psd: Psd,
                        band: np.ndarray | None = None) -> FrequencySeries:
     """Scale a template spectrum to unit noise-weighted norm.
@@ -215,12 +226,7 @@ def normalize_template(s: FrequencySeries, psd: Psd,
     with no energy in the band and PSDs that vanish inside it.
     """
     _check_grids(s, psd=psd)
-    if band is None:
-        band = band_mask(s.m_time)
-    if band.size != s.bins.size:
-        raise ValidationError("band mask length does not match the grid")
-    if (psd.values[band] <= 0.0).any():
-        raise ValidationError("PSD vanishes inside the analysis band")
+    band = _analysis_band(band, s.m_time, psd)
     sigma_sq = float(np.sum(np.abs(s.bins[band]) ** 2 / psd.values[band]) * s.df)
     if sigma_sq <= 0.0:
         raise ValidationError("template has zero energy in the analysis band")
@@ -261,12 +267,7 @@ def filter_series(data: FrequencySeries, template: FrequencySeries, psd: Psd,
     phase-maximized SNR.
     """
     _check_grids(data, template, psd=psd)
-    if band is None:
-        band = band_mask(data.m_time)
-    if band.size != data.bins.size:
-        raise ValidationError("band mask length does not match the grid")
-    if (psd.values[band] <= 0.0).any():
-        raise ValidationError("PSD vanishes inside the analysis band")
+    band = _analysis_band(band, data.m_time, psd)
     m = data.m_time
     integrand = np.zeros(m, dtype=np.complex128)
     idx = np.flatnonzero(band)
@@ -281,6 +282,57 @@ def snr_series(data: FrequencySeries, qc: FrequencySeries, psd: Psd,
     z = filter_series(data, qc, psd, band)
     dt = 1.0 / (data.df * data.m_time)
     return SnrSeries(rho=np.abs(z), dt=dt)
+
+
+def peak_snrs(blocks, dt: float, m: int, data: FrequencySeries, psd: Psd,
+              band: np.ndarray | None = None) -> np.ndarray:
+    """Peak SNR of every complex template in a stream of template blocks.
+
+    Each block has shape ``(2, rows, n)``: row j of ``block[0]`` is a
+    template at its reference phase and row j of ``block[1]`` the same
+    template a quarter cycle later, sampled at ``dt`` and zero-padded to
+    ``m`` samples.  The result lists the blocks' rows in order; each
+    entry equals ``max_snr(snr_series(data, complex_template(...), psd,
+    band))[0]`` for that pair, with the same spectra, normalization,
+    quadrature combination and filter, and the same checks on every
+    row, but one FFT along the last axis per block.  Work buffers are
+    sized by the largest block and reused.
+    """
+    df = 1.0 / (m * dt)
+    if m // 2 + 1 != data.bins.size or not math.isclose(df, data.df, rel_tol=_GRID_RTOL):
+        raise ValidationError("frequency series are on different grids")
+    _check_grids(data, psd=psd)
+    cols = np.flatnonzero(_analysis_band(band, m, psd))
+    # A contiguous band (the default one) is a slice: cheaper to gather and scatter.
+    if cols.size and cols[-1] - cols[0] + 1 == cols.size:
+        cols = slice(cols[0], cols[-1] + 1)
+    psd_band, data_band = psd.values[cols], data.bins[cols]
+    m_data = data.m_time
+    peaks = []
+    spectra = None
+    for chirps in blocks:
+        rows = chirps.shape[1]
+        if spectra is None or rows > spectra.shape[1]:
+            spectra = np.empty((2, rows, m // 2 + 1), dtype=np.complex128)
+            integrand = np.zeros((rows, m_data), dtype=np.complex128)
+            z = np.empty((rows, m_data), dtype=np.complex128)
+        s = np.fft.rfft(chirps, n=m, axis=-1, out=spectra[:, :rows])
+        # A slice view or np.take keeps each row's band bins last and in C order,
+        # so the band sum adds them in the order normalize_template's sum does.
+        s = s[..., cols] if isinstance(cols, slice) else np.take(s, cols, axis=-1)
+        sigma_sq = np.sum(np.abs(s) ** 2 / psd_band, axis=-1) * df
+        if (sigma_sq <= 0.0).any():
+            raise ValidationError("template has zero energy in the analysis band")
+        s /= np.sqrt(sigma_sq)[..., None]
+        weighted = np.conj(0.5 * (s[0] - 1j * s[1]))
+        weighted *= data_band
+        weighted /= psd_band
+        integrand[:rows, cols] = weighted
+        zr = np.fft.ifft(integrand[:rows], axis=-1, out=z[:rows])
+        zr *= m_data  # as in filter_series: ifft carries 1/M, the sum does not
+        zr *= 2.0 / m_data
+        peaks.append(np.abs(zr).max(axis=-1))
+    return np.concatenate(peaks)
 
 
 def max_snr(snr: SnrSeries) -> tuple[float, int]:

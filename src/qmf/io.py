@@ -15,7 +15,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -44,10 +44,16 @@ def _atomic_write(path: str | Path, write: Callable[[TextIO], object]) -> None:
 
 
 def write_csv(path: str | Path, header: str, rows, provenance: str) -> None:
-    """Stream the rows into the file, one line each, without building the text."""
+    """Stream the rows into the file, one line each, without building the text.
+
+    Each row is a tuple with one field per header column; a field is
+    written as ``str(field)``.
+    """
+    line = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
+
     def write(fh: TextIO) -> None:
         fh.write(f"{provenance}\n{header}\n")
-        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+        fh.writelines(map(line.__mod__, rows))
 
     _atomic_write(path, write)
 
@@ -56,6 +62,18 @@ def write_json(path: str | Path, payload: dict, provenance: str) -> None:
     body = {"provenance": provenance, **payload}
     text = json.dumps(body, indent=2, sort_keys=False) + "\n"
     _atomic_write(path, lambda fh: fh.write(text))
+
+
+def read_json(path: str | Path) -> dict:
+    """Load a JSON object (a config or a sidecar) from a file."""
+    try:
+        with open(path) as fh:
+            payload = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise InputError(f"{path}: invalid JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise InputError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    return payload
 
 
 def read_time_series(path: str | Path) -> TimeSeries:
@@ -74,10 +92,17 @@ def read_time_series(path: str | Path) -> TimeSeries:
     sidecar = path.with_suffix(path.suffix + ".json")
     if not sidecar.exists():
         raise FileNotFoundError(f"raw input {path} needs a sidecar {sidecar}")
-    meta = json.loads(sidecar.read_text())
+    meta = read_json(sidecar)
+    if "fs_hz" not in meta:
+        raise InputError(f"{sidecar}: missing key 'fs_hz'")
+    try:
+        fs, t0 = float(meta["fs_hz"]), float(meta.get("t0_s", 0.0))
+    except (TypeError, ValueError):
+        raise InputError(f"{sidecar}: fs_hz and t0_s must be numbers") from None
+    if not fs > 0.0:
+        raise InputError(f"{sidecar}: fs_hz must be positive, got {fs}")
     samples = np.fromfile(path, dtype="<f8")
-    return TimeSeries(samples=samples, dt=1.0 / float(meta["fs_hz"]),
-                      t0=float(meta.get("t0_s", 0.0)))
+    return TimeSeries(samples=samples, dt=1.0 / fs, t0=t0)
 
 
 def read_psd(path: str | Path) -> Psd:
@@ -87,13 +112,31 @@ def read_psd(path: str | Path) -> Psd:
     return Psd(values=sn, df=float(f[1] - f[0]))
 
 
+# Rows converted to Python objects at a time: bounds the memory a large
+# file costs while keeping the conversion in whole-array calls.
+_ROW_BLOCK = 1 << 12
+
+
+def repr_rows(n: int, columns) -> Iterator[tuple[str, ...]]:
+    """CSV rows of ``repr``-formatted values, built a block of rows at a time.
+
+    ``columns(j)`` returns the column arrays at the row indices ``j``.
+    ``ndarray.tolist()`` yields the Python ints and floats that
+    per-element arithmetic would give, so the bytes are the same as
+    with ``repr(t0 + j * dt)`` or ``repr(float(v))`` per row.
+    """
+    for start in range(0, n, _ROW_BLOCK):
+        j = np.arange(start, min(start + _ROW_BLOCK, n))
+        yield from zip(*(map(repr, col.tolist()) for col in columns(j)))
+
+
 def write_psd(path: str | Path, psd: Psd, provenance: str) -> None:
-    rows = ((repr(k * psd.df), repr(float(v))) for k, v in enumerate(psd.values))
+    rows = repr_rows(psd.values.size, lambda j: (j * psd.df, psd.values[j]))
     write_csv(path, "f_hz,sn", rows, provenance)
 
 
 def write_snr(path: str | Path, snr: SnrSeries, provenance: str, t0: float = 0.0) -> None:
-    rows = ((repr(t0 + j * snr.dt), repr(float(v))) for j, v in enumerate(snr.rho))
+    rows = repr_rows(snr.rho.size, lambda j: (t0 + j * snr.dt, snr.rho[j]))
     write_csv(path, "t,rho", rows, provenance)
 
 

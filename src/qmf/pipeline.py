@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import amplify, dsp
-from .bank import BankSpec, bank_size, index_to_params, waveform
+from .bank import BankSpec, bank_size, chirps, index_to_params, lattice, waveform
 from .errors import ValidationError
 
 DEFAULT_MAX_ATTEMPTS = 10_000
@@ -98,25 +98,41 @@ def _cached_distribution(n: int, r: int, p: int) -> amplify.CountingDistribution
 # ---------------------------------------------------------------------------
 # classical oracle
 
+# Working-set budget of one block of templates in the search kernel.  At
+# its peak a block holds about four complex buffers of M values per
+# template (spectra, integrand, filter output), i.e. 64 M bytes a row.
+_BLOCK_BYTES = 32 << 20
+
+
+def _peak_snrs(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
+               idx: np.ndarray, band: np.ndarray | None) -> np.ndarray:
+    """Peak SNR of every template in ``idx``, one block of rows at a time."""
+    rows = max(1, _BLOCK_BYTES // (64 * spec.m_samples))
+    blocks = (
+        chirps(*lattice(spec, idx[start:start + rows]), (0.0, np.pi / 2.0),
+               spec.dur, spec.fs, spec.m_samples)
+        for start in range(0, idx.size, rows)
+    )
+    return dsp.peak_snrs(blocks, 1.0 / spec.fs, spec.m_samples, data, psd, band)
+
+
 def oracle_eval(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd, i: int,
                 rho_thr: float, counter: OracleCounter,
                 band: np.ndarray | None = None) -> int:
     """Evaluate the match predicate f(i): template, SNR series, threshold."""
-    params = index_to_params(spec, i)
-    qc = dsp.complex_template(params, spec.fs, spec.m_samples, psd, band)
-    rho_max, _ = dsp.max_snr(dsp.snr_series(data, qc, psd, band))
+    rho_max = _peak_snrs(spec, data, psd, np.asarray([i]), band)[0]
     counter.add(1)
-    return dsp.match_predicate(rho_max, rho_thr)
+    return dsp.match_predicate(float(rho_max), rho_thr)
 
 
 def classical_search(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
                      rho_thr: float, counter: OracleCounter,
                      band: np.ndarray | None = None) -> list[int]:
     """Exhaustive baseline: evaluate f(i) for every template, charge N."""
-    return [
-        i for i in range(bank_size(spec))
-        if oracle_eval(spec, data, psd, i, rho_thr, counter, band)
-    ]
+    n = bank_size(spec)
+    rho = _peak_snrs(spec, data, psd, np.arange(n), band)
+    counter.add(n)
+    return [i for i, r in enumerate(rho.tolist()) if dsp.match_predicate(r, rho_thr)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,45 +221,6 @@ def retrieve_until_success(strategy: RetrievalStrategy, n: int, r_true: int,
         oracle_evals=counter.evaluations - start, attempts=attempts,
         succeeded=False, returned_index=None,
     )
-
-
-@dataclass(frozen=True)
-class CollectResult:
-    """Distinct matches recovered and whether the target count was met."""
-
-    indices: frozenset[int]
-    complete: bool
-
-
-def collect_all_matches(n: int, r_true: int, p: int, match_set: list[int],
-                        rng: np.random.Generator, counter: OracleCounter,
-                        budget: int,
-                        strategy: RetrievalStrategy = RetrievalStrategy.REUSE_K,
-                        target: int | None = None) -> CollectResult:
-    """Sample with replacement until r* distinct matches are held.
-
-    Collecting all matches is a coupon-collector process; the target
-    count defaults to the r* decoded from an initial detection and the
-    search stops once the oracle-evaluation budget is spent.
-    """
-    if r_true < 1:
-        raise ValidationError("collection needs at least one true match")
-    start = counter.evaluations
-    if target is None:
-        outcome = signal_detection(n, r_true, p, rng, counter)
-        while not outcome.detected and counter.evaluations - start < budget:
-            outcome = signal_detection(n, r_true, p, rng, counter)
-        if not outcome.detected:
-            return CollectResult(indices=frozenset(), complete=False)
-        target = outcome.r_star
-    found: set[int] = set()
-    while len(found) < target and counter.evaluations - start < budget:
-        record = retrieve_until_success(
-            strategy, n, r_true, p, match_set, rng, counter
-        )
-        if record.succeeded:
-            found.add(record.returned_index)
-    return CollectResult(indices=frozenset(found), complete=len(found) >= target)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 from scipy.signal.windows import tukey
 
 from qmf import dsp
-from qmf.bank import BankSpec, ChirpParams, bank_size, index_to_params, waveform
+from qmf.bank import (BankSpec, ChirpParams, bank_size, index_to_params, lattice,
+                      tukey_window, waveform)
 from qmf.errors import ValidationError
 
 
@@ -52,6 +53,19 @@ class TestBankSpec:
         with pytest.raises(ValidationError, match="missing"):
             BankSpec.from_config({"f0_min": 1.0})
 
+    @pytest.mark.parametrize("key,value", [("n_f0", "eight"), ("fs_hz", None),
+                                           ("m_samples", float("inf"))])
+    def test_config_non_numeric_value(self, key, value):
+        cfg = {"f0_min": 40.0, "f0_max": 120.0, "n_f0": 8,
+               "f1_min": 5.0, "f1_max": 45.0, "n_f1": 8,
+               "fs_hz": 512.0, "m_samples": 1024, "dur_s": 1.0, key: value}
+        with pytest.raises(ValidationError, match=f"'{key}' must be a number"):
+            BankSpec.from_config(cfg)
+
+    def test_config_not_an_object(self):
+        with pytest.raises(ValidationError, match="JSON object"):
+            BankSpec.from_config([40.0, 120.0])
+
 
 class TestIndexToParams:
     def test_lattice_corners(self):
@@ -88,6 +102,36 @@ class TestIndexToParams:
     def test_out_of_range(self):
         with pytest.raises(ValidationError):
             index_to_params(make_spec(), 64)
+
+
+class TestLattice:
+    @pytest.mark.parametrize("n_f0,n_f1", [(8, 8), (1, 8), (8, 1), (1, 1), (7, 5)])
+    def test_arrays_equal_the_scalar_closed_form(self, n_f0, n_f1):
+        spec = make_spec(n_f0, n_f1)
+
+        def axis(lo, hi, count, i):
+            return lo if count == 1 else lo + (hi - lo) * i / (count - 1)
+
+        f0, f1 = lattice(spec, np.arange(bank_size(spec)))
+        for i in range(bank_size(spec)):
+            a, b = i % n_f0, i // n_f0
+            assert f0[i] == axis(spec.f0_min, spec.f0_max, n_f0, a)
+            assert f1[i] == axis(spec.f1_min, spec.f1_max, n_f1, b)
+            p = index_to_params(spec, i)
+            assert (p.f0, p.f1) == (f0[i], f1[i])
+
+    def test_rejects_any_index_outside(self):
+        with pytest.raises(ValidationError, match="template index 64 outside"):
+            lattice(make_spec(), np.array([3, 64, 2]))
+        with pytest.raises(ValidationError, match="outside"):
+            lattice(make_spec(), np.array([-1]))
+
+
+class TestTukeyWindow:
+    @pytest.mark.parametrize("m", [2, 3, 10, 11, 255, 256, 512, 4097])
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 0.37, 0.5, 0.99])
+    def test_equals_scipy_bit_for_bit(self, m, alpha):
+        assert np.array_equal(tukey_window(m, alpha), tukey(m, alpha=alpha))
 
 
 class TestWaveform:

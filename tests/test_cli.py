@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,6 +92,98 @@ class TestMfSnr:
         path.write_text("t,strain\n0.0,zero\n")
         assert run("mf-snr", "--data", path, "--bank-config", bank_cfg_file,
                    "--index", 0, "--out", tmp_path / "o.csv") == EXIT_INPUT
+
+
+class TestInputErrors:
+    """Malformed inputs on the bank and mf-snr path: one line, no traceback."""
+
+    def raw_strain(self, tmp_path, sidecar_text):
+        raw = tmp_path / "strain.f64"
+        np.zeros(BANK_CFG["m_samples"]).astype("<f8").tofile(raw)
+        (tmp_path / "strain.f64.json").write_text(sidecar_text)
+        return raw
+
+    def mf_snr(self, tmp_path, raw, bank_path):
+        return run("mf-snr", "--data", raw, "--bank-config", bank_path, "--index", 0,
+                   "--out", tmp_path / "snr.csv")
+
+    def assert_one_line(self, capsys, prefix):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(prefix)
+
+    def test_sidecar_not_json(self, tmp_path, bank_cfg_file, capsys):
+        raw = self.raw_strain(tmp_path, "{fs_hz: 512")
+        assert self.mf_snr(tmp_path, raw, bank_cfg_file) == EXIT_INPUT
+        self.assert_one_line(capsys, "input error: ")
+
+    def test_sidecar_without_fs(self, tmp_path, bank_cfg_file, capsys):
+        raw = self.raw_strain(tmp_path, json.dumps({"t0_s": 0.0}))
+        assert self.mf_snr(tmp_path, raw, bank_cfg_file) == EXIT_INPUT
+        self.assert_one_line(capsys, "input error: ")
+
+    def test_bank_count_not_a_number(self, tmp_path, capsys):
+        raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
+        bank_path = tmp_path / "bank.json"
+        bank_path.write_text(json.dumps({**BANK_CFG, "n_f0": "eight"}))
+        assert self.mf_snr(tmp_path, raw, bank_path) == EXIT_VALIDATION
+        self.assert_one_line(capsys, "validation error: ")
+
+    def test_injection_bank_count_not_a_number(self, tmp_path, capsys):
+        cfg = tmp_path / "inject.json"
+        cfg.write_text(json.dumps({"bank": {**BANK_CFG, "n_f1": "x"}, "inject_index": 3,
+                                   "rho_thr": 5.0, "seed": 1}))
+        assert run("detect", "--config", cfg, "--out", tmp_path / "d.json") == EXIT_VALIDATION
+        self.assert_one_line(capsys, "validation error: ")
+
+    def test_config_is_a_list(self, tmp_path, capsys):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps([{"n": 64, "r": 2}]))
+        assert run("detect", "--config", cfg, "--seed", 1,
+                   "--out", tmp_path / "d.json") == EXIT_INPUT
+        self.assert_one_line(capsys, "input error: ")
+
+
+class TestRowWriters:
+    """The writers' bytes equal those of per-element rows joined one by one."""
+
+    @staticmethod
+    def per_element_text(header, rows):
+        return "# prov\n" + header + "\n" + "".join(
+            ",".join(map(str, row)) + "\n" for row in rows)
+
+    def test_write_snr(self, tmp_path):
+        rng = np.random.default_rng(4)
+        snr = dsp.SnrSeries(rho=rng.random(5000) * 20.0, dt=1.0 / 4096.0)
+        t0 = 1126259462.4
+        io.write_snr(tmp_path / "snr.csv", snr, "# prov", t0=t0)
+        rows = ((repr(t0 + j * snr.dt), repr(float(v))) for j, v in enumerate(snr.rho))
+        assert (tmp_path / "snr.csv").read_text() == self.per_element_text("t,rho", rows)
+
+    def test_write_psd(self, tmp_path):
+        psd = dsp.Psd(values=np.random.default_rng(5).random(3000), df=1.0 / 7.3)
+        io.write_psd(tmp_path / "psd.csv", psd, "# prov")
+        rows = ((repr(k * psd.df), repr(float(v))) for k, v in enumerate(psd.values))
+        assert (tmp_path / "psd.csv").read_text() == self.per_element_text("f_hz,sn", rows)
+
+    def test_mixed_fields(self, tmp_path):
+        rows = [(3, "0110", 0.1), (17, "1000", 2.5e-300)]
+        io.write_csv(tmp_path / "x.csv", "a,b,c", iter(rows), "# prov")
+        assert (tmp_path / "x.csv").read_text() == self.per_element_text("a,b,c", rows)
+
+
+def test_bank_detect_does_not_import_scipy_signal(tmp_path):
+    cfg = tmp_path / "inject.json"
+    cfg.write_text(json.dumps({"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
+                               "noise_sigma": 1.0, "noise_seed": 2, "seed": 3}))
+    script = ("import sys; from qmf.cli import main; "
+              f"code = main(['detect', '--config', {str(cfg)!r}, '--out', "
+              f"{str(tmp_path / 'd.json')!r}]); "
+              "print(code, 'scipy.signal' in sys.modules)")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split()[-2:] == ["0", "False"]
 
 
 class TestCountDist:

@@ -83,6 +83,101 @@ class TestClassicalSearch:
         assert matches == expected
 
 
+def loop_peak_snrs(spec, data, psd, band=None):
+    """Reference: one complex_template + snr_series per template."""
+    return np.array([
+        dsp.max_snr(dsp.snr_series(data, dsp.complex_template(
+            index_to_params(spec, i), spec.fs, spec.m_samples, psd, band), psd, band))[0]
+        for i in range(bank_size(spec))
+    ])
+
+
+def injected_data(spec, inject, noise_seed):
+    strain = waveform(index_to_params(spec, inject), spec.fs, spec.m_samples).samples
+    strain = strain + np.random.default_rng(noise_seed).normal(size=spec.m_samples)
+    return dsp.forward_fft(dsp.TimeSeries(strain, dt=1.0 / spec.fs))
+
+
+@pytest.fixture(scope="module")
+def c8_bank():
+    """The acceptance suite's c8 bank and injection, with the loop's peak SNRs."""
+    spec = BankSpec(f0_min=30.0, f0_max=180.0, n_f0=64, f1_min=5.0, f1_max=50.0,
+                    n_f1=64, fs=512.0, m_samples=1024, dur=1.0)
+    psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs)
+    data = injected_data(spec, 40 * 64 + 20, 99)
+    return spec, psd, data, loop_peak_snrs(spec, data, psd)
+
+
+def small_spec(n_f0=8, n_f1=8, f0_max=120.0):
+    return BankSpec(f0_min=40.0, f0_max=f0_max, n_f0=n_f0, f1_min=5.0, f1_max=45.0,
+                    n_f1=n_f1, fs=512.0, m_samples=1024, dur=1.0)
+
+
+class TestBatchedSearch:
+    def test_c8_match_set_equals_the_loop(self, c8_bank):
+        spec, psd, data, rho = c8_bank
+        for thr in (0.8 * rho.max(), float(np.median(rho)), 10.0):
+            c = OracleCounter()
+            got = pipeline.classical_search(spec, data, psd, thr, c)
+            assert got == np.flatnonzero(rho >= thr).tolist()
+            assert c.evaluations == bank_size(spec)
+
+    def test_c8_peak_snr_matches_reference(self, c8_bank):
+        spec, psd, data, rho = c8_bank
+        got = pipeline._peak_snrs(spec, data, psd, np.arange(bank_size(spec)), None)
+        np.testing.assert_allclose(got, rho, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n_f0,n_f1", [(8, 8), (1, 8), (8, 1), (1, 1)])
+    @pytest.mark.parametrize("band_kind", ["default", "edges", "notched"])
+    def test_peak_snr_matches_reference(self, monkeypatch, n_f0, n_f1, band_kind):
+        # 7 rows a block: the bank sizes are not multiples of the block
+        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 7 * 64 * 1024)
+        spec = small_spec(n_f0, n_f1)
+        psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs)
+        data = injected_data(spec, bank_size(spec) // 2, 5)
+        band = None
+        if band_kind != "default":
+            band = dsp.band_mask(spec.m_samples, data.df, f_lo=35.0, f_hi=160.0)
+        if band_kind == "notched":
+            band[200:230] = False
+        got = pipeline._peak_snrs(spec, data, psd, np.arange(bank_size(spec)), band)
+        np.testing.assert_allclose(got, loop_peak_snrs(spec, data, psd, band),
+                                   rtol=1e-12, atol=0)
+
+    def test_oracle_eval_is_the_one_index_search(self, toy_bank):
+        spec, psd, data, _ = toy_bank
+        matches = pipeline.classical_search(spec, data, psd, 10.0, OracleCounter())
+        hits = [i for i in range(bank_size(spec))
+                if pipeline.oracle_eval(spec, data, psd, i, 10.0, OracleCounter())]
+        assert hits == matches
+
+    def test_nyquist_error(self):
+        spec = small_spec(f0_max=300.0)
+        psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs)
+        data = injected_data(spec, 0, 1)
+        with pytest.raises(ValidationError, match="reaches Nyquist"):
+            pipeline.classical_search(spec, data, psd, 5.0, OracleCounter())
+
+    def test_zero_energy_error(self, toy_bank):
+        spec, psd, data, _ = toy_bank
+        band = np.zeros(data.bins.size, dtype=bool)
+        with pytest.raises(ValidationError, match="zero energy"):
+            pipeline.classical_search(spec, data, psd, 5.0, OracleCounter(), band)
+
+    def test_psd_vanishing_error(self, toy_bank):
+        spec, psd, data, _ = toy_bank
+        values = psd.values.copy()
+        values[300] = 0.0
+        holed = dsp.Psd(values=values, df=psd.df)
+        with pytest.raises(ValidationError, match="PSD vanishes"):
+            pipeline.classical_search(spec, data, holed, 5.0, OracleCounter())
+
+    def test_threshold_checked(self, toy_bank):
+        spec, psd, data, _ = toy_bank
+        with pytest.raises(ValidationError, match="threshold"):
+            pipeline.classical_search(spec, data, psd, 0.0, OracleCounter())
+
+
 class TestSignalDetection:
     def test_no_matches_never_detects(self):
         rng = np.random.default_rng(0)
@@ -214,19 +309,6 @@ class TestRetrieveUntilSuccess:
 
 
 class TestCollectAllMatches:
-    def test_single_match_needs_one_success(self):
-        res = pipeline.collect_all_matches(
-            4096, 1, 8, [42], np.random.default_rng(0), OracleCounter(),
-            budget=10**7)
-        assert res.complete and res.indices == frozenset([42])
-
-    def test_subset_of_match_set(self):
-        match_set = list(range(9))
-        res = pipeline.collect_all_matches(
-            2**17, 9, 11, match_set, np.random.default_rng(1), OracleCounter(),
-            budget=10**7)
-        assert res.indices <= frozenset(match_set)
-
     def test_coupon_collector_expectation(self):
         # mean successful draws to see all 9 of 9 is 9*H_9 ~ 25.46
         draws = []
@@ -244,12 +326,6 @@ class TestCollectAllMatches:
             draws.append(n_draws)
         expected = 9 * sum(1 / i for i in range(1, 10))
         assert np.mean(draws) == pytest.approx(expected, rel=0.10)
-
-    def test_budget_exhaustion_flags_incomplete(self):
-        res = pipeline.collect_all_matches(
-            2**17, 9, 11, list(range(9)), np.random.default_rng(3),
-            OracleCounter(), budget=3 * 2047, target=9)
-        assert not res.complete
 
 
 class TestScenario:
