@@ -15,6 +15,8 @@ immutable after construction; sampling takes a caller-supplied
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -40,6 +42,26 @@ def round_half_away(x: float) -> int:
 
 def _round_half_away_arr(x: np.ndarray) -> np.ndarray:
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
+
+
+def _c_pow(base, exponent) -> np.ndarray:
+    """Elementwise ``base ** exponent`` by the C library's pow, as Python floats do it.
+
+    NumPy's vectorised power (and ``x ** 2``, which it turns into a
+    square) rounds differently in the last bit for some inputs: a few in
+    a hundred for 2**x, one or two in a thousand for squares.  Array
+    formulas that must give the bits of their scalar form use this.
+    """
+    base, exponent = np.asarray(base, float), np.asarray(exponent, float)
+    shape = np.broadcast_shapes(base.shape, exponent.shape)
+
+    def operand(a: np.ndarray):
+        if a.ndim == 0:
+            return itertools.repeat(a.item())
+        return np.broadcast_to(a, shape).ravel().tolist()
+
+    values = map(math.pow, operand(base), operand(exponent))
+    return np.fromiter(values, float, math.prod(shape)).reshape(shape)
 
 
 def theta_of(n: float, r: float) -> float:
@@ -84,7 +106,12 @@ def optimal_k(n: float, r: float) -> int:
         raise ValidationError("optimal_k needs at least one match (r >= 1)")
     if r > n:
         raise ValidationError(f"match count r={r} exceeds bank size n={n}")
-    return max(0, round_half_away(math.pi / 4.0 * math.sqrt(n / r) - 0.5))
+    return int(_optimal_k_arr(n, r))
+
+
+def _optimal_k_arr(n: float, r) -> np.ndarray:
+    """``optimal_k`` without its checks, elementwise over r."""
+    return np.maximum(0.0, _round_half_away_arr(np.pi / 4.0 * np.sqrt(n / r) - 0.5))
 
 
 def choose_p(n: float) -> int:
@@ -143,14 +170,22 @@ class CountingDistribution:
 
 
 def _branch_probs(theta: float, p: int) -> np.ndarray:
-    """Outcome distribution of a single eigenvalue branch, P+(b)."""
+    """Outcome distribution of a single eigenvalue branch, P+(b).
+
+    Built in one array by in-place ufuncs, in the operation order of
+    ``num / (d**2 * sin(theta - pi*b/d)**2)``.
+    """
     d = 1 << p
-    b = np.arange(d)
-    delta = theta - np.pi * b / d
-    num = math.sin(d * theta) ** 2
-    aligned = np.abs(delta) < _ALIGNED_TOL
-    safe = np.where(aligned, 1.0, delta)
-    out = num / (d * d * np.sin(safe) ** 2)
+    out = np.arange(d, dtype=float)
+    np.multiply(out, np.pi, out=out)
+    np.divide(out, d, out=out)
+    np.subtract(theta, out, out=out)  # delta
+    aligned = (out < _ALIGNED_TOL) & (out > -_ALIGNED_TOL)
+    out[aligned] = 1.0
+    np.sin(out, out=out)
+    np.square(out, out=out)
+    np.multiply(out, d * d, out=out)
+    np.divide(math.sin(d * theta) ** 2, out, out=out)
     out[aligned] = 1.0
     return out
 
@@ -166,9 +201,15 @@ def counting_distribution(
             f"2**{p} outcome probabilities exceed the {max_bytes}-byte budget"
         )
     theta = theta_of(n, r)
-    plus = _branch_probs(theta, p)
-    mirror = np.roll(plus[::-1], 1)  # index b -> (2**p - b) mod 2**p
-    probs = 0.5 * (plus + mirror)
+    probs = _branch_probs(theta, p)
+    # Equal mixture with the mirror branch, b -> (2**p - b) mod 2**p.  The
+    # sum for b equals the sum for 2**p - b, so the lower half is summed
+    # in place and copied, reversed, over the upper half.
+    h = probs.size // 2
+    np.add(probs[1:h], probs[:h:-1], out=probs[1:h])
+    probs[h + 1:] = probs[h - 1:0:-1]
+    probs[[0, h]] += probs[[0, h]]
+    np.multiply(probs, 0.5, out=probs)
     return CountingDistribution(p=p, theta=theta, probs=probs)
 
 
@@ -193,23 +234,38 @@ class CountEstimate:
     k_star: int | None
 
 
-def estimate_from_b(b: int, p: int, n: float) -> CountEstimate:
-    """Decode an outcome b into (theta*, r*, k*).
+def decode_outcomes(b, p: int, n: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Decode counting outcomes b (a scalar or an array) into (theta*, r*, k*).
 
     theta* folds the two eigenvalue branches onto [0, pi/2]; r* rounds
-    n*sin^2(theta*) and is clamped to at least 1 for any non-zero
-    outcome, since b != 0 cannot occur when there are no matches.
+    n*sin^2(theta*) and is clamped to at least 1, since b != 0 cannot
+    occur when there are no matches; k* is ``optimal_k(n, r*)``.  The
+    no-match outcome b = 0 decodes by the same clamp; callers treat it
+    apart.  The arithmetic is that of the scalar formulas, square by the
+    C library's pow included, so r* and k* are the integers they give.
     """
+    d = 1 << p
+    b = np.asarray(b)
+    theta_star = np.pi * b / d
+    theta_star = np.where(b <= d // 2, theta_star, np.pi - theta_star)
+    r_star = np.maximum(_round_half_away_arr(n * _c_pow(np.sin(theta_star), 2.0)), 1.0)
+    return theta_star, r_star.astype(np.int64), _optimal_k_arr(n, r_star).astype(np.int64)
+
+
+# A one-element array decode costs several times the scalar formulas it
+# replaced, and a Monte Carlo run decodes the same few outcomes over and
+# over; estimates are immutable, so they are shared.
+@functools.lru_cache(maxsize=4096)
+def estimate_from_b(b: int, p: int, n: float) -> CountEstimate:
+    """Decode one outcome b into (theta*, r*, k*); see :func:`decode_outcomes`."""
     d = 1 << p
     if b < 0 or b >= d:
         raise ValidationError(f"outcome b={b} outside [0, 2**{p})")
     if b == 0:
         return CountEstimate(b=0, theta_star=0.0, r_star=0, k_star=None)
-    theta_star = math.pi * b / d if b <= d // 2 else math.pi - math.pi * b / d
-    r_star = round_half_away(n * math.sin(theta_star) ** 2)
-    if r_star == 0:
-        r_star = 1
-    return CountEstimate(b=b, theta_star=theta_star, r_star=r_star, k_star=optimal_k(n, r_star))
+    theta_star, r_star, k_star = decode_outcomes(b, p, n)
+    return CountEstimate(b=b, theta_star=float(theta_star), r_star=int(r_star),
+                         k_star=int(k_star))
 
 
 def false_negative_prob(n: int, r: int, p: int) -> float:
@@ -253,41 +309,39 @@ def p_fail_total(n: int, r: int, p: int) -> float:
     if r < 1:
         raise ValidationError("retrieval failure is defined for r >= 1")
     dist = counting_distribution(n, r, p)
-    theta = dist.theta
-    d = 1 << p
-    b = np.arange(d)
-    theta_star = np.where(b <= d // 2, np.pi * b / d, np.pi - np.pi * b / d)
-    r_star = _round_half_away_arr(n * np.sin(theta_star) ** 2)
-    r_star = np.maximum(r_star, 1.0)
-    k_star = np.maximum(
-        0.0, _round_half_away_arr(np.pi / 4.0 * np.sqrt(n / r_star) - 0.5)
-    )
-    fail = np.cos((2.0 * k_star + 1.0) * theta) ** 2
+    _, _, k_star = decode_outcomes(np.arange(1 << p), p, n)
+    fail = np.cos((2.0 * k_star + 1.0) * dist.theta) ** 2
     fail[0] = 1.0
     return float(np.dot(dist.probs, fail))
 
 
-def fail_bound(r: int, eps_p: float) -> float:
+def fail_bound(r: int, eps_p):
     """Two-term upper bound on the count-then-retrieve failure probability.
 
     ``eps_p`` in (0, 1) is the fractional excess of the register width
     over its lower bound; the ideal outcome is then 2**eps_p * sqrt(r),
     and only its two neighbouring integers are credited with success.
-    The O(sqrt(r/n)) correction is dropped.
+    The O(sqrt(r/n)) correction is dropped.  ``eps_p`` may be a scalar,
+    which gives a float, or an array, which gives the bound elementwise.
     """
     if r < 1:
         raise ValidationError("bound is defined for r >= 1")
-    if not 0.0 < eps_p < 1.0:
-        raise ValidationError(f"eps_p must be in (0, 1), got {eps_p}")
-    b_ideal = 2.0**eps_p * math.sqrt(r)
-    b_hi = math.ceil(b_ideal)
+    eps_p = np.asarray(eps_p, dtype=float)
+    inside = (eps_p > 0.0) & (eps_p < 1.0)
+    if not inside.all():
+        bad = eps_p[~inside].flat[0]
+        raise ValidationError(f"eps_p must be in (0, 1), got {bad}")
+    b_ideal = _c_pow(2.0, eps_p) * math.sqrt(r)
+    b_hi = np.ceil(b_ideal)
     eps = b_hi - b_ideal
-    if eps == 0.0:  # ideal outcome is an exact integer: retrieval is certain
-        return 0.0
-    b_lo = b_hi - 1
-    term_hi = np.sinc(eps) ** 2 * math.cos(eps / b_hi * math.pi / 2.0) ** 2
-    term_lo = np.sinc(1.0 - eps) ** 2 * math.cos((1.0 - eps) / b_lo * math.pi / 2.0) ** 2
-    return float(1.0 - term_hi - term_lo)
+    b_lo = b_hi - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):  # b_lo = 0 only where eps = 0
+        term_hi = _c_pow(np.sinc(eps), 2.0) * _c_pow(np.cos(eps / b_hi * np.pi / 2.0), 2.0)
+        term_lo = (_c_pow(np.sinc(1.0 - eps), 2.0)
+                   * _c_pow(np.cos((1.0 - eps) / b_lo * np.pi / 2.0), 2.0))
+    # an ideal outcome that is an exact integer retrieves with certainty
+    bound = np.where(eps == 0.0, 0.0, 1.0 - term_hi - term_lo)
+    return float(bound) if bound.ndim == 0 else bound
 
 
 def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, float]:
@@ -327,7 +381,7 @@ def max_fail_bound_argmax(r: int, grid_points: int = 20001) -> tuple[float, floa
         raise ValidationError("grid needs at least 3 points")
     lo_edge, hi_edge = 1e-9, 1.0 - 1e-9
     grid = np.linspace(lo_edge, hi_edge, grid_points)
-    vals = np.array([fail_bound(r, e) for e in grid])
+    vals = fail_bound(r, grid)
     i = int(np.argmax(vals))
     lo = grid[max(0, i - 1)]
     hi = grid[min(grid_points - 1, i + 1)]

@@ -70,10 +70,19 @@ def cmd_count_dist(args) -> None:
     p = args.p if args.p is not None else amplify.choose_p(args.n_templates)
     dist = amplify.counting_distribution(args.n_templates, args.matches, p)
     prov = io.provenance_line("count-dist", _config_echo(args), seed=None)
+    # probs[b] and probs[2**p - b] are the same sum of the two branches,
+    # bit for bit, so each value is formatted once, from the lower half
+    d = dist.probs.size
+    lower = list(map(repr, dist.probs[:d // 2 + 1].tolist()))
     # outcomes killed by exactly destructive interference are omitted
     kept = np.flatnonzero(dist.probs > 0.0)
-    rows = io.repr_rows(kept.size, lambda j: (kept[j], dist.probs[kept[j]]))
-    io.write_csv(args.out, "b,probability", rows, prov)
+
+    def rows():
+        for start in range(0, kept.size, 4096):
+            b = kept[start:start + 4096]
+            yield from zip(b.tolist(), map(lower.__getitem__, np.minimum(b, d - b).tolist()))
+
+    io.write_csv(args.out, "b,probability", rows(), prov)
     print(f"p={p}, {dist.probs.size} outcomes -> {args.out}")
 
 
@@ -118,15 +127,20 @@ def cmd_qsim_search(args) -> None:
 
 def _scenario_args(args) -> tuple[pipeline.Scenario, dict, int]:
     cfg = io.read_json(args.config)
-    seed = args.seed if args.seed is not None else cfg.get("seed")
-    if seed is None:
+    if args.seed is not None:
+        seed = args.seed
+    elif cfg.get("seed") is not None:
+        seed = pipeline.config_number(cfg, "seed", int)
+    else:
         raise ValidationError("a seed is required (flag --seed or config key)")
-    return pipeline.scenario_from_config(cfg), cfg, int(seed)
+    _require_at_least(seed, 0, "seed")
+    return pipeline.scenario_from_config(cfg), cfg, seed
 
 
 def cmd_mc_bench(args) -> None:
     scenario, cfg, seed = _scenario_args(args)
-    trials = args.trials if args.trials is not None else int(cfg.get("trials", 0))
+    trials = (args.trials if args.trials is not None
+              else pipeline.config_number(cfg, "trials", int, 0))
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     summary, _ = pipeline.monte_carlo(scenario, trials, seed)
@@ -280,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (FileNotFoundError, InputError) as exc:
+    except (OSError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except CapExceededError as exc:

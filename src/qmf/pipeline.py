@@ -20,6 +20,7 @@ Trials are independent; each owns an RNG substream derived from
 from __future__ import annotations
 
 import enum
+import functools
 import statistics
 from collections import Counter
 from dataclasses import dataclass
@@ -68,7 +69,7 @@ class RetrievalStrategy(enum.Enum):
     def parse(cls, name: str) -> "RetrievalStrategy":
         try:
             return cls(name.strip().lower().replace("-", "_"))
-        except ValueError:
+        except (AttributeError, ValueError):
             raise ValidationError(
                 f"unknown strategy {name!r}; use 'reuse_k' or 'recount_each_try'"
             ) from None
@@ -85,14 +86,24 @@ class TrialRecord:
 
 
 # Counting distributions are immutable, so sharing across trials is safe.
-_dist_cache: dict[tuple[int, int, int], amplify.CountingDistribution] = {}
-
-
+# One can take up to 1 GiB, so only the last two are kept.
+@functools.lru_cache(maxsize=2)
 def _cached_distribution(n: int, r: int, p: int) -> amplify.CountingDistribution:
-    key = (n, r, p)
-    if key not in _dist_cache:
-        _dist_cache[key] = amplify.counting_distribution(n, r, p)
-    return _dist_cache[key]
+    return amplify.counting_distribution(n, r, p)
+
+
+def config_number(cfg: dict, key: str, kind: type, default=None):
+    """``kind(cfg[key])``, or ``kind(default)`` when the key is absent.
+
+    A value that does not convert raises a ValidationError naming the key.
+    """
+    value = cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(
+            f"scenario key {key!r} must be a number, got {value!r}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -258,26 +269,26 @@ def scenario_from_config(cfg: dict) -> Scenario:
     p and strategy; the match set is computed classically.
     """
     strategy = RetrievalStrategy.parse(cfg.get("strategy", "reuse_k"))
-    max_attempts = int(cfg.get("max_attempts", DEFAULT_MAX_ATTEMPTS))
+    max_attempts = config_number(cfg, "max_attempts", int, DEFAULT_MAX_ATTEMPTS)
     if "bank" in cfg:
         spec = BankSpec.from_config(cfg["bank"])
         n = bank_size(spec)
         missing = [k for k in ("inject_index", "rho_thr") if k not in cfg]
         if missing:
             raise ValidationError(f"injection scenario missing keys: {missing}")
-        amplitude = float(cfg.get("amplitude", 1.0))
-        sigma = float(cfg.get("noise_sigma", 0.0))
-        params = index_to_params(spec, int(cfg["inject_index"]))
+        amplitude = config_number(cfg, "amplitude", float, 1.0)
+        sigma = config_number(cfg, "noise_sigma", float, 0.0)
+        params = index_to_params(spec, config_number(cfg, "inject_index", int))
         strain = amplitude * waveform(params, spec.fs, spec.m_samples).samples
         if sigma > 0.0:
-            noise_rng = np.random.default_rng(int(cfg.get("noise_seed", 0)))
+            noise_rng = np.random.default_rng(config_number(cfg, "noise_seed", int, 0))
             strain = strain + noise_rng.normal(scale=sigma, size=strain.size)
         data = dsp.forward_fft(dsp.TimeSeries(strain, dt=1.0 / spec.fs))
         psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs, sigma=max(sigma, 1.0))
-        rho_thr = float(cfg["rho_thr"])
+        rho_thr = config_number(cfg, "rho_thr", float)
         counter = OracleCounter()
         match_set = classical_search(spec, data, psd, rho_thr, counter)
-        p = int(cfg["p"]) if "p" in cfg else amplify.choose_p(n)
+        p = config_number(cfg, "p", int) if "p" in cfg else amplify.choose_p(n)
         return Scenario(
             n=n, p=p, strategy=strategy, match_set=tuple(match_set),
             rho_thr=rho_thr, max_attempts=max_attempts,
@@ -286,10 +297,10 @@ def scenario_from_config(cfg: dict) -> Scenario:
     missing = [k for k in ("n", "r") if k not in cfg]
     if missing:
         raise ValidationError(f"synthetic scenario missing keys: {missing}")
-    n, r = int(cfg["n"]), int(cfg["r"])
+    n, r = config_number(cfg, "n", int), config_number(cfg, "r", int)
     if r < 0 or r > n:
         raise ValidationError(f"match count r={r} outside [0, {n}]")
-    p = int(cfg["p"]) if "p" in cfg else amplify.choose_p(n)
+    p = config_number(cfg, "p", int) if "p" in cfg else amplify.choose_p(n)
     return Scenario(
         n=n, p=p, strategy=strategy, match_set=tuple(range(r)),
         max_attempts=max_attempts,

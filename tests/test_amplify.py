@@ -145,6 +145,28 @@ class TestCountingDistribution:
         with pytest.raises(CapExceededError):
             amplify.counting_distribution(4, 1, 40)
 
+    @staticmethod
+    def roll_reference(n, r, p):
+        """The distribution by the formula with np.roll for the mirror branch."""
+        theta = math.asin(math.sqrt(r / n))
+        d = 1 << p
+        delta = theta - np.pi * np.arange(d) / d
+        aligned = np.abs(delta) < 1e-12
+        plus = math.sin(d * theta) ** 2 / (d * d * np.sin(np.where(aligned, 1.0, delta)) ** 2)
+        plus[aligned] = 1.0
+        return 0.5 * (plus + np.roll(plus[::-1], 1))
+
+    @pytest.mark.parametrize("n,r,p", [(4, 1, 1), (2, 1, 1), (4, 2, 2), (8, 8, 4),
+                                       (64, 0, 5), (131072, 9, 11)])
+    def test_equals_roll_reference_bit_for_bit(self, n, r, p):
+        probs = amplify.counting_distribution(n, r, p).probs
+        assert np.array_equal(probs, self.roll_reference(n, r, p))
+
+    @pytest.mark.parametrize("n,r,p", [(64, 2, 5), (131072, 9, 11), (37, 5, 6)])
+    def test_mirror_is_exact(self, n, r, p):
+        probs = amplify.counting_distribution(n, r, p).probs
+        assert np.array_equal(probs[1:], probs[:0:-1])
+
 
 class TestSampleB:
     def test_point_mass(self):
@@ -197,6 +219,10 @@ class TestEstimateFromB:
         with pytest.raises(ValidationError):
             amplify.estimate_from_b(32, 5, 64)
 
+    def test_returns_python_ints(self):
+        est = amplify.estimate_from_b(5, 11, 131072)
+        assert type(est.r_star) is int and type(est.k_star) is int
+
     def test_estimate_error_at_most_two_near_ideal(self):
         # decoding the two integers bracketing the ideal outcome
         # recovers the match count to within 2
@@ -207,6 +233,37 @@ class TestEstimateFromB:
                 if 1 <= b < (1 << p):
                     est = amplify.estimate_from_b(b, p, big_n)
                     assert abs(est.r_star - r) <= 2
+
+
+def scalar_decode(b, p, n):
+    """(r*, k*) of outcome b by per-outcome math, the b = 0 row clamped like the rest."""
+    d = 1 << p
+    theta_star = math.pi * b / d if b <= d // 2 else math.pi - math.pi * b / d
+    r_star = max(1, math.floor(n * math.sin(theta_star) ** 2 + 0.5))
+    k_ideal = math.pi / 4.0 * math.sqrt(n / r_star) - 0.5
+    return r_star, max(0, math.floor(k_ideal + 0.5))
+
+
+class TestDecodeOutcomes:
+    @pytest.mark.parametrize("n,p", [(2**17, 11), (4096, 7), (64, 5)])
+    def test_every_outcome_equals_scalar_math(self, n, p):
+        b = np.arange(1 << p)
+        _, r_star, k_star = amplify.decode_outcomes(b, p, n)
+        expected = [scalar_decode(v, p, n) for v in b.tolist()]
+        assert list(zip(r_star.tolist(), k_star.tolist())) == expected
+
+    @pytest.mark.parametrize("n,p", [(2**38, 21), (2**44, 24)])
+    def test_random_outcomes_equal_scalar_math(self, n, p):
+        b = np.random.default_rng(p).integers(1, 1 << p, 20_000)
+        _, r_star, k_star = amplify.decode_outcomes(b, p, n)
+        expected = [scalar_decode(v, p, n) for v in b.tolist()]
+        assert list(zip(r_star.tolist(), k_star.tolist())) == expected
+
+    def test_estimate_is_the_one_element_decode(self):
+        for b in (1, 5, 30, 1024, 2047):
+            theta_star, r_star, k_star = amplify.decode_outcomes(b, 11, 131072)
+            est = amplify.estimate_from_b(b, 11, 131072)
+            assert (est.theta_star, est.r_star, est.k_star) == (theta_star, r_star, k_star)
 
 
 class TestFalseNegative:
@@ -301,6 +358,36 @@ class TestFailBound:
             amplify.fail_bound(0, 0.5)
         with pytest.raises(ValidationError):
             amplify.fail_bound(1, 0.0)
+        with pytest.raises(ValidationError):
+            amplify.fail_bound(1, np.array([0.5, 1.0]))
+        with pytest.raises(ValidationError):
+            amplify.fail_bound(1, np.array([0.5, np.nan]))
+
+    def test_scalar_in_float_out(self):
+        assert type(amplify.fail_bound(3, 0.25)) is float
+        assert amplify.fail_bound(3, np.array([0.25])).shape == (1,)
+
+    @staticmethod
+    def loop_bound(r, eps_p):
+        b_ideal = 2.0**eps_p * math.sqrt(r)
+        b_hi = math.ceil(b_ideal)
+        eps = b_hi - b_ideal
+        if eps == 0.0:
+            return 0.0
+        sinc = lambda x: 1.0 if x == 0.0 else math.sin(PI * x) / (PI * x)  # noqa: E731
+        return (1.0 - sinc(eps) ** 2 * math.cos(eps / b_hi * PI / 2.0) ** 2
+                - sinc(1.0 - eps) ** 2 * math.cos((1.0 - eps) / (b_hi - 1) * PI / 2.0) ** 2)
+
+    @pytest.mark.parametrize("r", [1, 5, 50, 10_000])
+    def test_array_equals_elementwise_loop(self, r):
+        grid = np.linspace(1e-9, 1.0 - 1e-9, 20001)
+        expected = [self.loop_bound(r, e) for e in grid.tolist()]
+        np.testing.assert_allclose(amplify.fail_bound(r, grid), expected, rtol=0, atol=1e-15)
+
+    def test_exact_integer_outcome_is_zero(self):
+        # 2**1e-17 rounds to 1, so the ideal outcome is exactly b = 1
+        bounds = amplify.fail_bound(1, np.array([1e-17, 0.5]))
+        assert bounds.tolist() == [0.0, amplify.fail_bound(1, 0.5)]
 
 
 class TestMaxFailBound:
@@ -311,6 +398,24 @@ class TestMaxFailBound:
         eps, bound = amplify.max_fail_bound_argmax(5)
         assert 0.0 < eps < 1.0
         assert amplify.fail_bound(5, eps) == pytest.approx(bound, rel=1e-9)
+
+    # (argmax, max) of the sweep before it was vectorised, at 20001 points
+    RECORDED = {
+        1: (0.5674896405143194, 0.4528881086324974),
+        2: (0.06748963886907174, 0.4528881086324975),
+        3: (0.5283522417559164, 0.2759413632518514),
+        4: (0.3208334963504625, 0.2759413632518511),
+        5: (0.15986944602576136, 0.2759413632518514),
+        6: (0.028352240860160003, 0.2759413632518515),
+        7: (0.40351474840875884, 0.2320050269336551),
+        8: (0.3071922128898331, 0.2320050269336551),
+        9: (0.22222971067578806, 0.23200502693365505),
+        10: (0.1462281631011248, 0.23200502693365488),
+    }
+
+    @pytest.mark.parametrize("r", sorted(RECORDED))
+    def test_equals_recorded_sweep(self, r):
+        assert amplify.max_fail_bound_argmax(r) == self.RECORDED[r]
 
     @pytest.mark.parametrize("r", [2, 3, 7, 12])
     def test_never_exceeds_single_match_case(self, r):

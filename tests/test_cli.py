@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from qmf import bank, cli, dsp, io
+from qmf import amplify, bank, cli, dsp, io
 from qmf.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_VALIDATION
 
 BANK_CFG = {"f0_min": 40.0, "f0_max": 120.0, "n_f0": 8,
@@ -142,6 +142,31 @@ class TestInputErrors:
                    "--out", tmp_path / "d.json") == EXIT_INPUT
         self.assert_one_line(capsys, "input error: ")
 
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        cfg = tmp_path / "configs"
+        cfg.mkdir()
+        assert run("detect", "--config", cfg, "--seed", 1,
+                   "--out", tmp_path / "d.json") == EXIT_INPUT
+        self.assert_one_line(capsys, "input error: ")
+
+    @pytest.mark.parametrize("command,cfg,key", [
+        ("detect", {"n": "abc", "r": 2, "seed": 1}, "'n'"),
+        ("detect", {"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
+                    "amplitude": "x", "seed": 1}, "'amplitude'"),
+        ("mc-bench", {"n": 64, "r": 2, "max_attempts": "many", "trials": 5, "seed": 1},
+         "'max_attempts'"),
+        ("detect", {"n": 64, "r": 2, "seed": "one"}, "'seed'"),
+        ("retrieve", {"n": 64, "r": 2, "seed": -1}, "seed"),
+        ("retrieve", {"n": 64, "r": 2, "strategy": 5, "seed": 1}, "strategy"),
+    ])
+    def test_scenario_key_rejected(self, tmp_path, capsys, command, cfg, key):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(cfg))
+        assert run(command, "--config", path, "--out", tmp_path / "o.json") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("validation error: ")
+        assert key in err
+
 
 class TestRowWriters:
     """The writers' bytes equal those of per-element rows joined one by one."""
@@ -215,6 +240,17 @@ class TestCountDist:
         assert run("count-dist", "--n-templates", 1024, "--matches", 1,
                    "--out", out) == EXIT_OK
         assert len(data_rows(out)) - 1 == 128  # p=7
+
+    @pytest.mark.parametrize("n,r,p", [(64, 2, 5), (131072, 9, 11), (64, 0, 5), (4, 1, 1)])
+    def test_rows_equal_per_element_repr(self, tmp_path, n, r, p):
+        # the writer formats only the lower half and mirrors it
+        out = tmp_path / "dist.csv"
+        assert run("count-dist", "--n-templates", n, "--matches", r,
+                   "--p", p, "--out", out) == EXIT_OK
+        probs = amplify.counting_distribution(n, r, p).probs
+        expected = ["b,probability"] + [f"{b},{float(v)!r}" for b, v in enumerate(probs)
+                                        if v > 0.0]
+        assert data_rows(out) == expected
 
 
 class TestQsim:

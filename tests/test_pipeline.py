@@ -343,6 +343,17 @@ class TestScenario:
         with pytest.raises(ValidationError):
             pipeline.scenario_from_config({"n": 64})
 
+    @pytest.mark.parametrize("key,value", [("n", "abc"), ("r", [2]), ("p", "five"),
+                                           ("max_attempts", "many"), ("n", 1e400)])
+    def test_non_numeric_key_names_it(self, key, value):
+        cfg = {"n": 64, "r": 2, key: value}
+        with pytest.raises(ValidationError, match=repr(key)):
+            pipeline.scenario_from_config(cfg)
+
+    def test_config_number_default(self):
+        assert pipeline.config_number({}, "noise_sigma", float, 0.0) == 0.0
+        assert pipeline.config_number({"noise_seed": 7.0}, "noise_seed", int, 0) == 7
+
     def test_strategy_parse(self):
         assert RetrievalStrategy.parse("reuse-k") is RetrievalStrategy.REUSE_K
         with pytest.raises(ValidationError):
@@ -360,6 +371,21 @@ class TestScenario:
         assert 27 in sc.match_set
         assert sc.setup_evals == 64
         assert sc.n == 64
+
+
+class TestDistributionCache:
+    def test_third_key_evicts_the_oldest(self):
+        cached = pipeline._cached_distribution
+        cached.cache_clear()
+        try:
+            first = cached(64, 2, 5)
+            second = cached(64, 3, 5)
+            cached(64, 4, 5)
+            assert cached.cache_info().currsize == 2
+            assert cached(64, 3, 5) is second
+            assert cached(64, 2, 5) is not first
+        finally:
+            cached.cache_clear()
 
 
 class TestMonteCarlo:
