@@ -18,15 +18,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CapExceededError, ValidationError
-
-# Probability that the counting outcome lands within one unit of the
-# ideal (non-integer) outcome; classic phase-estimation bound.
-EIGHT_OVER_PI_SQ = 8.0 / math.pi**2
 
 # Below this distance from an aligned outcome the geometric sum is
 # evaluated by its limit (removable singularity).
@@ -73,29 +69,6 @@ def theta_of(n: float, r: float) -> float:
     return math.asin(math.sqrt(r / n))
 
 
-@dataclass(frozen=True)
-class GroverGeometry:
-    """Two-dimensional rotation model: bank size, match count, half-angle."""
-
-    n_total: int
-    r_match: int
-    theta: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "theta", theta_of(self.n_total, self.r_match))
-
-
-def amplitude_after(geom: GroverGeometry, k: int) -> tuple[float, float]:
-    """Matched and unmatched amplitudes after k Grover iterations.
-
-    Returns ``(sin((2k+1)theta), cos((2k+1)theta))``.
-    """
-    if k < 0:
-        raise ValidationError(f"iteration count k={k} must be >= 0")
-    phase = (2 * k + 1) * geom.theta
-    return math.sin(phase), math.cos(phase)
-
-
 def optimal_k(n: float, r: float) -> int:
     """Iteration count that maximises the matched amplitude, (pi/4)sqrt(n/r) - 1/2.
 
@@ -123,24 +96,6 @@ def choose_p(n: float) -> int:
     while 2.0**p <= bound:
         p += 1
     return p
-
-
-@dataclass(frozen=True)
-class CountingConfig:
-    """Counting-register width p for a bank of n entries, with c = 2**p / sqrt(n)."""
-
-    p: int
-    n_total: int
-    c: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.p < 1:
-            raise ValidationError(f"counting register needs p >= 1, got {self.p}")
-        object.__setattr__(self, "c", 2.0**self.p / math.sqrt(self.n_total))
-
-    @classmethod
-    def auto(cls, n: int) -> "CountingConfig":
-        return cls(p=choose_p(n), n_total=n)
 
 
 class CountingDistribution:
@@ -190,15 +145,13 @@ def _branch_probs(theta: float, p: int) -> np.ndarray:
     return out
 
 
-def counting_distribution(
-    n: int, r: int, p: int, max_bytes: int = _DEFAULT_DIST_BYTES
-) -> CountingDistribution:
+def counting_distribution(n: int, r: int, p: int) -> CountingDistribution:
     """Exact counting-register distribution for r matches among n entries."""
     if p < 1:
         raise ValidationError(f"counting register needs p >= 1, got {p}")
-    if (1 << p) * 8 > max_bytes:
+    if (1 << p) * 8 > _DEFAULT_DIST_BYTES:
         raise CapExceededError(
-            f"2**{p} outcome probabilities exceed the {max_bytes}-byte budget"
+            f"2**{p} outcome probabilities exceed the {_DEFAULT_DIST_BYTES}-byte budget"
         )
     theta = theta_of(n, r)
     probs = _branch_probs(theta, p)

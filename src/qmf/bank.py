@@ -15,6 +15,7 @@ import numpy as np
 
 from .dsp import TimeSeries
 from .errors import ValidationError
+from .io import config_number
 
 # Fraction of the chirp tapered at each end; unwindowed truncation
 # leaks enough to break self-match dominance on coarse lattices.
@@ -40,10 +41,6 @@ class ChirpParams:
             raise ValidationError(f"duration must be positive, got {self.dur}")
         if not self.f0 + self.f1 * self.dur > 0.0:
             raise ValidationError("instantaneous frequency goes non-positive")
-
-    def freq_at(self, t: float) -> float:
-        """Instantaneous frequency f0 + f1*t of the phase derivative."""
-        return self.f0 + self.f1 * t
 
 
 @dataclass(frozen=True)
@@ -81,22 +78,16 @@ class BankSpec:
         missing = [k for k in _CONFIG_KEYS if k not in cfg]
         if missing:
             raise ValidationError(f"bank config missing keys: {missing}")
-
-        def number(key: str, kind: type):
-            try:
-                return kind(cfg[key])
-            except (TypeError, ValueError, OverflowError):
-                raise ValidationError(
-                    f"bank config key {key!r} must be a number, got {cfg[key]!r}"
-                ) from None
-
         return cls(
-            f0_min=number("f0_min", float), f0_max=number("f0_max", float),
-            n_f0=number("n_f0", int),
-            f1_min=number("f1_min", float), f1_max=number("f1_max", float),
-            n_f1=number("n_f1", int),
-            fs=number("fs_hz", float), m_samples=number("m_samples", int),
-            dur=number("dur_s", float),
+            f0_min=config_number(cfg, "f0_min", float),
+            f0_max=config_number(cfg, "f0_max", float),
+            n_f0=config_number(cfg, "n_f0", int),
+            f1_min=config_number(cfg, "f1_min", float),
+            f1_max=config_number(cfg, "f1_max", float),
+            n_f1=config_number(cfg, "n_f1", int),
+            fs=config_number(cfg, "fs_hz", float),
+            m_samples=config_number(cfg, "m_samples", int),
+            dur=config_number(cfg, "dur_s", float),
         )
 
 

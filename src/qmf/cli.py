@@ -104,6 +104,7 @@ def _write_shot_files(args, result: qsim.ShotResult, marginal: np.ndarray,
 def cmd_qsim_count(args) -> None:
     _require_at_least(args.p, 1, "--p")
     _require_at_least(args.shots, 1, "--shots")
+    _require_at_least(args.seed, 0, "--seed")
     n = len(args.data_bits)
     state, layout = qsim.counting_state(n, args.ignored, args.data_bits,
                                         args.p, cap=args.cap)
@@ -116,6 +117,7 @@ def cmd_qsim_count(args) -> None:
 def cmd_qsim_search(args) -> None:
     _require_at_least(args.iterations, 0, "--iterations")
     _require_at_least(args.shots, 1, "--shots")
+    _require_at_least(args.seed, 0, "--seed")
     n = len(args.data_bits)
     state, layout = qsim.search_state(n, args.ignored, args.data_bits,
                                       args.iterations, cap=args.cap)
@@ -130,7 +132,7 @@ def _scenario_args(args) -> tuple[pipeline.Scenario, dict, int]:
     if args.seed is not None:
         seed = args.seed
     elif cfg.get("seed") is not None:
-        seed = pipeline.config_number(cfg, "seed", int)
+        seed = io.config_number(cfg, "seed", int)
     else:
         raise ValidationError("a seed is required (flag --seed or config key)")
     _require_at_least(seed, 0, "seed")
@@ -140,7 +142,7 @@ def _scenario_args(args) -> tuple[pipeline.Scenario, dict, int]:
 def cmd_mc_bench(args) -> None:
     scenario, cfg, seed = _scenario_args(args)
     trials = (args.trials if args.trials is not None
-              else pipeline.config_number(cfg, "trials", int, 0))
+              else io.config_number(cfg, "trials", int, 0))
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     summary, _ = pipeline.monte_carlo(scenario, trials, seed)

@@ -8,10 +8,12 @@ reals; the formulas are scaling laws, not integer enumerations.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .amplify import choose_p, repetitions_for
 from .errors import ValidationError
+from .io import config_number
 
 # Reversible-circuit conversion costs a factor 3 in gates, and erasing
 # the intermediate registers doubles that.
@@ -45,7 +47,7 @@ class CwSearchSpec:
         unknown = set(cfg) - known
         if unknown:
             raise ValidationError(f"unknown CW config keys: {sorted(unknown)}")
-        return cls(**{k: float(v) for k, v in cfg.items()})
+        return cls(**{k: config_number(cfg, k, float) for k in cfg})
 
 
 def n_total(spec: CwSearchSpec) -> float:
@@ -70,15 +72,21 @@ def quantum_cost(spec: CwSearchSpec) -> dict:
     The quantum side pays ``ell`` detection repetitions of the full
     ``2**p - 1`` ladder, each iteration costing ``GATE_FACTOR`` times
     the classical per-template work; the classical side evaluates every
-    sky/spin-down template once.
+    sky/spin-down template once.  A spec whose template counts overflow
+    a float is rejected.
     """
-    n = n_sky_f1(spec)
+    try:
+        n, total = n_sky_f1(spec), n_total(spec)
+    except OverflowError:
+        n = total = math.inf
+    if not (math.isfinite(n) and math.isfinite(total)):
+        raise ValidationError("template counts exceed the float range")
     p = choose_p(n)
     ell = repetitions_for(spec.delta_target)
     iterations = ell * (2.0**p - 1.0)
     quantum_ops = GATE_FACTOR * iterations
     return {
-        "n_total": n_total(spec),
+        "n_total": total,
         "n_sky_f1": n,
         "n_f0": n_f0(spec),
         "p": p,

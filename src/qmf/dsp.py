@@ -6,9 +6,8 @@ Conventions, fixed once here and relied on everywhere else:
 
 * forward transform is the plain unnormalized DFT, kept one-sided with
   the originating length ``m_time`` for exact inversion;
-* the analysis band excludes the DC bin and, for even lengths, the
-  Nyquist bin; custom band masks may widen the exclusions but the
-  defaults apply when no mask is given;
+* the analysis band is every one-sided bin but DC and, for even
+  lengths, Nyquist: the contiguous bins 1 .. (m_time + 1) // 2 - 1;
 * template normalization divides by sigma with
   sigma^2 = sum_band |s(f_k)|^2 / S_n(f_k) * df, and the SNR series is
   rho(t_j) = 2/(M dt) * |sum_band conj(Qc(f_k)) h(f_k) / S_n(f_k)
@@ -109,27 +108,15 @@ class SnrSeries:
             raise ValidationError("SNR series must be non-empty")
 
 
-def band_mask(m_time: int, df: float | None = None,
-              f_lo: float | None = None, f_hi: float | None = None) -> np.ndarray:
-    """Boolean mask of analysis bins over the one-sided grid.
+def _band(m_time: int) -> slice:
+    """The analysis band: DC excluded, and Nyquist when ``m_time`` is even."""
+    return slice(1, (m_time + 1) // 2)
 
-    DC is always excluded, as is the Nyquist bin when ``m_time`` is
-    even.  Optional band edges (requires ``df``) additionally exclude
-    bins strictly below ``f_lo`` or above ``f_hi``.
-    """
-    n_bins = m_time // 2 + 1
-    mask = np.ones(n_bins, dtype=bool)
-    mask[0] = False
-    if m_time % 2 == 0:
-        mask[-1] = False
-    if f_lo is not None or f_hi is not None:
-        if df is None:
-            raise ValidationError("band edges in Hz require df")
-        f = np.arange(n_bins) * df
-        if f_lo is not None:
-            mask &= f >= f_lo
-        if f_hi is not None:
-            mask &= f <= f_hi
+
+def band_mask(m_time: int) -> np.ndarray:
+    """Boolean mask of the analysis band over the one-sided grid."""
+    mask = np.zeros(m_time // 2 + 1, dtype=bool)
+    mask[_band(m_time)] = True
     return mask
 
 
@@ -140,42 +127,27 @@ def forward_fft(ts: TimeSeries) -> FrequencySeries:
     )
 
 
-def inverse_fft(fs: FrequencySeries) -> TimeSeries:
-    """Invert :func:`forward_fft` back to the real time series."""
-    dt = 1.0 / (fs.df * fs.m_time)
-    return TimeSeries(samples=np.fft.irfft(fs.bins, n=fs.m_time), dt=dt)
-
-
-def estimate_psd(ts: TimeSeries, seg_len: int, overlap_frac: float = 0.5,
-                 average: str = "mean") -> Psd:
-    """Welch PSD with Hann windows.
+def estimate_psd(ts: TimeSeries, seg_len: int) -> Psd:
+    """Welch PSD: mean of Hann-windowed periodograms, segments overlapping by half.
 
     Normalized so white Gaussian noise of variance sigma^2 averages to
-    2 sigma^2 dt across the band.  ``average`` may be ``"mean"`` or
-    ``"median"`` (median-of-periodograms, robust to loud transients).
+    2 sigma^2 dt across the band.
     """
     if seg_len > ts.m:
         raise ValidationError(f"seg_len={seg_len} exceeds series length {ts.m}")
     if seg_len < 2:
         raise ValidationError("seg_len must be at least 2")
-    if not 0.0 <= overlap_frac < 1.0:
-        raise ValidationError(f"overlap_frac must be in [0, 1), got {overlap_frac}")
-    if average not in ("mean", "median"):
-        raise ValidationError(f"average must be 'mean' or 'median', got {average!r}")
-    noverlap = int(seg_len * overlap_frac)
-    step = seg_len - noverlap
-    n_segments = 1 + (ts.m - seg_len) // step
+    noverlap = seg_len // 2
+    n_segments = 1 + (ts.m - seg_len) // (seg_len - noverlap)
     if n_segments < 2:
         raise ValidationError("need at least 2 segments to average")
-    from scipy.signal import welch  # deferred, as in bank.waveform
+    from scipy.signal import welch  # deferred: scipy.signal takes over a second to import
 
     freqs, pxx = welch(
-        ts.samples, fs=ts.fs, window="hann", nperseg=seg_len,
-        noverlap=noverlap, average=average,
+        ts.samples, fs=ts.fs, window="hann", nperseg=seg_len, noverlap=noverlap,
     )
     psd = Psd(values=pxx, df=float(freqs[1] - freqs[0]))
-    interior = psd.values[1:-1] if seg_len % 2 == 0 else psd.values[1:]
-    if not (interior > 0.0).all():
+    if not (psd.values[_band(seg_len)] > 0.0).all():
         raise ValidationError("estimated PSD is not positive on the analysis band")
     return psd
 
@@ -206,19 +178,15 @@ def _check_grids(*series, psd: Psd) -> None:
         raise ValidationError("PSD grid does not match the spectra")
 
 
-def _analysis_band(band: np.ndarray | None, m_time: int, psd: Psd) -> np.ndarray:
-    """The band mask to use, checked against the grid and the PSD."""
-    if band is None:
-        band = band_mask(m_time)
-    if band.size != m_time // 2 + 1:
-        raise ValidationError("band mask length does not match the grid")
+def _analysis_band(m_time: int, psd: Psd) -> slice:
+    """The analysis band, checked against the PSD."""
+    band = _band(m_time)
     if (psd.values[band] <= 0.0).any():
         raise ValidationError("PSD vanishes inside the analysis band")
     return band
 
 
-def normalize_template(s: FrequencySeries, psd: Psd,
-                       band: np.ndarray | None = None) -> FrequencySeries:
+def normalize_template(s: FrequencySeries, psd: Psd) -> FrequencySeries:
     """Scale a template spectrum to unit noise-weighted norm.
 
     Divides by sigma with sigma^2 = sum_band |s_k|^2 / S_n(f_k) * df.
@@ -226,15 +194,14 @@ def normalize_template(s: FrequencySeries, psd: Psd,
     with no energy in the band and PSDs that vanish inside it.
     """
     _check_grids(s, psd=psd)
-    band = _analysis_band(band, s.m_time, psd)
+    band = _analysis_band(s.m_time, psd)
     sigma_sq = float(np.sum(np.abs(s.bins[band]) ** 2 / psd.values[band]) * s.df)
     if sigma_sq <= 0.0:
         raise ValidationError("template has zero energy in the analysis band")
     return FrequencySeries(bins=s.bins / math.sqrt(sigma_sq), df=s.df, m_time=s.m_time)
 
 
-def complex_template(params, fs: float, m: int, psd: Psd,
-                     band: np.ndarray | None = None) -> FrequencySeries:
+def complex_template(params, fs: float, m: int, psd: Psd) -> FrequencySeries:
     """Phase-maximizing complex template from a quadrature pair.
 
     Generates the chirp at its reference phase and a quarter cycle
@@ -247,15 +214,14 @@ def complex_template(params, fs: float, m: int, psd: Psd,
 
     q_params = ChirpParams(params.f0, params.f1, params.dur,
                            params.phi0 + math.pi / 2.0)
-    q0 = normalize_template(forward_fft(waveform(params, fs, m)), psd, band)
-    qq = normalize_template(forward_fft(waveform(q_params, fs, m)), psd, band)
+    q0 = normalize_template(forward_fft(waveform(params, fs, m)), psd)
+    qq = normalize_template(forward_fft(waveform(q_params, fs, m)), psd)
     return FrequencySeries(
         bins=0.5 * (q0.bins - 1j * qq.bins), df=q0.df, m_time=m
     )
 
 
-def filter_series(data: FrequencySeries, template: FrequencySeries, psd: Psd,
-                  band: np.ndarray | None = None) -> np.ndarray:
+def filter_series(data: FrequencySeries, template: FrequencySeries, psd: Psd) -> np.ndarray:
     """Complex matched-filter output at every time offset.
 
     z(t_j) = 2/(M dt) * sum_band conj(Q_k) (dt h_k) / S_n(f_k) e^{2 pi i jk/M},
@@ -267,45 +233,39 @@ def filter_series(data: FrequencySeries, template: FrequencySeries, psd: Psd,
     phase-maximized SNR.
     """
     _check_grids(data, template, psd=psd)
-    band = _analysis_band(band, data.m_time, psd)
+    band = _analysis_band(data.m_time, psd)
     m = data.m_time
     integrand = np.zeros(m, dtype=np.complex128)
-    idx = np.flatnonzero(band)
-    integrand[idx] = np.conj(template.bins[idx]) * data.bins[idx] / psd.values[idx]
+    integrand[band] = np.conj(template.bins[band]) * data.bins[band] / psd.values[band]
     z = np.fft.ifft(integrand) * m  # ifft carries 1/M; the sum does not
     return 2.0 / m * z
 
 
-def snr_series(data: FrequencySeries, qc: FrequencySeries, psd: Psd,
-               band: np.ndarray | None = None) -> SnrSeries:
+def snr_series(data: FrequencySeries, qc: FrequencySeries, psd: Psd) -> SnrSeries:
     """Matched-filter SNR series rho(t_j) = |filter_series(...)|."""
-    z = filter_series(data, qc, psd, band)
+    z = filter_series(data, qc, psd)
     dt = 1.0 / (data.df * data.m_time)
     return SnrSeries(rho=np.abs(z), dt=dt)
 
 
-def peak_snrs(blocks, dt: float, m: int, data: FrequencySeries, psd: Psd,
-              band: np.ndarray | None = None) -> np.ndarray:
+def peak_snrs(blocks, dt: float, m: int, data: FrequencySeries, psd: Psd) -> np.ndarray:
     """Peak SNR of every complex template in a stream of template blocks.
 
     Each block has shape ``(2, rows, n)``: row j of ``block[0]`` is a
     template at its reference phase and row j of ``block[1]`` the same
     template a quarter cycle later, sampled at ``dt`` and zero-padded to
     ``m`` samples.  The result lists the blocks' rows in order; each
-    entry equals ``max_snr(snr_series(data, complex_template(...), psd,
-    band))[0]`` for that pair, with the same spectra, normalization,
-    quadrature combination and filter, and the same checks on every
-    row, but one FFT along the last axis per block.  Work buffers are
-    sized by the largest block and reused.
+    entry equals ``max_snr(snr_series(data, complex_template(...), psd))[0]``
+    for that pair, with the same spectra, normalization, quadrature
+    combination and filter, and the same checks on every row, but one
+    FFT along the last axis per block.  Work buffers are sized by the
+    largest block and reused.
     """
     df = 1.0 / (m * dt)
     if m // 2 + 1 != data.bins.size or not math.isclose(df, data.df, rel_tol=_GRID_RTOL):
         raise ValidationError("frequency series are on different grids")
     _check_grids(data, psd=psd)
-    cols = np.flatnonzero(_analysis_band(band, m, psd))
-    # A contiguous band (the default one) is a slice: cheaper to gather and scatter.
-    if cols.size and cols[-1] - cols[0] + 1 == cols.size:
-        cols = slice(cols[0], cols[-1] + 1)
+    cols = _analysis_band(m, psd)
     psd_band, data_band = psd.values[cols], data.bins[cols]
     m_data = data.m_time
     peaks = []
@@ -317,9 +277,9 @@ def peak_snrs(blocks, dt: float, m: int, data: FrequencySeries, psd: Psd,
             integrand = np.zeros((rows, m_data), dtype=np.complex128)
             z = np.empty((rows, m_data), dtype=np.complex128)
         s = np.fft.rfft(chirps, n=m, axis=-1, out=spectra[:, :rows])
-        # A slice view or np.take keeps each row's band bins last and in C order,
-        # so the band sum adds them in the order normalize_template's sum does.
-        s = s[..., cols] if isinstance(cols, slice) else np.take(s, cols, axis=-1)
+        # The slice view keeps each row's band bins last and in order, so the
+        # band sum adds them in the order normalize_template's sum does.
+        s = s[..., cols]
         sigma_sq = np.sum(np.abs(s) ** 2 / psd_band, axis=-1) * df
         if (sigma_sq <= 0.0).any():
             raise ValidationError("template has zero energy in the analysis band")

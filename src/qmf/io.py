@@ -2,9 +2,10 @@
 
 Time series come in as CSV with a ``t,strain`` header or as raw
 little-endian float64 with a JSON sidecar ``{"fs_hz": ..., "t0_s": ...}``.
-PSDs are ``f_hz,sn`` CSV; SNR series go out as ``t,rho`` CSV.  Every
-file written here opens with a provenance comment carrying the tool
-version, the full configuration echo and the seed, and is written
+PSDs come in as ``f_hz,sn`` CSV; SNR series go out as ``t,rho`` CSV.
+JSON configs are objects whose numeric values ``config_number`` converts.
+Every file written here opens with a provenance comment carrying the
+tool version, the full configuration echo and the seed, and is written
 atomically (temp file + rename) so concurrent readers never see a
 partial file.
 """
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .dsp import Psd, SnrSeries, TimeSeries
-from .errors import InputError
+from .errors import InputError, ValidationError
 
 
 def provenance_line(command: str, config: dict, seed: int | None) -> str:
@@ -76,6 +77,18 @@ def read_json(path: str | Path) -> dict:
     return payload
 
 
+def config_number(cfg: dict, key: str, kind: type, default=None):
+    """``kind(cfg[key])``, or ``kind(default)`` when the key is absent.
+
+    A value that does not convert raises a ValidationError naming the key.
+    """
+    value = cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"config key {key!r} must be a number, got {value!r}") from None
+
+
 def read_time_series(path: str | Path) -> TimeSeries:
     """Load strain from CSV (t,strain) or raw float64 + JSON sidecar."""
     path = Path(path)
@@ -128,11 +141,6 @@ def repr_rows(n: int, columns) -> Iterator[tuple[str, ...]]:
     for start in range(0, n, _ROW_BLOCK):
         j = np.arange(start, min(start + _ROW_BLOCK, n))
         yield from zip(*(map(repr, col.tolist()) for col in columns(j)))
-
-
-def write_psd(path: str | Path, psd: Psd, provenance: str) -> None:
-    rows = repr_rows(psd.values.size, lambda j: (j * psd.df, psd.values[j]))
-    write_csv(path, "f_hz,sn", rows, provenance)
 
 
 def write_snr(path: str | Path, snr: SnrSeries, provenance: str, t0: float = 0.0) -> None:

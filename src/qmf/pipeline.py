@@ -30,6 +30,7 @@ import numpy as np
 from . import amplify, dsp
 from .bank import BankSpec, bank_size, chirps, index_to_params, lattice, waveform
 from .errors import ValidationError
+from .io import config_number
 
 DEFAULT_MAX_ATTEMPTS = 10_000
 
@@ -92,20 +93,6 @@ def _cached_distribution(n: int, r: int, p: int) -> amplify.CountingDistribution
     return amplify.counting_distribution(n, r, p)
 
 
-def config_number(cfg: dict, key: str, kind: type, default=None):
-    """``kind(cfg[key])``, or ``kind(default)`` when the key is absent.
-
-    A value that does not convert raises a ValidationError naming the key.
-    """
-    value = cfg.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(
-            f"scenario key {key!r} must be a number, got {value!r}"
-        ) from None
-
-
 # ---------------------------------------------------------------------------
 # classical oracle
 
@@ -116,7 +103,7 @@ _BLOCK_BYTES = 32 << 20
 
 
 def _peak_snrs(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
-               idx: np.ndarray, band: np.ndarray | None) -> np.ndarray:
+               idx: np.ndarray) -> np.ndarray:
     """Peak SNR of every template in ``idx``, one block of rows at a time."""
     rows = max(1, _BLOCK_BYTES // (64 * spec.m_samples))
     blocks = (
@@ -124,24 +111,22 @@ def _peak_snrs(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
                spec.dur, spec.fs, spec.m_samples)
         for start in range(0, idx.size, rows)
     )
-    return dsp.peak_snrs(blocks, 1.0 / spec.fs, spec.m_samples, data, psd, band)
+    return dsp.peak_snrs(blocks, 1.0 / spec.fs, spec.m_samples, data, psd)
 
 
 def oracle_eval(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd, i: int,
-                rho_thr: float, counter: OracleCounter,
-                band: np.ndarray | None = None) -> int:
+                rho_thr: float, counter: OracleCounter) -> int:
     """Evaluate the match predicate f(i): template, SNR series, threshold."""
-    rho_max = _peak_snrs(spec, data, psd, np.asarray([i]), band)[0]
+    rho_max = _peak_snrs(spec, data, psd, np.asarray([i]))[0]
     counter.add(1)
     return dsp.match_predicate(float(rho_max), rho_thr)
 
 
 def classical_search(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
-                     rho_thr: float, counter: OracleCounter,
-                     band: np.ndarray | None = None) -> list[int]:
+                     rho_thr: float, counter: OracleCounter) -> list[int]:
     """Exhaustive baseline: evaluate f(i) for every template, charge N."""
     n = bank_size(spec)
-    rho = _peak_snrs(spec, data, psd, np.arange(n), band)
+    rho = _peak_snrs(spec, data, psd, np.arange(n))
     counter.add(n)
     return [i for i, r in enumerate(rho.tolist()) if dsp.match_predicate(r, rho_thr)]
 
@@ -270,6 +255,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
     """
     strategy = RetrievalStrategy.parse(cfg.get("strategy", "reuse_k"))
     max_attempts = config_number(cfg, "max_attempts", int, DEFAULT_MAX_ATTEMPTS)
+    if max_attempts < 1:
+        raise ValidationError(f"scenario key 'max_attempts' must be >= 1, got {max_attempts}")
     if "bank" in cfg:
         spec = BankSpec.from_config(cfg["bank"])
         n = bank_size(spec)

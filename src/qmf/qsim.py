@@ -68,9 +68,6 @@ class StateVector:
                 f"{self.num_qubits} qubits"
             )
 
-    def norm_sq(self) -> float:
-        return float(np.vdot(self.amps, self.amps).real)
-
 
 @dataclass(frozen=True)
 class RegisterLayout:
@@ -175,10 +172,6 @@ def _apply_x(amps: np.ndarray, q: int) -> None:
     v[:, 1] = lo
 
 
-def _apply_z(amps: np.ndarray, q: int) -> None:
-    _pair_view(amps, q)[:, 1] *= -1.0
-
-
 def _apply_cphase(amps: np.ndarray, control: int, target: int, phi: float) -> None:
     """diag(1, 1, 1, e^{i phi}) on the (control, target) pair."""
     hi, lo = max(control, target), min(control, target)
@@ -203,56 +196,15 @@ def _apply_mcx(amps: np.ndarray, num_qubits: int, controls: list[int], target: i
     amps[idx1] = tmp
 
 
-def _apply_mcz(amps: np.ndarray, num_qubits: int, qubits: list[int]) -> None:
-    amps[_controlled_indices(num_qubits, sorted(qubits))] *= -1.0
-
-
-_SINGLE_QUBIT = {"H": _apply_h, "X": _apply_x, "Z": _apply_z}
-
-
-def apply_gate(state: StateVector, gate: str, targets: int | list[int],
-               controls: list[int] | None = None) -> StateVector:
-    """Apply a named gate in place and return the state.
-
-    ``gate`` is one of H, X, Z (single target, no controls), CNOT (one
-    control, one target), MCX (any controls, one target) or MCZ (all
-    listed qubits act as controls of the phase flip).
-    """
-    targets = [targets] if isinstance(targets, int) else list(targets)
-    controls = list(controls) if controls else []
-    touched = targets + controls
-    if len(set(touched)) != len(touched):
-        raise ValidationError(f"duplicate qubit in gate operands {touched}")
-    for q in touched:
-        if not 0 <= q < state.num_qubits:
-            raise ValidationError(f"qubit {q} outside register of {state.num_qubits}")
-    if gate in _SINGLE_QUBIT:
-        if controls or len(targets) != 1:
-            raise ValidationError(f"{gate} takes exactly one target and no controls")
-        _SINGLE_QUBIT[gate](state.amps, targets[0])
-    elif gate == "CNOT":
-        if len(controls) != 1 or len(targets) != 1:
-            raise ValidationError("CNOT takes one control and one target")
-        _apply_mcx(state.amps, state.num_qubits, controls, targets[0])
-    elif gate == "MCX":
-        if len(targets) != 1:
-            raise ValidationError("MCX takes exactly one target")
-        _apply_mcx(state.amps, state.num_qubits, controls, targets[0])
-    elif gate == "MCZ":
-        qubits = targets + controls
-        if not qubits:
-            raise ValidationError("MCZ needs at least one qubit")
-        _apply_mcz(state.amps, state.num_qubits, qubits)
-    else:
-        raise ValidationError(f"unknown gate {gate!r}")
-    return state
-
-
 # ---------------------------------------------------------------------------
 # circuit blocks
 
 def init_state(layout: RegisterLayout, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
-    """Uniform superposition on counting+template, ancilla in |->."""
+    """Uniform superposition on counting+template, ancilla in |->.
+
+    The gate-level circuits run on a ``RegisterLayout.standard`` layout,
+    which has the ancilla qubit.
+    """
     nq = layout.num_qubits
     if nq > cap:
         raise CapExceededError(f"{nq} qubits exceed the cap of {cap}")
@@ -329,17 +281,6 @@ def controlled_grover_powers(state: StateVector, layout: RegisterLayout,
     for t, q in enumerate(layout.counting):
         for _ in range(1 << t):
             grover_iteration(state, layout, spec, control=q)
-    return state
-
-
-def qft(state: StateVector, qubits: range | list[int]) -> StateVector:
-    """Fourier transform on the register: |j> -> sum_l w^{jl} |l> / sqrt(D)."""
-    qs = list(qubits)
-    for i in reversed(range(len(qs))):
-        _apply_h(state.amps, qs[i])
-        for j in range(i):
-            _apply_cphase(state.amps, qs[j], qs[i], math.pi / (1 << (i - j)))
-    _reverse_register(state, qs)
     return state
 
 
@@ -457,14 +398,6 @@ def counting_state(n: int, q: int, data_bits: str, p: int,
     return StateVector(n + p, amps.reshape(-1)), RegisterLayout.factored(n, p)
 
 
-def run_counting_circuit(n: int, q: int, data_bits: str, p: int, shots: int,
-                         rng: np.random.Generator,
-                         cap: int = DEFAULT_QUBIT_CAP) -> ShotResult:
-    """Counting circuit plus a measurement of the counting register."""
-    state, layout = counting_state(n, q, data_bits, p, cap)
-    return measure(state, layout.counting, shots, rng)
-
-
 def search_state(n: int, q: int, data_bits: str, k: int,
                  cap: int = DEFAULT_QUBIT_CAP) -> tuple[StateVector, RegisterLayout]:
     """k Grover iterations on the template vector, ancilla factored out.
@@ -480,11 +413,3 @@ def search_state(n: int, q: int, data_bits: str, k: int,
     for _ in range(k):
         _grover_step(psi, signs, out=psi)
     return StateVector(n, psi), RegisterLayout.factored(n)
-
-
-def run_search_circuit(n: int, q: int, data_bits: str, k: int, shots: int,
-                       rng: np.random.Generator,
-                       cap: int = DEFAULT_QUBIT_CAP) -> ShotResult:
-    """Search circuit plus a measurement of the template register."""
-    state, layout = search_state(n, q, data_bits, k, cap)
-    return measure(state, layout.template, shots, rng)

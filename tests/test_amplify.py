@@ -52,31 +52,6 @@ class TestThetaOf:
             amplify.theta_of(4, 5)
 
 
-class TestAmplitudeAfter:
-    def test_no_iterations_is_initial_superposition(self):
-        geom = amplify.GroverGeometry(64, 2)
-        a_w, a_perp = amplify.amplitude_after(geom, 0)
-        assert a_w == pytest.approx(math.sqrt(2 / 64), abs=1e-15)
-        assert a_perp == pytest.approx(math.sqrt(62 / 64), abs=1e-15)
-
-    def test_exact_rotation_case(self):
-        a_w, _ = amplify.amplitude_after(amplify.GroverGeometry(4, 1), 1)
-        assert a_w == pytest.approx(1.0, abs=1e-15)
-
-    def test_four_iterations_on_two_matches(self):
-        # sin^2(9 theta) evaluated directly
-        a_w, _ = amplify.amplitude_after(amplify.GroverGeometry(64, 2), 4)
-        assert a_w**2 == pytest.approx(0.9991823155432941, abs=1e-12)
-
-    def test_unit_norm(self):
-        rng = np.random.default_rng(1)
-        for _ in range(100):
-            n = int(rng.integers(2, 1 << 20))
-            geom = amplify.GroverGeometry(n, int(rng.integers(0, n + 1)))
-            a_w, a_perp = amplify.amplitude_after(geom, int(rng.integers(0, 500)))
-            assert abs(a_w**2 + a_perp**2 - 1.0) < 1e-12
-
-
 class TestOptimalK:
     @pytest.mark.parametrize("n,r,k", [(64, 1, 6), (64, 2, 4), (32, 4, 2)])
     def test_reference_values(self, n, r, k):
@@ -101,11 +76,6 @@ class TestChooseP:
             p = amplify.choose_p(n)
             assert 2.0**p > PI * math.sqrt(n)
             assert 2.0 ** (p - 1) <= PI * math.sqrt(n) or p == 1
-
-    def test_counting_config(self):
-        cfg = amplify.CountingConfig.auto(131072)
-        assert cfg.p == 11
-        assert cfg.c == pytest.approx(2048 / math.sqrt(131072))
 
 
 class TestCountingDistribution:
@@ -187,7 +157,7 @@ class TestSampleB:
         rng = np.random.default_rng(3)
         draws = np.array([amplify.sample_b(dist, rng) for _ in range(100_000)])
         near = np.isin(draws, [1, 2, 3, 29, 30, 31]).mean()
-        p0 = amplify.EIGHT_OVER_PI_SQ
+        p0 = 8.0 / PI**2
         assert near >= p0 - 3 * math.sqrt(p0 * (1 - p0) / 100_000)
 
 
@@ -311,6 +281,11 @@ class TestPMatch:
     def test_reference_instance(self):
         theta = amplify.theta_of(131072, 9)
         assert amplify.p_match(theta, 94) == pytest.approx(0.99997, abs=1e-5)
+
+    def test_four_iterations_on_two_matches(self):
+        # sin^2(9 theta) evaluated directly
+        theta = amplify.theta_of(64, 2)
+        assert amplify.p_match(theta, 4) == pytest.approx(0.9991823155432941, abs=1e-12)
 
 
 class TestPFailTotal:

