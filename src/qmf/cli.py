@@ -86,8 +86,11 @@ def cmd_count_dist(args) -> None:
     print(f"p={p}, {dist.probs.size} outcomes -> {args.out}")
 
 
-def _write_shot_files(args, result: qsim.ShotResult, marginal: np.ndarray,
-                      command: str) -> None:
+def _measure_and_write(args, state: qsim.StateVector, qubits: range, command: str) -> None:
+    # Sampling first frees measure's own copy of the marginal before the one
+    # written out is built, so the two are never held at once.
+    result = qsim.measure(state, qubits, args.shots, np.random.default_rng(args.seed))
+    marginal = qsim.marginal_probs(state, qubits)
     prov = io.provenance_line(command, _config_echo(args), seed=args.seed)
     rows = (
         (bits, c, repr(c / result.shots))
@@ -108,10 +111,7 @@ def cmd_qsim_count(args) -> None:
     n = len(args.data_bits)
     state, layout = qsim.counting_state(n, args.ignored, args.data_bits,
                                         args.p, cap=args.cap)
-    marginal = qsim.marginal_probs(state, layout.counting)
-    rng = np.random.default_rng(args.seed)
-    result = qsim.measure(state, layout.counting, args.shots, rng)
-    _write_shot_files(args, result, marginal, "qsim-count")
+    _measure_and_write(args, state, layout.counting, "qsim-count")
 
 
 def cmd_qsim_search(args) -> None:
@@ -121,10 +121,7 @@ def cmd_qsim_search(args) -> None:
     n = len(args.data_bits)
     state, layout = qsim.search_state(n, args.ignored, args.data_bits,
                                       args.iterations, cap=args.cap)
-    marginal = qsim.marginal_probs(state, layout.template)
-    rng = np.random.default_rng(args.seed)
-    result = qsim.measure(state, layout.template, args.shots, rng)
-    _write_shot_files(args, result, marginal, "qsim-search")
+    _measure_and_write(args, state, layout.template, "qsim-search")
 
 
 def _scenario_args(args) -> tuple[pipeline.Scenario, dict, int]:

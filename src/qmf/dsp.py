@@ -131,22 +131,31 @@ def estimate_psd(ts: TimeSeries, seg_len: int) -> Psd:
     """Welch PSD: mean of Hann-windowed periodograms, segments overlapping by half.
 
     Normalized so white Gaussian noise of variance sigma^2 averages to
-    2 sigma^2 dt across the band.
+    2 sigma^2 dt across the band.  The arithmetic is that of
+    ``scipy.signal.welch(samples, fs, window="hann", nperseg=seg_len,
+    noverlap=seg_len // 2)``, operation for operation, so the two are
+    equal bit for bit without the import of ``scipy.signal``.
     """
     if seg_len > ts.m:
         raise ValidationError(f"seg_len={seg_len} exceeds series length {ts.m}")
     if seg_len < 2:
         raise ValidationError("seg_len must be at least 2")
-    noverlap = seg_len // 2
-    n_segments = 1 + (ts.m - seg_len) // (seg_len - noverlap)
+    hop = seg_len - seg_len // 2
+    n_segments = 1 + (ts.m - seg_len) // hop
     if n_segments < 2:
         raise ValidationError("need at least 2 segments to average")
-    from scipy.signal import welch  # deferred: scipy.signal takes over a second to import
-
-    freqs, pxx = welch(
-        ts.samples, fs=ts.fs, window="hann", nperseg=seg_len, noverlap=noverlap,
-    )
-    psd = Psd(values=pxx, df=float(freqs[1] - freqs[0]))
+    period = 1.0 / ts.fs  # scipy's sample period, which can differ from dt in the last bit
+    # Periodic Hann: the symmetric window over seg_len + 1 points, last one dropped.
+    win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, seg_len + 1)))[:-1]
+    # Density scaling; the built-in sum adds in order, as scipy's does.
+    win = win * (1.0 / np.sqrt(sum(win ** 2) / period))
+    segments = np.lib.stride_tricks.sliding_window_view(ts.samples, seg_len)[::hop]
+    segments = segments - segments.mean(axis=-1, keepdims=True)
+    spectra = np.fft.rfft(segments * win, axis=-1)
+    # Laid out (frequency, segment), so the mean adds each bin's segments as scipy's does.
+    power = np.ascontiguousarray((spectra.real ** 2 + spectra.imag ** 2).T)
+    power[1:-1 if seg_len % 2 == 0 else None] *= 2
+    psd = Psd(values=power.mean(axis=-1), df=float(np.fft.rfftfreq(seg_len, period)[1]))
     if not (psd.values[_band(seg_len)] > 0.0).all():
         raise ValidationError("estimated PSD is not positive on the analysis band")
     return psd

@@ -80,9 +80,16 @@ def read_json(path: str | Path) -> dict:
 def config_number(cfg: dict, key: str, kind: type, default=None):
     """``kind(cfg[key])``, or ``kind(default)`` when the key is absent.
 
-    A value that does not convert raises a ValidationError naming the key.
+    A value that does not convert raises a ValidationError naming the key,
+    and so does one that converts only by changing its meaning: a boolean,
+    or a float with a fractional part where ``kind`` is ``int``.
     """
     value = cfg.get(key, default)
+    if isinstance(value, bool):
+        raise ValidationError(f"config key {key!r} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ValidationError(
+            f"config key {key!r} must be a number with no fractional part, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -133,14 +140,25 @@ _ROW_BLOCK = 1 << 12
 def repr_rows(n: int, columns) -> Iterator[tuple[str, ...]]:
     """CSV rows of ``repr``-formatted values, built a block of rows at a time.
 
-    ``columns(j)`` returns the column arrays at the row indices ``j``.
-    ``ndarray.tolist()`` yields the Python ints and floats that
-    per-element arithmetic would give, so the bytes are the same as
-    with ``repr(t0 + j * dt)`` or ``repr(float(v))`` per row.
+    ``columns(j)`` returns the int or float column arrays at the row
+    indices ``j``.  ``ndarray.tolist()`` yields the Python ints and
+    floats that per-element arithmetic would give, so the bytes are the
+    same as with ``repr(t0 + j * dt)`` or ``repr(float(v))`` per row.
     """
     for start in range(0, n, _ROW_BLOCK):
         j = np.arange(start, min(start + _ROW_BLOCK, n))
-        yield from zip(*(map(repr, col.tolist()) for col in columns(j)))
+        yield from zip(*map(_repr_column, columns(j)))
+
+
+def _repr_column(col: np.ndarray) -> list[str]:
+    """``repr`` of each element, formatting each distinct value once.
+
+    Values are told apart by their bit patterns, not by ``==``: -0.0
+    equals 0.0 but formats differently.
+    """
+    keys, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+    text = np.array(list(map(repr, keys.view(col.dtype).tolist())), dtype=object)
+    return text[inverse].tolist()
 
 
 def write_snr(path: str | Path, snr: SnrSeries, provenance: str, t0: float = 0.0) -> None:

@@ -334,9 +334,10 @@ def measure(state: StateVector, qubits: range, shots: int,
     probs = probs / probs.sum()
     draws = rng.multinomial(shots, probs)
     width = len(qubits)
+    drawn = np.flatnonzero(draws)
     counts = {
-        format(outcome, f"0{width}b"): int(c)
-        for outcome, c in enumerate(draws) if c > 0
+        format(outcome, f"0{width}b"): c
+        for outcome, c in zip(drawn.tolist(), draws[drawn].tolist())
     }
     return ShotResult(counts=counts, shots=shots)
 

@@ -148,6 +148,11 @@ class TestInputErrors:
                    "--out", tmp_path / "d.json") == EXIT_INPUT
         self.assert_one_line(capsys, "input error: ")
 
+    def test_integral_float_config_accepted(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"n": 64.0, "r": 2.0, "p": 5.0, "seed": 1.0}))
+        assert run("detect", "--config", path, "--out", tmp_path / "o.json") == EXIT_OK
+
     def test_config_is_a_directory(self, tmp_path, capsys):
         cfg = tmp_path / "configs"
         cfg.mkdir()
@@ -165,6 +170,8 @@ class TestInputErrors:
         ("retrieve", {"n": 64, "r": 2, "seed": -1}, "seed"),
         ("retrieve", {"n": 64, "r": 2, "strategy": 5, "seed": 1}, "strategy"),
         ("retrieve", {"n": 64, "r": 2, "seed": 1, "max_attempts": 0}, "'max_attempts'"),
+        ("detect", {"n": 64.9, "r": 2.7, "seed": 1}, "'n'"),
+        ("detect", {"n": 64, "r": True, "seed": 1}, "'r'"),
     ])
     def test_scenario_key_rejected(self, tmp_path, capsys, command, cfg, key):
         path = tmp_path / "scenario.json"
@@ -197,20 +204,45 @@ class TestRowWriters:
         rows = ((repr(k * psd.df), repr(float(v))) for k, v in enumerate(psd.values))
         assert (tmp_path / "psd.csv").read_text() == self.per_element_text("f_hz,sn", rows)
 
+    @pytest.mark.parametrize("pool", [
+        [0.0, -0.0, 1.5],
+        [math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308],
+        [7, -3, 0, 2**62, -2**63],
+    ], ids=["signed-zeros", "inf-nan-subnormal", "int"])
+    def test_repr_rows_equal_per_element_repr(self, tmp_path, pool):
+        # Every block holds every value, so repeats straddle each block
+        # boundary, and n is not a multiple of the block.
+        n = 2 * io._ROW_BLOCK + 123
+        col = np.resize(np.array(pool), n)
+        io.write_csv(tmp_path / "x.csv", "j,v",
+                     io.repr_rows(n, lambda j: (j, col[j])), "# prov")
+        rows = ((repr(j), repr(v)) for j, v in enumerate(col.tolist()))
+        assert (tmp_path / "x.csv").read_text() == self.per_element_text("j,v", rows)
+
     def test_mixed_fields(self, tmp_path):
         rows = [(3, "0110", 0.1), (17, "1000", 2.5e-300)]
         io.write_csv(tmp_path / "x.csv", "a,b,c", iter(rows), "# prov")
         assert (tmp_path / "x.csv").read_text() == self.per_element_text("a,b,c", rows)
 
 
-def test_bank_detect_does_not_import_scipy_signal(tmp_path):
-    cfg = tmp_path / "inject.json"
-    cfg.write_text(json.dumps({"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
-                               "noise_sigma": 1.0, "noise_seed": 2, "seed": 3}))
+@pytest.mark.parametrize("command", ["detect", "mf-snr"])
+def test_does_not_import_scipy(tmp_path, bank_cfg_file, command):
+    if command == "detect":
+        cfg = tmp_path / "inject.json"
+        cfg.write_text(json.dumps({"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
+                                   "noise_sigma": 1.0, "noise_seed": 2, "seed": 3}))
+        argv = ["detect", "--config", cfg, "--out", tmp_path / "d.json"]
+    else:  # no --psd, so the PSD is the Welch estimate
+        noise = np.random.default_rng(8).normal(size=BANK_CFG["m_samples"])
+        lines = ["t,strain"] + [f"{j / BANK_CFG['fs_hz']!r},{v!r}"
+                                for j, v in enumerate(noise.tolist())]
+        data = tmp_path / "strain.csv"
+        data.write_text("\n".join(lines) + "\n")
+        argv = ["mf-snr", "--data", data, "--bank-config", bank_cfg_file,
+                "--index", 27, "--out", tmp_path / "snr.csv"]
     script = ("import sys; from qmf.cli import main; "
-              f"code = main(['detect', '--config', {str(cfg)!r}, '--out', "
-              f"{str(tmp_path / 'd.json')!r}]); "
-              "print(code, 'scipy.signal' in sys.modules)")
+              f"code = main({[str(a) for a in argv]!r}); "
+              "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
@@ -419,6 +451,15 @@ class TestCwCost:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("validation error: ")
         assert not (tmp_path / "r.json").exists()
+
+    def test_boolean_exits_4_naming_the_key(self, tmp_path, capsys):
+        path = tmp_path / "cw.json"
+        path.write_text(json.dumps({"f_khz": True}))
+        assert run("cw-cost", "--config", path,
+                   "--out", tmp_path / "r.json") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("validation error: ")
+        assert "'f_khz'" in err
 
     def test_negative_span_exits_4(self, tmp_path):
         cfg = tmp_path / "cw.json"

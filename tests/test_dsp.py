@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import welch
 
 from qmf import dsp
 from qmf.bank import ChirpParams, waveform
@@ -104,6 +105,23 @@ class TestEstimatePsd:
             dsp.estimate_psd(ts, seg_len=2048)
         with pytest.raises(ValidationError):
             dsp.estimate_psd(ts, seg_len=1024)  # single segment
+
+    @pytest.mark.parametrize("m,seg_len,dt,mean", [
+        (2**14, 1024, 1.0 / 1024, 0.0),    # even seg_len, m a multiple of the hop
+        (2**14 + 37, 1000, 1.0 / 1024, 0.0),  # m not a multiple of the hop
+        (5003, 255, 1.0 / 3000, 0.0),      # odd seg_len; 1/dt is not exact
+        (4099, 31, 1.0 / 3000, 2.5),       # nonzero mean
+        (3000, 256, 1.0 / 7.3, -4.0),
+        (64, 3, 0.1, 1.0),
+    ])
+    def test_equals_scipy_welch_bit_for_bit(self, m, seg_len, dt, mean):
+        x = np.random.default_rng(seg_len).normal(size=m) + mean
+        ts = dsp.TimeSeries(x, dt=dt)
+        psd = dsp.estimate_psd(ts, seg_len=seg_len)
+        freqs, pxx = welch(x, fs=ts.fs, window="hann", nperseg=seg_len,
+                           noverlap=seg_len // 2)
+        assert np.array_equal(psd.values, pxx)
+        assert psd.df == freqs[1] - freqs[0]
 
     def test_interpolation_onto_analysis_grid(self, white):
         coarse = dsp.Psd(values=np.full(65, 2.0 / FS), df=FS / 128)

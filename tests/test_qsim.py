@@ -372,6 +372,16 @@ class TestMeasure:
             freq = result.counts.get(format(b, "05b"), 0) / shots
             assert abs(freq - prob) < 5 * sigma + 1e-9
 
+    @pytest.mark.parametrize("seed", [4, 5, 6])
+    def test_counts_equal_per_outcome_loop(self, seed):
+        state, layout = qsim.counting_state(6, 1, "000110", 5)
+        result = qsim.measure(state, layout.counting, 3000, np.random.default_rng(seed))
+        probs = qsim.marginal_probs(state, layout.counting)
+        draws = np.random.default_rng(seed).multinomial(3000, probs / probs.sum())
+        expected = {format(b, "05b"): int(c) for b, c in enumerate(draws) if c > 0}
+        assert list(result.counts.items()) == list(expected.items())
+        assert all(type(c) is int for c in result.counts.values())
+
     def test_shots_validated(self):
         state = qsim.init_state(qsim.RegisterLayout.standard(2, 0))
         with pytest.raises(ValidationError):
