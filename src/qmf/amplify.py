@@ -15,10 +15,12 @@ immutable after construction; sampling takes a caller-supplied
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -28,7 +30,12 @@ from .errors import CapExceededError, ValidationError
 # evaluated by its limit (removable singularity).
 _ALIGNED_TOL = 1e-12
 
-_DEFAULT_DIST_BYTES = 1 << 30
+# Outcomes are computed a chunk at a time, and a register of more than
+# 2**_MAX_P outcomes is refused: a draw may scan every one of them.
+_CHUNK = 1 << 16
+_MAX_P = 27
+# Whole chunk cdfs kept per distribution, enough for its two peaks.
+_KEPT_CHUNKS = 2
 
 
 def round_half_away(x: float) -> int:
@@ -108,30 +115,21 @@ class CountingDistribution:
     symmetric under ``b <-> (2**p - b) mod 2**p`` and sums to one.
     """
 
-    __slots__ = ("p", "theta", "probs", "_cdf")
+    __slots__ = ("p", "theta", "probs")
 
     def __init__(self, p: int, theta: float, probs: np.ndarray):
         self.p = p
         self.theta = theta
         self.probs = probs
         self.probs.flags.writeable = False
-        self._cdf: np.ndarray | None = None
-
-    @property
-    def cdf(self) -> np.ndarray:
-        if self._cdf is None:
-            self._cdf = np.cumsum(self.probs)
-        return self._cdf
 
 
-def _branch_probs(theta: float, p: int) -> np.ndarray:
-    """Outcome distribution of a single eigenvalue branch, P+(b).
+def _branch_probs(theta: float, d: int, out: np.ndarray) -> np.ndarray:
+    """Outcome probabilities of a single eigenvalue branch, P+(b), in place.
 
-    Built in one array by in-place ufuncs, in the operation order of
-    ``num / (d**2 * sin(theta - pi*b/d)**2)``.
+    ``out`` holds the outcomes b as floats on entry.  The in-place ufuncs
+    follow the operation order of ``num / (d**2 * sin(theta - pi*b/d)**2)``.
     """
-    d = 1 << p
-    out = np.arange(d, dtype=float)
     np.multiply(out, np.pi, out=out)
     np.divide(out, d, out=out)
     np.subtract(theta, out, out=out)  # delta
@@ -145,32 +143,135 @@ def _branch_probs(theta: float, p: int) -> np.ndarray:
     return out
 
 
-def counting_distribution(n: int, r: int, p: int) -> CountingDistribution:
-    """Exact counting-register distribution for r matches among n entries."""
+def _mixture(theta: float, d: int, start: int, stop: int) -> np.ndarray:
+    """P(b) = 0.5 * (P+(b) + P+((d - b) mod d)) for start <= b < stop.
+
+    The equal mixture of the two eigenvalue branches; the sum is the same,
+    bit for bit, for b and for its mirror d - b.
+    """
+    b = np.arange(start, stop, dtype=float)
+    mirror = np.subtract(d, b)
+    if start == 0:
+        mirror[0] = 0.0
+    probs = _branch_probs(theta, d, b)
+    np.add(probs, _branch_probs(theta, d, mirror), out=probs)
+    np.multiply(probs, 0.5, out=probs)
+    return probs
+
+
+def _register_theta(n: int, r: int, p: int) -> float:
+    """``theta_of(n, r)``, once p is checked against the outcome budget."""
     if p < 1:
         raise ValidationError(f"counting register needs p >= 1, got {p}")
-    if (1 << p) * 8 > _DEFAULT_DIST_BYTES:
+    if p > _MAX_P:
         raise CapExceededError(
-            f"2**{p} outcome probabilities exceed the {_DEFAULT_DIST_BYTES}-byte budget"
-        )
-    theta = theta_of(n, r)
-    probs = _branch_probs(theta, p)
-    # Equal mixture with the mirror branch, b -> (2**p - b) mod 2**p.  The
-    # sum for b equals the sum for 2**p - b, so the lower half is summed
-    # in place and copied, reversed, over the upper half.
-    h = probs.size // 2
-    np.add(probs[1:h], probs[:h:-1], out=probs[1:h])
-    probs[h + 1:] = probs[h - 1:0:-1]
-    probs[[0, h]] += probs[[0, h]]
-    np.multiply(probs, 0.5, out=probs)
-    return CountingDistribution(p=p, theta=theta, probs=probs)
+            f"2**{p} counting outcomes exceed the budget of 2**{_MAX_P} per call")
+    return theta_of(n, r)
 
 
-def sample_b(dist: CountingDistribution, rng: np.random.Generator) -> int:
+def outcome_blocks(n: int, r: int, p: int,
+                   size: int = _CHUNK) -> Iterator[tuple[int, np.ndarray]]:
+    """P(b) for r matches among n entries, ``size`` outcomes at a time.
+
+    Yields ``(start, probs)`` with ``probs[i] = P(start + i)`` for every
+    outcome of the p-qubit register in order.  The arguments are checked
+    here, before the first block is made.
+    """
+    theta = _register_theta(n, r, p)
+    d = 1 << p
+    return ((start, _mixture(theta, d, start, min(start + size, d)))
+            for start in range(0, d, size))
+
+
+def counting_distribution(n: int, r: int, p: int) -> CountingDistribution:
+    """Exact counting-register distribution for r matches among n entries."""
+    blocks = outcome_blocks(n, r, p)
+    probs = np.empty(1 << p)
+    for start, block in blocks:
+        probs[start:start + block.size] = block
+    return CountingDistribution(p=p, theta=theta_of(n, r), probs=probs)
+
+
+class _StreamedCdf:
+    """The cdf of one counting distribution, a chunk of outcomes at a time.
+
+    A chunk's cdf is ``np.cumsum`` of its P(b) after the cdf value before
+    the chunk is added to its first element, which equals the dense
+    ``np.cumsum`` bit for bit.  The scan goes only as far as the draws
+    need and remembers the last cdf value of every chunk it passed, so a
+    later draw computes at most the one chunk that holds its outcome.
+    The chunks drawn from last are kept whole: the two peaks of the
+    distribution lie in the first and the last chunk.
+    """
+
+    def __init__(self, n: int, r: int, p: int):
+        self._theta = _register_theta(n, r, p)
+        self._d = 1 << p
+        self._chunks = -(-self._d // _CHUNK)
+        self._edges: list[float] = []
+        self._kept: dict[int, np.ndarray] = {}
+
+    def _cdf(self, k: int) -> np.ndarray:
+        """The cdf over chunk k; the scan has passed every chunk before it."""
+        cdf = self._kept.pop(k, None)
+        if cdf is None:
+            start = k * _CHUNK
+            cdf = _mixture(self._theta, self._d, start, min(start + _CHUNK, self._d))
+            if k:
+                cdf[0] += self._edges[k - 1]
+            np.cumsum(cdf, out=cdf)
+            if len(self._kept) == _KEPT_CHUNKS:
+                del self._kept[next(iter(self._kept))]
+        self._kept[k] = cdf
+        return cdf
+
+    def _chunk_of(self, u: float) -> int:
+        """The first chunk whose last cdf value exceeds u, or the chunk count."""
+        k = bisect.bisect_right(self._edges, u)
+        while k == len(self._edges) < self._chunks:
+            self._edges.append(float(self._cdf(k)[-1]))
+            if self._edges[-1] <= u:
+                k += 1
+        return k
+
+    def outcome(self, u: float) -> int:
+        k = self._chunk_of(u)
+        if k == self._chunks:  # u at or above the cdf's rounded total
+            return self._d - 1
+        return k * _CHUNK + int(np.searchsorted(self._cdf(k), u, side="right"))
+
+    def outcomes(self, u: np.ndarray) -> np.ndarray:
+        self._chunk_of(float(np.max(u)))
+        k = np.searchsorted(self._edges, u, side="right")
+        b = np.full(u.shape, self._d - 1)
+        for j in np.unique(k[k < self._chunks]).tolist():
+            at = k == j
+            b[at] = j * _CHUNK + np.searchsorted(self._cdf(j), u[at], side="right")
+        return b
+
+
+# Monte Carlo trials draw from one distribution many thousand times, so
+# the last two distributions drawn from keep their scan.
+@functools.lru_cache(maxsize=2)
+def _streamed_cdf(n: int, r: int, p: int) -> _StreamedCdf:
+    return _StreamedCdf(n, r, p)
+
+
+def inverse_cdf(n: int, r: int, p: int, u):
+    """Counting outcome(s) at cumulative probability u, a float or an array.
+
+    Each outcome is the first b whose cdf exceeds u, clamped to 2**p - 1
+    for a u at or above the cdf's rounded total: the dense
+    ``np.searchsorted(cdf, u, side="right")``.  The cdf is streamed a
+    chunk of outcomes at a time, so a draw holds O(chunk) memory.
+    """
+    cdf = _streamed_cdf(n, r, p)
+    return cdf.outcome(u) if isinstance(u, float) else cdf.outcomes(np.asarray(u))
+
+
+def sample_b(n: int, r: int, p: int, rng: np.random.Generator) -> int:
     """Draw one counting outcome by inverse CDF on the supplied stream."""
-    u = rng.random()
-    b = int(np.searchsorted(dist.cdf, u, side="right"))
-    return min(b, len(dist.probs) - 1)
+    return inverse_cdf(n, r, p, rng.random())
 
 
 @dataclass(frozen=True)

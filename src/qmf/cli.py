@@ -9,6 +9,7 @@ error, 3 resource cap exceeded, 4 numeric validation failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from pathlib import Path
 
@@ -21,6 +22,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_CAP = 3
 EXIT_VALIDATION = 4
+
+# fail-bound spends about 17 ms per r on its grid scan and refinement.
+_R_MAX_CAP = 10_000
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -68,22 +72,33 @@ def cmd_mf_snr(args) -> None:
 
 def cmd_count_dist(args) -> None:
     p = args.p if args.p is not None else amplify.choose_p(args.n_templates)
-    dist = amplify.counting_distribution(args.n_templates, args.matches, p)
+    blocks = amplify.outcome_blocks(args.n_templates, args.matches, p, io.ROW_BLOCK)
     prov = io.provenance_line("count-dist", _config_echo(args), seed=None)
-    # probs[b] and probs[2**p - b] are the same sum of the two branches,
-    # bit for bit, so each value is formatted once, from the lower half
-    d = dist.probs.size
-    lower = list(map(repr, dist.probs[:d // 2 + 1].tolist()))
-    # outcomes killed by exactly destructive interference are omitted
-    kept = np.flatnonzero(dist.probs > 0.0)
+    # P(b) and P(2**p - b) are the same sum of the two branches, bit for
+    # bit, so only rows 0..2**(p-1) are formatted.  Each block's strings are
+    # kept as one joined str, about 22 bytes a value, for the mirrored rows.
+    d = 1 << p
+    h = d // 2
+    lower: list[tuple[int, str, np.ndarray]] = []
 
     def rows():
-        for start in range(0, kept.size, 4096):
-            b = kept[start:start + 4096]
-            yield from zip(b.tolist(), map(lower.__getitem__, np.minimum(b, d - b).tolist()))
+        for start, probs in itertools.takewhile(lambda sb: sb[0] <= h, blocks):
+            probs = probs[:h + 1 - start]
+            text = list(map(repr, probs.tolist()))
+            # outcomes killed by exactly destructive interference are omitted
+            keep = probs > 0.0
+            lower.append((start, "\n".join(text), keep))
+            j = np.flatnonzero(keep)
+            yield from zip((start + j).tolist(), map(text.__getitem__, j.tolist()))
+        # row 2**p - b repeats row b for 0 < b < 2**(p-1), in reverse order
+        for start, joined, keep in reversed(lower):
+            text = joined.split("\n")
+            j = np.flatnonzero(keep)[::-1]
+            j = j[(start + j > 0) & (start + j < h)]
+            yield from zip((d - start - j).tolist(), map(text.__getitem__, j.tolist()))
 
     io.write_csv(args.out, "b,probability", rows(), prov)
-    print(f"p={p}, {dist.probs.size} outcomes -> {args.out}")
+    print(f"p={p}, {d} outcomes -> {args.out}")
 
 
 def _measure_and_write(args, state: qsim.StateVector, qubits: range, command: str) -> None:
@@ -156,6 +171,8 @@ def cmd_mc_bench(args) -> None:
 def cmd_fail_bound(args) -> None:
     if args.r_max < 1:
         raise ValidationError(f"r-max must be >= 1, got {args.r_max}")
+    if args.r_max > _R_MAX_CAP:
+        raise CapExceededError(f"r-max {args.r_max} exceeds the cap of {_R_MAX_CAP}")
     prov = io.provenance_line("fail-bound", _config_echo(args), seed=None)
     rows = []
     for r in range(1, args.r_max + 1):
@@ -210,8 +227,15 @@ def cmd_retrieve(args) -> None:
 # ---------------------------------------------------------------------------
 # parser
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error in one line, without the usage text, and exits 2."""
+
+    def error(self, message: str):
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qmf",
         description="Grover-accelerated matched filtering toolkit",
     )

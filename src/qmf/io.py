@@ -134,7 +134,7 @@ def read_psd(path: str | Path) -> Psd:
 
 # Rows converted to Python objects at a time: bounds the memory a large
 # file costs while keeping the conversion in whole-array calls.
-_ROW_BLOCK = 1 << 12
+ROW_BLOCK = 1 << 12
 
 
 def repr_rows(n: int, columns) -> Iterator[tuple[str, ...]]:
@@ -145,8 +145,8 @@ def repr_rows(n: int, columns) -> Iterator[tuple[str, ...]]:
     floats that per-element arithmetic would give, so the bytes are the
     same as with ``repr(t0 + j * dt)`` or ``repr(float(v))`` per row.
     """
-    for start in range(0, n, _ROW_BLOCK):
-        j = np.arange(start, min(start + _ROW_BLOCK, n))
+    for start in range(0, n, ROW_BLOCK):
+        j = np.arange(start, min(start + ROW_BLOCK, n))
         yield from zip(*map(_repr_column, columns(j)))
 
 

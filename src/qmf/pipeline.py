@@ -20,7 +20,6 @@ Trials are independent; each owns an RNG substream derived from
 from __future__ import annotations
 
 import enum
-import functools
 import statistics
 from collections import Counter
 from dataclasses import dataclass
@@ -86,13 +85,6 @@ class TrialRecord:
     returned_index: int | None
 
 
-# Counting distributions are immutable, so sharing across trials is safe.
-# One can take up to 1 GiB, so only the last two are kept.
-@functools.lru_cache(maxsize=2)
-def _cached_distribution(n: int, r: int, p: int) -> amplify.CountingDistribution:
-    return amplify.counting_distribution(n, r, p)
-
-
 # ---------------------------------------------------------------------------
 # classical oracle
 
@@ -144,9 +136,8 @@ def signal_detection(n: int, r_true: int, p: int, rng: np.random.Generator,
     """
     if p < 1:
         raise ValidationError(f"counting register needs p >= 1, got {p}")
-    dist = _cached_distribution(n, r_true, p)
+    b = amplify.sample_b(n, r_true, p, rng)
     counter.add((1 << p) - 1)
-    b = amplify.sample_b(dist, rng)
     est = amplify.estimate_from_b(b, p, n)
     return DetectionOutcome(b=b, r_star=est.r_star, k_star=est.k_star)
 
@@ -155,11 +146,8 @@ def count_detections(n: int, r_true: int, p: int, trials: int, seed: int) -> int
     """Number of detected (b != 0) outcomes over many independent runs."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    dist = _cached_distribution(n, r_true, p)
-    rng = np.random.default_rng(seed)
-    u = rng.random(trials)
-    b = np.searchsorted(dist.cdf, u, side="right")
-    return int(np.count_nonzero(np.minimum(b, len(dist.probs) - 1)))
+    u = np.random.default_rng(seed).random(trials)
+    return int(np.count_nonzero(amplify.inverse_cdf(n, r_true, p, u)))
 
 
 def template_retrieval(n: int, r_true: int, k_star: int, match_set: list[int],

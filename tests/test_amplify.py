@@ -140,25 +140,93 @@ class TestCountingDistribution:
 
 class TestSampleB:
     def test_point_mass(self):
-        dist = amplify.counting_distribution(64, 0, 5)
         rng = np.random.default_rng(0)
-        assert all(amplify.sample_b(dist, rng) == 0 for _ in range(200))
+        assert all(amplify.sample_b(64, 0, 5, rng) == 0 for _ in range(200))
 
     def test_seed_reproducibility(self):
-        dist = amplify.counting_distribution(64, 2, 5)
         rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-        s1 = [amplify.sample_b(dist, rng1) for _ in range(50)]
-        s2 = [amplify.sample_b(dist, rng2) for _ in range(50)]
+        s1 = [amplify.sample_b(64, 2, 5, rng1) for _ in range(50)]
+        s2 = [amplify.sample_b(64, 2, 5, rng2) for _ in range(50)]
         assert s1 == s2
 
     def test_near_peak_mass_bound(self):
         # at least 8/pi^2 of the draws land within one unit of a peak
-        dist = amplify.counting_distribution(64, 2, 5)
         rng = np.random.default_rng(3)
-        draws = np.array([amplify.sample_b(dist, rng) for _ in range(100_000)])
+        draws = np.array([amplify.sample_b(64, 2, 5, rng) for _ in range(100_000)])
         near = np.isin(draws, [1, 2, 3, 29, 30, 31]).mean()
         p0 = 8.0 / PI**2
         assert near >= p0 - 3 * math.sqrt(p0 * (1 - p0) / 100_000)
+
+
+class TestStreamedDraw:
+    """The chunked P(b), cdf and draw against the dense arrays, at p = 18 (4 chunks)."""
+
+    N, R, P = 2**30, 7, 18
+
+    @pytest.fixture(scope="class")
+    def dense(self):
+        probs = TestCountingDistribution.roll_reference(self.N, self.R, self.P)
+        return probs, np.cumsum(probs)
+
+    def test_probs_and_cdf_equal_dense_bit_for_bit(self, dense):
+        probs, cdf = dense
+        blocks = list(amplify.outcome_blocks(self.N, self.R, self.P))
+        assert len(blocks) == 4
+        assert [start for start, _ in blocks] == [0, 1 << 16, 2 << 16, 3 << 16]
+        assert np.array_equal(np.concatenate([b for _, b in blocks]), probs)
+        streamed = amplify._StreamedCdf(self.N, self.R, self.P)
+        assert streamed._chunk_of(1.0) == 4  # the scan passes every chunk
+        # the first two chunks were evicted, so they are computed again
+        chunks = [streamed._cdf(k).copy() for k in range(4)]
+        assert np.array_equal(np.concatenate(chunks), cdf)
+        assert np.array_equal(amplify.counting_distribution(self.N, self.R, self.P).probs,
+                              probs)
+
+    def test_draws_equal_dense_searchsorted(self, dense):
+        _, cdf = dense
+        edge = 1 << 16
+        peak = int(np.argmax(dense[0][edge:])) + edge
+        u = np.array([
+            0.0, cdf[0], cdf[5], cdf[edge - 1], np.nextafter(cdf[edge - 1], 0.0),
+            np.nextafter(cdf[edge - 1], 1.0), cdf[edge], cdf[peak], cdf[2 * edge - 1],
+            cdf[3 * edge + 17], cdf[-2], cdf[-1], np.nextafter(cdf[-1], 0.0),
+            np.nextafter(cdf[-1], 1.0), 1.0,
+            *np.random.default_rng(4).random(20),
+        ])
+        want = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
+        assert want[13] == cdf.size - 1  # u above the cdf's total is clamped
+        assert np.array_equal(amplify.inverse_cdf(self.N, self.R, self.P, u), want)
+        assert [int(amplify.inverse_cdf(self.N, self.R, self.P, x)) for x in u] == \
+            want.tolist()
+
+    def test_sample_b_equals_dense_draw(self, dense):
+        _, cdf = dense
+        rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(20):
+            want = min(int(np.searchsorted(cdf, ref.random(), side="right")), cdf.size - 1)
+            assert amplify.sample_b(self.N, self.R, self.P, rng) == want
+
+    def test_repeated_draws_compute_one_chunk_each(self, dense, monkeypatch):
+        _, cdf = dense
+        amplify._streamed_cdf.cache_clear()
+        calls = []
+        mixture = amplify._mixture
+        monkeypatch.setattr(amplify, "_mixture", lambda *a: calls.append(a) or mixture(*a))
+        u = [cdf[-2], cdf[3], cdf[-3], cdf[(2 << 16) + 9], cdf[-4], cdf[7]]
+        got = [amplify.inverse_cdf(self.N, self.R, self.P, x) for x in u]
+        assert got == np.searchsorted(cdf, u, side="right").tolist()
+        # the scan to the last chunk, then the first, the third, and the
+        # first again after the third evicted it; the draws in the last
+        # chunk, which stays kept, compute nothing
+        assert [a[2] >> 16 for a in calls] == [0, 1, 2, 3, 0, 2, 0]
+        amplify._streamed_cdf.cache_clear()
+
+    @pytest.mark.parametrize("p,error", [(0, ValidationError), (28, CapExceededError)])
+    def test_register_outside_the_budget(self, p, error):
+        with pytest.raises(error):
+            amplify.inverse_cdf(4, 1, p, 0.5)
+        with pytest.raises(error):
+            amplify.outcome_blocks(4, 1, p)
 
 
 class TestEstimateFromB:

@@ -212,7 +212,7 @@ class TestRowWriters:
     def test_repr_rows_equal_per_element_repr(self, tmp_path, pool):
         # Every block holds every value, so repeats straddle each block
         # boundary, and n is not a multiple of the block.
-        n = 2 * io._ROW_BLOCK + 123
+        n = 2 * io.ROW_BLOCK + 123
         col = np.resize(np.array(pool), n)
         io.write_csv(tmp_path / "x.csv", "j,v",
                      io.repr_rows(n, lambda j: (j, col[j])), "# prov")
@@ -280,9 +280,12 @@ class TestCountDist:
                    "--out", out) == EXIT_OK
         assert len(data_rows(out)) - 1 == 128  # p=7
 
-    @pytest.mark.parametrize("n,r,p", [(64, 2, 5), (131072, 9, 11), (64, 0, 5), (4, 1, 1)])
+    @pytest.mark.parametrize("n,r,p", [(64, 2, 5), (131072, 9, 11), (64, 0, 5), (4, 1, 1),
+                                       (2**20, 7, 14)])
     def test_rows_equal_per_element_repr(self, tmp_path, n, r, p):
-        # the writer formats only the lower half and mirrors it
+        # the writer formats only the lower half and mirrors it; at p = 14
+        # the mirrored rows cross the edges of the 4096-row blocks, and at
+        # r = 0 every row but b = 0 is an exact zero and is omitted
         out = tmp_path / "dist.csv"
         assert run("count-dist", "--n-templates", n, "--matches", r,
                    "--p", p, "--out", out) == EXIT_OK
@@ -424,6 +427,17 @@ class TestFailBound:
         assert run("fail-bound", "--r-max", 0,
                    "--out", tmp_path / "b.csv") == EXIT_VALIDATION
 
+    def test_rmax_above_cap_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_work(r):
+            raise AssertionError("the sweep started")
+
+        monkeypatch.setattr(amplify, "max_fail_bound_argmax", no_work)
+        assert run("fail-bound", "--r-max", 100_000_000,
+                   "--out", tmp_path / "b.csv") == EXIT_CAP
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("resource cap: ")
+        assert not (tmp_path / "b.csv").exists()
+
 
 class TestCwCost:
     def test_defaults(self, tmp_path):
@@ -468,7 +482,49 @@ class TestCwCost:
                    "--out", tmp_path / "r.json") == EXIT_VALIDATION
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        (), ("no-such-command",), ("fail-bound", "--out", "b.csv"),
+        ("fail-bound", "--r-max", "ten", "--out", "b.csv"),
+        ("detect", "--config", "s.json", "--out", "d.json", "--bogus", "1"),
+    ])
+    def test_one_line_and_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("qmf")
+        assert "error: " in err and "usage" not in err
+
+
 class TestDetectRetrieve:
+    @pytest.mark.parametrize("command", ["detect", "retrieve"])
+    def test_large_register_never_builds_the_distribution(self, tmp_path, monkeypatch,
+                                                          command):
+        # p = 24: 2**24 outcomes, drawn from a streamed cdf
+        def dense(*args):
+            raise AssertionError("the dense distribution was built")
+
+        monkeypatch.setattr(amplify, "counting_distribution", dense)
+        cfg = tmp_path / "large.json"
+        cfg.write_text(json.dumps({"n": 2**44, "r": 1000, "seed": 5}))
+        out = tmp_path / "out.json"
+        assert run(command, "--config", cfg, "--out", out) == EXIT_OK
+        res = json.loads(out.read_text())
+        if command == "detect":
+            assert res["oracle_evals"] == (1 << 24) - 1
+        else:
+            assert res["succeeded"] and 0 <= res["returned_index"] < 1000
+
+    @pytest.mark.parametrize("command", ["detect", "retrieve"])
+    def test_register_beyond_the_scan_budget_exits_3(self, tmp_path, capsys, command):
+        cfg = tmp_path / "huge.json"
+        cfg.write_text(json.dumps({"n": 2**52, "r": 3, "p": 28, "seed": 1}))
+        assert run(command, "--config", cfg, "--out", tmp_path / "o.json") == EXIT_CAP
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("resource cap: ")
+        assert not (tmp_path / "o.json").exists()
+
     def test_detect_and_retrieve(self, tmp_path):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps({"n": 2**17, "r": 9, "p": 11}))

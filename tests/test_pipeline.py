@@ -371,7 +371,8 @@ class TestScenario:
 
 class TestDistributionCache:
     def test_third_key_evicts_the_oldest(self):
-        cached = pipeline._cached_distribution
+        # the streamed cdfs that detections draw from
+        cached = amplify._streamed_cdf
         cached.cache_clear()
         try:
             first = cached(64, 2, 5)
