@@ -287,6 +287,11 @@ class CountEstimate:
     r_star: int
     k_star: int | None
 
+    @property
+    def detected(self) -> bool:
+        """True iff b != 0, the outcome that reports at least one match."""
+        return self.b != 0
+
 
 def decode_outcomes(b, p: int, n: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Decode counting outcomes b (a scalar or an array) into (theta*, r*, k*).

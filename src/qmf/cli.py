@@ -37,15 +37,18 @@ def _require_at_least(value: int, minimum: int, flag: str) -> None:
         raise ValidationError(f"{flag} must be >= {minimum}, got {value}")
 
 
-def _derived_path(out: str, tag: str) -> str:
+def _derived_path(out: str, tag: str, suffix: str) -> str:
+    """``stem.tag.suffix`` in the directory of ``out``."""
     p = Path(out)
-    return str(p.with_name(p.stem + f".{tag}" + (p.suffix or ".csv")))
+    return str(p.with_name(f"{p.stem}.{tag}{suffix}"))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_mf_snr(args) -> None:
+    if args.seg_len is not None:
+        _require_at_least(args.seg_len, 2, "--seg-len")
     ts = io.read_time_series(args.data)
     spec = bank.BankSpec.from_config(io.read_json(args.bank_config))
     if ts.m != spec.m_samples:
@@ -64,7 +67,7 @@ def cmd_mf_snr(args) -> None:
     rho_max, j_max = dsp.max_snr(snr)
     prov = io.provenance_line("mf-snr", _config_echo(args), seed=None)
     io.write_snr(args.out, snr, prov, t0=ts.t0)
-    summary = args.summary_out or _derived_path(args.out, "summary").replace(".csv", ".json")
+    summary = args.summary_out or _derived_path(args.out, "summary", ".json")
     io.write_json(summary, {"rho_max": rho_max, "t_max": ts.t0 + j_max * snr.dt,
                             "j_max": j_max}, prov)
     print(f"rho_max={rho_max:.6g} at t={ts.t0 + j_max * snr.dt:.6g}s -> {args.out}")
@@ -112,7 +115,7 @@ def _measure_and_write(args, state: qsim.StateVector, qubits: range, command: st
         for bits, c in sorted(result.counts.items())
     )
     io.write_csv(args.out, "outcome_bits,count,probability", rows, prov)
-    marg_out = args.marginal_out or _derived_path(args.out, "marginal")
+    marg_out = args.marginal_out or _derived_path(args.out, "marginal", ".csv")
     io.write_csv(marg_out, "outcome_int,probability",
                  io.repr_rows(marginal.size, lambda j: (j, marginal[j])), prov)
     mode = max(result.counts, key=result.counts.get)
@@ -161,7 +164,7 @@ def cmd_mc_bench(args) -> None:
     prov = io.provenance_line("mc-bench", {**_config_echo(args), "scenario": cfg},
                               seed=seed)
     io.write_json(args.out, summary.to_dict(), prov)
-    hist_out = args.hist_out or _derived_path(args.out, "hist").replace(".json", ".csv")
+    hist_out = args.hist_out or _derived_path(args.out, "hist", ".csv")
     io.write_csv(hist_out, "evals,count",
                  summary.histogram, prov)
     print(f"{trials} trials: mean={summary.mean:.1f} evals "

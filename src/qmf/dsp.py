@@ -58,7 +58,11 @@ class TimeSeries:
 
 @dataclass(eq=False)
 class FrequencySeries:
-    """One-sided spectrum: bins k = 0..floor(m_time/2), spacing df."""
+    """One-sided spectra along the last axis: bins k = 0..floor(m_time/2), spacing df.
+
+    Leading axes, if any, index templates; the functions below work
+    row by row along the last axis.
+    """
 
     bins: np.ndarray
     df: float
@@ -66,11 +70,11 @@ class FrequencySeries:
 
     def __post_init__(self) -> None:
         self.bins = np.asarray(self.bins, dtype=np.complex128)
-        if self.bins.ndim != 1:
-            raise ValidationError("spectrum must be one-dimensional")
-        if self.bins.size != self.m_time // 2 + 1:
+        if self.bins.ndim == 0:
+            raise ValidationError("spectrum needs a frequency axis")
+        if self.bins.shape[-1] != self.m_time // 2 + 1:
             raise ValidationError(
-                f"{self.bins.size} bins inconsistent with m_time={self.m_time}"
+                f"{self.bins.shape[-1]} bins inconsistent with m_time={self.m_time}"
             )
         if not self.df > 0.0:
             raise ValidationError(f"df must be positive, got {self.df}")
@@ -178,10 +182,10 @@ def interpolate_psd(psd: Psd, m_time: int, dt: float) -> Psd:
 
 
 def _check_grids(*series, psd: Psd) -> None:
-    n_bins = series[0].bins.size
+    n_bins = series[0].bins.shape[-1]
     df = series[0].df
     for s in series[1:]:
-        if s.bins.size != n_bins or not math.isclose(s.df, df, rel_tol=_GRID_RTOL):
+        if s.bins.shape[-1] != n_bins or not math.isclose(s.df, df, rel_tol=_GRID_RTOL):
             raise ValidationError("frequency series are on different grids")
     if psd.values.size != n_bins or not math.isclose(psd.df, df, rel_tol=_GRID_RTOL):
         raise ValidationError("PSD grid does not match the spectra")
@@ -196,7 +200,7 @@ def _analysis_band(m_time: int, psd: Psd) -> slice:
 
 
 def normalize_template(s: FrequencySeries, psd: Psd) -> FrequencySeries:
-    """Scale a template spectrum to unit noise-weighted norm.
+    """Scale each template spectrum (row) to unit noise-weighted norm.
 
     Divides by sigma with sigma^2 = sum_band |s_k|^2 / S_n(f_k) * df.
     Invariant under positive rescaling of the input; rejects templates
@@ -204,34 +208,44 @@ def normalize_template(s: FrequencySeries, psd: Psd) -> FrequencySeries:
     """
     _check_grids(s, psd=psd)
     band = _analysis_band(s.m_time, psd)
-    sigma_sq = float(np.sum(np.abs(s.bins[band]) ** 2 / psd.values[band]) * s.df)
-    if sigma_sq <= 0.0:
+    sigma_sq = np.sum(np.abs(s.bins[..., band]) ** 2 / psd.values[band], axis=-1) * s.df
+    if (sigma_sq <= 0.0).any():
         raise ValidationError("template has zero energy in the analysis band")
-    return FrequencySeries(bins=s.bins / math.sqrt(sigma_sq), df=s.df, m_time=s.m_time)
+    return FrequencySeries(bins=s.bins / np.sqrt(sigma_sq)[..., None], df=s.df,
+                           m_time=s.m_time)
+
+
+def complex_templates(pairs: np.ndarray, fs: float, m: int, psd: Psd) -> FrequencySeries:
+    """Phase-maximizing complex templates, one row per quadrature pair.
+
+    ``pairs`` has shape ``(2, rows, n)``, as :func:`qmf.bank.chirps`
+    returns it: row j of ``pairs[0]`` is a chirp at its reference phase
+    and row j of ``pairs[1]`` the same chirp a quarter cycle later, both
+    sampled at ``fs`` and taken as zero-padded to ``m`` samples.  Each
+    is normalized and the pair combined as (Q0 - i Qq)/2.  Under exact
+    quadrature this collapses to Q0 alone, and in general |z| of the
+    filtered output is independent of the signal phase while Re z
+    recovers the phase-0 filter output.
+    """
+    df = 1.0 / (m * (1.0 / fs))  # forward_fft's grid of an m-sample series at fs
+    q = normalize_template(
+        FrequencySeries(bins=np.fft.rfft(pairs, n=m, axis=-1), df=df, m_time=m), psd
+    ).bins
+    return FrequencySeries(bins=0.5 * (q[0] - 1j * q[1]), df=df, m_time=m)
 
 
 def complex_template(params, fs: float, m: int, psd: Psd) -> FrequencySeries:
-    """Phase-maximizing complex template from a quadrature pair.
+    """The complex template of one chirp: the one-template call of :func:`complex_templates`."""
+    from .bank import chirps  # deferred: bank depends on dsp
 
-    Generates the chirp at its reference phase and a quarter cycle
-    later, normalizes each, and combines them as (Q0 - i Qq)/2.  Under
-    exact quadrature this collapses to Q0 alone, and in general |z|
-    of the filtered output is independent of the signal phase while
-    Re z recovers the phase-0 filter output.
-    """
-    from .bank import ChirpParams, waveform  # deferred: bank depends on dsp
-
-    q_params = ChirpParams(params.f0, params.f1, params.dur,
-                           params.phi0 + math.pi / 2.0)
-    q0 = normalize_template(forward_fft(waveform(params, fs, m)), psd)
-    qq = normalize_template(forward_fft(waveform(q_params, fs, m)), psd)
-    return FrequencySeries(
-        bins=0.5 * (q0.bins - 1j * qq.bins), df=q0.df, m_time=m
-    )
+    pairs = chirps([params.f0], [params.f1], (params.phi0, params.phi0 + math.pi / 2.0),
+                   params.dur, fs, m)
+    qc = complex_templates(pairs, fs, m, psd)
+    return FrequencySeries(bins=qc.bins[0], df=qc.df, m_time=m)
 
 
 def filter_series(data: FrequencySeries, template: FrequencySeries, psd: Psd) -> np.ndarray:
-    """Complex matched-filter output at every time offset.
+    """Complex matched-filter output of one data spectrum, per template row.
 
     z(t_j) = 2/(M dt) * sum_band conj(Q_k) (dt h_k) / S_n(f_k) e^{2 pi i jk/M},
     where dt*h_k calibrates the raw DFT of the data to the continuum
@@ -239,15 +253,19 @@ def filter_series(data: FrequencySeries, template: FrequencySeries, psd: Psd) ->
     With this calibration pure unit-variance noise gives E[|z|^2] = 2,
     so z is on the conventional SNR scale.  For a real template's
     spectrum, Re z is the signed phase-0 filter output and |z| the
-    phase-maximized SNR.
+    phase-maximized SNR.  The result has the template's leading axes.
     """
     _check_grids(data, template, psd=psd)
     band = _analysis_band(data.m_time, psd)
     m = data.m_time
-    integrand = np.zeros(m, dtype=np.complex128)
-    integrand[band] = np.conj(template.bins[band]) * data.bins[band] / psd.values[band]
-    z = np.fft.ifft(integrand) * m  # ifft carries 1/M; the sum does not
-    return 2.0 / m * z
+    integrand = np.zeros(template.bins.shape[:-1] + (m,), dtype=np.complex128)
+    weighted = np.conj(template.bins[..., band], out=integrand[..., band])
+    weighted *= data.bins[..., band]
+    weighted /= psd.values[band]
+    z = np.fft.ifft(integrand, axis=-1, out=integrand)
+    z *= m  # ifft carries 1/M; the sum does not
+    z *= 2.0 / m
+    return z
 
 
 def snr_series(data: FrequencySeries, qc: FrequencySeries, psd: Psd) -> SnrSeries:
@@ -255,53 +273,6 @@ def snr_series(data: FrequencySeries, qc: FrequencySeries, psd: Psd) -> SnrSerie
     z = filter_series(data, qc, psd)
     dt = 1.0 / (data.df * data.m_time)
     return SnrSeries(rho=np.abs(z), dt=dt)
-
-
-def peak_snrs(blocks, dt: float, m: int, data: FrequencySeries, psd: Psd) -> np.ndarray:
-    """Peak SNR of every complex template in a stream of template blocks.
-
-    Each block has shape ``(2, rows, n)``: row j of ``block[0]`` is a
-    template at its reference phase and row j of ``block[1]`` the same
-    template a quarter cycle later, sampled at ``dt`` and zero-padded to
-    ``m`` samples.  The result lists the blocks' rows in order; each
-    entry equals ``max_snr(snr_series(data, complex_template(...), psd))[0]``
-    for that pair, with the same spectra, normalization, quadrature
-    combination and filter, and the same checks on every row, but one
-    FFT along the last axis per block.  Work buffers are sized by the
-    largest block and reused.
-    """
-    df = 1.0 / (m * dt)
-    if m // 2 + 1 != data.bins.size or not math.isclose(df, data.df, rel_tol=_GRID_RTOL):
-        raise ValidationError("frequency series are on different grids")
-    _check_grids(data, psd=psd)
-    cols = _analysis_band(m, psd)
-    psd_band, data_band = psd.values[cols], data.bins[cols]
-    m_data = data.m_time
-    peaks = []
-    spectra = None
-    for chirps in blocks:
-        rows = chirps.shape[1]
-        if spectra is None or rows > spectra.shape[1]:
-            spectra = np.empty((2, rows, m // 2 + 1), dtype=np.complex128)
-            integrand = np.zeros((rows, m_data), dtype=np.complex128)
-            z = np.empty((rows, m_data), dtype=np.complex128)
-        s = np.fft.rfft(chirps, n=m, axis=-1, out=spectra[:, :rows])
-        # The slice view keeps each row's band bins last and in order, so the
-        # band sum adds them in the order normalize_template's sum does.
-        s = s[..., cols]
-        sigma_sq = np.sum(np.abs(s) ** 2 / psd_band, axis=-1) * df
-        if (sigma_sq <= 0.0).any():
-            raise ValidationError("template has zero energy in the analysis band")
-        s /= np.sqrt(sigma_sq)[..., None]
-        weighted = np.conj(0.5 * (s[0] - 1j * s[1]))
-        weighted *= data_band
-        weighted /= psd_band
-        integrand[:rows, cols] = weighted
-        zr = np.fft.ifft(integrand[:rows], axis=-1, out=z[:rows])
-        zr *= m_data  # as in filter_series: ifft carries 1/M, the sum does not
-        zr *= 2.0 / m_data
-        peaks.append(np.abs(zr).max(axis=-1))
-    return np.concatenate(peaks)
 
 
 def max_snr(snr: SnrSeries) -> tuple[float, int]:

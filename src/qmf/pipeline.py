@@ -46,19 +46,6 @@ class OracleCounter:
         self.evaluations += k
 
 
-@dataclass(frozen=True)
-class DetectionOutcome:
-    """Decoded result of one counting run; detected iff b != 0."""
-
-    b: int
-    r_star: int
-    k_star: int | None
-
-    @property
-    def detected(self) -> bool:
-        return self.b != 0
-
-
 class RetrievalStrategy(enum.Enum):
     """How to schedule recounts between retrieval attempts."""
 
@@ -88,9 +75,12 @@ class TrialRecord:
 # ---------------------------------------------------------------------------
 # classical oracle
 
-# Working-set budget of one block of templates in the search kernel.  At
-# its peak a block holds about four complex buffers of M values per
-# template (spectra, integrand, filter output), i.e. 64 M bytes a row.
+# Working-set budget of one block of templates in the search kernel.  A
+# block peaks while it normalizes: per template the chirp pair (up to 16 M
+# bytes), the pair's spectra and their normalized copy (16 M each), plus
+# float temporaries.  The filter holds less: the combined template (8 M)
+# and the integrand that the inverse FFT overwrites (16 M).  At most about
+# 50 M bytes a row, budgeted as 64 M.
 _BLOCK_BYTES = 32 << 20
 
 
@@ -98,12 +88,13 @@ def _peak_snrs(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
                idx: np.ndarray) -> np.ndarray:
     """Peak SNR of every template in ``idx``, one block of rows at a time."""
     rows = max(1, _BLOCK_BYTES // (64 * spec.m_samples))
-    blocks = (
-        chirps(*lattice(spec, idx[start:start + rows]), (0.0, np.pi / 2.0),
-               spec.dur, spec.fs, spec.m_samples)
-        for start in range(0, idx.size, rows)
-    )
-    return dsp.peak_snrs(blocks, 1.0 / spec.fs, spec.m_samples, data, psd)
+    peaks = []
+    for start in range(0, idx.size, rows):
+        pairs = chirps(*lattice(spec, idx[start:start + rows]), (0.0, np.pi / 2.0),
+                       spec.dur, spec.fs, spec.m_samples)
+        qc = dsp.complex_templates(pairs, spec.fs, spec.m_samples, psd)
+        peaks.append(np.abs(dsp.filter_series(data, qc, psd)).max(axis=-1))
+    return np.concatenate(peaks)
 
 
 def oracle_eval(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd, i: int,
@@ -127,19 +118,16 @@ def classical_search(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
 # distribution-level quantum procedures
 
 def signal_detection(n: int, r_true: int, p: int, rng: np.random.Generator,
-                     counter: OracleCounter) -> DetectionOutcome:
+                     counter: OracleCounter) -> amplify.CountEstimate:
     """One counting run: sample an outcome b and decode it.
 
-    Charges the full controlled ladder of ``2**p - 1`` oracle queries.
-    With ``r_true = 0`` the outcome is 0 with certainty, so the
-    procedure can never raise a false alarm.
+    Charges the full controlled ladder of ``2**p - 1`` oracle queries
+    once the draw has checked p.  With ``r_true = 0`` the outcome is 0
+    with certainty, so the procedure can never raise a false alarm.
     """
-    if p < 1:
-        raise ValidationError(f"counting register needs p >= 1, got {p}")
     b = amplify.sample_b(n, r_true, p, rng)
     counter.add((1 << p) - 1)
-    est = amplify.estimate_from_b(b, p, n)
-    return DetectionOutcome(b=b, r_star=est.r_star, k_star=est.k_star)
+    return amplify.estimate_from_b(b, p, n)
 
 
 def count_detections(n: int, r_true: int, p: int, trials: int, seed: int) -> int:
@@ -224,7 +212,6 @@ class Scenario:
     p: int
     strategy: RetrievalStrategy
     match_set: tuple[int, ...]
-    rho_thr: float | None = None
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     setup_evals: int = 0
 
@@ -266,8 +253,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
         p = config_number(cfg, "p", int) if "p" in cfg else amplify.choose_p(n)
         return Scenario(
             n=n, p=p, strategy=strategy, match_set=tuple(match_set),
-            rho_thr=rho_thr, max_attempts=max_attempts,
-            setup_evals=counter.evaluations,
+            max_attempts=max_attempts, setup_evals=counter.evaluations,
         )
     missing = [k for k in ("n", "r") if k not in cfg]
     if missing:

@@ -88,6 +88,22 @@ class TestMfSnr:
         summary = json.loads((tmp_path / "snr.summary.json").read_text())
         assert summary["j_max"] == 0
 
+    def test_summary_beside_out_in_a_dotted_directory(self, tmp_path, bank_cfg_file):
+        data, psd_path = self.write_inputs(tmp_path, np.zeros(1024))
+        outdir = tmp_path / "out.csv.d"
+        outdir.mkdir()
+        assert run("mf-snr", "--data", data, "--bank-config", bank_cfg_file,
+                   "--index", 0, "--psd", psd_path, "--out", outdir / "snr.csv") == EXIT_OK
+        assert sorted(p.name for p in outdir.iterdir()) == ["snr.csv", "snr.summary.json"]
+
+    def test_seg_len_below_two_exits_4(self, tmp_path, bank_cfg_file, capsys):
+        data, _ = self.write_inputs(tmp_path, np.zeros(1024))
+        out = tmp_path / "snr.csv"
+        assert run("mf-snr", "--data", data, "--bank-config", bank_cfg_file,
+                   "--index", 0, "--seg-len", 0, "--out", out) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "validation error: --seg-len must be >= 2, got 0\n"
+        assert not out.exists()
+
     def test_missing_file_exits_2(self, tmp_path, bank_cfg_file):
         assert run("mf-snr", "--data", tmp_path / "absent.csv",
                    "--bank-config", bank_cfg_file, "--index", 0,
@@ -390,6 +406,13 @@ class TestMcBench:
         assert summary["mean"] < 4096
         hist_rows = data_rows(tmp_path / "mc.hist.csv")[1:]
         assert sum(int(r.split(",")[1]) for r in hist_rows) == 200
+
+    def test_histogram_beside_out_in_a_dotted_directory(self, tmp_path):
+        cfg = self.scenario(tmp_path, trials=20)
+        outdir = tmp_path / "res.json.d"
+        outdir.mkdir()
+        assert run("mc-bench", "--config", cfg, "--out", outdir / "mc.json") == EXIT_OK
+        assert sorted(p.name for p in outdir.iterdir()) == ["mc.hist.csv", "mc.json"]
 
     def test_zero_trials_exits_4(self, tmp_path):
         cfg = self.scenario(tmp_path, trials=0)

@@ -45,6 +45,13 @@ class TestTypes:
     def test_frequency_series_bin_count(self):
         with pytest.raises(ValidationError):
             dsp.FrequencySeries(np.zeros(5, complex), df=1.0, m_time=16)
+        # leading axes index templates; the bins are counted on the last axis
+        rows = dsp.FrequencySeries(np.zeros((3, 9), complex), df=1.0, m_time=16)
+        assert rows.bins.shape == (3, 9)
+        with pytest.raises(ValidationError, match="8 bins"):
+            dsp.FrequencySeries(np.zeros((9, 8), complex), df=1.0, m_time=16)
+        with pytest.raises(ValidationError, match="frequency axis"):
+            dsp.FrequencySeries(np.complex128(1.0), df=1.0, m_time=1)
 
     def test_psd_rejects_negative(self):
         with pytest.raises(ValidationError):
@@ -143,6 +150,10 @@ class TestNormalizeTemplate:
         a = dsp.normalize_template(s, white)
         b = dsp.normalize_template(scaled, white)
         np.testing.assert_allclose(b.bins, a.bins, rtol=1e-12)
+        # a 2-row block normalizes each row bit for bit as a 1-row call does
+        block = dsp.FrequencySeries(np.stack([s.bins, scaled.bins]), s.df, s.m_time)
+        assert np.array_equal(dsp.normalize_template(block, white).bins,
+                              np.stack([a.bins, b.bins]))
 
     def test_norm_matches_brute_force_sum(self, white):
         s = dsp.forward_fft(waveform(CHIRP, FS, M))

@@ -125,7 +125,7 @@ class TestBatchedSearch:
     def test_c8_peak_snr_matches_reference(self, c8_bank):
         spec, psd, data, rho = c8_bank
         got = pipeline._peak_snrs(spec, data, psd, np.arange(bank_size(spec)))
-        np.testing.assert_allclose(got, rho, rtol=1e-12, atol=0)
+        assert np.array_equal(got, rho)
 
     @pytest.mark.parametrize("n_f0,n_f1", [(8, 8), (1, 8), (8, 1), (1, 1)])
     # an odd length has no Nyquist bin, so the band keeps the last bin
@@ -137,7 +137,7 @@ class TestBatchedSearch:
         psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs)
         data = injected_data(spec, bank_size(spec) // 2, 5)
         got = pipeline._peak_snrs(spec, data, psd, np.arange(bank_size(spec)))
-        np.testing.assert_allclose(got, loop_peak_snrs(spec, data, psd), rtol=1e-12, atol=0)
+        assert np.array_equal(got, loop_peak_snrs(spec, data, psd))
 
     def test_oracle_eval_is_the_one_index_search(self, toy_bank):
         spec, psd, data, _ = toy_bank
@@ -209,9 +209,14 @@ class TestSignalDetection:
         rng = np.random.default_rng(4)
         c = OracleCounter()
         out = pipeline.signal_detection(64, 2, 5, rng, c)
-        est = amplify.estimate_from_b(out.b, 5, 64)
-        assert (out.r_star, out.k_star, out.detected) == (
-            est.r_star, est.k_star, out.b != 0)
+        assert out == amplify.estimate_from_b(out.b, 5, 64)
+        assert out.detected == (out.b != 0)
+
+    def test_empty_register_rejected_before_charging(self):
+        c = OracleCounter()
+        with pytest.raises(ValidationError, match="p >= 1, got 0"):
+            pipeline.signal_detection(64, 2, 0, np.random.default_rng(4), c)
+        assert c.evaluations == 0
 
 
 class TestTemplateRetrieval:
