@@ -38,12 +38,8 @@ _MAX_P = 27
 _KEPT_CHUNKS = 2
 
 
-def round_half_away(x: float) -> int:
-    """Round to the nearest integer, halves away from zero."""
-    return int(math.floor(abs(x) + 0.5)) * (1 if x >= 0 else -1)
-
-
-def _round_half_away_arr(x: np.ndarray) -> np.ndarray:
+def round_half_away(x):
+    """Round to the nearest integer, halves away from zero, elementwise, as floats."""
     return np.sign(x) * np.floor(np.abs(x) + 0.5)
 
 
@@ -91,7 +87,7 @@ def optimal_k(n: float, r: float) -> int:
 
 def _optimal_k_arr(n: float, r) -> np.ndarray:
     """``optimal_k`` without its checks, elementwise over r."""
-    return np.maximum(0.0, _round_half_away_arr(np.pi / 4.0 * np.sqrt(n / r) - 0.5))
+    return np.maximum(0.0, round_half_away(np.pi / 4.0 * np.sqrt(n / r) - 0.5))
 
 
 def choose_p(n: float) -> int:
@@ -307,7 +303,7 @@ def decode_outcomes(b, p: int, n: float) -> tuple[np.ndarray, np.ndarray, np.nda
     b = np.asarray(b)
     theta_star = np.pi * b / d
     theta_star = np.where(b <= d // 2, theta_star, np.pi - theta_star)
-    r_star = np.maximum(_round_half_away_arr(n * _c_pow(np.sin(theta_star), 2.0)), 1.0)
+    r_star = np.maximum(round_half_away(n * _c_pow(np.sin(theta_star), 2.0)), 1.0)
     return theta_star, r_star.astype(np.int64), _optimal_k_arr(n, r_star).astype(np.int64)
 
 
@@ -331,9 +327,7 @@ def false_negative_prob(n: int, r: int, p: int) -> float:
     """Probability of reading b = 0 although r >= 1 matches exist."""
     if r < 1:
         raise ValidationError("false negatives are defined for r >= 1")
-    theta = theta_of(n, r)
-    d = 1 << p
-    return math.sin(d * theta) ** 2 / (d * d * math.sin(theta) ** 2)
+    return float(_mixture(theta_of(n, r), 1 << p, 0, 1)[0])
 
 
 def repetitions_for(delta_target: float) -> int:
@@ -343,10 +337,10 @@ def repetitions_for(delta_target: float) -> int:
     log(1/target) / (2 log pi), rounded to the nearest integer (the
     quoted targets are order-of-magnitude figures) and at least 1.
     """
-    if not 0.0 < delta_target < 1.0:
-        raise ValidationError(f"target must be in (0, 1), got {delta_target}")
+    if not (0.0 < delta_target < 1.0 and math.isfinite(1.0 / delta_target)):
+        raise ValidationError(f"target must be in (0, 1) with 1/target finite, got {delta_target}")
     ell = round_half_away(math.log(1.0 / delta_target) / (2.0 * math.log(math.pi)))
-    return max(1, ell)
+    return max(1, int(ell))
 
 
 def p_match(theta: float, k: int) -> float:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .dsp import TimeSeries
 from .errors import ValidationError
-from .io import config_number
+from .io import check_config_keys, config_number
 
 # Fraction of the chirp tapered at each end; unwindowed truncation
 # leaks enough to break self-match dominance on coarse lattices.
@@ -73,11 +73,7 @@ class BankSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BankSpec":
-        if not isinstance(cfg, dict):
-            raise ValidationError("bank config must be a JSON object")
-        missing = [k for k in _CONFIG_KEYS if k not in cfg]
-        if missing:
-            raise ValidationError(f"bank config missing keys: {missing}")
+        check_config_keys(cfg, "bank", _CONFIG_KEYS, ())
         return cls(
             f0_min=config_number(cfg, "f0_min", float),
             f0_max=config_number(cfg, "f0_max", float),

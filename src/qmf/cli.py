@@ -58,8 +58,9 @@ def cmd_mf_snr(args) -> None:
     if args.psd is not None:
         psd = dsp.interpolate_psd(io.read_psd(args.psd), ts.m, ts.dt)
     else:
-        seg = args.seg_len or max(256, min(ts.m // 8, 4096))
-        seg = min(seg, ts.m // 2)
+        seg = args.seg_len or min(max(256, min(ts.m // 8, 4096)), ts.m // 2)
+        if seg > ts.m // 2:
+            raise ValidationError(f"--seg-len must be <= {ts.m // 2}, half the series, got {seg}")
         psd = dsp.interpolate_psd(dsp.estimate_psd(ts, seg_len=seg), ts.m, ts.dt)
     params = bank.index_to_params(spec, args.index)
     qc = dsp.complex_template(params, spec.fs, spec.m_samples, psd)
@@ -104,11 +105,8 @@ def cmd_count_dist(args) -> None:
     print(f"p={p}, {d} outcomes -> {args.out}")
 
 
-def _measure_and_write(args, state: qsim.StateVector, qubits: range, command: str) -> None:
-    # Sampling first frees measure's own copy of the marginal before the one
-    # written out is built, so the two are never held at once.
-    result = qsim.measure(state, qubits, args.shots, np.random.default_rng(args.seed))
-    marginal = qsim.marginal_probs(state, qubits)
+def _sample_and_write(args, marginal: np.ndarray, command: str) -> None:
+    result = qsim.measure(marginal, args.shots, np.random.default_rng(args.seed))
     prov = io.provenance_line(command, _config_echo(args), seed=args.seed)
     rows = (
         (bits, c, repr(c / result.shots))
@@ -129,7 +127,9 @@ def cmd_qsim_count(args) -> None:
     n = len(args.data_bits)
     state, layout = qsim.counting_state(n, args.ignored, args.data_bits,
                                         args.p, cap=args.cap)
-    _measure_and_write(args, state, layout.counting, "qsim-count")
+    marginal = qsim.marginal_probs(state, layout.counting)
+    del state  # freed before sampling, so the state and the draw never coexist
+    _sample_and_write(args, marginal, "qsim-count")
 
 
 def cmd_qsim_search(args) -> None:
@@ -139,7 +139,9 @@ def cmd_qsim_search(args) -> None:
     n = len(args.data_bits)
     state, layout = qsim.search_state(n, args.ignored, args.data_bits,
                                       args.iterations, cap=args.cap)
-    _measure_and_write(args, state, layout.template, "qsim-search")
+    marginal = qsim.marginal_probs(state, layout.template)
+    del state  # freed before sampling, so the state and the draw never coexist
+    _sample_and_write(args, marginal, "qsim-search")
 
 
 def _scenario_args(args) -> tuple[pipeline.Scenario, dict, int]:

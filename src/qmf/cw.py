@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .amplify import choose_p, repetitions_for
 from .errors import ValidationError
-from .io import config_number
+from .io import check_config_keys, config_number
 
 # Reversible-circuit conversion costs a factor 3 in gates, and erasing
 # the intermediate registers doubles that.
@@ -43,10 +43,8 @@ class CwSearchSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "CwSearchSpec":
-        known = {"f_khz", "t_obs_yr", "delta_f_hz", "delta_f1_hz_s", "delta_target"}
-        unknown = set(cfg) - known
-        if unknown:
-            raise ValidationError(f"unknown CW config keys: {sorted(unknown)}")
+        check_config_keys(cfg, "CW", (), ("f_khz", "t_obs_yr", "delta_f_hz",
+                                           "delta_f1_hz_s", "delta_target"))
         return cls(**{k: config_number(cfg, k, float) for k in cfg})
 
 

@@ -96,6 +96,16 @@ def config_number(cfg: dict, key: str, kind: type, default=None):
         raise ValidationError(f"config key {key!r} must be a number, got {value!r}") from None
 
 
+def check_config_keys(cfg: dict, what: str, required: tuple, optional: tuple) -> None:
+    """Refuse a config with a required key missing or a key not listed (a misspelt one)."""
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"{what} config must be a JSON object")
+    missing = [k for k in required if k not in cfg]
+    unknown = sorted(set(cfg) - set(required) - set(optional))
+    if missing or unknown:
+        raise ValidationError(f"{what} config: missing keys {missing}, unknown keys {unknown}")
+
+
 def read_time_series(path: str | Path) -> TimeSeries:
     """Load strain from CSV (t,strain) or raw float64 + JSON sidecar."""
     path = Path(path)

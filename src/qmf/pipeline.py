@@ -29,7 +29,7 @@ import numpy as np
 from . import amplify, dsp
 from .bank import BankSpec, bank_size, chirps, index_to_params, lattice, waveform
 from .errors import ValidationError
-from .io import config_number
+from .io import check_config_keys, config_number
 
 DEFAULT_MAX_ATTEMPTS = 10_000
 
@@ -220,14 +220,24 @@ class Scenario:
         return len(self.match_set)
 
 
+# Keys of both scenario forms; the CLI reads seed and trials.
+_SCENARIO_OPTIONAL = ("p", "strategy", "max_attempts", "seed", "trials")
+_INJECTION_KEYS = ("bank", "inject_index", "rho_thr")
+_INJECTION_OPTIONAL = ("amplitude", "noise_sigma", "noise_seed")
+
+
 def scenario_from_config(cfg: dict) -> Scenario:
     """Build a scenario from the JSON block accepted by the CLI.
 
-    Synthetic form: keys n, r, optional p (auto-selected if missing),
-    strategy.  Injection form: keys bank (a bank config block),
-    inject_index, amplitude, noise_sigma, noise_seed, rho_thr, optional
-    p and strategy; the match set is computed classically.
+    A config with a ``bank`` block (a bank config) is an injection, whose
+    match set is computed classically; otherwise it is synthetic, with n
+    and r.  p is auto-selected if missing.
     """
+    if "bank" in cfg:
+        check_config_keys(cfg, "injection scenario", _INJECTION_KEYS,
+                          _INJECTION_OPTIONAL + _SCENARIO_OPTIONAL)
+    else:
+        check_config_keys(cfg, "synthetic scenario", ("n", "r"), _SCENARIO_OPTIONAL)
     strategy = RetrievalStrategy.parse(cfg.get("strategy", "reuse_k"))
     max_attempts = config_number(cfg, "max_attempts", int, DEFAULT_MAX_ATTEMPTS)
     if max_attempts < 1:
@@ -235,9 +245,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if "bank" in cfg:
         spec = BankSpec.from_config(cfg["bank"])
         n = bank_size(spec)
-        missing = [k for k in ("inject_index", "rho_thr") if k not in cfg]
-        if missing:
-            raise ValidationError(f"injection scenario missing keys: {missing}")
         amplitude = config_number(cfg, "amplitude", float, 1.0)
         sigma = config_number(cfg, "noise_sigma", float, 0.0)
         params = index_to_params(spec, config_number(cfg, "inject_index", int))
@@ -255,9 +262,6 @@ def scenario_from_config(cfg: dict) -> Scenario:
             n=n, p=p, strategy=strategy, match_set=tuple(match_set),
             max_attempts=max_attempts, setup_evals=counter.evaluations,
         )
-    missing = [k for k in ("n", "r") if k not in cfg]
-    if missing:
-        raise ValidationError(f"synthetic scenario missing keys: {missing}")
     n, r = config_number(cfg, "n", int), config_number(cfg, "r", int)
     if r < 0 or r > n:
         raise ValidationError(f"match count r={r} outside [0, {n}]")

@@ -4,14 +4,14 @@ Two paths compute the same pre-measurement states.
 
 The template-vector path (``counting_state``, ``search_state``) is the
 one the CLI runs.  With its ancilla prepared in |->, the matching
-oracle acts on the template register as a diagonal +-1 sign vector, so
-one Grover step is a sign multiply followed by a reflection about the
-mean of a ``2**n`` vector.  The ancilla stays |-> through every step
-and is factored out, which halves memory: returned states cover the
-template register (low qubits) and, for counting, the counting register
-above it.  Before its inverse Fourier transform the counting circuit
-holds sum_j |j> (x) G^j|psi0> / sqrt(2**p); the power sweep fills row
-j of a ``(2**p, 2**n)`` block with G^j psi0, and one FFT along the
+oracle flips the phase of one contiguous run of templates, so one
+Grover step negates a slice of a ``2**n`` vector in place and reflects
+the vector about its mean.  The ancilla stays |-> and is factored out:
+returned states cover the template register (low qubits) and, for
+counting, the counting register above it.  A call holds one full-size
+buffer, the state it returns.  Before its inverse Fourier transform the
+counting circuit holds sum_j |j> (x) G^j|psi0> / sqrt(2**p); row j of
+a ``(2**p, 2**n)`` block gets G^j psi0, and one in-place FFT along the
 counting axis is the inverse transform, qubit reversal included.
 
 The gate-level path (``init_state``, ``string_oracle``, ``diffusion``,
@@ -325,15 +325,14 @@ def marginal_probs(state: StateVector, qubits: range) -> np.ndarray:
     return p.reshape(-1, 1 << width, 1 << lo).sum(axis=(0, 2))
 
 
-def measure(state: StateVector, qubits: range, shots: int,
-            rng: np.random.Generator) -> ShotResult:
-    """Sample the exact marginal of the range with a multinomial draw."""
+def measure(probs: np.ndarray, shots: int, rng: np.random.Generator) -> ShotResult:
+    """Multinomial draw from a w-qubit marginal (``marginal_probs``), as w-bit strings."""
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
-    probs = marginal_probs(state, qubits)
-    probs = probs / probs.sum()
-    draws = rng.multinomial(shots, probs)
-    width = len(qubits)
+    width = probs.size.bit_length() - 1
+    if probs.ndim != 1 or width < 1 or probs.size != 1 << width:
+        raise ValidationError(f"a marginal has 2**w >= 2 outcomes, got shape {probs.shape}")
+    draws = rng.multinomial(shots, probs / probs.sum())
     drawn = np.flatnonzero(draws)
     counts = {
         format(outcome, f"0{width}b"): c
@@ -351,30 +350,19 @@ def _check_cap(log2_amps: int, cap: int) -> None:
         raise CapExceededError(f"needs 2**{log2_amps} amplitudes, over the cap of 2**{cap}")
 
 
-def _oracle_spec(n: int, q: int, data_bits: str) -> StringOracleSpec:
+def _matched_slice(n: int, q: int, data_bits: str) -> slice:
+    """The templates whose phase ``string_oracle`` flips, one contiguous run."""
     spec = StringOracleSpec(data_bits=data_bits, q_ignored=q)
     if spec.n != n:
         raise ValidationError(f"data_bits has {spec.n} bits, expected {n}")
-    return spec
+    states = spec.matching_states()
+    return slice(int(states[0]), int(states[-1]) + 1)
 
 
-def _oracle_signs(spec: StringOracleSpec) -> np.ndarray:
-    """Diagonal of the matching oracle on the template register.
-
-    This is the phase ``string_oracle`` kicks back off the |-> ancilla.
-    """
-    signs = np.ones(1 << spec.n)
-    signs[spec.matching_states()] = -1.0
-    return signs
-
-
-def _grover_step(psi: np.ndarray, signs: np.ndarray, out: np.ndarray) -> None:
-    """One Grover iteration on a template vector: sign flip, then diffusion.
-
-    ``out`` may be ``psi`` itself.
-    """
-    np.multiply(psi, signs, out=out)
-    np.subtract(2.0 * out.mean(), out, out=out)
+def _grover_step(psi: np.ndarray, matched: slice) -> None:
+    """One Grover iteration in place: negate the matched run, reflect about the mean."""
+    np.negative(psi[matched], out=psi[matched])
+    np.subtract(2.0 * psi.mean(), psi, out=psi)
 
 
 def counting_state(n: int, q: int, data_bits: str, p: int,
@@ -382,35 +370,37 @@ def counting_state(n: int, q: int, data_bits: str, p: int,
     """Pre-measurement state of the counting circuit, ancilla factored out.
 
     Amplitude ``b * 2**n + x`` belongs to counting outcome ``b`` and
-    template ``x``.  The power sweep block and the FFT output are held
-    at once, so the call needs ``n + p + 1 <= cap``.
+    template ``x``.  The power sweep block is transformed in place and
+    returned, so the call holds ``2**(n + p)`` amplitudes and needs
+    ``n + p <= cap``.
     """
     if p < 1:
         raise ValidationError(f"the counting register needs p >= 1 qubits, got {p}")
-    _check_cap(n + p + 1, cap)
-    signs = _oracle_signs(_oracle_spec(n, q, data_bits))
+    _check_cap(n + p, cap)
+    matched = _matched_slice(n, q, data_bits)
     dim = 1 << p
     block = np.empty((dim, 1 << n), dtype=np.complex128)
     block[0] = 1.0 / math.sqrt(dim << n)
     for j in range(1, dim):
-        _grover_step(block[j - 1], signs, out=block[j])
-    amps = np.fft.fft(block, axis=0)
-    amps /= math.sqrt(dim)
-    return StateVector(n + p, amps.reshape(-1)), RegisterLayout.factored(n, p)
+        block[j] = block[j - 1]
+        _grover_step(block[j], matched)
+    np.fft.fft(block, axis=0, out=block)
+    block /= math.sqrt(dim)
+    return StateVector(n + p, block.reshape(-1)), RegisterLayout.factored(n, p)
 
 
 def search_state(n: int, q: int, data_bits: str, k: int,
                  cap: int = DEFAULT_QUBIT_CAP) -> tuple[StateVector, RegisterLayout]:
     """k Grover iterations on the template vector, ancilla factored out.
 
-    The state and its real sign vector take 1.5 buffers of ``2**n``
-    amplitudes, so the call needs ``n + 1 <= cap``.
+    The state is the one buffer of ``2**n`` amplitudes the call holds, so
+    it needs ``n <= cap``.
     """
-    _check_cap(n + 1, cap)
+    _check_cap(n, cap)
     if k < 0:
         raise ValidationError(f"iteration count k={k} must be >= 0")
-    signs = _oracle_signs(_oracle_spec(n, q, data_bits))
+    matched = _matched_slice(n, q, data_bits)
     psi = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
     for _ in range(k):
-        _grover_step(psi, signs, out=psi)
+        _grover_step(psi, matched)
     return StateVector(n, psi), RegisterLayout.factored(n)

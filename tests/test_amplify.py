@@ -326,6 +326,12 @@ class TestFalseNegative:
         with pytest.raises(ValidationError):
             amplify.false_negative_prob(64, 0, 5)
 
+    @pytest.mark.parametrize("n,r,p", [(131072, 9, 11), (131072, 131071, 11), (64, 2, 5),
+                                       (4, 2, 2), (1000, 999, 8), (2**30, 1, 16)])
+    def test_is_the_distribution_at_zero(self, n, r, p):
+        assert (amplify.false_negative_prob(n, r, p)
+                == amplify.counting_distribution(n, r, p).probs[0])
+
 
 class TestRepetitions:
     @pytest.mark.parametrize("target,ell", [(1e-6, 6), (1e-9, 9), (0.5, 1), (0.09, 1)])
@@ -470,3 +476,7 @@ class TestRounding:
                                             (0.49, 0), (3.0, 3), (-1.5, -2)])
     def test_half_away_from_zero(self, x, expected):
         assert amplify.round_half_away(x) == expected
+
+    def test_elementwise(self):
+        x = np.array([0.5, 1.5, 2.5, -0.5, 0.49, 3.0, -1.5])
+        np.testing.assert_array_equal(amplify.round_half_away(x), [1, 2, 3, -1, 0, 3, -2])

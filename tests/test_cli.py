@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -104,6 +105,18 @@ class TestMfSnr:
         assert capsys.readouterr().err == "validation error: --seg-len must be >= 2, got 0\n"
         assert not out.exists()
 
+    def test_seg_len_above_half_the_series_exits_4(self, tmp_path, bank_cfg_file, capsys):
+        noise = np.random.default_rng(0).normal(size=1024)
+        data, _ = self.write_inputs(tmp_path, noise)
+        out = tmp_path / "snr.csv"
+        assert run("mf-snr", "--data", data, "--bank-config", bank_cfg_file,
+                   "--index", 0, "--seg-len", 4096, "--out", out) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--seg-len must be <= 512" in err
+        assert not out.exists()
+        assert run("mf-snr", "--data", data, "--bank-config", bank_cfg_file,
+                   "--index", 0, "--seg-len", 512, "--out", out) == EXIT_OK
+
     def test_missing_file_exits_2(self, tmp_path, bank_cfg_file):
         assert run("mf-snr", "--data", tmp_path / "absent.csv",
                    "--bank-config", bank_cfg_file, "--index", 0,
@@ -196,6 +209,39 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("validation error: ")
         assert key in err
+
+
+    @pytest.mark.parametrize("command,cfg,keys", [
+        ("detect", {"n": 64, "r": 2, "seed": 1, "stratgy": "recount_each_try",
+                    "max_attempt": 0}, "unknown keys ['max_attempt', 'stratgy']"),
+        ("detect", {"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
+                    "noise_sigm": 1.0, "seed": 1}, "unknown keys ['noise_sigm']"),
+        ("retrieve", {"bank": BANK_CFG, "inject_index": 27, "seed": 1},
+         "missing keys ['rho_thr']"),
+        ("mc-bench", {"n": 64, "seed": 1, "trials": 5, "p": 5, "extra": 1},
+         "missing keys ['r'], unknown keys ['extra']"),
+        ("detect", {"bank": {**BANK_CFG, "n_f2": 4}, "inject_index": 27, "rho_thr": 10.0,
+                    "seed": 1}, "unknown keys ['n_f2']"),
+        ("cw-cost", {"f_khz": 1.0, "t_ob_yr": 2.0}, "unknown keys ['t_ob_yr']"),
+    ])
+    def test_config_key_typo_exits_4_naming_it(self, tmp_path, capsys, command, cfg, keys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert run(command, "--config", path, "--out", tmp_path / "o.json") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("validation error: ")
+        assert keys in err
+        assert not (tmp_path / "o.json").exists()
+
+    def test_bank_config_unknown_key_exits_4(self, tmp_path, capsys):
+        raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
+        bank_path = tmp_path / "bank.json"
+        bank_path.write_text(json.dumps({**BANK_CFG, "n_f2": 8}))
+        assert self.mf_snr(tmp_path, raw, bank_path) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("validation error: bank config: ")
+        assert "unknown keys ['n_f2']" in err
+        assert not (tmp_path / "snr.csv").exists()
 
 
 class TestRowWriters:
@@ -377,6 +423,41 @@ class TestQsim:
         assert run("qsim-search", "--data-bits", "000110", "--ignored", 1,
                    "--iterations", 4, "--seed", 1, "--out", tmp_path / "s.csv") == EXIT_OK
 
+    @pytest.mark.parametrize("command,flags", [
+        ("qsim-count", ("--p", 5)), ("qsim-search", ("--iterations", 4))])
+    def test_one_marginal_built_after_the_state_is_released(self, tmp_path, monkeypatch,
+                                                            command, flags):
+        from qmf import qsim
+
+        states, marginals = [], []
+        make = {"qsim-count": "counting_state", "qsim-search": "search_state"}[command]
+        original_make, original_marginal = getattr(qsim, make), qsim.marginal_probs
+        original_measure = qsim.measure
+
+        def making(*args, **kwargs):
+            state, layout = original_make(*args, **kwargs)
+            states.append(weakref.ref(state))
+            return state, layout
+
+        def marginal(*args):
+            marginals.append(original_marginal(*args))
+            return marginals[-1]
+
+        def measure(probs, *args):
+            assert states[0]() is None, "the state is alive while sampling"
+            assert probs is marginals[0]
+            return original_measure(probs, *args)
+
+        monkeypatch.setattr(qsim, make, making)
+        monkeypatch.setattr(qsim, "marginal_probs", marginal)
+        monkeypatch.setattr(qsim, "measure", measure)
+        out = tmp_path / "shots.csv"
+        assert run(command, "--data-bits", "000110", "--ignored", 1, *flags,
+                   "--seed", 1, "--out", out) == EXIT_OK
+        assert len(marginals) == 1
+        written = [float(r.split(",")[1]) for r in data_rows(tmp_path / "shots.marginal.csv")[1:]]
+        assert written == marginals[0].tolist()
+
     def test_seed_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "shots.csv"
         args = ("qsim-count", "--data-bits", "000110", "--ignored", 1,
@@ -497,6 +578,14 @@ class TestCwCost:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("validation error: ")
         assert "'f_khz'" in err
+
+    def test_subnormal_target_exits_4_with_one_line(self, tmp_path, capsys):
+        cfg = tmp_path / "cw.json"
+        cfg.write_text(json.dumps({"delta_target": 5e-324}))
+        assert run("cw-cost", "--config", cfg,
+                   "--out", tmp_path / "o.json") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "1/target finite" in err
 
     def test_negative_span_exits_4(self, tmp_path):
         cfg = tmp_path / "cw.json"

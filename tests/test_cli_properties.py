@@ -1,0 +1,170 @@
+"""Property test of the CLI boundary: any input ends in a known exit code.
+
+Whatever the argv of ``qsim-count`` / ``qsim-search`` and whatever the
+scenario, bank or CW config, a command exits 0, 2, 3 or 4 and writes at
+most one line to stderr; it never ends in a traceback.  Work-sizing
+numbers (register widths, bank and series sizes, trial counts) are drawn
+small so each example runs in milliseconds.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from qmf import cli  # noqa: E402
+
+EXIT_CODES = {cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_CAP, cli.EXIT_VALIDATION}
+SETTINGS = settings(max_examples=60, deadline=None)
+
+# A config key holds a number around its valid range most of the time,
+# and now and then a value of the wrong JSON type.
+junk = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
+                 st.lists(st.integers(0, 3), max_size=2), st.just({}))
+small_int = st.integers(-3, 64)
+small_float = st.one_of(st.floats(-10.0, 200.0), st.sampled_from([0.0, 0.5, 1e-9]))
+
+
+def mostly(good, bad, weight=7):
+    """A draw of ``good`` ``weight`` times in ``weight + 1``, else one of ``bad``.
+
+    ``st.one_of`` would weight each branch of a nested ``one_of`` alike.
+    """
+    return st.sampled_from([good] * weight + [bad]).flatmap(lambda s: s)
+
+
+def value(numbers):
+    return mostly(numbers, junk)
+
+
+def rarely(strategy):
+    return mostly(st.none(), strategy, 3)
+
+
+def config(required: dict, optional: dict):
+    """Dicts with the required keys and any optional ones.
+
+    Now and then a required key is dropped, or a misspelt key rides along.
+    """
+    drop = rarely(st.sampled_from(sorted(required))) if required else st.none()
+    typo = rarely(st.sampled_from(["stratgy", "noise_sigm", "n_f2", "T_obs_yr"]))
+    return st.tuples(st.fixed_dictionaries(required, optional=optional), drop, typo).map(
+        lambda t: {**{k: v for k, v in t[0].items() if k != t[1]},
+                   **({t[2]: 1.0} if t[2] else {})})
+
+
+def around(valid, wider):
+    return mostly(valid, wider, 3)
+
+
+BANK = {
+    "f0_min": value(around(st.floats(10.0, 60.0), small_float)),
+    "f0_max": value(around(st.floats(60.0, 120.0), small_float)),
+    "n_f0": value(around(st.integers(1, 4), st.integers(-1, 0))),
+    "f1_min": value(st.floats(-20.0, 60.0)), "f1_max": value(st.floats(-20.0, 60.0)),
+    "n_f1": value(around(st.integers(1, 4), st.integers(-1, 0))),
+    "fs_hz": value(around(st.just(512.0), st.floats(-1.0, 1024.0))),
+    "m_samples": value(around(st.just(128), st.integers(-1, 256))),
+    "dur_s": value(around(st.floats(0.05, 0.25), st.floats(-0.1, 1.0))),
+}
+# The CLI's scenario keys are optional, but drawn like required ones, so
+# that most runs get past the seed check.
+CLI_KEYS = {"seed": value(st.integers(-2, 2**40)), "trials": value(st.integers(-1, 8))}
+OPTIONAL = {"p": value(st.integers(-1, 12)),
+            "strategy": value(st.sampled_from(["reuse_k", "recount_each_try", "reuse-k",
+                                               "none"])),
+            "max_attempts": value(st.integers(-1, 40))}
+SYNTHETIC = config({**CLI_KEYS, "n": value(around(st.integers(2, 4096), st.integers(-2, 1))),
+                    "r": value(small_int)}, OPTIONAL)
+INJECTION = config(
+    {**CLI_KEYS, "bank": mostly(config(BANK, {}), junk),
+     "inject_index": value(st.integers(-1, 20)), "rho_thr": value(small_float)},
+    {**OPTIONAL, "amplitude": value(small_float),
+     "noise_sigma": value(st.floats(0.0, 3.0)), "noise_seed": value(st.integers(-1, 2**40))})
+CW = config({}, {k: value(st.one_of(st.floats(allow_nan=False), small_float))
+                 for k in ("f_khz", "t_obs_yr", "delta_f_hz", "delta_f1_hz_s",
+                           "delta_target")})
+
+
+def run(argv, files=()):
+    """Run ``qmf`` on argv in a fresh directory; return (exit code, stderr)."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        for name, write in files:
+            write(Path(tmp) / name)
+        argv = [a.replace("{tmp}", tmp) for a in argv]
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in EXIT_CODES, (code, err)
+    assert err.count("\n") <= 1 and (err == "" or err.endswith("\n")), err
+
+
+def write_json(payload):
+    return lambda path: path.write_text(json.dumps(payload))
+
+
+flag = mostly(st.integers(-3, 9).map(str), st.sampled_from(["", "x", "1.5", "99"]))
+
+
+@SETTINGS
+@given(command=st.sampled_from(["qsim-count", "qsim-search"]),
+       bits=mostly(st.text(alphabet="01", min_size=1, max_size=8),
+                   st.sampled_from(["", "012", "ab", " 1"])),
+       flags=st.dictionaries(
+           st.sampled_from(["--ignored", "--steps", "--shots", "--seed", "--cap"]), flag,
+           max_size=5),
+       unknown_flag=st.booleans(), keep_required=mostly(st.just(True), st.just(False), 3))
+def test_qsim_argv(command, bits, flags, unknown_flag, keep_required):
+    steps = "--p" if command == "qsim-count" else "--iterations"
+    argv = [command, "--data-bits", bits, "--out", "{tmp}/shots.csv"]
+    if keep_required:
+        flags = {"--seed": "1", "--steps": "2", **flags}
+    for key, val in flags.items():
+        argv += [steps if key == "--steps" else key, val]
+    if unknown_flag and not keep_required:
+        argv += ["--bogus", "1"]
+    assert_clean_exit(*run(argv))
+
+
+@SETTINGS
+@given(command=st.sampled_from(["detect", "retrieve", "mc-bench"]),
+       cfg=mostly(st.one_of(SYNTHETIC, INJECTION), junk))
+def test_scenario_config(command, cfg):
+    argv = [command, "--config", "{tmp}/scenario.json", "--out", "{tmp}/out.json"]
+    assert_clean_exit(*run(argv, [("scenario.json", write_json(cfg))]))
+
+
+@SETTINGS
+@given(bank=mostly(config(BANK, {}), junk), index=st.integers(-1, 20),
+       seg_len=st.one_of(st.none(), st.integers(-1, 300)))
+def test_bank_config(bank, index, seg_len):
+    def strain(path):
+        np.random.default_rng(0).normal(size=128).astype("<f8").tofile(path)
+        path.with_name("strain.f64.json").write_text(json.dumps({"fs_hz": 512.0}))
+
+    argv = ["mf-snr", "--data", "{tmp}/strain.f64", "--bank-config", "{tmp}/bank.json",
+            "--index", str(index), "--out", "{tmp}/snr.csv"]
+    if seg_len is not None:
+        argv += ["--seg-len", str(seg_len)]
+    assert_clean_exit(*run(argv, [("strain.f64", strain), ("bank.json", write_json(bank))]))
+
+
+@SETTINGS
+@given(cfg=mostly(CW, junk))
+def test_cw_config(cfg):
+    argv = ["cw-cost", "--config", "{tmp}/cw.json", "--out", "{tmp}/cw.out.json"]
+    assert_clean_exit(*run(argv, [("cw.json", write_json(cfg))]))

@@ -1,6 +1,7 @@
 """Unit tests for the state-vector circuit engine."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -301,15 +302,44 @@ class TestTemplateVectorPath:
         want = reference_search_amps(n, q, data_bits, k)
         np.testing.assert_allclose(state.amps, want, rtol=0, atol=1e-12)
 
-    def test_counting_cap_counts_sweep_block_and_fft_output(self):
-        qsim.counting_state(4, 0, "0000", 5, cap=10)  # 2 * 2**9 amplitudes fit
+    def test_counting_cap_counts_the_one_block(self):
+        qsim.counting_state(4, 0, "0000", 6, cap=10)  # 2**10 amplitudes fit
         with pytest.raises(CapExceededError):
-            qsim.counting_state(4, 0, "0000", 6, cap=10)
+            qsim.counting_state(4, 0, "0000", 7, cap=10)
 
     def test_search_cap(self):
-        qsim.search_state(9, 0, "0" * 9, 1, cap=10)
+        qsim.search_state(10, 0, "0" * 10, 1, cap=10)
         with pytest.raises(CapExceededError):
-            qsim.search_state(10, 0, "0" * 10, 1, cap=10)
+            qsim.search_state(11, 0, "0" * 11, 1, cap=10)
+
+    @pytest.mark.parametrize("n,p", [(10, 2), (6, 8)])
+    def test_counting_state_holds_one_full_size_buffer(self, n, p):
+        buffer = 16 << (n + p)
+        tracemalloc.start()
+        try:
+            state, _ = qsim.counting_state(n, 2, "1" * n, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert state.amps.nbytes == buffer
+        assert peak < 1.25 * buffer
+
+    @pytest.mark.parametrize("data_bits,q", [
+        ("0", 0), ("1", 1), ("101", 0), ("101", 3), ("0110", 1), ("11010", 2),
+        ("100111", 4), ("100111", 6)])
+    def test_matched_slice_is_the_oracle_phase_kickback(self, data_bits, q):
+        n = len(data_bits)
+        spec = qsim.StringOracleSpec(data_bits, q)
+        layout = qsim.RegisterLayout.standard(n, 0)
+        state = qsim.init_state(layout)
+        ref = state.amps.copy()
+        qsim.string_oracle(state, layout, spec)
+        signs = (state.amps / ref).reshape(2, 1 << n).real
+        np.testing.assert_allclose(signs[1], signs[0], atol=1e-12)
+        flipped = np.flatnonzero(signs[0] < 0)
+        expected = np.arange(1 << n)[qsim._matched_slice(n, q, data_bits)]
+        np.testing.assert_array_equal(flipped, expected)
+        assert expected.size == 1 << q
 
     @pytest.mark.parametrize("p", [0, -2])
     def test_counting_register_must_be_nonempty(self, p):
@@ -344,12 +374,14 @@ class TestMeasure:
         amps = np.zeros(8, complex)
         amps[5] = 1.0
         state = qsim.StateVector(3, amps)
-        result = qsim.measure(state, range(0, 3), 100, np.random.default_rng(0))
+        probs = qsim.marginal_probs(state, range(0, 3))
+        result = qsim.measure(probs, 100, np.random.default_rng(0))
         assert result.counts == {"101": 100}
 
     def test_uniform_marginal_within_three_sigma(self):
         state = qsim.init_state(qsim.RegisterLayout.standard(2, 0))
-        result = qsim.measure(state, range(0, 2), 100_000, np.random.default_rng(1))
+        probs = qsim.marginal_probs(state, range(0, 2))
+        result = qsim.measure(probs, 100_000, np.random.default_rng(1))
         sigma = math.sqrt(0.25 * 0.75 / 100_000)
         for c in result.counts.values():
             assert abs(c / 100_000 - 0.25) < 3 * sigma
@@ -364,7 +396,7 @@ class TestMeasure:
         state, layout = qsim.counting_state(5, 1, "00110", 5)
         probs = qsim.marginal_probs(state, layout.counting)
         shots = 200_000
-        result = qsim.measure(state, layout.counting, shots, np.random.default_rng(2))
+        result = qsim.measure(probs, shots, np.random.default_rng(2))
         for b, prob in enumerate(probs):
             if prob < 1e-12:
                 continue
@@ -375,17 +407,21 @@ class TestMeasure:
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_counts_equal_per_outcome_loop(self, seed):
         state, layout = qsim.counting_state(6, 1, "000110", 5)
-        result = qsim.measure(state, layout.counting, 3000, np.random.default_rng(seed))
         probs = qsim.marginal_probs(state, layout.counting)
+        result = qsim.measure(probs, 3000, np.random.default_rng(seed))
         draws = np.random.default_rng(seed).multinomial(3000, probs / probs.sum())
         expected = {format(b, "05b"): int(c) for b, c in enumerate(draws) if c > 0}
         assert list(result.counts.items()) == list(expected.items())
         assert all(type(c) is int for c in result.counts.values())
 
     def test_shots_validated(self):
-        state = qsim.init_state(qsim.RegisterLayout.standard(2, 0))
         with pytest.raises(ValidationError):
-            qsim.measure(state, range(0, 2), 0, np.random.default_rng(0))
+            qsim.measure(np.full(4, 0.25), 0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("size", [1, 3, 6, 12])
+    def test_marginal_length_must_be_a_power_of_two(self, size):
+        with pytest.raises(ValidationError, match=r"2\*\*w"):
+            qsim.measure(np.full(size, 1.0 / size), 10, np.random.default_rng(0))
 
 
 class TestEndToEnd:
@@ -407,7 +443,8 @@ class TestEndToEnd:
 
     def test_search_recovers_matching_pair(self):
         state, layout = qsim.search_state(6, 1, "000110", 4)
-        result = qsim.measure(state, layout.template, 2048, np.random.default_rng(3))
+        probs = qsim.marginal_probs(state, layout.template)
+        result = qsim.measure(probs, 2048, np.random.default_rng(3))
         hits = result.counts.get("000110", 0) + result.counts.get("000111", 0)
         assert hits / 2048 > 0.99 - 3 * math.sqrt(0.99 * 0.01 / 2048)
 
