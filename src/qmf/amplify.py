@@ -94,7 +94,12 @@ def choose_p(n: float) -> int:
     """Smallest counting-register width p with 2**p > pi*sqrt(n)."""
     if n < 2:
         raise ValidationError(f"bank size n={n} must be >= 2")
-    bound = math.pi * math.sqrt(n)
+    try:
+        bound = math.pi * math.sqrt(n)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise ValidationError("bank size n exceeds the float range")
     p = max(1, math.floor(math.log2(bound)))
     while 2.0**p <= bound:
         p += 1
@@ -236,15 +241,6 @@ class _StreamedCdf:
             return self._d - 1
         return k * _CHUNK + int(np.searchsorted(self._cdf(k), u, side="right"))
 
-    def outcomes(self, u: np.ndarray) -> np.ndarray:
-        self._chunk_of(float(np.max(u)))
-        k = np.searchsorted(self._edges, u, side="right")
-        b = np.full(u.shape, self._d - 1)
-        for j in np.unique(k[k < self._chunks]).tolist():
-            at = k == j
-            b[at] = j * _CHUNK + np.searchsorted(self._cdf(j), u[at], side="right")
-        return b
-
 
 # Monte Carlo trials draw from one distribution many thousand times, so
 # the last two distributions drawn from keep their scan.
@@ -253,16 +249,15 @@ def _streamed_cdf(n: int, r: int, p: int) -> _StreamedCdf:
     return _StreamedCdf(n, r, p)
 
 
-def inverse_cdf(n: int, r: int, p: int, u):
-    """Counting outcome(s) at cumulative probability u, a float or an array.
+def inverse_cdf(n: int, r: int, p: int, u: float) -> int:
+    """Counting outcome at cumulative probability u.
 
-    Each outcome is the first b whose cdf exceeds u, clamped to 2**p - 1
+    The outcome is the first b whose cdf exceeds u, clamped to 2**p - 1
     for a u at or above the cdf's rounded total: the dense
     ``np.searchsorted(cdf, u, side="right")``.  The cdf is streamed a
     chunk of outcomes at a time, so a draw holds O(chunk) memory.
     """
-    cdf = _streamed_cdf(n, r, p)
-    return cdf.outcome(u) if isinstance(u, float) else cdf.outcomes(np.asarray(u))
+    return _streamed_cdf(n, r, p).outcome(u)
 
 
 def sample_b(n: int, r: int, p: int, rng: np.random.Generator) -> int:
@@ -358,14 +353,18 @@ def p_fail_total(n: int, r: int, p: int) -> float:
     Averages the retrieval failure cos^2((2 k_b + 1) theta) over the
     counting outcomes b, where k_b is the iteration count decoded from
     b.  The b = 0 outcome aborts retrieval and therefore fails outright.
+    The outcomes are streamed a block at a time, and the block sums added.
     """
     if r < 1:
         raise ValidationError("retrieval failure is defined for r >= 1")
-    dist = counting_distribution(n, r, p)
-    _, _, k_star = decode_outcomes(np.arange(1 << p), p, n)
-    fail = np.cos((2.0 * k_star + 1.0) * dist.theta) ** 2
-    fail[0] = 1.0
-    return float(np.dot(dist.probs, fail))
+    theta, total = theta_of(n, r), 0.0
+    for start, probs in outcome_blocks(n, r, p):
+        _, _, k_star = decode_outcomes(np.arange(start, start + probs.size), p, n)
+        fail = np.cos((2.0 * k_star + 1.0) * theta) ** 2
+        if start == 0:
+            fail[0] = 1.0
+        total += float(np.dot(probs, fail))
+    return total
 
 
 def fail_bound(r: int, eps_p):

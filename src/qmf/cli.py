@@ -105,24 +105,33 @@ def cmd_count_dist(args) -> None:
     print(f"p={p}, {d} outcomes -> {args.out}")
 
 
+def _require_shots(shots: int) -> None:
+    """Refuse a shot count that the int64 multinomial draw cannot hold."""
+    _require_at_least(shots, 1, "--shots")
+    if shots > np.iinfo(np.int64).max:
+        raise ValidationError(f"--shots must be <= 2**63 - 1, got {shots}")
+
+
 def _sample_and_write(args, marginal: np.ndarray, command: str) -> None:
-    result = qsim.measure(marginal, args.shots, np.random.default_rng(args.seed))
+    counts = qsim.measure(marginal, args.shots, np.random.default_rng(args.seed))
     prov = io.provenance_line(command, _config_echo(args), seed=args.seed)
+    bits = f"0{marginal.size.bit_length() - 1}b"  # w-bit strings for 2**w outcomes
+    drawn = np.flatnonzero(counts)
     rows = (
-        (bits, c, repr(c / result.shots))
-        for bits, c in sorted(result.counts.items())
+        (format(b, bits), c, repr(c / args.shots))
+        for b, c in zip(drawn.tolist(), counts[drawn].tolist())
     )
     io.write_csv(args.out, "outcome_bits,count,probability", rows, prov)
     marg_out = args.marginal_out or _derived_path(args.out, "marginal", ".csv")
     io.write_csv(marg_out, "outcome_int,probability",
                  io.repr_rows(marginal.size, lambda j: (j, marginal[j])), prov)
-    mode = max(result.counts, key=result.counts.get)
-    print(f"{result.shots} shots, modal outcome {mode} -> {args.out}")
+    mode = format(int(np.argmax(counts)), bits)
+    print(f"{args.shots} shots, modal outcome {mode} -> {args.out}")
 
 
 def cmd_qsim_count(args) -> None:
     _require_at_least(args.p, 1, "--p")
-    _require_at_least(args.shots, 1, "--shots")
+    _require_shots(args.shots)
     _require_at_least(args.seed, 0, "--seed")
     n = len(args.data_bits)
     state, layout = qsim.counting_state(n, args.ignored, args.data_bits,
@@ -134,7 +143,7 @@ def cmd_qsim_count(args) -> None:
 
 def cmd_qsim_search(args) -> None:
     _require_at_least(args.iterations, 0, "--iterations")
-    _require_at_least(args.shots, 1, "--shots")
+    _require_shots(args.shots)
     _require_at_least(args.seed, 0, "--seed")
     n = len(args.data_bits)
     state, layout = qsim.search_state(n, args.ignored, args.data_bits,

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import enum
 import statistics
+import sys
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,10 +137,12 @@ def count_detections(n: int, r_true: int, p: int, trials: int, seed: int) -> int
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
     u = np.random.default_rng(seed).random(trials)
-    return int(np.count_nonzero(amplify.inverse_cdf(n, r_true, p, u)))
+    # a draw reads b != 0 exactly when u reaches the cdf's first value, P(0)
+    _, p0 = next(amplify.outcome_blocks(n, r_true, p, 1))
+    return int(np.count_nonzero(u >= p0[0]))
 
 
-def template_retrieval(n: int, r_true: int, k_star: int, match_set: list[int],
+def template_retrieval(n: int, r_true: int, k_star: int, match_set: Sequence[int],
                        rng: np.random.Generator,
                        counter: OracleCounter) -> int | None:
     """One amplification run: succeed with probability sin^2((2k*+1) theta).
@@ -158,7 +162,7 @@ def template_retrieval(n: int, r_true: int, k_star: int, match_set: list[int],
 
 
 def retrieve_until_success(strategy: RetrievalStrategy, n: int, r_true: int,
-                           p: int, match_set: list[int],
+                           p: int, match_set: Sequence[int],
                            rng: np.random.Generator, counter: OracleCounter,
                            max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> TrialRecord:
     """Repeat detection/retrieval until a match comes back.
@@ -202,16 +206,16 @@ def retrieve_until_success(strategy: RetrievalStrategy, n: int, r_true: int,
 class Scenario:
     """A fully specified detection/retrieval experiment.
 
-    Either synthetic (n, r given directly; match set is 0..r-1) or
-    derived from a template bank plus an injected chirp, in which case
-    the match set comes from an exhaustive classical search during
-    setup.
+    Either synthetic (n, r given directly; match set is ``range(r)``,
+    never built) or derived from a template bank plus an injected
+    chirp, in which case the match set comes from an exhaustive
+    classical search during setup.
     """
 
     n: int
     p: int
     strategy: RetrievalStrategy
-    match_set: tuple[int, ...]
+    match_set: Sequence[int]
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     setup_evals: int = 0
 
@@ -265,9 +269,13 @@ def scenario_from_config(cfg: dict) -> Scenario:
     n, r = config_number(cfg, "n", int), config_number(cfg, "r", int)
     if r < 0 or r > n:
         raise ValidationError(f"match count r={r} outside [0, {n}]")
+    if n > sys.float_info.max:
+        raise ValidationError("bank size n exceeds the float range")
+    if r > np.iinfo(np.int64).max:
+        raise ValidationError(f"match count r={r} exceeds 2**63 - 1, the most a draw indexes")
     p = config_number(cfg, "p", int) if "p" in cfg else amplify.choose_p(n)
     return Scenario(
-        n=n, p=p, strategy=strategy, match_set=tuple(range(r)),
+        n=n, p=p, strategy=strategy, match_set=range(r),
         max_attempts=max_attempts,
     )
 
@@ -301,7 +309,7 @@ def run_trial(scenario: Scenario, rng: np.random.Generator) -> TrialRecord:
     counter = OracleCounter()
     return retrieve_until_success(
         scenario.strategy, scenario.n, scenario.r_true, scenario.p,
-        list(scenario.match_set), rng, counter, scenario.max_attempts,
+        scenario.match_set, rng, counter, scenario.max_attempts,
     )
 
 

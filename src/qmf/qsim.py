@@ -18,12 +18,11 @@ The gate-level path (``init_state``, ``string_oracle``, ``diffusion``,
 ``grover_iteration``, ``controlled_grover_powers``, ``inverse_qft``) is
 the circuit itself, kept as the cross-validation reference for tests.
 Amplitudes are a dense complex array indexed so that qubit ``t`` is bit
-``t`` of the basis-state integer (little endian).  Gate kernels act in
-place through bit-stride reshapes of the contiguous amplitude buffer,
-so every kernel is a handful of vectorized passes; multi-controlled
-gates enumerate only the addressed indices.  The index partition of a
-kernel is a static function of its target qubit, which is what makes
-the kernels safe to parallelize internally over disjoint ranges.
+``t`` of the basis-state integer (little endian).  Every gate kernel
+addresses amplitudes one way: through a view of the buffer reshaped to
+one length-2 axis per qubit, with the axes of the qubits the gate fixes
+(target value, controls) indexed by their bit.  A kernel is then a few
+vectorized passes over such views, in place.
 
 Register layout used by the gate-level circuits: the template register
 occupies the low qubits, the ancilla sits just above it, and the
@@ -138,62 +137,49 @@ class StringOracleSpec:
         return base + np.arange(1 << self.q_ignored)
 
 
-@dataclass(eq=False)
-class ShotResult:
-    """Histogram of measured bitstrings."""
-
-    counts: dict[str, int]
-    shots: int
-
-    def __post_init__(self) -> None:
-        if sum(self.counts.values()) != self.shots:
-            raise ValidationError("shot counts do not sum to the shot total")
-
-
 # ---------------------------------------------------------------------------
 # gate kernels
 
-def _pair_view(amps: np.ndarray, q: int) -> np.ndarray:
-    """View of shape (blocks, 2, 2**q) splitting on bit q."""
-    return amps.reshape(-1, 2, 1 << q)
+def _bits(amps: np.ndarray, pattern: dict[int, int]) -> np.ndarray:
+    """Writable view of the amplitudes whose qubit ``q`` holds bit ``pattern[q]``.
+
+    The buffer is reshaped to one length-2 axis per qubit, the highest
+    qubit first, and indexed by bit on the fixed axes.  The index ends
+    in ``...``, so a pattern that fixes every qubit gives a 0-d view
+    rather than a copied scalar.
+    """
+    nq = amps.size.bit_length() - 1
+    index = tuple(pattern.get(q, slice(None)) for q in reversed(range(nq)))
+    return amps.reshape((2,) * nq)[index + (Ellipsis,)]
+
+
+def _exchange(amps: np.ndarray, a: dict[int, int], b: dict[int, int]) -> None:
+    """Swap the amplitudes of bit pattern ``a`` with those of pattern ``b``."""
+    va, vb = _bits(amps, a), _bits(amps, b)
+    tmp = va.copy()
+    va[...] = vb
+    vb[...] = tmp
 
 
 def _apply_h(amps: np.ndarray, q: int) -> None:
-    v = _pair_view(amps, q)
-    lo = v[:, 0].copy()
-    v[:, 0] = (lo + v[:, 1]) * _INV_SQRT2
-    v[:, 1] = (lo - v[:, 1]) * _INV_SQRT2
+    v0, v1 = _bits(amps, {q: 0}), _bits(amps, {q: 1})
+    lo = v0.copy()
+    v0[...] = (lo + v1) * _INV_SQRT2
+    v1[...] = (lo - v1) * _INV_SQRT2
 
 
 def _apply_x(amps: np.ndarray, q: int) -> None:
-    v = _pair_view(amps, q)
-    lo = v[:, 0].copy()
-    v[:, 0] = v[:, 1]
-    v[:, 1] = lo
+    _exchange(amps, {q: 0}, {q: 1})
 
 
 def _apply_cphase(amps: np.ndarray, control: int, target: int, phi: float) -> None:
     """diag(1, 1, 1, e^{i phi}) on the (control, target) pair."""
-    hi, lo = max(control, target), min(control, target)
-    v = amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    v[:, 1, :, 1] *= complex(math.cos(phi), math.sin(phi))
+    _bits(amps, {control: 1, target: 1})[...] *= complex(math.cos(phi), math.sin(phi))
 
 
-def _controlled_indices(num_qubits: int, ones: list[int]) -> np.ndarray:
-    """Indices of all basis states whose bits in ``ones`` are all 1."""
-    free = [q for q in range(num_qubits) if q not in ones]
-    idx = np.array([sum(1 << q for q in ones)], dtype=np.int64)
-    for f in free:
-        idx = np.concatenate([idx, idx + (1 << f)])
-    return idx
-
-
-def _apply_mcx(amps: np.ndarray, num_qubits: int, controls: list[int], target: int) -> None:
-    idx1 = _controlled_indices(num_qubits, sorted(controls) + [target])
-    idx0 = idx1 - (1 << target)
-    tmp = amps[idx0].copy()
-    amps[idx0] = amps[idx1]
-    amps[idx1] = tmp
+def _apply_mcx(amps: np.ndarray, controls: list[int], target: int) -> None:
+    on = dict.fromkeys(controls, 1)
+    _exchange(amps, {**on, target: 0}, {**on, target: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +225,7 @@ def string_oracle(state: StateVector, layout: RegisterLayout, spec: StringOracle
         _apply_x(state.amps, q)
     for q in unignored:
         _apply_x(state.amps, q)
-    _apply_mcx(state.amps, state.num_qubits, controls, layout.ancilla)
+    _apply_mcx(state.amps, controls, layout.ancilla)
     for q in unignored:
         _apply_x(state.amps, q)
     for q in fold:
@@ -291,28 +277,13 @@ def inverse_qft(state: StateVector, qubits: range | list[int]) -> StateVector:
     the phase-estimation integer b with qubit order already fixed.
     """
     qs = list(qubits)
-    _reverse_register(state, qs)
+    for a, b in zip(qs[:len(qs) // 2], reversed(qs)):
+        _exchange(state.amps, {a: 1, b: 0}, {a: 0, b: 1})
     for i in range(len(qs)):
         for j in range(i):
             _apply_cphase(state.amps, qs[j], qs[i], -math.pi / (1 << (i - j)))
         _apply_h(state.amps, qs[i])
     return state
-
-
-def _reverse_register(state: StateVector, qs: list[int]) -> None:
-    for a in range(len(qs) // 2):
-        b = len(qs) - 1 - a
-        _swap(state.amps, state.num_qubits, qs[a], qs[b])
-
-
-def _swap(amps: np.ndarray, num_qubits: int, a: int, b: int) -> None:
-    # states with bit a set and bit b clear exchange with their mirror
-    idx01 = _controlled_indices(num_qubits, [a])
-    idx01 = idx01[(idx01 >> b) & 1 == 0]
-    idx10 = idx01 - (1 << a) + (1 << b)
-    tmp = amps[idx01].copy()
-    amps[idx01] = amps[idx10]
-    amps[idx10] = tmp
 
 
 def marginal_probs(state: StateVector, qubits: range) -> np.ndarray:
@@ -325,20 +296,11 @@ def marginal_probs(state: StateVector, qubits: range) -> np.ndarray:
     return p.reshape(-1, 1 << width, 1 << lo).sum(axis=(0, 2))
 
 
-def measure(probs: np.ndarray, shots: int, rng: np.random.Generator) -> ShotResult:
-    """Multinomial draw from a w-qubit marginal (``marginal_probs``), as w-bit strings."""
+def measure(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Multinomial draw of ``shots`` outcomes from a marginal: the count of each outcome."""
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
-    width = probs.size.bit_length() - 1
-    if probs.ndim != 1 or width < 1 or probs.size != 1 << width:
-        raise ValidationError(f"a marginal has 2**w >= 2 outcomes, got shape {probs.shape}")
-    draws = rng.multinomial(shots, probs / probs.sum())
-    drawn = np.flatnonzero(draws)
-    counts = {
-        format(outcome, f"0{width}b"): c
-        for outcome, c in zip(drawn.tolist(), draws[drawn].tolist())
-    }
-    return ShotResult(counts=counts, shots=shots)
+    return rng.multinomial(shots, probs / probs.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,11 @@ class TestChooseP:
             assert 2.0**p > PI * math.sqrt(n)
             assert 2.0 ** (p - 1) <= PI * math.sqrt(n) or p == 1
 
+    @pytest.mark.parametrize("n", [10**400, math.inf])
+    def test_beyond_the_float_range(self, n):
+        with pytest.raises(ValidationError, match="float range"):
+            amplify.choose_p(n)
+
 
 class TestCountingDistribution:
     def test_no_match_is_point_mass_at_zero(self):
@@ -195,9 +200,19 @@ class TestStreamedDraw:
         ])
         want = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
         assert want[13] == cdf.size - 1  # u above the cdf's total is clamped
-        assert np.array_equal(amplify.inverse_cdf(self.N, self.R, self.P, u), want)
-        assert [int(amplify.inverse_cdf(self.N, self.R, self.P, x)) for x in u] == \
-            want.tolist()
+        assert [amplify.inverse_cdf(self.N, self.R, self.P, x) for x in u] == want.tolist()
+
+    @pytest.mark.parametrize("n,r,p", [(2**30, 7, 18), (131072, 9, 11), (64, 2, 5),
+                                       (4, 2, 2), (64, 0, 5), (8, 8, 4)])
+    def test_first_cdf_value_is_the_detection_threshold(self, n, r, p):
+        # u reaches P(0) exactly when the draw reads b != 0
+        _, probs = next(amplify.outcome_blocks(n, r, p, 1))
+        p0 = float(probs[0])
+        assert p0 == amplify.counting_distribution(n, r, p).probs[0]
+        if p0 < 1.0:
+            assert amplify.inverse_cdf(n, r, p, p0) >= 1
+        if p0 > 0.0:
+            assert amplify.inverse_cdf(n, r, p, float(np.nextafter(p0, 0.0))) == 0
 
     def test_sample_b_equals_dense_draw(self, dense):
         _, cdf = dense
@@ -372,6 +387,20 @@ class TestPFailTotal:
             k = amplify.estimate_from_b(b, p, n).k_star
             total += dist.probs[b] * math.cos((2 * k + 1) * dist.theta) ** 2
         assert amplify.p_fail_total(n, r, p) == pytest.approx(float(total), rel=1e-12)
+
+    @pytest.mark.parametrize("n,r,p", [(2**30, 7, 17), (2**20, 3, 18)])
+    def test_streamed_blocks_equal_the_dense_sum(self, n, r, p, monkeypatch):
+        dist = amplify.counting_distribution(n, r, p)
+        _, _, k_star = amplify.decode_outcomes(np.arange(1 << p), p, n)
+        fail = np.cos((2.0 * k_star + 1.0) * dist.theta) ** 2
+        fail[0] = 1.0
+        dense = float(np.dot(dist.probs, fail))
+
+        def refuse(*args):
+            raise AssertionError("the dense distribution was built")
+
+        monkeypatch.setattr(amplify, "counting_distribution", refuse)
+        assert amplify.p_fail_total(n, r, p) == pytest.approx(dense, rel=1e-13, abs=1e-16)
 
     def test_zero_for_degenerate_full_match(self):
         # theta = pi/2: the register reads 2^(p-1) with certainty and

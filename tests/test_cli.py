@@ -594,6 +594,39 @@ class TestCwCost:
                    "--out", tmp_path / "r.json") == EXIT_VALIDATION
 
 
+class TestOverflow:
+    @pytest.mark.parametrize("argv", [
+        ("count-dist", "--n-templates", "9" * 400, "--matches", 1),
+        ("qsim-count", "--data-bits", "0101", "--p", 3, "--shots", 2**63, "--seed", 1),
+        ("qsim-search", "--data-bits", "0101", "--iterations", 1, "--shots", 2**63,
+         "--seed", 1),
+    ])
+    def test_exits_4_with_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        assert run(*argv, "--out", out) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("validation error: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["detect", "retrieve"])
+    @pytest.mark.parametrize("cfg,message", [
+        ({"n": 10**400, "r": 3}, "float range"),
+        ({"n": 10**400, "r": 5 * 10**399, "p": 5}, "float range"),
+        ({"n": 2**70, "r": 2**65, "p": 10}, "2**63 - 1")])
+    def test_synthetic_scenario_exits_4(self, tmp_path, capsys, command, cfg, message):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({**cfg, "seed": 1}))
+        assert run(command, "--config", path, "--out", tmp_path / "o.json") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
+
+    def test_largest_shot_count_is_drawn(self, tmp_path):
+        out = tmp_path / "o.csv"
+        assert run("qsim-count", "--data-bits", "0101", "--p", 3, "--shots", 2**63 - 1,
+                   "--seed", 1, "--out", out) == EXIT_OK
+        assert sum(int(row.split(",")[1]) for row in data_rows(out)[1:]) == 2**63 - 1
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         (), ("no-such-command",), ("fail-bound", "--out", "b.csv"),
@@ -636,6 +669,17 @@ class TestDetectRetrieve:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("resource cap: ")
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "retrieve"])
+    def test_synthetic_match_set_is_never_built(self, tmp_path, command):
+        # 2**61 matches: a built match set would not fit in memory
+        cfg = tmp_path / "wide.json"
+        cfg.write_text(json.dumps({"n": 2**62, "r": 2**61, "p": 10, "seed": 1}))
+        out = tmp_path / "out.json"
+        assert run(command, "--config", cfg, "--out", out) == EXIT_OK
+        res = json.loads(out.read_text())
+        if command == "retrieve":
+            assert res["succeeded"] and 0 <= res["returned_index"] < 2**61
 
     def test_detect_and_retrieve(self, tmp_path):
         cfg = tmp_path / "scenario.json"

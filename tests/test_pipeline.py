@@ -188,6 +188,14 @@ class TestSignalDetection:
         sigma = math.sqrt(expect * (1 - expect) / 100_000)
         assert abs(hits / 100_000 - expect) < 5 * sigma
 
+    @pytest.mark.parametrize("n,r,p,seed", [
+        (2**17, 9, 11, 1), (2**17, 0, 11, 2), (64, 2, 5, 3), (4, 2, 2, 4), (2**30, 7, 18, 5),
+        (8, 8, 4, 6)])
+    def test_count_equals_scalar_draws(self, n, r, p, seed):
+        u = np.random.default_rng(seed).random(2000)
+        want = sum(amplify.inverse_cdf(n, r, p, x) != 0 for x in u.tolist())
+        assert pipeline.count_detections(n, r, p, 2000, seed) == want
+
     def test_charges_full_ladder(self):
         c = OracleCounter()
         pipeline.signal_detection(2**17, 9, 11, np.random.default_rng(2), c)
