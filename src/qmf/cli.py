@@ -112,9 +112,9 @@ def _require_shots(shots: int) -> None:
         raise ValidationError(f"--shots must be <= 2**63 - 1, got {shots}")
 
 
-def _sample_and_write(args, marginal: np.ndarray, command: str) -> None:
+def _sample_and_write(args, marginal: np.ndarray) -> None:
     counts = qsim.measure(marginal, args.shots, np.random.default_rng(args.seed))
-    prov = io.provenance_line(command, _config_echo(args), seed=args.seed)
+    prov = io.provenance_line(args.command, _config_echo(args), seed=args.seed)
     bits = f"0{marginal.size.bit_length() - 1}b"  # w-bit strings for 2**w outcomes
     drawn = np.flatnonzero(counts)
     rows = (
@@ -133,24 +133,22 @@ def cmd_qsim_count(args) -> None:
     _require_at_least(args.p, 1, "--p")
     _require_shots(args.shots)
     _require_at_least(args.seed, 0, "--seed")
-    n = len(args.data_bits)
-    state, layout = qsim.counting_state(n, args.ignored, args.data_bits,
-                                        args.p, cap=args.cap)
-    marginal = qsim.marginal_probs(state, layout.counting)
+    spec = qsim.StringOracleSpec(args.data_bits, args.ignored)
+    state = qsim.counting_state(spec.n, spec.matching_states(), args.p, cap=args.cap)
+    marginal = qsim.marginal_probs(state, range(spec.n, state.num_qubits))
     del state  # freed before sampling, so the state and the draw never coexist
-    _sample_and_write(args, marginal, "qsim-count")
+    _sample_and_write(args, marginal)
 
 
 def cmd_qsim_search(args) -> None:
     _require_at_least(args.iterations, 0, "--iterations")
     _require_shots(args.shots)
     _require_at_least(args.seed, 0, "--seed")
-    n = len(args.data_bits)
-    state, layout = qsim.search_state(n, args.ignored, args.data_bits,
-                                      args.iterations, cap=args.cap)
-    marginal = qsim.marginal_probs(state, layout.template)
+    spec = qsim.StringOracleSpec(args.data_bits, args.ignored)
+    state = qsim.search_state(spec.n, spec.matching_states(), args.iterations, cap=args.cap)
+    marginal = qsim.marginal_probs(state, range(spec.n))
     del state  # freed before sampling, so the state and the draw never coexist
-    _sample_and_write(args, marginal, "qsim-search")
+    _sample_and_write(args, marginal)
 
 
 def _scenario_args(args) -> tuple[pipeline.Scenario, dict, int]:
@@ -226,7 +224,8 @@ def cmd_retrieve(args) -> None:
     scenario, cfg, seed = _scenario_args(args)
     if scenario.r_true < 1:
         raise ValidationError("retrieval scenario has no matching templates")
-    record = pipeline.run_trial(scenario, np.random.default_rng(seed))
+    record = pipeline.retrieve_until_success(scenario, np.random.default_rng(seed),
+                                             pipeline.OracleCounter())
     prov = io.provenance_line("retrieve", {**_config_echo(args), "scenario": cfg},
                               seed=seed)
     io.write_json(args.out, {

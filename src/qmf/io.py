@@ -2,7 +2,8 @@
 
 Time series come in as CSV with a ``t,strain`` header or as raw
 little-endian float64 with a JSON sidecar ``{"fs_hz": ..., "t0_s": ...}``.
-PSDs come in as ``f_hz,sn`` CSV; SNR series go out as ``t,rho`` CSV.
+PSDs come in as ``f_hz,sn`` CSV on a uniform grid from 0 Hz; SNR series go
+out as ``t,rho`` CSV.
 JSON configs are objects whose numeric values ``config_number`` converts.
 Every file written here opens with a provenance comment carrying the
 tool version, the full configuration echo and the seed, and is written
@@ -70,7 +71,7 @@ def read_json(path: str | Path) -> dict:
     try:
         with open(path) as fh:
             payload = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep
         raise InputError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(payload, dict):
         raise InputError(f"{path}: expected a JSON object, got {type(payload).__name__}")
@@ -115,10 +116,7 @@ def read_time_series(path: str | Path) -> TimeSeries:
         t, strain = _read_two_columns(path, ("t", "strain"))
         if t.size < 2:
             raise InputError(f"{path}: need at least 2 samples")
-        dt = float(t[1] - t[0])
-        if not np.allclose(np.diff(t), dt, rtol=1e-6, atol=1e-12):
-            raise InputError(f"{path}: time column is not uniformly sampled")
-        return TimeSeries(samples=strain, dt=dt, t0=float(t[0]))
+        return TimeSeries(samples=strain, dt=_grid_step(path, t, "time"), t0=float(t[0]))
     sidecar = path.with_suffix(path.suffix + ".json")
     if not sidecar.exists():
         raise FileNotFoundError(f"raw input {path} needs a sidecar {sidecar}")
@@ -136,10 +134,22 @@ def read_time_series(path: str | Path) -> TimeSeries:
 
 
 def read_psd(path: str | Path) -> Psd:
+    """Load a PSD whose bin k sits at k * df from 0 Hz, as ``Psd`` reads it."""
     f, sn = _read_two_columns(Path(path), ("f_hz", "sn"))
     if f.size < 2:
         raise InputError(f"{path}: need at least 2 PSD bins")
-    return Psd(values=sn, df=float(f[1] - f[0]))
+    df = _grid_step(path, f, "frequency")
+    if not np.isclose(f[0], 0.0, atol=1e-12):  # the grid check's tolerance, at 0 Hz
+        raise InputError(f"{path}: frequency column must start at 0 Hz, got {float(f[0])!r}")
+    return Psd(values=sn, df=df)
+
+
+def _grid_step(path: str | Path, x: np.ndarray, what: str) -> float:
+    """The step of a uniformly sampled column: every gap within tolerance of the first."""
+    step = float(x[1] - x[0])
+    if not np.allclose(np.diff(x), step, rtol=1e-6, atol=1e-12):
+        raise InputError(f"{path}: {what} column is not uniformly sampled")
+    return step
 
 
 # Rows converted to Python objects at a time: bounds the memory a large

@@ -8,6 +8,9 @@ with the true match count established classically during scenario
 setup; this reproduces the algorithm's statistics without claiming
 quantum execution.
 
+Retrieval takes its ``Scenario``, which holds n, p, the strategy, the
+match set and the round limit; the match count r is ``len(match_set)``.
+
 Charge model: one detection costs ``2**p - 1`` oracle queries (the
 controlled-iteration ladder), one retrieval attempt costs ``k* + 1``
 (the Grover ladder plus one classical verification of the returned
@@ -142,7 +145,7 @@ def count_detections(n: int, r_true: int, p: int, trials: int, seed: int) -> int
     return int(np.count_nonzero(u >= p0[0]))
 
 
-def template_retrieval(n: int, r_true: int, k_star: int, match_set: Sequence[int],
+def template_retrieval(n: int, k_star: int, match_set: Sequence[int],
                        rng: np.random.Generator,
                        counter: OracleCounter) -> int | None:
     """One amplification run: succeed with probability sin^2((2k*+1) theta).
@@ -152,19 +155,17 @@ def template_retrieval(n: int, r_true: int, k_star: int, match_set: Sequence[int
     """
     if k_star < 0:
         raise ValidationError(f"iteration count k*={k_star} must be >= 0")
-    if r_true < 1 or not match_set:
+    if not match_set:
         raise ValidationError("retrieval needs at least one true match")
     counter.add(k_star + 1)
-    success = amplify.p_match(amplify.theta_of(n, r_true), k_star)
+    success = amplify.p_match(amplify.theta_of(n, len(match_set)), k_star)
     if rng.random() < success:
         return match_set[int(rng.integers(len(match_set)))]
     return None
 
 
-def retrieve_until_success(strategy: RetrievalStrategy, n: int, r_true: int,
-                           p: int, match_set: Sequence[int],
-                           rng: np.random.Generator, counter: OracleCounter,
-                           max_attempts: int = DEFAULT_MAX_ATTEMPTS) -> TrialRecord:
+def retrieve_until_success(scenario: Scenario, rng: np.random.Generator,
+                           counter: OracleCounter) -> TrialRecord:
     """Repeat detection/retrieval until a match comes back.
 
     REUSE_K keeps the first decoded k* across retries and only recounts
@@ -172,22 +173,22 @@ def retrieve_until_success(strategy: RetrievalStrategy, n: int, r_true: int,
     to reuse).  RECOUNT_EACH_TRY pays for a fresh detection before
     every retrieval attempt.
     """
-    if r_true < 1:
+    if scenario.r_true < 1:
         raise ValidationError("retrieval needs at least one true match")
     start = counter.evaluations
     attempts = 0
     rounds = 0
     k_star: int | None = None
-    while rounds < max_attempts:
+    while rounds < scenario.max_attempts:
         rounds += 1
-        if k_star is None or strategy is RetrievalStrategy.RECOUNT_EACH_TRY:
-            outcome = signal_detection(n, r_true, p, rng, counter)
+        if k_star is None or scenario.strategy is RetrievalStrategy.RECOUNT_EACH_TRY:
+            outcome = signal_detection(scenario.n, scenario.r_true, scenario.p, rng, counter)
             if not outcome.detected:
                 k_star = None
                 continue
             k_star = outcome.k_star
         attempts += 1
-        found = template_retrieval(n, r_true, k_star, match_set, rng, counter)
+        found = template_retrieval(scenario.n, k_star, scenario.match_set, rng, counter)
         if found is not None:
             return TrialRecord(
                 oracle_evals=counter.evaluations - start, attempts=attempts,
@@ -260,23 +261,21 @@ def scenario_from_config(cfg: dict) -> Scenario:
         psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs, sigma=max(sigma, 1.0))
         rho_thr = config_number(cfg, "rho_thr", float)
         counter = OracleCounter()
-        match_set = classical_search(spec, data, psd, rho_thr, counter)
-        p = config_number(cfg, "p", int) if "p" in cfg else amplify.choose_p(n)
-        return Scenario(
-            n=n, p=p, strategy=strategy, match_set=tuple(match_set),
-            max_attempts=max_attempts, setup_evals=counter.evaluations,
-        )
-    n, r = config_number(cfg, "n", int), config_number(cfg, "r", int)
-    if r < 0 or r > n:
-        raise ValidationError(f"match count r={r} outside [0, {n}]")
-    if n > sys.float_info.max:
-        raise ValidationError("bank size n exceeds the float range")
-    if r > np.iinfo(np.int64).max:
-        raise ValidationError(f"match count r={r} exceeds 2**63 - 1, the most a draw indexes")
+        match_set = tuple(classical_search(spec, data, psd, rho_thr, counter))
+        setup_evals = counter.evaluations
+    else:
+        n, r = config_number(cfg, "n", int), config_number(cfg, "r", int)
+        if r < 0 or r > n:
+            raise ValidationError(f"match count r={r} outside [0, {n}]")
+        if n > sys.float_info.max:
+            raise ValidationError("bank size n exceeds the float range")
+        if r > np.iinfo(np.int64).max:
+            raise ValidationError(f"match count r={r} exceeds 2**63 - 1, the most a draw indexes")
+        match_set, setup_evals = range(r), 0
     p = config_number(cfg, "p", int) if "p" in cfg else amplify.choose_p(n)
     return Scenario(
-        n=n, p=p, strategy=strategy, match_set=range(r),
-        max_attempts=max_attempts,
+        n=n, p=p, strategy=strategy, match_set=match_set,
+        max_attempts=max_attempts, setup_evals=setup_evals,
     )
 
 
@@ -304,15 +303,6 @@ class MonteCarloSummary:
         }
 
 
-def run_trial(scenario: Scenario, rng: np.random.Generator) -> TrialRecord:
-    """One retrieve-until-success trial with its own counter."""
-    counter = OracleCounter()
-    return retrieve_until_success(
-        scenario.strategy, scenario.n, scenario.r_true, scenario.p,
-        scenario.match_set, rng, counter, scenario.max_attempts,
-    )
-
-
 def monte_carlo(scenario: Scenario, trials: int, seed: int) -> tuple[MonteCarloSummary, list[TrialRecord]]:
     """Independent trials of the retrieval procedure, fixed substreams."""
     if trials < 1:
@@ -320,7 +310,7 @@ def monte_carlo(scenario: Scenario, trials: int, seed: int) -> tuple[MonteCarloS
     if scenario.r_true < 1:
         raise ValidationError("Monte Carlo benchmark needs at least one match")
     records = [
-        run_trial(scenario, np.random.default_rng((seed, t)))
+        retrieve_until_success(scenario, np.random.default_rng((seed, t)), OracleCounter())
         for t in range(trials)
     ]
     evals = [rec.oracle_evals for rec in records]

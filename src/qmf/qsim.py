@@ -4,15 +4,17 @@ Two paths compute the same pre-measurement states.
 
 The template-vector path (``counting_state``, ``search_state``) is the
 one the CLI runs.  With its ancilla prepared in |->, the matching
-oracle flips the phase of one contiguous run of templates, so one
+oracle flips the phase of one contiguous run of templates, the
+``range`` that ``StringOracleSpec.matching_states`` gives, so one
 Grover step negates a slice of a ``2**n`` vector in place and reflects
 the vector about its mean.  The ancilla stays |-> and is factored out:
-returned states cover the template register (low qubits) and, for
-counting, the counting register above it.  A call holds one full-size
-buffer, the state it returns.  Before its inverse Fourier transform the
-counting circuit holds sum_j |j> (x) G^j|psi0> / sqrt(2**p); row j of
-a ``(2**p, 2**n)`` block gets G^j psi0, and one in-place FFT along the
-counting axis is the inverse transform, qubit reversal included.
+a returned ``StateVector`` covers the template register (qubits 0..n-1)
+and, for counting, the counting register above it (qubits n..n+p-1).
+A call holds one full-size buffer, the state it returns.  Before its
+inverse Fourier transform the counting circuit holds
+sum_j |j> (x) G^j|psi0> / sqrt(2**p); row j of a ``(2**p, 2**n)`` block
+gets G^j psi0, and one in-place FFT along the counting axis is the
+inverse transform, qubit reversal included.
 
 The gate-level path (``init_state``, ``string_oracle``, ``diffusion``,
 ``grover_iteration``, ``controlled_grover_powers``, ``inverse_qft``) is
@@ -24,12 +26,13 @@ one length-2 axis per qubit, with the axes of the qubits the gate fixes
 (target value, controls) indexed by their bit.  A kernel is then a few
 vectorized passes over such views, in place.
 
-Register layout used by the gate-level circuits: the template register
-occupies the low qubits, the ancilla sits just above it, and the
-counting register occupies the top.  Counting qubit ``t`` controls the
-``2**t``-th Grover power and contributes bit ``t`` of the outcome
-integer ``b``; the inverse Fourier transform includes the final qubit
-reversal so that measured bitstrings read directly as ``b``.
+Register layout used by the gate-level circuits
+(``RegisterLayout.standard``): the template register occupies the low
+qubits, the ancilla sits just above it, and the counting register
+occupies the top.  Counting qubit ``t`` controls the ``2**t``-th Grover
+power and contributes bit ``t`` of the outcome integer ``b``; the
+inverse Fourier transform includes the final qubit reversal so that
+measured bitstrings read directly as ``b``.
 
 The data register of the matching oracle is elided: the data bits are
 classical here, so the data-conditioned CNOT layer collapses to a
@@ -49,6 +52,9 @@ from .errors import CapExceededError, ValidationError
 # Budget of 2**26 complex128 amplitudes (1 GiB) over all full-size
 # buffers a call holds at once; override per call if needed.
 DEFAULT_QUBIT_CAP = 26
+
+# Amplitudes per block of ``marginal_probs`` (8 bytes each once squared).
+_BLOCK_LOG2 = 16
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -70,19 +76,14 @@ class StateVector:
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Qubit index map: template low, ancilla above it, counting on top.
-
-    ``ancilla`` is None in template-vector states, whose |-> ancilla is
-    factored out.
-    """
+    """Qubit index map: template low, ancilla above it, counting on top."""
 
     template: range
-    ancilla: int | None
+    ancilla: int
     counting: range = field(default_factory=lambda: range(0))
 
     def __post_init__(self) -> None:
-        ancilla = [] if self.ancilla is None else [self.ancilla]
-        claimed = list(self.template) + ancilla + list(self.counting)
+        claimed = list(self.template) + [self.ancilla] + list(self.counting)
         if len(set(claimed)) != len(claimed):
             raise ValidationError("register ranges overlap")
         if sorted(claimed) != list(range(len(claimed))):
@@ -92,15 +93,9 @@ class RegisterLayout:
     def standard(cls, n: int, p: int = 0) -> "RegisterLayout":
         return cls(template=range(0, n), ancilla=n, counting=range(n + 1, n + 1 + p))
 
-    @classmethod
-    def factored(cls, n: int, p: int = 0) -> "RegisterLayout":
-        """Layout of a template-vector state: no ancilla qubit."""
-        return cls(template=range(0, n), ancilla=None, counting=range(n, n + p))
-
     @property
     def num_qubits(self) -> int:
-        has_ancilla = self.ancilla is not None
-        return len(self.template) + has_ancilla + len(self.counting)
+        return len(self.template) + 1 + len(self.counting)
 
 
 @dataclass(frozen=True)
@@ -131,10 +126,10 @@ class StringOracleSpec:
     def data_int(self) -> int:
         return int(self.data_bits, 2)
 
-    def matching_states(self) -> np.ndarray:
-        """All template integers satisfying the predicate."""
+    def matching_states(self) -> range:
+        """All template integers satisfying the predicate: one contiguous run."""
         base = (self.data_int >> self.q_ignored) << self.q_ignored
-        return base + np.arange(1 << self.q_ignored)
+        return range(base, base + (1 << self.q_ignored))
 
 
 # ---------------------------------------------------------------------------
@@ -186,11 +181,7 @@ def _apply_mcx(amps: np.ndarray, controls: list[int], target: int) -> None:
 # circuit blocks
 
 def init_state(layout: RegisterLayout, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
-    """Uniform superposition on counting+template, ancilla in |->.
-
-    The gate-level circuits run on a ``RegisterLayout.standard`` layout,
-    which has the ancilla qubit.
-    """
+    """Uniform superposition on counting+template, ancilla in |->."""
     nq = layout.num_qubits
     if nq > cap:
         raise CapExceededError(f"{nq} qubits exceed the cap of {cap}")
@@ -287,13 +278,25 @@ def inverse_qft(state: StateVector, qubits: range | list[int]) -> StateVector:
 
 
 def marginal_probs(state: StateVector, qubits: range) -> np.ndarray:
-    """Exact outcome distribution of a contiguous qubit range."""
+    """Exact outcome distribution of a contiguous qubit range, one block at a time.
+
+    Beside the state the call holds the marginal and one block of |amp|^2.
+    A block spans at least two outcomes: numpy sums a one-outcome block as a
+    single pairwise run, which moves the last bits against the whole sum.
+    """
     lo, hi = qubits.start, qubits.stop
     if not (0 <= lo < hi <= state.num_qubits):
         raise ValidationError(f"range {qubits} outside register")
     width = hi - lo
-    p = np.abs(state.amps) ** 2
-    return p.reshape(-1, 1 << width, 1 << lo).sum(axis=(0, 2))
+    amps = state.amps.reshape(-1, 1 << width, 1 << lo)
+    rows = 1 << max(1, min(width, _BLOCK_LOG2 - (state.num_qubits - width)))
+    probs = np.empty(1 << width)
+    block = np.empty((amps.shape[0], rows, amps.shape[2]))
+    for start in range(0, probs.size, rows):
+        np.abs(amps[:, start:start + rows], out=block)
+        np.square(block, out=block)
+        block.sum(axis=(0, 2), out=probs[start:start + rows])
+    return probs
 
 
 def measure(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
@@ -312,13 +315,11 @@ def _check_cap(log2_amps: int, cap: int) -> None:
         raise CapExceededError(f"needs 2**{log2_amps} amplitudes, over the cap of 2**{cap}")
 
 
-def _matched_slice(n: int, q: int, data_bits: str) -> slice:
-    """The templates whose phase ``string_oracle`` flips, one contiguous run."""
-    spec = StringOracleSpec(data_bits=data_bits, q_ignored=q)
-    if spec.n != n:
-        raise ValidationError(f"data_bits has {spec.n} bits, expected {n}")
-    states = spec.matching_states()
-    return slice(int(states[0]), int(states[-1]) + 1)
+def _check_run(n: int, matched: range) -> slice:
+    """The matched run as a slice of the ``2**n`` template vector."""
+    if matched.step != 1 or not 0 <= matched.start <= matched.stop <= 1 << n:
+        raise ValidationError(f"matched run {matched} is not a run inside [0, 2**{n})")
+    return slice(matched.start, matched.stop)
 
 
 def _grover_step(psi: np.ndarray, matched: slice) -> None:
@@ -327,42 +328,41 @@ def _grover_step(psi: np.ndarray, matched: slice) -> None:
     np.subtract(2.0 * psi.mean(), psi, out=psi)
 
 
-def counting_state(n: int, q: int, data_bits: str, p: int,
-                   cap: int = DEFAULT_QUBIT_CAP) -> tuple[StateVector, RegisterLayout]:
+def counting_state(n: int, matched: range, p: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
     """Pre-measurement state of the counting circuit, ancilla factored out.
 
-    Amplitude ``b * 2**n + x`` belongs to counting outcome ``b`` and
-    template ``x``.  The power sweep block is transformed in place and
-    returned, so the call holds ``2**(n + p)`` amplitudes and needs
-    ``n + p <= cap``.
+    ``matched`` is the run of templates the oracle flips.  Amplitude
+    ``b * 2**n + x`` belongs to counting outcome ``b`` and template ``x``.
+    The power sweep block is transformed in place and returned, so the
+    call holds ``2**(n + p)`` amplitudes and needs ``n + p <= cap``.
     """
     if p < 1:
         raise ValidationError(f"the counting register needs p >= 1 qubits, got {p}")
     _check_cap(n + p, cap)
-    matched = _matched_slice(n, q, data_bits)
+    run = _check_run(n, matched)
     dim = 1 << p
     block = np.empty((dim, 1 << n), dtype=np.complex128)
     block[0] = 1.0 / math.sqrt(dim << n)
     for j in range(1, dim):
         block[j] = block[j - 1]
-        _grover_step(block[j], matched)
+        _grover_step(block[j], run)
     np.fft.fft(block, axis=0, out=block)
     block /= math.sqrt(dim)
-    return StateVector(n + p, block.reshape(-1)), RegisterLayout.factored(n, p)
+    return StateVector(n + p, block.reshape(-1))
 
 
-def search_state(n: int, q: int, data_bits: str, k: int,
-                 cap: int = DEFAULT_QUBIT_CAP) -> tuple[StateVector, RegisterLayout]:
+def search_state(n: int, matched: range, k: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
     """k Grover iterations on the template vector, ancilla factored out.
 
-    The state is the one buffer of ``2**n`` amplitudes the call holds, so
-    it needs ``n <= cap``.
+    ``matched`` is the run of templates the oracle flips.  The state is
+    the one buffer of ``2**n`` amplitudes the call holds, so it needs
+    ``n <= cap``.
     """
     _check_cap(n, cap)
     if k < 0:
         raise ValidationError(f"iteration count k={k} must be >= 0")
-    matched = _matched_slice(n, q, data_bits)
+    run = _check_run(n, matched)
     psi = np.full(1 << n, 1.0 / math.sqrt(1 << n), dtype=np.complex128)
     for _ in range(k):
-        _grover_step(psi, matched)
-    return StateVector(n, psi), RegisterLayout.factored(n)
+        _grover_step(psi, run)
+    return StateVector(n, psi)

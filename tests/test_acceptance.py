@@ -46,8 +46,8 @@ def test_c01_reference_table_deterministic():
 # criterion 2: statistical part of the reference table
 
 def test_c02_counting_mode():
-    state, layout = qsim.counting_state(6, 1, "000110", 5)
-    probs = qsim.marginal_probs(state, layout.counting)
+    state = qsim.counting_state(6, qsim.StringOracleSpec("000110", 1).matching_states(), 5)
+    probs = qsim.marginal_probs(state, range(6, 11))
     ok = int(np.argmax(probs)) in (2, 30)
     assert check("c2", "counting mode at the conjugate pair {2,30}", ok,
                  f"mode={int(np.argmax(probs))}")
@@ -56,9 +56,9 @@ def test_c02_counting_mode():
 @pytest.mark.parametrize("q,n,p,b,k_est,r_est,k_true,p_succ", REFERENCE_TABLE)
 def test_c02_search_success(q, n, p, b, k_est, r_est, k_true, p_succ):
     data_bits = format(6, f"0{n}b")
-    state, layout = qsim.search_state(n, q, data_bits, k_est)
-    probs = qsim.marginal_probs(state, layout.template)
     spec = qsim.StringOracleSpec(data_bits, q)
+    state = qsim.search_state(n, spec.matching_states(), k_est)
+    probs = qsim.marginal_probs(state, range(n))
     success = float(probs[spec.matching_states()].sum())
     analytic = amplify.p_match(amplify.theta_of(2**n, 2**q), k_est)
     ok_analytic = abs(success - analytic) < 1e-9
@@ -78,8 +78,9 @@ def test_c03_statevector_analytic_equivalence():
         for q in range(0, 3):
             data_bits = format(3, f"0{n}b")
             for p in range(4, 8):
-                state, layout = qsim.counting_state(n, q, data_bits, p)
-                got = qsim.marginal_probs(state, layout.counting)
+                matched = qsim.StringOracleSpec(data_bits, q).matching_states()
+                state = qsim.counting_state(n, matched, p)
+                got = qsim.marginal_probs(state, range(n, n + p))
                 want = amplify.counting_distribution(2**n, 2**q, p).probs
                 worst = max(worst, float(np.max(np.abs(got - want))))
     assert check("c3", "counting marginal == analytic over the (n,q,p) grid",
@@ -251,13 +252,12 @@ def test_c08_end_to_end_detect_retrieve(synthetic_bank_scenario):
     spec, psd, data, inject, rho_thr, match_set = synthetic_bank_scenario
     assert match_set and inject in match_set
     n = bank.bank_size(spec)
-    p = amplify.choose_p(n)
+    scenario = pipeline.Scenario(n=n, p=amplify.choose_p(n),
+                                 strategy=RetrievalStrategy.REUSE_K, match_set=match_set)
     successes = 0
     for trial in range(1000):
         rng = np.random.default_rng((808, trial))
-        rec = pipeline.retrieve_until_success(
-            RetrievalStrategy.REUSE_K, n, len(match_set), p, match_set,
-            rng, OracleCounter())
+        rec = pipeline.retrieve_until_success(scenario, rng, OracleCounter())
         if rec.succeeded and rec.returned_index in match_set:
             verify = OracleCounter()
             if pipeline.oracle_eval(spec, data, psd, rec.returned_index,

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -176,6 +177,30 @@ class TestInputErrors:
         assert run("detect", "--config", cfg, "--seed", 1,
                    "--out", tmp_path / "d.json") == EXIT_INPUT
         self.assert_one_line(capsys, "input error: ")
+
+    @pytest.mark.parametrize("text", [
+        '{"n": ' + "9" * 5000 + ', "r": 1, "seed": 1}',  # beyond the int digit limit
+        "[" * 100_000 + "]" * 100_000])  # beyond the recursion limit
+    def test_json_that_python_refuses(self, tmp_path, capsys, text):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(text)
+        assert run("detect", "--config", cfg, "--out", tmp_path / "d.json") == EXIT_INPUT
+        self.assert_one_line(capsys, "input error: ")
+
+    @pytest.mark.parametrize("f_hz,message", [
+        # the spacing doubles after 128 Hz
+        (np.concatenate([np.arange(0.0, 128.0, 0.5), np.arange(128.0, 256.5, 1.0)]),
+         "not uniformly sampled"),
+        (10.0 + 0.5 * np.arange(513), "must start at 0 Hz, got 10.0")])
+    def test_psd_off_the_uniform_grid_from_0_hz(self, tmp_path, bank_cfg_file, capsys,
+                                                f_hz, message):
+        raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
+        psd = tmp_path / "psd.csv"
+        io.write_csv(psd, "f_hz,sn", ((repr(f), 1.0) for f in f_hz.tolist()), "# psd")
+        assert run("mf-snr", "--data", raw, "--bank-config", bank_cfg_file, "--index", 0,
+                   "--psd", psd, "--out", tmp_path / "snr.csv") == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("input error: ") and message in err
 
     def test_integral_float_config_accepted(self, tmp_path):
         path = tmp_path / "scenario.json"
@@ -435,9 +460,9 @@ class TestQsim:
         original_measure = qsim.measure
 
         def making(*args, **kwargs):
-            state, layout = original_make(*args, **kwargs)
+            state = original_make(*args, **kwargs)
             states.append(weakref.ref(state))
-            return state, layout
+            return state
 
         def marginal(*args):
             marginals.append(original_marginal(*args))
@@ -457,6 +482,28 @@ class TestQsim:
         assert len(marginals) == 1
         written = [float(r.split(",")[1]) for r in data_rows(tmp_path / "shots.marginal.csv")[1:]]
         assert written == marginals[0].tolist()
+
+    @pytest.mark.parametrize("command,flags", [
+        ("qsim-count", ("--data-bits", "0" * 10, "--p", 8)),
+        ("qsim-search", ("--data-bits", "0" * 18, "--iterations", 4))])
+    def test_peak_within_the_stated_bytes(self, tmp_path, command, flags):
+        # README: search holds 24 bytes an amplitude (the state and its
+        # marginal, then the marginal, its normalised copy and the counts);
+        # counting holds the state and its small marginal.  Both also hold
+        # one block of the marginal reduction.
+        from qmf import qsim
+
+        block = 8 << qsim._BLOCK_LOG2
+        stated = {"qsim-count": (16 << 18) + (8 << 8), "qsim-search": 24 << 18}[command]
+        argv = (command, *flags, "--seed", 1, "--out", tmp_path / "o.csv")
+        assert run(*argv) == EXIT_OK  # first run: lazy imports are not counted
+        tracemalloc.start()
+        try:
+            assert run(*argv) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.05 * (stated + block)
 
     def test_seed_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "shots.csv"

@@ -12,6 +12,11 @@ from qmf.errors import ValidationError
 from qmf.pipeline import OracleCounter, RetrievalStrategy
 
 
+def synthetic(n, r, p, strategy, **kwargs):
+    """A scenario whose r matches are templates 0..r-1."""
+    return pipeline.Scenario(n=n, p=p, strategy=strategy, match_set=list(range(r)), **kwargs)
+
+
 @pytest.fixture(scope="module")
 def toy_bank():
     spec = BankSpec(f0_min=40.0, f0_max=120.0, n_f0=8,
@@ -232,12 +237,12 @@ class TestTemplateRetrieval:
         rng = np.random.default_rng(5)
         c = OracleCounter()
         for _ in range(200):
-            got = pipeline.template_retrieval(4, 1, 1, [3], rng, c)
+            got = pipeline.template_retrieval(4, 1, [3], rng, c)
             assert got == 3
 
     def test_charges_ladder_plus_verification(self):
         c = OracleCounter()
-        pipeline.template_retrieval(4, 1, 1, [3], np.random.default_rng(6), c)
+        pipeline.template_retrieval(4, 1, [3], np.random.default_rng(6), c)
         assert c.evaluations == 2
 
     def test_success_rate_matches_analytic(self):
@@ -247,7 +252,7 @@ class TestTemplateRetrieval:
         p_succ = amplify.p_match(amplify.theta_of(64, 2), k)
         trials = 20_000
         wins = sum(
-            pipeline.template_retrieval(64, 2, k, [10, 20], rng, c) is not None
+            pipeline.template_retrieval(64, k, [10, 20], rng, c) is not None
             for _ in range(trials)
         )
         sigma = math.sqrt(p_succ * (1 - p_succ) / trials)
@@ -259,7 +264,7 @@ class TestTemplateRetrieval:
         match_set = list(range(100, 109))
         draws = []
         while len(draws) < 10_000:
-            got = pipeline.template_retrieval(2**17, 9, 94, match_set, rng, c)
+            got = pipeline.template_retrieval(2**17, 94, match_set, rng, c)
             if got is not None:
                 draws.append(got)
         counts = [draws.count(i) for i in match_set]
@@ -271,7 +276,7 @@ class TestRetrieveUntilSuccess:
         # replay the identical stream and rebuild the charge ledger
         n, r, p = 2**17, 9, 11
         rec = pipeline.retrieve_until_success(
-            RetrievalStrategy.REUSE_K, n, r, p, list(range(r)),
+            synthetic(n, r, p, RetrievalStrategy.REUSE_K),
             np.random.default_rng(99), OracleCounter())
         rng = np.random.default_rng(99)
         c = OracleCounter()
@@ -286,7 +291,7 @@ class TestRetrieveUntilSuccess:
                     continue
                 k_star = out.k_star
             attempts += 1
-            if pipeline.template_retrieval(n, r, k_star, list(range(r)), rng, c) is not None:
+            if pipeline.template_retrieval(n, k_star, list(range(r)), rng, c) is not None:
                 break
         assert rec.succeeded
         assert rec.attempts == attempts
@@ -296,15 +301,15 @@ class TestRetrieveUntilSuccess:
     def test_recount_pays_detection_per_attempt(self):
         n, r, p = 2**17, 9, 11
         rec = pipeline.retrieve_until_success(
-            RetrievalStrategy.RECOUNT_EACH_TRY, n, r, p, list(range(r)),
+            synthetic(n, r, p, RetrievalStrategy.RECOUNT_EACH_TRY),
             np.random.default_rng(1), OracleCounter())
         assert rec.succeeded
         assert rec.oracle_evals >= rec.attempts * 2047
 
     def test_max_attempts_exhaustion(self):
         rec = pipeline.retrieve_until_success(
-            RetrievalStrategy.REUSE_K, 2**17, 9, 11, list(range(9)),
-            np.random.default_rng(2), OracleCounter(), max_attempts=0)
+            synthetic(2**17, 9, 11, RetrievalStrategy.REUSE_K, max_attempts=0),
+            np.random.default_rng(2), OracleCounter())
         assert not rec.succeeded
         assert rec.returned_index is None
 
@@ -312,7 +317,8 @@ class TestRetrieveUntilSuccess:
         match_set = [5, 17, 90]
         for seed in range(30):
             rec = pipeline.retrieve_until_success(
-                RetrievalStrategy.REUSE_K, 4096, 3, 8, match_set,
+                pipeline.Scenario(n=4096, p=8, strategy=RetrievalStrategy.REUSE_K,
+                                  match_set=match_set),
                 np.random.default_rng(seed), OracleCounter())
             assert rec.succeeded and rec.returned_index in match_set
 
@@ -328,8 +334,7 @@ class TestCollectAllMatches:
             n_draws = 0
             while len(seen) < 9:
                 rec = pipeline.retrieve_until_success(
-                    RetrievalStrategy.REUSE_K, 2**17, 9, 11,
-                    list(range(9)), rng, c)
+                    synthetic(2**17, 9, 11, RetrievalStrategy.REUSE_K), rng, c)
                 n_draws += 1
                 seen.add(rec.returned_index)
             draws.append(n_draws)
@@ -455,11 +460,11 @@ class TestEndToEndSoundness:
         match_set = pipeline.classical_search(spec, data, psd, thr, c)
         assert match_set
         n = bank_size(spec)
-        p = amplify.choose_p(n)
+        sc = pipeline.Scenario(n=n, p=amplify.choose_p(n),
+                               strategy=RetrievalStrategy.REUSE_K, match_set=match_set)
         for seed in range(25):
             rec = pipeline.retrieve_until_success(
-                RetrievalStrategy.REUSE_K, n, len(match_set), p, match_set,
-                np.random.default_rng(seed), OracleCounter())
+                sc, np.random.default_rng(seed), OracleCounter())
             assert rec.succeeded
             verify = OracleCounter()
             assert pipeline.oracle_eval(spec, data, psd, rec.returned_index,

@@ -10,6 +10,11 @@ from qmf import amplify, qsim
 from qmf.errors import CapExceededError, ValidationError
 
 
+def run_of(data_bits, q):
+    """The matched run of the string oracle on ``data_bits`` with q bits ignored."""
+    return qsim.StringOracleSpec(data_bits, q).matching_states()
+
+
 def random_state(num_qubits, seed):
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=1 << num_qubits) + 1j * rng.normal(size=1 << num_qubits)
@@ -36,6 +41,12 @@ def reference_search_amps(n, q, data_bits, k):
     return state.amps.reshape(2, 1 << n)[0] * math.sqrt(2.0)
 
 
+def reference_marginal(state, qubits):
+    """Marginal of a contiguous range as one reshape-and-sum over the whole |amp|^2."""
+    probs = np.abs(state.amps) ** 2
+    return probs.reshape(-1, 1 << len(qubits), 1 << qubits.start).sum(axis=(0, 2))
+
+
 def dense_fourier(p):
     d = 1 << p
     grid = np.outer(np.arange(d), np.arange(d))
@@ -48,12 +59,6 @@ class TestLayout:
         assert (list(lay.template), lay.ancilla, list(lay.counting)) == (
             list(range(6)), 6, list(range(7, 12)))
         assert lay.num_qubits == 12
-
-    def test_factored_layout_has_no_ancilla(self):
-        lay = qsim.RegisterLayout.factored(6, 5)
-        assert (list(lay.template), lay.ancilla, list(lay.counting)) == (
-            list(range(6)), None, list(range(6, 11)))
-        assert lay.num_qubits == 11
 
     def test_overlap_rejected(self):
         with pytest.raises(ValidationError):
@@ -156,7 +161,7 @@ class TestStringOracle:
         signs = (state.amps / ref).reshape(2, 64).real
         flipped = sorted(set(np.flatnonzero(np.isclose(signs[0], -1.0)).tolist()))
         assert flipped == [6, 7]
-        assert sorted(spec.matching_states().tolist()) == [6, 7]
+        assert list(spec.matching_states()) == [6, 7]
 
     def test_ignore_all_flips_everything(self):
         layout = qsim.RegisterLayout.standard(3, 0)
@@ -246,14 +251,14 @@ class TestGroverIteration:
         np.testing.assert_allclose(probs, [0, 0, 0, 1.0], atol=1e-12)
 
     def test_marked_probability_matches_analytic(self):
-        state, layout = qsim.search_state(6, 1, "000110", 4)
-        probs = qsim.marginal_probs(state, layout.template)
+        state = qsim.search_state(6, run_of("000110", 1), 4)
+        probs = qsim.marginal_probs(state, range(6))
         marked = probs[[6, 7]].sum()
         expected = amplify.p_match(amplify.theta_of(64, 2), 4)
         assert marked == pytest.approx(expected, abs=1e-9)
 
     def test_state_stays_in_matched_unmatched_plane(self):
-        state, layout = qsim.search_state(6, 1, "000110", 3)
+        state = qsim.search_state(6, run_of("000110", 1), 3)
         block = state.amps  # template vector; the |-> ancilla is factored out
         matched = block[[6, 7]]
         unmatched = np.delete(block, [6, 7])
@@ -265,8 +270,8 @@ class TestControlledPowers:
     def test_single_counting_qubit_interference(self):
         # one controlled iteration: after the 1-qubit inverse transform
         # the counting qubit reads cos^2(theta) / sin^2(theta)
-        state, layout = qsim.counting_state(4, 1, "0110", 1)
-        probs = qsim.marginal_probs(state, layout.counting)
+        state = qsim.counting_state(4, run_of("0110", 1), 1)
+        probs = qsim.marginal_probs(state, range(4, 5))
         theta = amplify.theta_of(16, 2)
         np.testing.assert_allclose(
             probs, [math.cos(theta) ** 2, math.sin(theta) ** 2], atol=1e-9
@@ -288,11 +293,11 @@ class TestControlledPowers:
         assert all(c is not None for c in calls)
 
     def test_distribution_depends_only_on_match_count(self):
-        a, lay = qsim.counting_state(4, 1, "0101", 4)
-        b, _ = qsim.counting_state(4, 1, "1010", 4)
+        a = qsim.counting_state(4, run_of("0101", 1), 4)
+        b = qsim.counting_state(4, run_of("1010", 1), 4)
         np.testing.assert_allclose(
-            qsim.marginal_probs(a, lay.counting),
-            qsim.marginal_probs(b, lay.counting), atol=1e-12)
+            qsim.marginal_probs(a, range(4, 8)),
+            qsim.marginal_probs(b, range(4, 8)), atol=1e-12)
 
 
 class TestTemplateVectorPath:
@@ -302,8 +307,8 @@ class TestTemplateVectorPath:
             for q in range(0, 3):
                 data_bits = format(3, f"0{n}b")
                 for p in range(4, 8):
-                    state, layout = qsim.counting_state(n, q, data_bits, p)
-                    assert layout == qsim.RegisterLayout.factored(n, p)
+                    state = qsim.counting_state(n, run_of(data_bits, q), p)
+                    assert state.num_qubits == n + p
                     want = reference_counting_amps(n, q, data_bits, p)
                     worst = max(worst, float(np.max(np.abs(state.amps - want))))
         assert worst < 1e-12
@@ -311,27 +316,27 @@ class TestTemplateVectorPath:
     @pytest.mark.parametrize("n,q,data_bits,k", [
         (3, 0, "101", 2), (5, 2, "00110", 1), (6, 1, "000110", 6), (7, 0, "1100101", 9)])
     def test_search_state_equals_gate_reference(self, n, q, data_bits, k):
-        state, layout = qsim.search_state(n, q, data_bits, k)
-        assert layout == qsim.RegisterLayout.factored(n)
+        state = qsim.search_state(n, run_of(data_bits, q), k)
+        assert state.num_qubits == n
         want = reference_search_amps(n, q, data_bits, k)
         np.testing.assert_allclose(state.amps, want, rtol=0, atol=1e-12)
 
     def test_counting_cap_counts_the_one_block(self):
-        qsim.counting_state(4, 0, "0000", 6, cap=10)  # 2**10 amplitudes fit
+        qsim.counting_state(4, run_of("0000", 0), 6, cap=10)  # 2**10 amplitudes fit
         with pytest.raises(CapExceededError):
-            qsim.counting_state(4, 0, "0000", 7, cap=10)
+            qsim.counting_state(4, run_of("0000", 0), 7, cap=10)
 
     def test_search_cap(self):
-        qsim.search_state(10, 0, "0" * 10, 1, cap=10)
+        qsim.search_state(10, run_of("0" * 10, 0), 1, cap=10)
         with pytest.raises(CapExceededError):
-            qsim.search_state(11, 0, "0" * 11, 1, cap=10)
+            qsim.search_state(11, run_of("0" * 11, 0), 1, cap=10)
 
     @pytest.mark.parametrize("n,p", [(10, 2), (6, 8)])
     def test_counting_state_holds_one_full_size_buffer(self, n, p):
         buffer = 16 << (n + p)
         tracemalloc.start()
         try:
-            state, _ = qsim.counting_state(n, 2, "1" * n, p)
+            state = qsim.counting_state(n, run_of("1" * n, 2), p)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -351,14 +356,50 @@ class TestTemplateVectorPath:
         signs = (state.amps / ref).reshape(2, 1 << n).real
         np.testing.assert_allclose(signs[1], signs[0], atol=1e-12)
         flipped = np.flatnonzero(signs[0] < 0)
-        expected = np.arange(1 << n)[qsim._matched_slice(n, q, data_bits)]
+        expected = np.arange(1 << n)[spec.matching_states()]
         np.testing.assert_array_equal(flipped, expected)
         assert expected.size == 1 << q
+        assert isinstance(spec.matching_states(), range)
+
+    @pytest.mark.parametrize("matched", [
+        range(-1, 1), range(15, 17), range(0, 17), range(16, 17), range(0, 4, 2)])
+    @pytest.mark.parametrize("make,arg", [
+        (qsim.counting_state, 2), (qsim.search_state, 1)])
+    def test_matched_run_outside_the_register_rejected(self, make, arg, matched):
+        with pytest.raises(ValidationError, match="matched run"):
+            make(4, matched, arg)
 
     @pytest.mark.parametrize("p", [0, -2])
     def test_counting_register_must_be_nonempty(self, p):
         with pytest.raises(ValidationError, match="p >= 1"):
-            qsim.counting_state(4, 0, "0000", p)
+            qsim.counting_state(4, run_of("0000", 0), p)
+
+
+class TestMarginalProbs:
+    """The blocked reduction gives the whole-array sum's bits (int64 view)."""
+
+    @pytest.mark.parametrize("num_qubits", range(17, 22))
+    def test_one_qubit_marginals_bit_identical(self, num_qubits):
+        # here a block is two outcomes; numpy sums a one-outcome block as a
+        # single pairwise run, with other last bits
+        state = random_state(num_qubits, num_qubits)
+        for q in range(num_qubits):
+            got = qsim.marginal_probs(state, range(q, q + 1))
+            want = reference_marginal(state, range(q, q + 1))
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("n,q,p", [(12, 2, 4), (10, 1, 6)])
+    def test_gate_level_counting_layout_bit_identical(self, n, q, p):
+        # 17 qubits: both registers' marginals take two blocks
+        layout = qsim.RegisterLayout.standard(n, p)
+        state = qsim.init_state(layout)
+        qsim.controlled_grover_powers(state, layout,
+                                      qsim.StringOracleSpec(format(5, f"0{n}b"), q))
+        qsim.inverse_qft(state, layout.counting)
+        for qubits in (layout.counting, layout.template):
+            got = qsim.marginal_probs(state, qubits)
+            want = reference_marginal(state, qubits)
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestQft:
@@ -418,14 +459,14 @@ class TestMeasure:
             assert abs(c / 100_000 - 0.25) < 3 * sigma
 
     def test_counting_marginal_equals_analytic_distribution(self):
-        state, layout = qsim.counting_state(6, 1, "000110", 5)
-        probs = qsim.marginal_probs(state, layout.counting)
+        state = qsim.counting_state(6, run_of("000110", 1), 5)
+        probs = qsim.marginal_probs(state, range(6, 11))
         expected = amplify.counting_distribution(64, 2, 5).probs
         np.testing.assert_allclose(probs, expected, atol=1e-9)
 
     def test_shot_frequencies_converge_to_marginals(self):
-        state, layout = qsim.counting_state(5, 1, "00110", 5)
-        probs = qsim.marginal_probs(state, layout.counting)
+        state = qsim.counting_state(5, run_of("00110", 1), 5)
+        probs = qsim.marginal_probs(state, range(5, 10))
         shots = 200_000
         counts = qsim.measure(probs, shots, np.random.default_rng(2))
         assert counts.sum() == shots
@@ -438,8 +479,8 @@ class TestMeasure:
 
     @pytest.mark.parametrize("seed", [4, 5, 6])
     def test_counts_equal_per_outcome_loop(self, seed):
-        state, layout = qsim.counting_state(6, 1, "000110", 5)
-        probs = qsim.marginal_probs(state, layout.counting)
+        state = qsim.counting_state(6, run_of("000110", 1), 5)
+        probs = qsim.marginal_probs(state, range(6, 11))
         counts = qsim.measure(probs, 3000, np.random.default_rng(seed))
         draws = np.random.default_rng(seed).multinomial(3000, probs / probs.sum())
         assert counts.shape == probs.shape and counts.sum() == 3000
@@ -452,45 +493,45 @@ class TestMeasure:
 
 class TestEndToEnd:
     def test_counting_modes_at_conjugate_pair(self):
-        state, layout = qsim.counting_state(6, 1, "000110", 5)
-        probs = qsim.marginal_probs(state, layout.counting)
+        state = qsim.counting_state(6, run_of("000110", 1), 5)
+        probs = qsim.marginal_probs(state, range(6, 11))
         assert int(np.argmax(probs)) in (2, 30)
         assert probs[2] == pytest.approx(probs[30], abs=1e-12)
 
     def test_single_match_five_bits(self):
-        state, layout = qsim.counting_state(5, 0, "00110", 5)
-        probs = qsim.marginal_probs(state, layout.counting)
+        state = qsim.counting_state(5, run_of("00110", 0), 5)
+        probs = qsim.marginal_probs(state, range(5, 10))
         assert int(np.argmax(probs)) in (2, 30)
 
     def test_ignore_all_concentrates_at_half_register(self):
-        state, layout = qsim.counting_state(3, 3, "000", 4)
-        probs = qsim.marginal_probs(state, layout.counting)
+        state = qsim.counting_state(3, run_of("000", 3), 4)
+        probs = qsim.marginal_probs(state, range(3, 7))
         assert probs[8] == pytest.approx(1.0, abs=1e-9)
 
     def test_search_recovers_matching_pair(self):
-        state, layout = qsim.search_state(6, 1, "000110", 4)
-        probs = qsim.marginal_probs(state, layout.template)
+        state = qsim.search_state(6, run_of("000110", 1), 4)
+        probs = qsim.marginal_probs(state, range(6))
         counts = qsim.measure(probs, 2048, np.random.default_rng(3))
         hits = counts[0b000110] + counts[0b000111]
         assert hits / 2048 > 0.99 - 3 * math.sqrt(0.99 * 0.01 / 2048)
 
     def test_search_success_probability_low_iteration_case(self):
-        state, layout = qsim.search_state(5, 2, "00110", 1)
-        probs = qsim.marginal_probs(state, layout.template)
+        state = qsim.search_state(5, run_of("00110", 2), 1)
+        probs = qsim.marginal_probs(state, range(5))
         success = probs[qsim.StringOracleSpec("00110", 2).matching_states()].sum()
         assert success == pytest.approx(amplify.p_match(amplify.theta_of(32, 4), 1),
                                         abs=1e-12)
         assert success == pytest.approx(0.7885, abs=0.03)
 
     def test_zero_iterations_is_uniform(self):
-        state, layout = qsim.search_state(4, 1, "0011", 0)
-        probs = qsim.marginal_probs(state, layout.template)
+        state = qsim.search_state(4, run_of("0011", 1), 0)
+        probs = qsim.marginal_probs(state, range(4))
         np.testing.assert_allclose(probs, 1 / 16, atol=1e-12)
 
     def test_norm_preserved_through_deep_circuit(self):
-        state, layout = qsim.counting_state(6, 1, "000110", 7)
+        state = qsim.counting_state(6, run_of("000110", 1), 7)
         assert abs(np.vdot(state.amps, state.amps).real - 1.0) < 1e-10
 
     def test_register_cap(self):
         with pytest.raises(CapExceededError):
-            qsim.counting_state(20, 0, "0" * 20, 10, cap=26)
+            qsim.counting_state(20, run_of("0" * 20, 0), 10, cap=26)
