@@ -33,7 +33,7 @@ import numpy as np
 
 from . import amplify, dsp
 from .bank import BankSpec, bank_size, chirps, index_to_params, lattice, waveform
-from .errors import ValidationError
+from .errors import CapExceededError, ValidationError
 from .io import check_config_keys, config_number
 
 DEFAULT_MAX_ATTEMPTS = 10_000
@@ -225,6 +225,23 @@ class Scenario:
         return len(self.match_set)
 
 
+# Byte budget of an injection scenario's arrays, on the order of the 1 GiB
+# of ``qsim.DEFAULT_QUBIT_CAP``: 16 bytes a template for the bank search's
+# index and peak arrays, plus the strain (8 M bytes), its spectrum (16 per
+# one-sided bin) and one block row of the search (64 M, see _BLOCK_BYTES).
+_INJECTION_BYTES = 1 << 30
+
+
+def _check_injection_bytes(spec: BankSpec) -> None:
+    """Refuse a bank whose injection scenario would hold more than the budget."""
+    m = spec.m_samples
+    need = 16 * bank_size(spec) + 8 * m + 16 * (m // 2 + 1) + 64 * m
+    if need > _INJECTION_BYTES:
+        raise CapExceededError(f"injection scenario needs {need} bytes, over the budget "
+                               f"of {_INJECTION_BYTES} ({bank_size(spec)} templates, "
+                               f"{m} samples)")
+
+
 # Keys of both scenario forms; the CLI reads seed and trials.
 _SCENARIO_OPTIONAL = ("p", "strategy", "max_attempts", "seed", "trials")
 _INJECTION_KEYS = ("bank", "inject_index", "rho_thr")
@@ -249,6 +266,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
         raise ValidationError(f"scenario key 'max_attempts' must be >= 1, got {max_attempts}")
     if "bank" in cfg:
         spec = BankSpec.from_config(cfg["bank"])
+        _check_injection_bytes(spec)
         n = bank_size(spec)
         amplitude = config_number(cfg, "amplitude", float, 1.0)
         sigma = config_number(cfg, "noise_sigma", float, 0.0)
@@ -307,8 +325,6 @@ def monte_carlo(scenario: Scenario, trials: int, seed: int) -> tuple[MonteCarloS
     """Independent trials of the retrieval procedure, fixed substreams."""
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    if scenario.r_true < 1:
-        raise ValidationError("Monte Carlo benchmark needs at least one match")
     records = [
         retrieve_until_success(scenario, np.random.default_rng((seed, t)), OracleCounter())
         for t in range(trials)

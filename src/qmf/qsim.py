@@ -26,13 +26,15 @@ one length-2 axis per qubit, with the axes of the qubits the gate fixes
 (target value, controls) indexed by their bit.  A kernel is then a few
 vectorized passes over such views, in place.
 
-Register layout used by the gate-level circuits
-(``RegisterLayout.standard``): the template register occupies the low
-qubits, the ancilla sits just above it, and the counting register
-occupies the top.  Counting qubit ``t`` controls the ``2**t``-th Grover
-power and contributes bit ``t`` of the outcome integer ``b``; the
-inverse Fourier transform includes the final qubit reversal so that
-measured bitstrings read directly as ``b``.
+Both paths use one register map: template on qubits 0..n-1, counting
+on n..n+p-1, and in the gate-level state the |-> ancilla on the top
+qubit, so the ancilla-0 half of that state is the lower half of its
+buffer, the template-vector state over sqrt(2).  Each gate-level block
+reads n from its ``StringOracleSpec`` and the total width from
+``StateVector.num_qubits``.  Counting qubit ``n + t`` controls the
+``2**t``-th Grover power and contributes bit ``t`` of the outcome integer
+``b``; the inverse Fourier transform includes the final qubit reversal
+so that measured bitstrings read directly as ``b``.
 
 The data register of the matching oracle is elided: the data bits are
 classical here, so the data-conditioned CNOT layer collapses to a
@@ -43,7 +45,7 @@ unitary on template + ancilla is identical to the full circuit's.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,30 +74,6 @@ class StateVector:
                 f"amplitude array shape {self.amps.shape} does not match "
                 f"{self.num_qubits} qubits"
             )
-
-
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Qubit index map: template low, ancilla above it, counting on top."""
-
-    template: range
-    ancilla: int
-    counting: range = field(default_factory=lambda: range(0))
-
-    def __post_init__(self) -> None:
-        claimed = list(self.template) + [self.ancilla] + list(self.counting)
-        if len(set(claimed)) != len(claimed):
-            raise ValidationError("register ranges overlap")
-        if sorted(claimed) != list(range(len(claimed))):
-            raise ValidationError("registers must cover qubits 0..Q-1 exactly")
-
-    @classmethod
-    def standard(cls, n: int, p: int = 0) -> "RegisterLayout":
-        return cls(template=range(0, n), ancilla=n, counting=range(n + 1, n + 1 + p))
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.template) + 1 + len(self.counting)
 
 
 @dataclass(frozen=True)
@@ -180,43 +158,42 @@ def _apply_mcx(amps: np.ndarray, controls: list[int], target: int) -> None:
 # ---------------------------------------------------------------------------
 # circuit blocks
 
-def init_state(layout: RegisterLayout, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
-    """Uniform superposition on counting+template, ancilla in |->."""
-    nq = layout.num_qubits
-    if nq > cap:
-        raise CapExceededError(f"{nq} qubits exceed the cap of {cap}")
+def init_state(n: int, p: int, cap: int = DEFAULT_QUBIT_CAP) -> StateVector:
+    """Uniform superposition on template+counting, the top (ancilla) qubit in |->."""
+    nq = n + p + 1
+    _check_cap(nq, cap)
     amps = np.zeros(1 << nq, dtype=np.complex128)
     amps[0] = 1.0
-    state = StateVector(num_qubits=nq, amps=amps)
-    for q in list(layout.template) + list(layout.counting):
-        _apply_h(state.amps, q)
-    _apply_x(state.amps, layout.ancilla)
-    _apply_h(state.amps, layout.ancilla)
-    return state
+    for q in range(nq - 1):
+        _apply_h(amps, q)
+    _apply_x(amps, nq - 1)
+    _apply_h(amps, nq - 1)
+    return StateVector(num_qubits=nq, amps=amps)
 
 
-def string_oracle(state: StateVector, layout: RegisterLayout, spec: StringOracleSpec,
+def string_oracle(state: StateVector, spec: StringOracleSpec,
                   control: int | None = None) -> StateVector:
     """Phase-flip template states matching the data on the unignored bits.
 
     X gates fold the classical data bits onto the template register,
     an X sandwich turns the matching pattern into all-ones, and a
-    multi-controlled X kicks a phase back off the |-> ancilla.  Both
-    layers are then uncomputed.  Only the MCX needs the extra control
-    qubit: with the control off, the X layers cancel on their own.
+    multi-controlled X kicks a phase back off the |-> ancilla on the top
+    qubit.  Both layers are then uncomputed.  Only the MCX needs the
+    extra control qubit: with the control off, the X layers cancel on
+    their own.
     """
-    n = len(layout.template)
-    if spec.n != n:
-        raise ValidationError(f"oracle is {spec.n} bits but template register is {n}")
-    unignored = [layout.template[j] for j in range(spec.q_ignored, n)]
-    data = spec.data_int
-    fold = [layout.template[j] for j in range(spec.q_ignored, n) if (data >> j) & 1]
+    n = spec.n
+    if state.num_qubits <= n:
+        raise ValidationError(
+            f"a {state.num_qubits}-qubit state has no ancilla above the {n}-qubit template")
+    unignored = list(range(spec.q_ignored, n))
+    fold = [q for q in unignored if (spec.data_int >> q) & 1]
     controls = unignored if control is None else unignored + [control]
     for q in fold:
         _apply_x(state.amps, q)
     for q in unignored:
         _apply_x(state.amps, q)
-    _apply_mcx(state.amps, controls, layout.ancilla)
+    _apply_mcx(state.amps, controls, state.num_qubits - 1)
     for q in unignored:
         _apply_x(state.amps, q)
     for q in fold:
@@ -224,40 +201,30 @@ def string_oracle(state: StateVector, layout: RegisterLayout, spec: StringOracle
     return state
 
 
-def diffusion(state: StateVector, layout: RegisterLayout,
-              control: int | None = None) -> StateVector:
-    """Reflect the template register about its uniform superposition."""
-    n = len(layout.template)
-    if layout.template.start != 0:
-        raise ValidationError("template register must start at qubit 0")
-    if control is None:
-        v = state.amps.reshape(-1, 1 << n)
-        mean = v.mean(axis=1, keepdims=True)
-        v *= -1.0
-        v += 2.0 * mean
-    else:
-        v = state.amps.reshape(-1, 2, 1 << (control - n), 1 << n)
-        block = v[:, 1]
-        mean = block.mean(axis=2, keepdims=True)
-        block *= -1.0
-        block += 2.0 * mean
+def diffusion(state: StateVector, n: int, control: int | None = None) -> StateVector:
+    """Reflect the template register (qubits 0..n-1) about its uniform superposition."""
+    v = _bits(state.amps, {} if control is None else {control: 1})
+    # merge the template axes; setting .shape raises where reshape would copy
+    v.shape = v.shape[:v.ndim - n] + (1 << n,)
+    mean = v.mean(axis=-1, keepdims=True)
+    v *= -1.0
+    v += 2.0 * mean
     return state
 
 
-def grover_iteration(state: StateVector, layout: RegisterLayout,
-                     spec: StringOracleSpec, control: int | None = None) -> StateVector:
+def grover_iteration(state: StateVector, spec: StringOracleSpec,
+                     control: int | None = None) -> StateVector:
     """One Grover step: matching oracle, then diffusion."""
-    string_oracle(state, layout, spec, control)
-    diffusion(state, layout, control)
+    string_oracle(state, spec, control)
+    diffusion(state, spec.n, control)
     return state
 
 
-def controlled_grover_powers(state: StateVector, layout: RegisterLayout,
-                             spec: StringOracleSpec) -> StateVector:
-    """Ladder of controlled powers: counting qubit t drives 2**t iterations."""
-    for t, q in enumerate(layout.counting):
+def controlled_grover_powers(state: StateVector, spec: StringOracleSpec) -> StateVector:
+    """Ladder of controlled powers: counting qubit n + t drives 2**t iterations."""
+    for t, q in enumerate(range(spec.n, state.num_qubits - 1)):
         for _ in range(1 << t):
-            grover_iteration(state, layout, spec, control=q)
+            grover_iteration(state, spec, control=q)
     return state
 
 

@@ -118,6 +118,13 @@ class TestMfSnr:
         assert run("mf-snr", "--data", data, "--bank-config", bank_cfg_file,
                    "--index", 0, "--seg-len", 512, "--out", out) == EXIT_OK
 
+    def test_welch_psd_below_the_band_top_is_not_refused(self, tmp_path, bank_cfg_file):
+        # 257-sample segments top out at 128 fs / 257, below the band top
+        noise = np.random.default_rng(1).normal(size=1024)
+        data, _ = self.write_inputs(tmp_path, noise)
+        assert run("mf-snr", "--data", data, "--bank-config", bank_cfg_file, "--index", 0,
+                   "--seg-len", 257, "--out", tmp_path / "snr.csv") == EXIT_OK
+
     def test_missing_file_exits_2(self, tmp_path, bank_cfg_file):
         assert run("mf-snr", "--data", tmp_path / "absent.csv",
                    "--bank-config", bank_cfg_file, "--index", 0,
@@ -201,6 +208,24 @@ class TestInputErrors:
                    "--psd", psd, "--out", tmp_path / "snr.csv") == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("input error: ") and message in err
+
+    @pytest.mark.parametrize("top_hz,code", [
+        (128.0, EXIT_INPUT), (255.0, EXIT_INPUT), (255.5, EXIT_OK), (256.0, EXIT_OK)])
+    def test_psd_short_of_the_band_top_exits_2(self, tmp_path, bank_cfg_file, capsys,
+                                               top_hz, code):
+        # 1024 samples at 512 Hz: the analysis band tops out at bin 511, 255.5 Hz
+        raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
+        psd = tmp_path / "psd.csv"
+        f_hz = 0.5 * np.arange(int(top_hz / 0.5) + 1)
+        io.write_csv(psd, "f_hz,sn", ((repr(f), 1.0) for f in f_hz.tolist()), "# psd")
+        out = tmp_path / "snr.csv"
+        assert run("mf-snr", "--data", raw, "--bank-config", bank_cfg_file, "--index", 0,
+                   "--psd", psd, "--out", out) == code
+        if code == EXIT_INPUT:
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and err.startswith("input error: ")
+            assert f"PSD stops at {top_hz!r} Hz, below the top of the analysis band" in err
+            assert not out.exists()
 
     def test_integral_float_config_accepted(self, tmp_path):
         path = tmp_path / "scenario.json"
@@ -547,6 +572,13 @@ class TestMcBench:
         assert run("mc-bench", "--config", cfg,
                    "--out", tmp_path / "mc.json") == EXIT_VALIDATION
 
+    def test_no_match_exits_4(self, tmp_path, capsys):
+        cfg = self.scenario(tmp_path, r=0)
+        assert run("mc-bench", "--config", cfg,
+                   "--out", tmp_path / "mc.json") == EXIT_VALIDATION
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "mc.json").exists()
+
     def test_missing_seed_exits_4(self, tmp_path):
         cfg_path = tmp_path / "s.json"
         cfg_path.write_text(json.dumps({"n": 64, "r": 2, "trials": 5}))
@@ -717,6 +749,21 @@ class TestDetectRetrieve:
         assert err.count("\n") == 1 and err.startswith("resource cap: ")
         assert not (tmp_path / "o.json").exists()
 
+    @pytest.mark.parametrize("command", ["detect", "retrieve", "mc-bench"])
+    @pytest.mark.parametrize("bank_keys", [
+        {"m_samples": 10**12},  # the strain alone would be 7.3 TiB
+        {"n_f0": 10**5, "n_f1": 10**5}])  # the search's index array alone 75 GiB
+    def test_injection_over_the_byte_budget_exits_3(self, tmp_path, capsys, command,
+                                                     bank_keys):
+        cfg = tmp_path / "inject.json"
+        cfg.write_text(json.dumps({"bank": {**BANK_CFG, **bank_keys}, "inject_index": 3,
+                                   "rho_thr": 5.0, "seed": 1, "trials": 2}))
+        assert run(command, "--config", cfg, "--out", tmp_path / "o.json") == EXIT_CAP
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("resource cap: injection scenario needs ")
+        assert not (tmp_path / "o.json").exists()
+
     @pytest.mark.parametrize("command", ["detect", "retrieve"])
     def test_synthetic_match_set_is_never_built(self, tmp_path, command):
         # 2**61 matches: a built match set would not fit in memory
@@ -749,6 +796,7 @@ class TestDetectRetrieve:
         cfg.write_text(json.dumps({"n": 64, "r": 0}))
         assert run("retrieve", "--config", cfg, "--seed", 1,
                    "--out", tmp_path / "r.json") == EXIT_VALIDATION
+        assert not (tmp_path / "r.json").exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         assert run("detect", "--config", tmp_path / "none.json", "--seed", 1,

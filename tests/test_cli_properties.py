@@ -4,7 +4,8 @@ Whatever the argv of ``qsim-count`` / ``qsim-search`` and whatever the
 scenario, bank or CW config, a command exits 0, 2, 3 or 4 and writes at
 most one line to stderr; it never ends in a traceback.  Work-sizing
 numbers (register widths, bank and series sizes, trial counts) are drawn
-small so each example runs in milliseconds.
+small so each example runs in milliseconds, or past the injection byte
+budget, where an injection scenario exits 3 before it builds an array.
 """
 
 import contextlib
@@ -64,14 +65,20 @@ def around(valid, wider):
     return mostly(valid, wider, 3)
 
 
+# Past the 1 GiB injection budget on their own: 16 bytes a template, and
+# over 64 bytes a sample.  No size under the budget but slow is drawn.
+past_budget_count = st.integers(2**26 + 1, 10**12)
+past_budget_samples = st.integers(2**24, 10**13)
+
 BANK = {
     "f0_min": value(around(st.floats(10.0, 60.0), small_float)),
     "f0_max": value(around(st.floats(60.0, 120.0), small_float)),
-    "n_f0": value(around(st.integers(1, 4), st.integers(-1, 0))),
+    "n_f0": value(around(st.integers(1, 4), st.one_of(st.integers(-1, 0), past_budget_count))),
     "f1_min": value(st.floats(-20.0, 60.0)), "f1_max": value(st.floats(-20.0, 60.0)),
-    "n_f1": value(around(st.integers(1, 4), st.integers(-1, 0))),
+    "n_f1": value(around(st.integers(1, 4), st.one_of(st.integers(-1, 0), past_budget_count))),
     "fs_hz": value(around(st.just(512.0), st.floats(-1.0, 1024.0))),
-    "m_samples": value(around(st.just(128), st.integers(-1, 256))),
+    "m_samples": value(around(st.just(128),
+                              st.one_of(st.integers(-1, 256), past_budget_samples))),
     "dur_s": value(around(st.floats(0.05, 0.25), st.floats(-0.1, 1.0))),
 }
 # The CLI's scenario keys are optional, but drawn like required ones, so
@@ -146,6 +153,21 @@ def test_qsim_argv(command, bits, flags, unknown_flag, keep_required):
 def test_scenario_config(command, cfg):
     argv = [command, "--config", "{tmp}/scenario.json", "--out", "{tmp}/out.json"]
     assert_clean_exit(*run(argv, [("scenario.json", write_json(cfg))]))
+
+
+@SETTINGS
+@given(command=st.sampled_from(["detect", "retrieve", "mc-bench"]),
+       size=st.one_of(st.fixed_dictionaries({"m_samples": past_budget_samples}),
+                      st.fixed_dictionaries({"n_f0": past_budget_count}),
+                      st.fixed_dictionaries({"n_f1": past_budget_count})))
+def test_injection_past_the_byte_budget_exits_3(command, size):
+    bank = {"f0_min": 40.0, "f0_max": 120.0, "n_f0": 2, "f1_min": 5.0, "f1_max": 45.0,
+            "n_f1": 2, "fs_hz": 512.0, "m_samples": 128, "dur_s": 0.25, **size}
+    cfg = {"bank": bank, "inject_index": 0, "rho_thr": 5.0, "seed": 1, "trials": 2}
+    argv = [command, "--config", "{tmp}/scenario.json", "--out", "{tmp}/out.json"]
+    code, err = run(argv, [("scenario.json", write_json(cfg))])
+    assert code == cli.EXIT_CAP, err
+    assert err.startswith("resource cap: injection scenario needs ") and err.count("\n") == 1
 
 
 @SETTINGS

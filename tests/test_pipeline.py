@@ -1,6 +1,7 @@
 """Unit tests for detection/retrieval orchestration and cost accounting."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from scipy import stats
 
 from qmf import amplify, dsp, io, pipeline
 from qmf.bank import BankSpec, bank_size, index_to_params, waveform
-from qmf.errors import ValidationError
+from qmf.errors import CapExceededError, ValidationError
 from qmf.pipeline import OracleCounter, RetrievalStrategy
 
 
@@ -385,6 +386,29 @@ class TestScenario:
         assert 27 in sc.match_set
         assert sc.setup_evals == 64
         assert sc.n == 64
+
+
+    def test_injection_byte_budget_boundary(self):
+        # m = 2 costs 176 bytes beside 16 a template: 2**30 - 176 = 16 * 67108853
+        spec = BankSpec(f0_min=40.0, f0_max=120.0, n_f0=67108853, f1_min=5.0, f1_max=5.0,
+                        n_f1=1, fs=512.0, m_samples=2, dur=1.0)
+        pipeline._check_injection_bytes(spec)
+        with pytest.raises(CapExceededError, match="over the budget of 1073741824"):
+            pipeline._check_injection_bytes(replace(spec, n_f0=spec.n_f0 + 1))
+
+    @pytest.mark.parametrize("bank_keys", [
+        {"m_samples": 10**12}, {"n_f0": 10**5, "n_f1": 10**5}])
+    def test_injection_over_budget_refused_before_any_array(self, monkeypatch, bank_keys):
+        def waveform(*args):
+            raise AssertionError("the injection was synthesized")
+
+        monkeypatch.setattr(pipeline, "waveform", waveform)
+        cfg = {"bank": {"f0_min": 40.0, "f0_max": 120.0, "n_f0": 8,
+                        "f1_min": 5.0, "f1_max": 45.0, "n_f1": 8,
+                        "fs_hz": 512.0, "m_samples": 1024, "dur_s": 1.0, **bank_keys},
+               "inject_index": 27, "rho_thr": 15.0}
+        with pytest.raises(CapExceededError):
+            pipeline.scenario_from_config(cfg)
 
 
 class TestDistributionCache:

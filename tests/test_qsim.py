@@ -24,21 +24,19 @@ def random_state(num_qubits, seed):
 
 def reference_counting_amps(n, q, data_bits, p):
     """Gate-level counting state with its |-> ancilla factored out."""
-    layout = qsim.RegisterLayout.standard(n, p)
-    state = qsim.init_state(layout)
-    qsim.controlled_grover_powers(state, layout, qsim.StringOracleSpec(data_bits, q))
-    qsim.inverse_qft(state, layout.counting)
-    # ancilla-0 half of |->: amplitudes of the factored state / sqrt(2)
-    return state.amps.reshape(1 << p, 2, 1 << n)[:, 0].reshape(-1) * math.sqrt(2.0)
+    state = qsim.init_state(n, p)
+    qsim.controlled_grover_powers(state, qsim.StringOracleSpec(data_bits, q))
+    qsim.inverse_qft(state, range(n, n + p))
+    # lower half, ancilla 0: amplitudes of the factored state / sqrt(2)
+    return state.amps[:1 << (n + p)] * math.sqrt(2.0)
 
 
 def reference_search_amps(n, q, data_bits, k):
     """k gate-level Grover iterations with the |-> ancilla factored out."""
-    layout = qsim.RegisterLayout.standard(n, 0)
-    state = qsim.init_state(layout)
+    state = qsim.init_state(n, 0)
     for _ in range(k):
-        qsim.grover_iteration(state, layout, qsim.StringOracleSpec(data_bits, q))
-    return state.amps.reshape(2, 1 << n)[0] * math.sqrt(2.0)
+        qsim.grover_iteration(state, qsim.StringOracleSpec(data_bits, q))
+    return state.amps[:1 << n] * math.sqrt(2.0)
 
 
 def reference_marginal(state, qubits):
@@ -47,31 +45,29 @@ def reference_marginal(state, qubits):
     return probs.reshape(-1, 1 << len(qubits), 1 << qubits.start).sum(axis=(0, 2))
 
 
+def reference_diffusion(amps, n, control):
+    """Template reflection as two reshape branches, one per control case, in place."""
+    if control is None:
+        v = amps.reshape(-1, 1 << n)
+        mean = v.mean(axis=1, keepdims=True)
+        v *= -1.0
+        v += 2.0 * mean
+    else:
+        block = amps.reshape(-1, 2, 1 << (control - n), 1 << n)[:, 1]
+        mean = block.mean(axis=2, keepdims=True)
+        block *= -1.0
+        block += 2.0 * mean
+
+
 def dense_fourier(p):
     d = 1 << p
     grid = np.outer(np.arange(d), np.arange(d))
     return np.exp(2j * np.pi * grid / d) / math.sqrt(d)
 
 
-class TestLayout:
-    def test_standard_layout(self):
-        lay = qsim.RegisterLayout.standard(6, 5)
-        assert (list(lay.template), lay.ancilla, list(lay.counting)) == (
-            list(range(6)), 6, list(range(7, 12)))
-        assert lay.num_qubits == 12
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValidationError):
-            qsim.RegisterLayout(template=range(0, 3), ancilla=2, counting=range(3, 4))
-
-    def test_gap_rejected(self):
-        with pytest.raises(ValidationError):
-            qsim.RegisterLayout(template=range(0, 3), ancilla=4, counting=range(5, 6))
-
-
 class TestInitState:
     def test_two_qubit_template_uniform(self):
-        state = qsim.init_state(qsim.RegisterLayout.standard(2, 0))
+        state = qsim.init_state(2, 0)
         probs = qsim.marginal_probs(state, range(0, 2))
         np.testing.assert_allclose(probs, 0.25, atol=1e-15)
         # ancilla in |->: equal weight, opposite sign
@@ -79,17 +75,30 @@ class TestInitState:
         np.testing.assert_allclose(v[1], -v[0], atol=1e-15)
 
     def test_full_register_uniform_modulus(self):
-        state = qsim.init_state(qsim.RegisterLayout.standard(6, 5))
+        state = qsim.init_state(6, 5)
         assert state.amps.size == 1 << 12
         np.testing.assert_allclose(np.abs(state.amps) ** 2, 2.0**-12, atol=1e-15)
 
     def test_norm(self):
-        state = qsim.init_state(qsim.RegisterLayout.standard(4, 3))
+        state = qsim.init_state(4, 3)
         assert np.vdot(state.amps, state.amps).real == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n,p", [(1, 1), (3, 2), (2, 5)])
+    def test_h_below_the_top_qubit_minus_on_top(self, n, p):
+        # template 0..n-1 and counting n..n+p-1 uniform, the ancilla on top in |->
+        state = qsim.init_state(n, p)
+        assert state.num_qubits == n + p + 1
+        amp = 2.0 ** (-(n + p + 1) / 2)
+        np.testing.assert_allclose(state.amps.reshape(2, -1),
+                                   [[amp] * (1 << (n + p)), [-amp] * (1 << (n + p))],
+                                   rtol=0, atol=1e-15)
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
-            qsim.init_state(qsim.RegisterLayout.standard(20, 10), cap=26)
+            qsim.init_state(20, 10, cap=26)
+        qsim.init_state(4, 5, cap=10)  # 2**10 amplitudes, ancilla included, fit
+        with pytest.raises(CapExceededError, match="over the cap of 2\\*\\*10"):
+            qsim.init_state(4, 6, cap=10)
 
 
 class TestApplyGate:
@@ -153,30 +162,27 @@ class TestApplyGate:
 
 class TestStringOracle:
     def test_two_low_bit_variants_flip(self):
-        layout = qsim.RegisterLayout.standard(6, 0)
         spec = qsim.StringOracleSpec("000110", 1)
-        state = qsim.init_state(layout)
+        state = qsim.init_state(6, 0)
         ref = state.amps.copy()
-        qsim.string_oracle(state, layout, spec)
+        qsim.string_oracle(state, spec)
         signs = (state.amps / ref).reshape(2, 64).real
         flipped = sorted(set(np.flatnonzero(np.isclose(signs[0], -1.0)).tolist()))
         assert flipped == [6, 7]
         assert list(spec.matching_states()) == [6, 7]
 
     def test_ignore_all_flips_everything(self):
-        layout = qsim.RegisterLayout.standard(3, 0)
-        state = qsim.init_state(layout)
+        state = qsim.init_state(3, 0)
         ref = state.amps.copy()
-        qsim.string_oracle(state, layout, qsim.StringOracleSpec("101", 3))
+        qsim.string_oracle(state, qsim.StringOracleSpec("101", 3))
         np.testing.assert_allclose(state.amps, -ref, atol=1e-14)
 
     def test_exact_match_equals_dense_oracle(self):
         # dense reference: X fold/sandwich layers around an MCX unitary
-        layout = qsim.RegisterLayout.standard(4, 0)
         spec = qsim.StringOracleSpec("1011", 0)
         state = random_state(5, 6)
         ref = state.amps.copy()
-        qsim.string_oracle(state, layout, spec)
+        qsim.string_oracle(state, spec)
 
         def x_on(bits):
             m = np.eye(1)
@@ -197,57 +203,67 @@ class TestStringOracle:
     def test_phase_flip_on_prepared_ancilla_matches_diagonal(self):
         # with the ancilla prepared in |->, the oracle acts as the
         # diagonal +-1 operator on the template register
-        layout = qsim.RegisterLayout.standard(4, 0)
         spec = qsim.StringOracleSpec("1011", 0)
-        state = qsim.init_state(layout)
+        state = qsim.init_state(4, 0)
         ref = state.amps.copy()
-        qsim.string_oracle(state, layout, spec)
+        qsim.string_oracle(state, spec)
         signs = np.ones(16)
         signs[0b1011] = -1.0
         np.testing.assert_allclose(state.amps.reshape(2, 16), ref.reshape(2, 16) * signs,
                                    atol=1e-12)
 
+    @pytest.mark.parametrize("num_qubits", [2, 3])
+    def test_state_without_an_ancilla_rejected(self, num_qubits):
+        with pytest.raises(ValidationError, match="no ancilla"):
+            qsim.string_oracle(random_state(num_qubits, 9), qsim.StringOracleSpec("101", 0))
+
     def test_involution(self):
-        layout = qsim.RegisterLayout.standard(5, 2)
         spec = qsim.StringOracleSpec("01101", 1)
-        state = qsim.init_state(layout)
+        state = qsim.init_state(5, 2)
         ref = state.amps.copy()
-        qsim.string_oracle(state, layout, spec)
-        qsim.string_oracle(state, layout, spec)
+        qsim.string_oracle(state, spec)
+        qsim.string_oracle(state, spec)
         np.testing.assert_allclose(state.amps, ref, atol=1e-12)
 
 
 class TestDiffusion:
     def test_uniform_state_is_fixed_point(self):
-        layout = qsim.RegisterLayout.standard(3, 0)
-        state = qsim.init_state(layout)
+        state = qsim.init_state(3, 0)
         ref = state.amps.copy()
-        qsim.diffusion(state, layout)
+        qsim.diffusion(state, 3)
         np.testing.assert_allclose(state.amps, ref, atol=1e-12)
 
     def test_involution(self):
-        layout = qsim.RegisterLayout.standard(3, 0)
         state = random_state(4, 7)
         ref = state.amps.copy()
-        qsim.diffusion(state, layout)
-        qsim.diffusion(state, layout)
+        qsim.diffusion(state, 3)
+        qsim.diffusion(state, 3)
         np.testing.assert_allclose(state.amps, ref, atol=1e-12)
 
     def test_matches_dense_reflection(self):
-        layout = qsim.RegisterLayout.standard(3, 0)
         state = random_state(4, 8)
         ref = state.amps.reshape(2, 8).copy()
-        qsim.diffusion(state, layout)
+        qsim.diffusion(state, 3)
         dense = 2.0 / 8.0 * np.ones((8, 8)) - np.eye(8)
         np.testing.assert_allclose(state.amps.reshape(2, 8), ref @ dense.T, atol=1e-12)
+
+    @pytest.mark.parametrize("num_qubits", range(1, 7))
+    def test_bit_identical_to_two_branch_reshape(self, num_qubits):
+        # every template width, and no control or any control above the template
+        for n in range(1, num_qubits + 1):
+            for control in [None, *range(n, num_qubits)]:
+                state = random_state(num_qubits, 100 * num_qubits + 10 * n + (control or 0))
+                want = state.amps.copy()
+                reference_diffusion(want, n, control)
+                qsim.diffusion(state, n, control)
+                np.testing.assert_array_equal(state.amps.view(np.int64), want.view(np.int64))
 
 
 class TestGroverIteration:
     def test_four_entry_search_is_exact(self):
-        layout = qsim.RegisterLayout.standard(2, 0)
-        state = qsim.init_state(layout)
-        qsim.grover_iteration(state, layout, qsim.StringOracleSpec("11", 0))
-        probs = qsim.marginal_probs(state, layout.template)
+        state = qsim.init_state(2, 0)
+        qsim.grover_iteration(state, qsim.StringOracleSpec("11", 0))
+        probs = qsim.marginal_probs(state, range(2))
         np.testing.assert_allclose(probs, [0, 0, 0, 1.0], atol=1e-12)
 
     def test_marked_probability_matches_analytic(self):
@@ -281,14 +297,13 @@ class TestControlledPowers:
         calls = []
         original = qsim.grover_iteration
 
-        def spy(state, layout, spec, control=None):
+        def spy(state, spec, control=None):
             calls.append(control)
-            return original(state, layout, spec, control)
+            return original(state, spec, control)
 
         monkeypatch.setattr(qsim, "grover_iteration", spy)
-        layout = qsim.RegisterLayout.standard(3, 5)
-        state = qsim.init_state(layout)
-        qsim.controlled_grover_powers(state, layout, qsim.StringOracleSpec("011", 0))
+        state = qsim.init_state(3, 5)
+        qsim.controlled_grover_powers(state, qsim.StringOracleSpec("011", 0))
         assert len(calls) == 31
         assert all(c is not None for c in calls)
 
@@ -349,10 +364,9 @@ class TestTemplateVectorPath:
     def test_matched_slice_is_the_oracle_phase_kickback(self, data_bits, q):
         n = len(data_bits)
         spec = qsim.StringOracleSpec(data_bits, q)
-        layout = qsim.RegisterLayout.standard(n, 0)
-        state = qsim.init_state(layout)
+        state = qsim.init_state(n, 0)
         ref = state.amps.copy()
-        qsim.string_oracle(state, layout, spec)
+        qsim.string_oracle(state, spec)
         signs = (state.amps / ref).reshape(2, 1 << n).real
         np.testing.assert_allclose(signs[1], signs[0], atol=1e-12)
         flipped = np.flatnonzero(signs[0] < 0)
@@ -391,12 +405,10 @@ class TestMarginalProbs:
     @pytest.mark.parametrize("n,q,p", [(12, 2, 4), (10, 1, 6)])
     def test_gate_level_counting_layout_bit_identical(self, n, q, p):
         # 17 qubits: both registers' marginals take two blocks
-        layout = qsim.RegisterLayout.standard(n, p)
-        state = qsim.init_state(layout)
-        qsim.controlled_grover_powers(state, layout,
-                                      qsim.StringOracleSpec(format(5, f"0{n}b"), q))
-        qsim.inverse_qft(state, layout.counting)
-        for qubits in (layout.counting, layout.template):
+        state = qsim.init_state(n, p)
+        qsim.controlled_grover_powers(state, qsim.StringOracleSpec(format(5, f"0{n}b"), q))
+        qsim.inverse_qft(state, range(n, n + p))
+        for qubits in (range(n, n + p), range(n)):
             got = qsim.marginal_probs(state, qubits)
             want = reference_marginal(state, qubits)
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -450,7 +462,7 @@ class TestMeasure:
         assert counts.tolist() == [0, 0, 0, 0, 0, 100, 0, 0]
 
     def test_uniform_marginal_within_three_sigma(self):
-        state = qsim.init_state(qsim.RegisterLayout.standard(2, 0))
+        state = qsim.init_state(2, 0)
         probs = qsim.marginal_probs(state, range(0, 2))
         counts = qsim.measure(probs, 100_000, np.random.default_rng(1))
         assert counts.shape == (4,)

@@ -8,7 +8,8 @@ holds only when every test case passed, except
 ``test_c05_total_failure_reference_value`` and
 ``test_c06_recount_mean_reference_value``, which must be present and
 fail: they compare the model with figures it does not reproduce.  A
-skip, an xfail, a collection error, or either check passing breaks the
+skip, an xfail, a collection error, either check passing, or fewer than
+``MIN_PASSED`` passing tests (a test module gone missing) breaks the
 gate.  Then it runs ``perfbench/run.py --self-test``.  Exit code 0 means
 both held.
 """
@@ -24,6 +25,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MUST_FAIL = {"test_c05_total_failure_reference_value", "test_c06_recount_mean_reference_value"}
+# The tier-1 pass count at the last change; one that deletes tests lowers it.
+MIN_PASSED = 590
 
 
 def outcomes(report: Path) -> dict[str, str]:
@@ -53,6 +56,8 @@ def run_tests() -> list[str]:
               if outcome != ("failure" if short[name] in MUST_FAIL else "passed")]
     broken += [f"{name}: missing" for name in sorted(MUST_FAIL - set(short.values()))]
     passed = sum(outcome == "passed" for outcome in cases.values())
+    if passed < MIN_PASSED:
+        broken.append(f"{passed} passed, under the floor of {MIN_PASSED}")
     print(f"tier-1: {passed} passed, {len(cases) - passed} not passed, "
           f"{len(broken)} against the gate")
     return broken
