@@ -160,14 +160,13 @@ def _mixture(theta: float, d: int, start: int, stop: int) -> np.ndarray:
     return probs
 
 
-def _register_theta(n: int, r: int, p: int) -> float:
-    """``theta_of(n, r)``, once p is checked against the outcome budget."""
+def check_register(p: int) -> None:
+    """Refuse a counting register of p < 1 qubits, or one over the outcome budget."""
     if p < 1:
         raise ValidationError(f"counting register needs p >= 1, got {p}")
     if p > _MAX_P:
         raise CapExceededError(
             f"2**{p} counting outcomes exceed the budget of 2**{_MAX_P} per call")
-    return theta_of(n, r)
 
 
 def outcome_blocks(n: int, r: int, p: int,
@@ -178,8 +177,8 @@ def outcome_blocks(n: int, r: int, p: int,
     outcome of the p-qubit register in order.  The arguments are checked
     here, before the first block is made.
     """
-    theta = _register_theta(n, r, p)
-    d = 1 << p
+    check_register(p)
+    theta, d = theta_of(n, r), 1 << p
     return ((start, _mixture(theta, d, start, min(start + size, d)))
             for start in range(0, d, size))
 
@@ -206,8 +205,8 @@ class _StreamedCdf:
     """
 
     def __init__(self, n: int, r: int, p: int):
-        self._theta = _register_theta(n, r, p)
-        self._d = 1 << p
+        check_register(p)
+        self._theta, self._d = theta_of(n, r), 1 << p
         self._chunks = -(-self._d // _CHUNK)
         self._edges: list[float] = []
         self._kept: dict[int, np.ndarray] = {}
@@ -322,7 +321,7 @@ def false_negative_prob(n: int, r: int, p: int) -> float:
     """Probability of reading b = 0 although r >= 1 matches exist."""
     if r < 1:
         raise ValidationError("false negatives are defined for r >= 1")
-    return float(_mixture(theta_of(n, r), 1 << p, 0, 1)[0])
+    return float(next(outcome_blocks(n, r, p, 1))[1][0])
 
 
 def repetitions_for(delta_target: float) -> int:

@@ -59,8 +59,8 @@ def cmd_mf_snr(args) -> None:
         given = io.read_psd(args.psd)
         top = ((ts.m + 1) // 2 - 1) / (ts.m * ts.dt)  # top bin of the analysis band
         reach = (given.values.size - 1) * given.df
-        # short of the band top by more than io's grid tolerance: refused, not extended
-        if reach < top and not np.isclose(reach, top, rtol=1e-6, atol=1e-12):
+        # short of the band top by more than the input-grid tolerance: refused, not extended
+        if reach < top and not np.isclose(reach, top, **io.GRID_TOL):
             raise InputError(f"{args.psd}: PSD stops at {reach!r} Hz, below the top of "
                              f"the analysis band at {top!r} Hz")
         psd = dsp.interpolate_psd(given, ts.m, ts.dt)

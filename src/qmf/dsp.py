@@ -279,10 +279,3 @@ def max_snr(snr: SnrSeries) -> tuple[float, int]:
     """Peak SNR and the first index attaining it."""
     j = int(np.argmax(snr.rho))
     return float(snr.rho[j]), j
-
-
-def match_predicate(rho_max: float, rho_thr: float) -> int:
-    """1 iff the peak SNR reaches the threshold (inclusive), else 0."""
-    if not rho_thr > 0.0:
-        raise ValidationError(f"threshold must be positive, got {rho_thr}")
-    return int(rho_max >= rho_thr)

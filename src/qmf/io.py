@@ -133,13 +133,17 @@ def read_time_series(path: str | Path) -> TimeSeries:
     return TimeSeries(samples=samples, dt=1.0 / fs, t0=t0)
 
 
+# The one tolerance (np.isclose keywords) of grid values that files give.
+GRID_TOL = {"rtol": 1e-6, "atol": 1e-12}
+
+
 def read_psd(path: str | Path) -> Psd:
     """Load a PSD whose bin k sits at k * df from 0 Hz, as ``Psd`` reads it."""
     f, sn = _read_two_columns(Path(path), ("f_hz", "sn"))
     if f.size < 2:
         raise InputError(f"{path}: need at least 2 PSD bins")
     df = _grid_step(path, f, "frequency")
-    if not np.isclose(f[0], 0.0, atol=1e-12):  # the grid check's tolerance, at 0 Hz
+    if not np.isclose(f[0], 0.0, **GRID_TOL):
         raise InputError(f"{path}: frequency column must start at 0 Hz, got {float(f[0])!r}")
     return Psd(values=sn, df=df)
 
@@ -147,7 +151,7 @@ def read_psd(path: str | Path) -> Psd:
 def _grid_step(path: str | Path, x: np.ndarray, what: str) -> float:
     """The step of a uniformly sampled column: every gap within tolerance of the first."""
     step = float(x[1] - x[0])
-    if not np.allclose(np.diff(x), step, rtol=1e-6, atol=1e-12):
+    if not np.allclose(np.diff(x), step, **GRID_TOL):
         raise InputError(f"{path}: {what} column is not uniformly sampled")
     return step
 

@@ -10,6 +10,8 @@ quantum execution.
 
 Retrieval takes its ``Scenario``, which holds n, p, the strategy, the
 match set and the round limit; the match count r is ``len(match_set)``.
+The match set is ``range(r)`` when synthetic, or else the sorted int64
+index array that the bank search returns, kept as it is to the draw.
 
 Charge model: one detection costs ``2**p - 1`` oracle queries (the
 controlled-iteration ladder), one retrieval attempt costs ``k* + 1``
@@ -93,30 +95,39 @@ def _peak_snrs(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
                idx: np.ndarray) -> np.ndarray:
     """Peak SNR of every template in ``idx``, one block of rows at a time."""
     rows = max(1, _BLOCK_BYTES // (64 * spec.m_samples))
-    peaks = []
+    peaks = np.empty(idx.size)
     for start in range(0, idx.size, rows):
         pairs = chirps(*lattice(spec, idx[start:start + rows]), (0.0, np.pi / 2.0),
                        spec.dur, spec.fs, spec.m_samples)
         qc = dsp.complex_templates(pairs, spec.fs, spec.m_samples, psd)
-        peaks.append(np.abs(dsp.filter_series(data, qc, psd)).max(axis=-1))
-    return np.concatenate(peaks)
+        np.abs(dsp.filter_series(data, qc, psd)).max(axis=-1, out=peaks[start:start + rows])
+    return peaks
+
+
+def _check_threshold(rho_thr: float) -> None:
+    """Refuse a match threshold that is not positive; run before any template is made."""
+    if not rho_thr > 0.0:
+        raise ValidationError(f"threshold must be positive, got {rho_thr}")
 
 
 def oracle_eval(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd, i: int,
                 rho_thr: float, counter: OracleCounter) -> int:
-    """Evaluate the match predicate f(i): template, SNR series, threshold."""
-    rho_max = _peak_snrs(spec, data, psd, np.asarray([i]))[0]
+    """The match predicate f(i): 1 iff template i's peak SNR reaches the threshold."""
+    _check_threshold(rho_thr)
+    hit = _peak_snrs(spec, data, psd, np.asarray([i]))[0] >= rho_thr
     counter.add(1)
-    return dsp.match_predicate(float(rho_max), rho_thr)
+    return int(hit)
 
 
 def classical_search(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
-                     rho_thr: float, counter: OracleCounter) -> list[int]:
-    """Exhaustive baseline: evaluate f(i) for every template, charge N."""
+                     rho_thr: float, counter: OracleCounter) -> np.ndarray:
+    """Exhaustive baseline: f(i) for every template, charged N; the sorted int64 matches."""
+    _check_threshold(rho_thr)
     n = bank_size(spec)
-    rho = _peak_snrs(spec, data, psd, np.arange(n))
+    # the index array is freed before the comparison makes its mask
+    hits = _peak_snrs(spec, data, psd, np.arange(n)) >= rho_thr
     counter.add(n)
-    return [i for i, r in enumerate(rho.tolist()) if dsp.match_predicate(r, rho_thr)]
+    return np.flatnonzero(hits)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +156,7 @@ def count_detections(n: int, r_true: int, p: int, trials: int, seed: int) -> int
     return int(np.count_nonzero(u >= p0[0]))
 
 
-def template_retrieval(n: int, k_star: int, match_set: Sequence[int],
+def template_retrieval(n: int, k_star: int, match_set: Sequence[int] | np.ndarray,
                        rng: np.random.Generator,
                        counter: OracleCounter) -> int | None:
     """One amplification run: succeed with probability sin^2((2k*+1) theta).
@@ -155,12 +166,12 @@ def template_retrieval(n: int, k_star: int, match_set: Sequence[int],
     """
     if k_star < 0:
         raise ValidationError(f"iteration count k*={k_star} must be >= 0")
-    if not match_set:
+    if len(match_set) == 0:
         raise ValidationError("retrieval needs at least one true match")
     counter.add(k_star + 1)
     success = amplify.p_match(amplify.theta_of(n, len(match_set)), k_star)
     if rng.random() < success:
-        return match_set[int(rng.integers(len(match_set)))]
+        return int(match_set[int(rng.integers(len(match_set)))])
     return None
 
 
@@ -179,7 +190,8 @@ def retrieve_until_success(scenario: Scenario, rng: np.random.Generator,
     attempts = 0
     rounds = 0
     k_star: int | None = None
-    while rounds < scenario.max_attempts:
+    found: int | None = None
+    while found is None and rounds < scenario.max_attempts:
         rounds += 1
         if k_star is None or scenario.strategy is RetrievalStrategy.RECOUNT_EACH_TRY:
             outcome = signal_detection(scenario.n, scenario.r_true, scenario.p, rng, counter)
@@ -189,15 +201,8 @@ def retrieve_until_success(scenario: Scenario, rng: np.random.Generator,
             k_star = outcome.k_star
         attempts += 1
         found = template_retrieval(scenario.n, k_star, scenario.match_set, rng, counter)
-        if found is not None:
-            return TrialRecord(
-                oracle_evals=counter.evaluations - start, attempts=attempts,
-                succeeded=True, returned_index=found,
-            )
-    return TrialRecord(
-        oracle_evals=counter.evaluations - start, attempts=attempts,
-        succeeded=False, returned_index=None,
-    )
+    return TrialRecord(oracle_evals=counter.evaluations - start, attempts=attempts,
+                       succeeded=found is not None, returned_index=found)
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +214,14 @@ class Scenario:
 
     Either synthetic (n, r given directly; match set is ``range(r)``,
     never built) or derived from a template bank plus an injected
-    chirp, in which case the match set comes from an exhaustive
-    classical search during setup.
+    chirp, in which case the match set is the sorted int64 index array
+    that the exhaustive classical search returns during setup.
     """
 
     n: int
     p: int
     strategy: RetrievalStrategy
-    match_set: Sequence[int]
+    match_set: Sequence[int] | np.ndarray
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     setup_evals: int = 0
 
@@ -227,8 +232,9 @@ class Scenario:
 
 # Byte budget of an injection scenario's arrays, on the order of the 1 GiB
 # of ``qsim.DEFAULT_QUBIT_CAP``: 16 bytes a template for the bank search's
-# index and peak arrays, plus the strain (8 M bytes), its spectrum (16 per
-# one-sided bin) and one block row of the search (64 M, see _BLOCK_BYTES).
+# index and peak arrays (the 1-byte mask and the int64 match set that
+# outlast them take less), plus the strain (8 M bytes), its spectrum (16
+# per one-sided bin) and one block row of the search (64 M, see _BLOCK_BYTES).
 _INJECTION_BYTES = 1 << 30
 
 
@@ -258,16 +264,26 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if "bank" in cfg:
         check_config_keys(cfg, "injection scenario", _INJECTION_KEYS,
                           _INJECTION_OPTIONAL + _SCENARIO_OPTIONAL)
+        spec = BankSpec.from_config(cfg["bank"])
+        _check_injection_bytes(spec)
+        n = bank_size(spec)
     else:
         check_config_keys(cfg, "synthetic scenario", ("n", "r"), _SCENARIO_OPTIONAL)
+        n, r = config_number(cfg, "n", int), config_number(cfg, "r", int)
+        if r < 0 or r > n:
+            raise ValidationError(f"match count r={r} outside [0, {n}]")
+        if n > sys.float_info.max:
+            raise ValidationError("bank size n exceeds the float range")
+        if r > np.iinfo(np.int64).max:
+            raise ValidationError(f"match count r={r} exceeds 2**63 - 1, the most a draw indexes")
     strategy = RetrievalStrategy.parse(cfg.get("strategy", "reuse_k"))
     max_attempts = config_number(cfg, "max_attempts", int, DEFAULT_MAX_ATTEMPTS)
     if max_attempts < 1:
         raise ValidationError(f"scenario key 'max_attempts' must be >= 1, got {max_attempts}")
+    p = config_number(cfg, "p", int) if "p" in cfg else amplify.choose_p(n)
+    amplify.check_register(p)  # before an injection's bank search, not after it
+    counter = OracleCounter()
     if "bank" in cfg:
-        spec = BankSpec.from_config(cfg["bank"])
-        _check_injection_bytes(spec)
-        n = bank_size(spec)
         amplitude = config_number(cfg, "amplitude", float, 1.0)
         sigma = config_number(cfg, "noise_sigma", float, 0.0)
         params = index_to_params(spec, config_number(cfg, "inject_index", int))
@@ -278,23 +294,11 @@ def scenario_from_config(cfg: dict) -> Scenario:
         data = dsp.forward_fft(dsp.TimeSeries(strain, dt=1.0 / spec.fs))
         psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs, sigma=max(sigma, 1.0))
         rho_thr = config_number(cfg, "rho_thr", float)
-        counter = OracleCounter()
-        match_set = tuple(classical_search(spec, data, psd, rho_thr, counter))
-        setup_evals = counter.evaluations
+        match_set = classical_search(spec, data, psd, rho_thr, counter)
     else:
-        n, r = config_number(cfg, "n", int), config_number(cfg, "r", int)
-        if r < 0 or r > n:
-            raise ValidationError(f"match count r={r} outside [0, {n}]")
-        if n > sys.float_info.max:
-            raise ValidationError("bank size n exceeds the float range")
-        if r > np.iinfo(np.int64).max:
-            raise ValidationError(f"match count r={r} exceeds 2**63 - 1, the most a draw indexes")
-        match_set, setup_evals = range(r), 0
-    p = config_number(cfg, "p", int) if "p" in cfg else amplify.choose_p(n)
-    return Scenario(
-        n=n, p=p, strategy=strategy, match_set=match_set,
-        max_attempts=max_attempts, setup_evals=setup_evals,
-    )
+        match_set = range(r)
+    return Scenario(n=n, p=p, strategy=strategy, match_set=match_set,
+                    max_attempts=max_attempts, setup_evals=counter.evaluations)
 
 
 @dataclass(frozen=True)

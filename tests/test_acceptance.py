@@ -250,7 +250,7 @@ def test_c08_injection_recovered_at_index(synthetic_bank_scenario):
 
 def test_c08_end_to_end_detect_retrieve(synthetic_bank_scenario):
     spec, psd, data, inject, rho_thr, match_set = synthetic_bank_scenario
-    assert match_set and inject in match_set
+    assert len(match_set) and inject in match_set
     n = bank.bank_size(spec)
     scenario = pipeline.Scenario(n=n, p=amplify.choose_p(n),
                                  strategy=RetrievalStrategy.REUSE_K, match_set=match_set)

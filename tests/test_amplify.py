@@ -341,6 +341,11 @@ class TestFalseNegative:
         with pytest.raises(ValidationError):
             amplify.false_negative_prob(64, 0, 5)
 
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_requires_a_counting_qubit(self, p):
+        with pytest.raises(ValidationError, match="p >= 1"):
+            amplify.false_negative_prob(64, 2, p)
+
     @pytest.mark.parametrize("n,r,p", [(131072, 9, 11), (131072, 131071, 11), (64, 2, 5),
                                        (4, 2, 2), (1000, 999, 8), (2**30, 1, 16)])
     def test_is_the_distribution_at_zero(self, n, r, p):

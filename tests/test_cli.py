@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qmf import amplify, bank, cli, dsp, io
+from qmf import amplify, bank, cli, dsp, io, pipeline
 from qmf.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_VALIDATION
 
 BANK_CFG = {"f0_min": 40.0, "f0_max": 120.0, "n_f0": 8,
@@ -763,6 +763,22 @@ class TestDetectRetrieve:
         assert err.count("\n") == 1
         assert err.startswith("resource cap: injection scenario needs ")
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("key,value,code", [
+        ("rho_thr", 0.0, EXIT_VALIDATION), ("rho_thr", math.nan, EXIT_VALIDATION),
+        ("p", 0, EXIT_VALIDATION), ("p", 28, EXIT_CAP)])
+    def test_injection_refused_before_the_search(self, tmp_path, capsys, monkeypatch,
+                                                 key, value, code):
+        def no_search(*args):
+            raise AssertionError("the bank search ran")
+
+        monkeypatch.setattr(pipeline, "_peak_snrs", no_search)
+        cfg = tmp_path / "inject.json"
+        cfg.write_text(json.dumps({"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
+                                   "seed": 1, key: value}))
+        assert run("detect", "--config", cfg, "--out", tmp_path / "d.json") == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "d.json").exists()
 
     @pytest.mark.parametrize("command", ["detect", "retrieve"])
     def test_synthetic_match_set_is_never_built(self, tmp_path, command):

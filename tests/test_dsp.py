@@ -273,18 +273,6 @@ class TestMaxSnrAndPredicate:
         best = max(range(100), key=lambda j: rho[j])
         assert dsp.max_snr(dsp.SnrSeries(rho, dt=1.0)) == (rho[best], best)
 
-    @pytest.mark.parametrize("rho,thr,expected", [
-        (18.0, 18.0, 1),   # threshold is inclusive
-        (0.0, 8.0, 0),
-        (19.05, 18.0, 1),
-    ])
-    def test_predicate(self, rho, thr, expected):
-        assert dsp.match_predicate(rho, thr) == expected
-
-    def test_predicate_requires_positive_threshold(self):
-        with pytest.raises(ValidationError):
-            dsp.match_predicate(1.0, 0.0)
-
 
 class TestBandMask:
     def test_excludes_dc_and_even_nyquist(self):

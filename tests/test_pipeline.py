@@ -1,6 +1,7 @@
 """Unit tests for detection/retrieval orchestration and cost accounting."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -64,7 +65,7 @@ class TestClassicalSearch:
     def test_empty_result_still_charges_full_bank(self, toy_bank):
         spec, psd, data, _ = toy_bank
         c = OracleCounter()
-        matches = pipeline.classical_search(spec, data, psd, rho_thr=1e6, counter=c)
+        matches = pipeline.classical_search(spec, data, psd, rho_thr=1e6, counter=c).tolist()
         assert matches == []
         assert c.evaluations == bank_size(spec)
 
@@ -78,7 +79,7 @@ class TestClassicalSearch:
         spec, psd, data, _ = toy_bank
         thr = 10.0
         c = OracleCounter()
-        matches = pipeline.classical_search(spec, data, psd, rho_thr=thr, counter=c)
+        matches = pipeline.classical_search(spec, data, psd, rho_thr=thr, counter=c).tolist()
         expected = []
         for i in range(bank_size(spec)):
             qc = dsp.complex_template(index_to_params(spec, i), spec.fs,
@@ -114,6 +115,10 @@ def c8_bank():
     return spec, psd, data, loop_peak_snrs(spec, data, psd)
 
 
+def no_search(*args):
+    raise AssertionError("the bank search ran")
+
+
 def small_spec(n_f0=8, n_f1=8, f0_max=120.0, m_samples=1024, dur=1.0):
     return BankSpec(f0_min=40.0, f0_max=f0_max, n_f0=n_f0, f1_min=5.0, f1_max=45.0,
                     n_f1=n_f1, fs=512.0, m_samples=m_samples, dur=dur)
@@ -125,7 +130,8 @@ class TestBatchedSearch:
         for thr in (0.8 * rho.max(), float(np.median(rho)), 10.0):
             c = OracleCounter()
             got = pipeline.classical_search(spec, data, psd, thr, c)
-            assert got == np.flatnonzero(rho >= thr).tolist()
+            assert got.dtype == np.int64
+            assert got.tolist() == np.flatnonzero(rho >= thr).tolist()
             assert c.evaluations == bank_size(spec)
 
     def test_c8_peak_snr_matches_reference(self, c8_bank):
@@ -147,7 +153,7 @@ class TestBatchedSearch:
 
     def test_oracle_eval_is_the_one_index_search(self, toy_bank):
         spec, psd, data, _ = toy_bank
-        matches = pipeline.classical_search(spec, data, psd, 10.0, OracleCounter())
+        matches = pipeline.classical_search(spec, data, psd, 10.0, OracleCounter()).tolist()
         hits = [i for i in range(bank_size(spec))
                 if pipeline.oracle_eval(spec, data, psd, i, 10.0, OracleCounter())]
         assert hits == matches
@@ -178,6 +184,49 @@ class TestBatchedSearch:
         spec, psd, data, _ = toy_bank
         with pytest.raises(ValidationError, match="threshold"):
             pipeline.classical_search(spec, data, psd, 0.0, OracleCounter())
+
+    def test_search_holds_the_budgeted_arrays(self, monkeypatch):
+        # every template matches, 7 rows a block: 16 bytes a template at the
+        # peak (index and peak arrays) and 8 held after (the int64 matches)
+        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 7 * 64 * 64)
+        spec = small_spec(n_f0=64, n_f1=128, m_samples=64, dur=0.1)
+        psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs)
+        data = injected_data(spec, 0, 5)
+        n, slack = bank_size(spec), 64 << 10
+        pipeline.oracle_eval(spec, data, psd, 0, 1e-9, OracleCounter())  # warm caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            matches = pipeline.classical_search(spec, data, psd, 1e-9, OracleCounter())
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert matches.size == n
+        assert peak - start <= 16 * n + pipeline._BLOCK_BYTES + slack
+        assert held - start <= 8 * n + slack
+
+
+class TestThreshold:
+    """The match predicate's threshold: inclusive, and positive or refused."""
+
+    @pytest.mark.parametrize("step,expected", [(0.0, 1), (1.0, 0), (-1.0, 1)],
+                             ids=["at-peak", "above-peak", "below-peak"])
+    def test_inclusive(self, toy_bank, step, expected):
+        spec, psd, data, inject = toy_bank
+        rho = pipeline._peak_snrs(spec, data, psd, np.asarray([inject]))[0]
+        thr = float(np.nextafter(rho, step * np.inf) if step else rho)
+        assert pipeline.oracle_eval(spec, data, psd, inject, thr, OracleCounter()) == expected
+        matches = pipeline.classical_search(spec, data, psd, thr, OracleCounter())
+        assert (inject in matches) == bool(expected)
+
+    @pytest.mark.parametrize("thr", [0.0, -1.0, math.nan])
+    def test_refused_before_any_template(self, toy_bank, monkeypatch, thr):
+        spec, psd, data, inject = toy_bank
+        monkeypatch.setattr(pipeline, "_peak_snrs", no_search)
+        with pytest.raises(ValidationError, match="threshold must be positive"):
+            pipeline.oracle_eval(spec, data, psd, inject, thr, OracleCounter())
+        with pytest.raises(ValidationError, match="threshold must be positive"):
+            pipeline.classical_search(spec, data, psd, thr, OracleCounter())
 
 
 class TestSignalDetection:
@@ -482,7 +531,7 @@ class TestEndToEndSoundness:
         thr = 15.0
         c = OracleCounter()
         match_set = pipeline.classical_search(spec, data, psd, thr, c)
-        assert match_set
+        assert len(match_set)
         n = bank_size(spec)
         sc = pipeline.Scenario(n=n, p=amplify.choose_p(n),
                                strategy=RetrievalStrategy.REUSE_K, match_set=match_set)
