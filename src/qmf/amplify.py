@@ -20,7 +20,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -34,8 +34,6 @@ _ALIGNED_TOL = 1e-12
 # 2**_MAX_P outcomes is refused: a draw may scan every one of them.
 _CHUNK = 1 << 16
 _MAX_P = 27
-# Whole chunk cdfs kept per distribution, enough for its two peaks.
-_KEPT_CHUNKS = 2
 
 
 def round_half_away(x):
@@ -106,7 +104,7 @@ def choose_p(n: float) -> int:
     return p
 
 
-class CountingDistribution:
+class CountingDistribution(NamedTuple):
     """Exact outcome distribution of the counting register.
 
     ``probs[b]`` is the probability of reading integer ``b`` from a
@@ -114,15 +112,12 @@ class CountingDistribution:
     operator with rotation half-angle ``theta``.  The distribution is
     the equal mixture of the two conjugate eigenvalue branches, so it is
     symmetric under ``b <-> (2**p - b) mod 2**p`` and sums to one.
+    ``probs`` is read-only.
     """
 
-    __slots__ = ("p", "theta", "probs")
-
-    def __init__(self, p: int, theta: float, probs: np.ndarray):
-        self.p = p
-        self.theta = theta
-        self.probs = probs
-        self.probs.flags.writeable = False
+    p: int
+    theta: float
+    probs: np.ndarray
 
 
 def _branch_probs(theta: float, d: int, out: np.ndarray) -> np.ndarray:
@@ -189,6 +184,7 @@ def counting_distribution(n: int, r: int, p: int) -> CountingDistribution:
     probs = np.empty(1 << p)
     for start, block in blocks:
         probs[start:start + block.size] = block
+    probs.flags.writeable = False
     return CountingDistribution(p=p, theta=theta_of(n, r), probs=probs)
 
 
@@ -200,7 +196,7 @@ class _StreamedCdf:
     ``np.cumsum`` bit for bit.  The scan goes only as far as the draws
     need and remembers the last cdf value of every chunk it passed, so a
     later draw computes at most the one chunk that holds its outcome.
-    The chunks drawn from last are kept whole: the two peaks of the
+    The two chunks drawn from last are kept whole: the two peaks of the
     distribution lie in the first and the last chunk.
     """
 
@@ -209,21 +205,15 @@ class _StreamedCdf:
         self._theta, self._d = theta_of(n, r), 1 << p
         self._chunks = -(-self._d // _CHUNK)
         self._edges: list[float] = []
-        self._kept: dict[int, np.ndarray] = {}
+        self._cdf = functools.lru_cache(maxsize=2)(self._chunk_cdf)
 
-    def _cdf(self, k: int) -> np.ndarray:
+    def _chunk_cdf(self, k: int) -> np.ndarray:
         """The cdf over chunk k; the scan has passed every chunk before it."""
-        cdf = self._kept.pop(k, None)
-        if cdf is None:
-            start = k * _CHUNK
-            cdf = _mixture(self._theta, self._d, start, min(start + _CHUNK, self._d))
-            if k:
-                cdf[0] += self._edges[k - 1]
-            np.cumsum(cdf, out=cdf)
-            if len(self._kept) == _KEPT_CHUNKS:
-                del self._kept[next(iter(self._kept))]
-        self._kept[k] = cdf
-        return cdf
+        start = k * _CHUNK
+        cdf = _mixture(self._theta, self._d, start, min(start + _CHUNK, self._d))
+        if k:
+            cdf[0] += self._edges[k - 1]
+        return np.cumsum(cdf, out=cdf)
 
     def _chunk_of(self, u: float) -> int:
         """The first chunk whose last cdf value exceeds u, or the chunk count."""
@@ -235,8 +225,14 @@ class _StreamedCdf:
         return k
 
     def outcome(self, u: float) -> int:
+        """Counting outcome at cumulative probability u.
+
+        The first b whose cdf exceeds u, clamped to 2**p - 1 for a u at or
+        above the cdf's rounded total: the dense
+        ``np.searchsorted(cdf, u, side="right")``, in O(chunk) memory.
+        """
         k = self._chunk_of(u)
-        if k == self._chunks:  # u at or above the cdf's rounded total
+        if k == self._chunks:
             return self._d - 1
         return k * _CHUNK + int(np.searchsorted(self._cdf(k), u, side="right"))
 
@@ -248,20 +244,9 @@ def _streamed_cdf(n: int, r: int, p: int) -> _StreamedCdf:
     return _StreamedCdf(n, r, p)
 
 
-def inverse_cdf(n: int, r: int, p: int, u: float) -> int:
-    """Counting outcome at cumulative probability u.
-
-    The outcome is the first b whose cdf exceeds u, clamped to 2**p - 1
-    for a u at or above the cdf's rounded total: the dense
-    ``np.searchsorted(cdf, u, side="right")``.  The cdf is streamed a
-    chunk of outcomes at a time, so a draw holds O(chunk) memory.
-    """
-    return _streamed_cdf(n, r, p).outcome(u)
-
-
 def sample_b(n: int, r: int, p: int, rng: np.random.Generator) -> int:
-    """Draw one counting outcome by inverse CDF on the supplied stream."""
-    return inverse_cdf(n, r, p, rng.random())
+    """Draw one counting outcome by inverse CDF at u = ``rng.random()``."""
+    return _streamed_cdf(n, r, p).outcome(rng.random())
 
 
 @dataclass(frozen=True)

@@ -27,20 +27,12 @@ _CONFIG_KEYS = ("f0_min", "f0_max", "n_f0", "f1_min", "f1_max", "n_f1",
 
 @dataclass(frozen=True)
 class ChirpParams:
-    """Linear chirp: start frequency, drift rate, duration, initial phase."""
+    """Linear chirp: start frequency, drift rate, duration, initial phase; see ``check_chirps``."""
 
     f0: float
     f1: float
     dur: float
     phi0: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not self.f0 > 0.0:
-            raise ValidationError(f"start frequency must be positive, got {self.f0}")
-        if not self.dur > 0.0:
-            raise ValidationError(f"duration must be positive, got {self.dur}")
-        if not self.f0 + self.f1 * self.dur > 0.0:
-            raise ValidationError("instantaneous frequency goes non-positive")
 
 
 @dataclass(frozen=True)
@@ -132,17 +124,13 @@ def tukey_window(m: int, alpha: float) -> np.ndarray:
     return w
 
 
-def chirps(f0, f1, phases, dur: float, fs: float, m: int) -> np.ndarray:
-    """Tapered chirps over [0, dur) for every phase and every (f0[j], f1[j]).
+def check_chirps(f0: np.ndarray, f1: np.ndarray, dur: float, fs: float, m: int) -> int:
+    """The chirp rules for every (f0[j], f1[j]); returns n_sig = round(dur * fs).
 
-    Returns shape ``(len(phases), len(f0), n_sig)`` with n_sig =
-    round(dur * fs), not zero-padded.  Applies the checks of
-    :class:`ChirpParams` to every chirp, requires n_sig in [2, m], and
-    rejects chirps whose instantaneous frequency reaches the Nyquist
-    frequency anywhere in [0, dur).
+    Refuses a start frequency or duration that is not positive, an
+    instantaneous frequency that goes non-positive or reaches the
+    Nyquist frequency anywhere in [0, dur), and an n_sig outside [2, m].
     """
-    f0 = np.asarray(f0, dtype=np.float64)
-    f1 = np.asarray(f1, dtype=np.float64)
     bad = ~(f0 > 0.0)
     if bad.any():
         raise ValidationError(f"start frequency must be positive, got {f0[bad][0]}")
@@ -155,15 +143,25 @@ def chirps(f0, f1, phases, dur: float, fs: float, m: int) -> np.ndarray:
     if n_sig < 2:
         raise ValidationError("chirp spans fewer than 2 samples")
     if n_sig > m:
-        raise ValidationError(
-            f"chirp of {n_sig} samples does not fit in {m} samples"
-        )
+        raise ValidationError(f"chirp of {n_sig} samples does not fit in {m} samples")
     f_peak = np.maximum(f0, f_end)
     bad = f_peak >= fs / 2.0
     if bad.any():
         raise ValidationError(
             f"instantaneous frequency {f_peak[bad][0]} Hz reaches Nyquist {fs / 2.0} Hz"
         )
+    return n_sig
+
+
+def chirps(f0, f1, phases, dur: float, fs: float, m: int) -> np.ndarray:
+    """Tapered chirps over [0, dur) for every phase and every (f0[j], f1[j]).
+
+    Returns shape ``(len(phases), len(f0), n_sig)``, not zero-padded,
+    after :func:`check_chirps` has passed every chirp.
+    """
+    f0 = np.asarray(f0, dtype=np.float64)
+    f1 = np.asarray(f1, dtype=np.float64)
+    n_sig = check_chirps(f0, f1, dur, fs, m)
     t = np.arange(n_sig) / fs
     sweep = 2.0 * np.pi * (f0[:, None] * t + 0.5 * f1[:, None] * t * t)
     taper = tukey_window(n_sig, 2.0 * TAPER_FRAC)

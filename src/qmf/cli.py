@@ -9,6 +9,7 @@ error, 3 resource cap exceeded, 4 numeric validation failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import sys
 from pathlib import Path
@@ -211,9 +212,7 @@ def cmd_cw_cost(args) -> None:
 def cmd_detect(args) -> None:
     scenario, cfg, seed = _scenario_args(args)
     counter = pipeline.OracleCounter()
-    rng = np.random.default_rng(seed)
-    outcome = pipeline.signal_detection(scenario.n, scenario.r_true, scenario.p,
-                                        rng, counter)
+    outcome = pipeline.signal_detection(scenario, np.random.default_rng(seed), counter)
     prov = io.provenance_line("detect", {**_config_echo(args), "scenario": cfg},
                               seed=seed)
     io.write_json(args.out, {
@@ -231,11 +230,8 @@ def cmd_retrieve(args) -> None:
                                              pipeline.OracleCounter())
     prov = io.provenance_line("retrieve", {**_config_echo(args), "scenario": cfg},
                               seed=seed)
-    io.write_json(args.out, {
-        "succeeded": record.succeeded, "returned_index": record.returned_index,
-        "attempts": record.attempts, "oracle_evals": record.oracle_evals,
-        "setup_evals": scenario.setup_evals,
-    }, prov)
+    io.write_json(args.out, {**dataclasses.asdict(record), "setup_evals": scenario.setup_evals},
+                  prov)
     print(f"succeeded={record.succeeded} index={record.returned_index} "
           f"evals={record.oracle_evals} -> {args.out}")
 

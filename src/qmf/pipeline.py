@@ -8,8 +8,8 @@ with the true match count established classically during scenario
 setup; this reproduces the algorithm's statistics without claiming
 quantum execution.
 
-Retrieval takes its ``Scenario``, which holds n, p, the strategy, the
-match set and the round limit; the match count r is ``len(match_set)``.
+Detection and retrieval take their ``Scenario`` (n, p, the strategy,
+the match set, the round limit); the match count r is ``len(match_set)``.
 The match set is ``range(r)`` when synthetic, or else the sorted int64
 index array that the bank search returns, kept as it is to the draw.
 
@@ -29,12 +29,12 @@ import statistics
 import sys
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import amplify, dsp
-from .bank import BankSpec, bank_size, chirps, index_to_params, lattice, waveform
+from .bank import BankSpec, bank_size, check_chirps, chirps, index_to_params, lattice, waveform
 from .errors import CapExceededError, ValidationError
 from .io import check_config_keys, config_number
 
@@ -71,12 +71,12 @@ class RetrievalStrategy(enum.Enum):
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """Per-trial ledger of one retrieve-until-success run."""
+    """Per-trial ledger of one retrieve-until-success run, fields in output order."""
 
-    oracle_evals: int
-    attempts: int
     succeeded: bool
     returned_index: int | None
+    attempts: int
+    oracle_evals: int
 
 
 # ---------------------------------------------------------------------------
@@ -92,11 +92,11 @@ _BLOCK_BYTES = 32 << 20
 
 
 def _peak_snrs(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
-               idx: np.ndarray) -> np.ndarray:
+               idx: range) -> np.ndarray:
     """Peak SNR of every template in ``idx``, one block of rows at a time."""
     rows = max(1, _BLOCK_BYTES // (64 * spec.m_samples))
-    peaks = np.empty(idx.size)
-    for start in range(0, idx.size, rows):
+    peaks = np.empty(len(idx))
+    for start in range(0, len(idx), rows):
         pairs = chirps(*lattice(spec, idx[start:start + rows]), (0.0, np.pi / 2.0),
                        spec.dur, spec.fs, spec.m_samples)
         qc = dsp.complex_templates(pairs, spec.fs, spec.m_samples, psd)
@@ -114,7 +114,7 @@ def oracle_eval(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd, i: int,
                 rho_thr: float, counter: OracleCounter) -> int:
     """The match predicate f(i): 1 iff template i's peak SNR reaches the threshold."""
     _check_threshold(rho_thr)
-    hit = _peak_snrs(spec, data, psd, np.asarray([i]))[0] >= rho_thr
+    hit = _peak_snrs(spec, data, psd, range(i, i + 1))[0] >= rho_thr
     counter.add(1)
     return int(hit)
 
@@ -124,8 +124,11 @@ def classical_search(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
     """Exhaustive baseline: f(i) for every template, charged N; the sorted int64 matches."""
     _check_threshold(rho_thr)
     n = bank_size(spec)
-    # the index array is freed before the comparison makes its mask
-    hits = _peak_snrs(spec, data, psd, np.arange(n)) >= rho_thr
+    # the chirp rules bound f0 and f0 + f1*dur, monotone along both lattice
+    # axes, so the four corners hold their extremes
+    corners = lattice(spec, [0, spec.n_f0 - 1, n - spec.n_f0, n - 1])
+    check_chirps(*corners, spec.dur, spec.fs, spec.m_samples)
+    hits = _peak_snrs(spec, data, psd, range(n)) >= rho_thr
     counter.add(n)
     return np.flatnonzero(hits)
 
@@ -133,17 +136,17 @@ def classical_search(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
 # ---------------------------------------------------------------------------
 # distribution-level quantum procedures
 
-def signal_detection(n: int, r_true: int, p: int, rng: np.random.Generator,
+def signal_detection(scenario: Scenario, rng: np.random.Generator,
                      counter: OracleCounter) -> amplify.CountEstimate:
     """One counting run: sample an outcome b and decode it.
 
     Charges the full controlled ladder of ``2**p - 1`` oracle queries
-    once the draw has checked p.  With ``r_true = 0`` the outcome is 0
-    with certainty, so the procedure can never raise a false alarm.
+    once the draw has checked p.  With no matches the outcome is 0 with
+    certainty, so the procedure can never raise a false alarm.
     """
-    b = amplify.sample_b(n, r_true, p, rng)
-    counter.add((1 << p) - 1)
-    return amplify.estimate_from_b(b, p, n)
+    b = amplify.sample_b(scenario.n, scenario.r_true, scenario.p, rng)
+    counter.add((1 << scenario.p) - 1)
+    return amplify.estimate_from_b(b, scenario.p, scenario.n)
 
 
 def count_detections(n: int, r_true: int, p: int, trials: int, seed: int) -> int:
@@ -156,20 +159,20 @@ def count_detections(n: int, r_true: int, p: int, trials: int, seed: int) -> int
     return int(np.count_nonzero(u >= p0[0]))
 
 
-def template_retrieval(n: int, k_star: int, match_set: Sequence[int] | np.ndarray,
-                       rng: np.random.Generator,
+def template_retrieval(scenario: Scenario, k_star: int, rng: np.random.Generator,
                        counter: OracleCounter) -> int | None:
     """One amplification run: succeed with probability sin^2((2k*+1) theta).
 
     On success returns a uniformly random element of the match set.
     Charges ``k*`` ladder queries plus one verification query.
     """
+    match_set = scenario.match_set
     if k_star < 0:
         raise ValidationError(f"iteration count k*={k_star} must be >= 0")
     if len(match_set) == 0:
         raise ValidationError("retrieval needs at least one true match")
     counter.add(k_star + 1)
-    success = amplify.p_match(amplify.theta_of(n, len(match_set)), k_star)
+    success = amplify.p_match(amplify.theta_of(scenario.n, len(match_set)), k_star)
     if rng.random() < success:
         return int(match_set[int(rng.integers(len(match_set)))])
     return None
@@ -194,15 +197,15 @@ def retrieve_until_success(scenario: Scenario, rng: np.random.Generator,
     while found is None and rounds < scenario.max_attempts:
         rounds += 1
         if k_star is None or scenario.strategy is RetrievalStrategy.RECOUNT_EACH_TRY:
-            outcome = signal_detection(scenario.n, scenario.r_true, scenario.p, rng, counter)
+            outcome = signal_detection(scenario, rng, counter)
             if not outcome.detected:
                 k_star = None
                 continue
             k_star = outcome.k_star
         attempts += 1
-        found = template_retrieval(scenario.n, k_star, scenario.match_set, rng, counter)
-    return TrialRecord(oracle_evals=counter.evaluations - start, attempts=attempts,
-                       succeeded=found is not None, returned_index=found)
+        found = template_retrieval(scenario, k_star, rng, counter)
+    return TrialRecord(succeeded=found is not None, returned_index=found, attempts=attempts,
+                       oracle_evals=counter.evaluations - start)
 
 
 # ---------------------------------------------------------------------------
@@ -231,17 +234,17 @@ class Scenario:
 
 
 # Byte budget of an injection scenario's arrays, on the order of the 1 GiB
-# of ``qsim.DEFAULT_QUBIT_CAP``: 16 bytes a template for the bank search's
-# index and peak arrays (the 1-byte mask and the int64 match set that
-# outlast them take less), plus the strain (8 M bytes), its spectrum (16
-# per one-sided bin) and one block row of the search (64 M, see _BLOCK_BYTES).
+# of ``qsim.DEFAULT_QUBIT_CAP``: 9 bytes a template for the bank search's
+# float64 peaks and their bool mask (then the mask and the int64 matches),
+# plus the strain (8 M bytes), its spectrum (16 per one-sided bin) and one
+# block row of the search (64 M, see _BLOCK_BYTES).
 _INJECTION_BYTES = 1 << 30
 
 
 def _check_injection_bytes(spec: BankSpec) -> None:
     """Refuse a bank whose injection scenario would hold more than the budget."""
     m = spec.m_samples
-    need = 16 * bank_size(spec) + 8 * m + 16 * (m // 2 + 1) + 64 * m
+    need = 9 * bank_size(spec) + 8 * m + 16 * (m // 2 + 1) + 64 * m
     if need > _INJECTION_BYTES:
         raise CapExceededError(f"injection scenario needs {need} bytes, over the budget "
                                f"of {_INJECTION_BYTES} ({bank_size(spec)} templates, "
@@ -303,26 +306,19 @@ def scenario_from_config(cfg: dict) -> Scenario:
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
-    """Aggregate of per-trial oracle-evaluation counts."""
+    """Aggregate of per-trial oracle-evaluation counts, fields in output order."""
 
     trials: int
     mean: float
     median: float
     stddev: float
-    histogram: tuple[tuple[int, int], ...]
     n_failed: int
     classical_evals: int
+    histogram: tuple[tuple[int, int], ...]
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "mean": self.mean,
-            "median": self.median,
-            "stddev": self.stddev,
-            "n_failed": self.n_failed,
-            "classical_evals": self.classical_evals,
-            "histogram": [{"evals": e, "count": c} for e, c in self.histogram],
-        }
+        return {**asdict(self),
+                "histogram": [{"evals": e, "count": c} for e, c in self.histogram]}
 
 
 def monte_carlo(scenario: Scenario, trials: int, seed: int) -> tuple[MonteCarloSummary, list[TrialRecord]]:

@@ -1,6 +1,7 @@
 """Unit tests for the closed-form amplification/counting model."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,6 +32,11 @@ REFERENCE_TABLE = [
     (2, 9, 7, 124, 7, 5, 8, 0.9429),
     (2, 10, 7, 125, 10, 6, 12, 0.9395),
 ]
+
+
+def draw(n, r, p, u):
+    """``sample_b`` at cumulative probability u, from a generator stub that returns u."""
+    return amplify.sample_b(n, r, p, SimpleNamespace(random=lambda: u))
 
 
 class TestThetaOf:
@@ -200,7 +206,7 @@ class TestStreamedDraw:
         ])
         want = np.minimum(np.searchsorted(cdf, u, side="right"), cdf.size - 1)
         assert want[13] == cdf.size - 1  # u above the cdf's total is clamped
-        assert [amplify.inverse_cdf(self.N, self.R, self.P, x) for x in u] == want.tolist()
+        assert [draw(self.N, self.R, self.P, x) for x in u] == want.tolist()
 
     @pytest.mark.parametrize("n,r,p", [(2**30, 7, 18), (131072, 9, 11), (64, 2, 5),
                                        (4, 2, 2), (64, 0, 5), (8, 8, 4)])
@@ -210,9 +216,9 @@ class TestStreamedDraw:
         p0 = float(probs[0])
         assert p0 == amplify.counting_distribution(n, r, p).probs[0]
         if p0 < 1.0:
-            assert amplify.inverse_cdf(n, r, p, p0) >= 1
+            assert draw(n, r, p, p0) >= 1
         if p0 > 0.0:
-            assert amplify.inverse_cdf(n, r, p, float(np.nextafter(p0, 0.0))) == 0
+            assert draw(n, r, p, float(np.nextafter(p0, 0.0))) == 0
 
     def test_sample_b_equals_dense_draw(self, dense):
         _, cdf = dense
@@ -228,7 +234,7 @@ class TestStreamedDraw:
         mixture = amplify._mixture
         monkeypatch.setattr(amplify, "_mixture", lambda *a: calls.append(a) or mixture(*a))
         u = [cdf[-2], cdf[3], cdf[-3], cdf[(2 << 16) + 9], cdf[-4], cdf[7]]
-        got = [amplify.inverse_cdf(self.N, self.R, self.P, x) for x in u]
+        got = [draw(self.N, self.R, self.P, x) for x in u]
         assert got == np.searchsorted(cdf, u, side="right").tolist()
         # the scan to the last chunk, then the first, the third, and the
         # first again after the third evicted it; the draws in the last
@@ -239,7 +245,7 @@ class TestStreamedDraw:
     @pytest.mark.parametrize("p,error", [(0, ValidationError), (28, CapExceededError)])
     def test_register_outside_the_budget(self, p, error):
         with pytest.raises(error):
-            amplify.inverse_cdf(4, 1, p, 0.5)
+            draw(4, 1, p, 0.5)
         with pytest.raises(error):
             amplify.outcome_blocks(4, 1, p)
 

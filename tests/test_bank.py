@@ -19,9 +19,10 @@ def make_spec(n_f0=8, n_f1=8):
 class TestChirpParams:
     def test_rejects_bad_frequencies(self):
         with pytest.raises(ValidationError):
-            ChirpParams(f0=0.0, f1=1.0, dur=1.0)
+            waveform(ChirpParams(f0=0.0, f1=1.0, dur=1.0), fs=512.0, m=1024)
         with pytest.raises(ValidationError):
-            ChirpParams(f0=10.0, f1=-20.0, dur=1.0)  # sweeps through zero
+            # sweeps through zero
+            waveform(ChirpParams(f0=10.0, f1=-20.0, dur=1.0), fs=512.0, m=1024)
 
 
 class TestBankSpec:

@@ -560,6 +560,15 @@ class TestMcBench:
         hist_rows = data_rows(tmp_path / "mc.hist.csv")[1:]
         assert sum(int(r.split(",")[1]) for r in hist_rows) == 200
 
+    def test_summary_keys_in_output_order(self, tmp_path):
+        out = tmp_path / "mc.json"
+        assert run("mc-bench", "--config", self.scenario(tmp_path, trials=20),
+                   "--out", out) == EXIT_OK
+        summary = json.loads(out.read_text())
+        assert list(summary) == ["provenance", "trials", "mean", "median", "stddev",
+                                 "n_failed", "classical_evals", "histogram"]
+        assert list(summary["histogram"][0]) == ["evals", "count"]
+
     def test_histogram_beside_out_in_a_dotted_directory(self, tmp_path):
         cfg = self.scenario(tmp_path, trials=20)
         outdir = tmp_path / "res.json.d"
@@ -752,7 +761,7 @@ class TestDetectRetrieve:
     @pytest.mark.parametrize("command", ["detect", "retrieve", "mc-bench"])
     @pytest.mark.parametrize("bank_keys", [
         {"m_samples": 10**12},  # the strain alone would be 7.3 TiB
-        {"n_f0": 10**5, "n_f1": 10**5}])  # the search's index array alone 75 GiB
+        {"n_f0": 10**5, "n_f1": 10**5}])  # the search's peak array alone 75 GiB
     def test_injection_over_the_byte_budget_exits_3(self, tmp_path, capsys, command,
                                                      bank_keys):
         cfg = tmp_path / "inject.json"
@@ -779,6 +788,31 @@ class TestDetectRetrieve:
         assert run("detect", "--config", cfg, "--out", tmp_path / "d.json") == code
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "d.json").exists()
+
+    def test_bank_past_nyquist_refused_before_the_search(self, tmp_path, capsys,
+                                                         monkeypatch):
+        # the injected template is valid; the corner f0 = 120, f1 = 200 is not
+        def no_search(*args):
+            raise AssertionError("the bank search ran")
+
+        monkeypatch.setattr(pipeline, "_peak_snrs", no_search)
+        cfg = tmp_path / "inject.json"
+        cfg.write_text(json.dumps({"bank": {**BANK_CFG, "f1_max": 200.0}, "inject_index": 0,
+                                   "rho_thr": 10.0, "seed": 1}))
+        assert run("detect", "--config", cfg, "--out", tmp_path / "d.json") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == ("validation error: instantaneous frequency 320.0 Hz reaches "
+                       "Nyquist 256.0 Hz\n")
+        assert not (tmp_path / "d.json").exists()
+
+    def test_retrieve_keys_in_output_order(self, tmp_path):
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"n": 64, "r": 2, "p": 5}))
+        out = tmp_path / "ret.json"
+        assert run("retrieve", "--config", cfg, "--seed", 3, "--out", out) == EXIT_OK
+        assert list(json.loads(out.read_text())) == [
+            "provenance", "succeeded", "returned_index", "attempts", "oracle_evals",
+            "setup_evals"]
 
     @pytest.mark.parametrize("command", ["detect", "retrieve"])
     def test_synthetic_match_set_is_never_built(self, tmp_path, command):

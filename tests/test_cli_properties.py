@@ -65,9 +65,9 @@ def around(valid, wider):
     return mostly(valid, wider, 3)
 
 
-# Past the 1 GiB injection budget on their own: 16 bytes a template, and
+# Past the 1 GiB injection budget on their own: 9 bytes a template, and
 # over 64 bytes a sample.  No size under the budget but slow is drawn.
-past_budget_count = st.integers(2**26 + 1, 10**12)
+past_budget_count = st.integers(2**27 + 1, 10**12)
 past_budget_samples = st.integers(2**24, 10**13)
 
 BANK = {

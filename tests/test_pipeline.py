@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qmf.errors import CapExceededError, ValidationError
 from qmf.pipeline import OracleCounter, RetrievalStrategy
 
 
-def synthetic(n, r, p, strategy, **kwargs):
+def synthetic(n, r, p, strategy=RetrievalStrategy.REUSE_K, **kwargs):
     """A scenario whose r matches are templates 0..r-1."""
     return pipeline.Scenario(n=n, p=p, strategy=strategy, match_set=list(range(r)), **kwargs)
 
@@ -136,7 +137,7 @@ class TestBatchedSearch:
 
     def test_c8_peak_snr_matches_reference(self, c8_bank):
         spec, psd, data, rho = c8_bank
-        got = pipeline._peak_snrs(spec, data, psd, np.arange(bank_size(spec)))
+        got = pipeline._peak_snrs(spec, data, psd, range(bank_size(spec)))
         assert np.array_equal(got, rho)
 
     @pytest.mark.parametrize("n_f0,n_f1", [(8, 8), (1, 8), (8, 1), (1, 1)])
@@ -148,7 +149,7 @@ class TestBatchedSearch:
         spec = small_spec(n_f0, n_f1, m_samples=m_samples)
         psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs)
         data = injected_data(spec, bank_size(spec) // 2, 5)
-        got = pipeline._peak_snrs(spec, data, psd, np.arange(bank_size(spec)))
+        got = pipeline._peak_snrs(spec, data, psd, range(bank_size(spec)))
         assert np.array_equal(got, loop_peak_snrs(spec, data, psd))
 
     def test_oracle_eval_is_the_one_index_search(self, toy_bank):
@@ -186,10 +187,12 @@ class TestBatchedSearch:
             pipeline.classical_search(spec, data, psd, 0.0, OracleCounter())
 
     def test_search_holds_the_budgeted_arrays(self, monkeypatch):
-        # every template matches, 7 rows a block: 16 bytes a template at the
-        # peak (index and peak arrays) and 8 held after (the int64 matches)
+        # every template matches, 7 rows a block: 9 bytes a template at the
+        # peak (the peaks, then their mask) and 8 held after (the int64
+        # matches); 2**16 templates, so that an 8-byte index array would
+        # not fit in the slack
         monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 7 * 64 * 64)
-        spec = small_spec(n_f0=64, n_f1=128, m_samples=64, dur=0.1)
+        spec = small_spec(n_f0=256, n_f1=256, m_samples=64, dur=0.1)
         psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs)
         data = injected_data(spec, 0, 5)
         n, slack = bank_size(spec), 64 << 10
@@ -202,7 +205,7 @@ class TestBatchedSearch:
         finally:
             tracemalloc.stop()
         assert matches.size == n
-        assert peak - start <= 16 * n + pipeline._BLOCK_BYTES + slack
+        assert peak - start <= 9 * n + pipeline._BLOCK_BYTES + slack
         assert held - start <= 8 * n + slack
 
 
@@ -213,7 +216,7 @@ class TestThreshold:
                              ids=["at-peak", "above-peak", "below-peak"])
     def test_inclusive(self, toy_bank, step, expected):
         spec, psd, data, inject = toy_bank
-        rho = pipeline._peak_snrs(spec, data, psd, np.asarray([inject]))[0]
+        rho = pipeline._peak_snrs(spec, data, psd, range(inject, inject + 1))[0]
         thr = float(np.nextafter(rho, step * np.inf) if step else rho)
         assert pipeline.oracle_eval(spec, data, psd, inject, thr, OracleCounter()) == expected
         matches = pipeline.classical_search(spec, data, psd, thr, OracleCounter())
@@ -234,7 +237,7 @@ class TestSignalDetection:
         rng = np.random.default_rng(0)
         c = OracleCounter()
         for _ in range(5000):
-            assert not pipeline.signal_detection(2**17, 0, 11, rng, c).detected
+            assert not pipeline.signal_detection(synthetic(2**17, 0, 11), rng, c).detected
 
     def test_vectorized_counter_agrees(self):
         assert pipeline.count_detections(2**17, 0, 11, 100_000, seed=1) == 0
@@ -248,22 +251,21 @@ class TestSignalDetection:
         (8, 8, 4, 6)])
     def test_count_equals_scalar_draws(self, n, r, p, seed):
         u = np.random.default_rng(seed).random(2000)
-        want = sum(amplify.inverse_cdf(n, r, p, x) != 0 for x in u.tolist())
+        want = sum(amplify.sample_b(n, r, p, SimpleNamespace(random=lambda: x)) != 0
+                   for x in u.tolist())
         assert pipeline.count_detections(n, r, p, 2000, seed) == want
 
     def test_charges_full_ladder(self):
         c = OracleCounter()
-        pipeline.signal_detection(2**17, 9, 11, np.random.default_rng(2), c)
+        pipeline.signal_detection(synthetic(2**17, 9, 11), np.random.default_rng(2), c)
         assert c.evaluations == 2047
 
     def test_detection_rate_matches_false_negative_model(self):
         rng = np.random.default_rng(3)
         c = OracleCounter()
+        sc = synthetic(2**17, 9, 11)
         trials = 20_000
-        hits = sum(
-            pipeline.signal_detection(2**17, 9, 11, rng, c).detected
-            for _ in range(trials)
-        )
+        hits = sum(pipeline.signal_detection(sc, rng, c).detected for _ in range(trials))
         expect = 1 - amplify.false_negative_prob(2**17, 9, 11)
         sigma = math.sqrt(expect * (1 - expect) / trials)
         assert abs(hits / trials - expect) < 4 * sigma
@@ -271,14 +273,14 @@ class TestSignalDetection:
     def test_outcome_decoding(self):
         rng = np.random.default_rng(4)
         c = OracleCounter()
-        out = pipeline.signal_detection(64, 2, 5, rng, c)
+        out = pipeline.signal_detection(synthetic(64, 2, 5), rng, c)
         assert out == amplify.estimate_from_b(out.b, 5, 64)
         assert out.detected == (out.b != 0)
 
     def test_empty_register_rejected_before_charging(self):
         c = OracleCounter()
         with pytest.raises(ValidationError, match="p >= 1, got 0"):
-            pipeline.signal_detection(64, 2, 0, np.random.default_rng(4), c)
+            pipeline.signal_detection(synthetic(64, 2, 0), np.random.default_rng(4), c)
         assert c.evaluations == 0
 
 
@@ -286,13 +288,15 @@ class TestTemplateRetrieval:
     def test_exact_rotation_always_succeeds(self):
         rng = np.random.default_rng(5)
         c = OracleCounter()
+        sc = replace(synthetic(4, 1, 3), match_set=[3])
         for _ in range(200):
-            got = pipeline.template_retrieval(4, 1, [3], rng, c)
+            got = pipeline.template_retrieval(sc, 1, rng, c)
             assert got == 3
 
     def test_charges_ladder_plus_verification(self):
         c = OracleCounter()
-        pipeline.template_retrieval(4, 1, [3], np.random.default_rng(6), c)
+        sc = replace(synthetic(4, 1, 3), match_set=[3])
+        pipeline.template_retrieval(sc, 1, np.random.default_rng(6), c)
         assert c.evaluations == 2
 
     def test_success_rate_matches_analytic(self):
@@ -300,9 +304,10 @@ class TestTemplateRetrieval:
         c = OracleCounter()
         k = 3  # deliberately sub-optimal
         p_succ = amplify.p_match(amplify.theta_of(64, 2), k)
+        sc = replace(synthetic(64, 2, 5), match_set=[10, 20])
         trials = 20_000
         wins = sum(
-            pipeline.template_retrieval(64, k, [10, 20], rng, c) is not None
+            pipeline.template_retrieval(sc, k, rng, c) is not None
             for _ in range(trials)
         )
         sigma = math.sqrt(p_succ * (1 - p_succ) / trials)
@@ -312,9 +317,10 @@ class TestTemplateRetrieval:
         rng = np.random.default_rng(8)
         c = OracleCounter()
         match_set = list(range(100, 109))
+        sc = replace(synthetic(2**17, 9, 11), match_set=match_set)
         draws = []
         while len(draws) < 10_000:
-            got = pipeline.template_retrieval(2**17, 94, match_set, rng, c)
+            got = pipeline.template_retrieval(sc, 94, rng, c)
             if got is not None:
                 draws.append(got)
         counts = [draws.count(i) for i in match_set]
@@ -324,10 +330,8 @@ class TestTemplateRetrieval:
 class TestRetrieveUntilSuccess:
     def test_reuse_k_ledger_replay(self):
         # replay the identical stream and rebuild the charge ledger
-        n, r, p = 2**17, 9, 11
-        rec = pipeline.retrieve_until_success(
-            synthetic(n, r, p, RetrievalStrategy.REUSE_K),
-            np.random.default_rng(99), OracleCounter())
+        sc = synthetic(2**17, 9, 11, RetrievalStrategy.REUSE_K)
+        rec = pipeline.retrieve_until_success(sc, np.random.default_rng(99), OracleCounter())
         rng = np.random.default_rng(99)
         c = OracleCounter()
         detections = 0
@@ -335,13 +339,13 @@ class TestRetrieveUntilSuccess:
         k_star = None
         while True:
             if k_star is None:
-                out = pipeline.signal_detection(n, r, p, rng, c)
+                out = pipeline.signal_detection(sc, rng, c)
                 detections += 1
                 if not out.detected:
                     continue
                 k_star = out.k_star
             attempts += 1
-            if pipeline.template_retrieval(n, k_star, list(range(r)), rng, c) is not None:
+            if pipeline.template_retrieval(sc, k_star, rng, c) is not None:
                 break
         assert rec.succeeded
         assert rec.attempts == attempts
@@ -438,8 +442,8 @@ class TestScenario:
 
 
     def test_injection_byte_budget_boundary(self):
-        # m = 2 costs 176 bytes beside 16 a template: 2**30 - 176 = 16 * 67108853
-        spec = BankSpec(f0_min=40.0, f0_max=120.0, n_f0=67108853, f1_min=5.0, f1_max=5.0,
+        # m = 2 costs 176 bytes beside 9 a template: 2**30 - 176 >= 9 * 119304627
+        spec = BankSpec(f0_min=40.0, f0_max=120.0, n_f0=119304627, f1_min=5.0, f1_max=5.0,
                         n_f1=1, fs=512.0, m_samples=2, dur=1.0)
         pipeline._check_injection_bytes(spec)
         with pytest.raises(CapExceededError, match="over the budget of 1073741824"):
