@@ -129,7 +129,8 @@ def check_chirps(f0: np.ndarray, f1: np.ndarray, dur: float, fs: float, m: int) 
 
     Refuses a start frequency or duration that is not positive, an
     instantaneous frequency that goes non-positive or reaches the
-    Nyquist frequency anywhere in [0, dur), and an n_sig outside [2, m].
+    Nyquist frequency anywhere in [0, dur), and a dur * fs that is not
+    finite or rounds to an n_sig outside [2, m].
     """
     bad = ~(f0 > 0.0)
     if bad.any():
@@ -139,6 +140,8 @@ def check_chirps(f0: np.ndarray, f1: np.ndarray, dur: float, fs: float, m: int) 
     f_end = f0 + f1 * dur
     if not (f_end > 0.0).all():
         raise ValidationError("instantaneous frequency goes non-positive")
+    if not math.isfinite(dur * fs):
+        raise ValidationError(f"a chirp of {dur} s at {fs} Hz spans no finite sample count")
     n_sig = int(round(dur * fs))
     if n_sig < 2:
         raise ValidationError("chirp spans fewer than 2 samples")

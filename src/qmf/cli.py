@@ -28,9 +28,10 @@ EXIT_VALIDATION = 4
 _R_MAX_CAP = 10_000
 
 
-def _config_echo(args: argparse.Namespace) -> dict:
-    skip = {"func", "command"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
+def _provenance(args: argparse.Namespace, seed: int | None = None, **configs) -> str:
+    """The provenance line of this call: its command, its seed, every flag and ``configs``."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    return io.provenance_line(args.command, {**flags, **configs}, seed=seed)
 
 
 def _require_at_least(value: int, minimum: int, flag: str) -> None:
@@ -57,35 +58,35 @@ def cmd_mf_snr(args) -> None:
             f"data has {ts.m} samples but the bank expects {spec.m_samples}"
         )
     if args.psd is not None:
-        given = io.read_psd(args.psd)
+        psd = io.read_psd(args.psd)
         top = ((ts.m + 1) // 2 - 1) / (ts.m * ts.dt)  # top bin of the analysis band
-        reach = (given.values.size - 1) * given.df
+        reach = (psd.values.size - 1) * psd.df
         # short of the band top by more than the input-grid tolerance: refused, not extended
         if reach < top and not np.isclose(reach, top, **io.GRID_TOL):
             raise InputError(f"{args.psd}: PSD stops at {reach!r} Hz, below the top of "
                              f"the analysis band at {top!r} Hz")
-        psd = dsp.interpolate_psd(given, ts.m, ts.dt)
     else:
         seg = args.seg_len or min(max(256, min(ts.m // 8, 4096)), ts.m // 2)
         if seg > ts.m // 2:
             raise ValidationError(f"--seg-len must be <= {ts.m // 2}, half the series, got {seg}")
-        psd = dsp.interpolate_psd(dsp.estimate_psd(ts, seg_len=seg), ts.m, ts.dt)
+        psd = dsp.estimate_psd(ts, seg_len=seg)
+    psd = dsp.interpolate_psd(psd, ts.m, ts.dt)
     params = bank.index_to_params(spec, args.index)
     qc = dsp.complex_template(params, spec.fs, spec.m_samples, psd)
     snr = dsp.snr_series(dsp.forward_fft(ts), qc, psd)
     rho_max, j_max = dsp.max_snr(snr)
-    prov = io.provenance_line("mf-snr", _config_echo(args), seed=None)
+    t_max = ts.t0 + j_max * snr.dt
+    prov = _provenance(args)
     io.write_snr(args.out, snr, prov, t0=ts.t0)
     summary = args.summary_out or _derived_path(args.out, "summary", ".json")
-    io.write_json(summary, {"rho_max": rho_max, "t_max": ts.t0 + j_max * snr.dt,
-                            "j_max": j_max}, prov)
-    print(f"rho_max={rho_max:.6g} at t={ts.t0 + j_max * snr.dt:.6g}s -> {args.out}")
+    io.write_json(summary, {"rho_max": rho_max, "t_max": t_max, "j_max": j_max}, prov)
+    print(f"rho_max={rho_max:.6g} at t={t_max:.6g}s -> {args.out}")
 
 
 def cmd_count_dist(args) -> None:
     p = args.p if args.p is not None else amplify.choose_p(args.n_templates)
     blocks = amplify.outcome_blocks(args.n_templates, args.matches, p, io.ROW_BLOCK)
-    prov = io.provenance_line("count-dist", _config_echo(args), seed=None)
+    prov = _provenance(args)
     # P(b) and P(2**p - b) are the same sum of the two branches, bit for
     # bit, so only rows 0..2**(p-1) are formatted.  Each block's strings are
     # kept as one joined str, about 22 bytes a value, for the mirrored rows.
@@ -113,20 +114,21 @@ def cmd_count_dist(args) -> None:
     print(f"p={p}, {d} outcomes -> {args.out}")
 
 
-def _require_shots(shots: int) -> None:
-    """Refuse a shot count that the int64 multinomial draw cannot hold."""
-    _require_at_least(shots, 1, "--shots")
-    if shots > np.iinfo(np.int64).max:
-        raise ValidationError(f"--shots must be <= 2**63 - 1, got {shots}")
+def _require_draw_flags(args) -> None:
+    """Refuse a shot count that the int64 multinomial draw cannot hold, or a negative seed."""
+    _require_at_least(args.shots, 1, "--shots")
+    if args.shots > np.iinfo(np.int64).max:
+        raise ValidationError(f"--shots must be <= 2**63 - 1, got {args.shots}")
+    _require_at_least(args.seed, 0, "--seed")
 
 
 def _sample_and_write(args, marginal: np.ndarray) -> None:
     counts = qsim.measure(marginal, args.shots, np.random.default_rng(args.seed))
-    prov = io.provenance_line(args.command, _config_echo(args), seed=args.seed)
+    prov = _provenance(args, args.seed)
     bits = f"0{marginal.size.bit_length() - 1}b"  # w-bit strings for 2**w outcomes
     drawn = np.flatnonzero(counts)
     rows = (
-        (format(b, bits), c, repr(c / args.shots))
+        (format(b, bits), c, c / args.shots)
         for b, c in zip(drawn.tolist(), counts[drawn].tolist())
     )
     io.write_csv(args.out, "outcome_bits,count,probability", rows, prov)
@@ -139,8 +141,7 @@ def _sample_and_write(args, marginal: np.ndarray) -> None:
 
 def cmd_qsim_count(args) -> None:
     _require_at_least(args.p, 1, "--p")
-    _require_shots(args.shots)
-    _require_at_least(args.seed, 0, "--seed")
+    _require_draw_flags(args)
     spec = qsim.StringOracleSpec(args.data_bits, args.ignored)
     state = qsim.counting_state(spec.n, spec.matching_states(), args.p, cap=args.cap)
     marginal = qsim.marginal_probs(state, range(spec.n, state.num_qubits))
@@ -150,8 +151,7 @@ def cmd_qsim_count(args) -> None:
 
 def cmd_qsim_search(args) -> None:
     _require_at_least(args.iterations, 0, "--iterations")
-    _require_shots(args.shots)
-    _require_at_least(args.seed, 0, "--seed")
+    _require_draw_flags(args)
     spec = qsim.StringOracleSpec(args.data_bits, args.ignored)
     state = qsim.search_state(spec.n, spec.matching_states(), args.iterations, cap=args.cap)
     marginal = qsim.marginal_probs(state, range(spec.n))
@@ -176,27 +176,20 @@ def cmd_mc_bench(args) -> None:
     trials = (args.trials if args.trials is not None
               else io.config_number(cfg, "trials", int, 0))
     summary, _ = pipeline.monte_carlo(scenario, trials, seed)
-    prov = io.provenance_line("mc-bench", {**_config_echo(args), "scenario": cfg},
-                              seed=seed)
+    prov = _provenance(args, seed, scenario=cfg)
     io.write_json(args.out, summary.to_dict(), prov)
     hist_out = args.hist_out or _derived_path(args.out, "hist", ".csv")
-    io.write_csv(hist_out, "evals,count",
-                 summary.histogram, prov)
+    io.write_csv(hist_out, "evals,count", summary.histogram, prov)
     print(f"{trials} trials: mean={summary.mean:.1f} evals "
           f"(classical {summary.classical_evals}) -> {args.out}")
 
 
 def cmd_fail_bound(args) -> None:
-    if args.r_max < 1:
-        raise ValidationError(f"r-max must be >= 1, got {args.r_max}")
+    _require_at_least(args.r_max, 1, "r-max")
     if args.r_max > _R_MAX_CAP:
         raise CapExceededError(f"r-max {args.r_max} exceeds the cap of {_R_MAX_CAP}")
-    prov = io.provenance_line("fail-bound", _config_echo(args), seed=None)
-    rows = []
-    for r in range(1, args.r_max + 1):
-        eps, bound = amplify.max_fail_bound_argmax(r)
-        rows.append((r, repr(eps), repr(bound)))
-    io.write_csv(args.out, "r,eps_p_argmax,max_bound", rows, prov)
+    rows = ((r, *amplify.max_fail_bound_argmax(r)) for r in range(1, args.r_max + 1))
+    io.write_csv(args.out, "r,eps_p_argmax,max_bound", rows, _provenance(args))
     print(f"bounds for r=1..{args.r_max} -> {args.out}")
 
 
@@ -204,8 +197,7 @@ def cmd_cw_cost(args) -> None:
     cfg = io.read_json(args.config) if args.config else {}
     spec = cw.CwSearchSpec.from_config(cfg)
     report = cw.quantum_cost(spec)
-    prov = io.provenance_line("cw-cost", {**_config_echo(args), "spec": cfg}, seed=None)
-    io.write_json(args.out, report, prov)
+    io.write_json(args.out, report, _provenance(args, spec=cfg))
     print(f"speedup {report['speedup']:.3g} -> {args.out}")
 
 
@@ -213,13 +205,11 @@ def cmd_detect(args) -> None:
     scenario, cfg, seed = _scenario_args(args)
     counter = pipeline.OracleCounter()
     outcome = pipeline.signal_detection(scenario, np.random.default_rng(seed), counter)
-    prov = io.provenance_line("detect", {**_config_echo(args), "scenario": cfg},
-                              seed=seed)
     io.write_json(args.out, {
         "b": outcome.b, "r_star": outcome.r_star, "k_star": outcome.k_star,
         "detected": outcome.detected, "oracle_evals": counter.evaluations,
         "setup_evals": scenario.setup_evals,
-    }, prov)
+    }, _provenance(args, seed, scenario=cfg))
     print(f"detected={outcome.detected} (b={outcome.b}, r*={outcome.r_star}) "
           f"-> {args.out}")
 
@@ -228,10 +218,8 @@ def cmd_retrieve(args) -> None:
     scenario, cfg, seed = _scenario_args(args)
     record = pipeline.retrieve_until_success(scenario, np.random.default_rng(seed),
                                              pipeline.OracleCounter())
-    prov = io.provenance_line("retrieve", {**_config_echo(args), "scenario": cfg},
-                              seed=seed)
     io.write_json(args.out, {**dataclasses.asdict(record), "setup_evals": scenario.setup_evals},
-                  prov)
+                  _provenance(args, seed, scenario=cfg))
     print(f"succeeded={record.succeeded} index={record.returned_index} "
           f"evals={record.oracle_evals} -> {args.out}")
 
@@ -253,6 +241,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
+    # flags shared by the two state-vector commands
+    draw = argparse.ArgumentParser(add_help=False)
+    draw.add_argument("--data-bits", required=True, help="n-bit 0/1 data string")
+    draw.add_argument("--ignored", type=int, default=0, help="low-order bits ignored")
+    draw.add_argument("--shots", type=int, default=2048)
+    draw.add_argument("--seed", type=int, required=True)
+    draw.add_argument("--cap", type=int, default=qsim.DEFAULT_QUBIT_CAP)
+    draw.add_argument("--out", required=True)
+    draw.add_argument("--marginal-out")
+    # flags shared by the three scenario commands
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--config", required=True, help="scenario JSON")
+    scenario.add_argument("--seed", type=int, help="override config seed")
+    scenario.add_argument("--out", required=True, help="output JSON")
+
     p = sub.add_parser("mf-snr", help="matched-filter SNR series for one template")
     p.add_argument("--data", required=True, help="strain CSV or raw float64 file")
     p.add_argument("--bank-config", required=True, help="bank lattice JSON")
@@ -270,33 +273,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_count_dist)
 
-    p = sub.add_parser("qsim-count", help="state-vector quantum counting run")
-    p.add_argument("--data-bits", required=True, help="n-bit 0/1 data string")
-    p.add_argument("--ignored", type=int, default=0, help="low-order bits ignored")
+    p = sub.add_parser("qsim-count", parents=[draw], help="state-vector quantum counting run")
     p.add_argument("--p", type=int, required=True, help="counting qubits")
-    p.add_argument("--shots", type=int, default=2048)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cap", type=int, default=qsim.DEFAULT_QUBIT_CAP)
-    p.add_argument("--out", required=True)
-    p.add_argument("--marginal-out")
     p.set_defaults(func=cmd_qsim_count)
 
-    p = sub.add_parser("qsim-search", help="state-vector Grover search run")
-    p.add_argument("--data-bits", required=True)
-    p.add_argument("--ignored", type=int, default=0)
+    p = sub.add_parser("qsim-search", parents=[draw], help="state-vector Grover search run")
     p.add_argument("--iterations", type=int, required=True, help="Grover iterations")
-    p.add_argument("--shots", type=int, default=2048)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--cap", type=int, default=qsim.DEFAULT_QUBIT_CAP)
-    p.add_argument("--out", required=True)
-    p.add_argument("--marginal-out")
     p.set_defaults(func=cmd_qsim_search)
 
-    p = sub.add_parser("mc-bench", help="Monte Carlo oracle-cost benchmark")
-    p.add_argument("--config", required=True, help="scenario JSON")
+    p = sub.add_parser("mc-bench", parents=[scenario], help="Monte Carlo oracle-cost benchmark")
     p.add_argument("--trials", type=int, help="override config trials")
-    p.add_argument("--seed", type=int, help="override config seed")
-    p.add_argument("--out", required=True, help="summary JSON")
     p.add_argument("--hist-out", help="histogram CSV (derived if omitted)")
     p.set_defaults(func=cmd_mc_bench)
 
@@ -310,16 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cw_cost)
 
-    p = sub.add_parser("detect", help="one distribution-level detection run")
-    p.add_argument("--config", required=True, help="scenario JSON")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("detect", parents=[scenario], help="one distribution-level detection run")
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("retrieve", help="retrieve one matching template index")
-    p.add_argument("--config", required=True, help="scenario JSON")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("retrieve", parents=[scenario], help="retrieve one matching template index")
     p.set_defaults(func=cmd_retrieve)
 
     return ap

@@ -129,6 +129,8 @@ def read_time_series(path: str | Path) -> TimeSeries:
         raise InputError(f"{sidecar}: fs_hz and t0_s must be numbers") from None
     if not fs > 0.0:
         raise InputError(f"{sidecar}: fs_hz must be positive, got {fs}")
+    if not np.isfinite(t0):
+        raise InputError(f"{sidecar}: t0_s must be finite, got {t0}")
     samples = np.fromfile(path, dtype="<f8")
     return TimeSeries(samples=samples, dt=1.0 / fs, t0=t0)
 

@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qmf import amplify, bank, cli, dsp, io, pipeline
+from qmf import amplify, bank, cli, dsp, io, pipeline, qsim
 from qmf.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_VALIDATION
 
 BANK_CFG = {"f0_min": 40.0, "f0_max": 120.0, "n_f0": 8,
@@ -98,6 +98,15 @@ class TestMfSnr:
                    "--index", 0, "--psd", psd_path, "--out", outdir / "snr.csv") == EXIT_OK
         assert sorted(p.name for p in outdir.iterdir()) == ["snr.csv", "snr.summary.json"]
 
+    def test_summary_out_replaces_the_derived_path(self, tmp_path, bank_cfg_file):
+        data, psd_path = self.write_inputs(tmp_path, np.zeros(1024))
+        summary = tmp_path / "peak.json"
+        assert run("mf-snr", "--data", data, "--bank-config", bank_cfg_file, "--index", 0,
+                   "--psd", psd_path, "--out", tmp_path / "snr.csv",
+                   "--summary-out", summary) == EXIT_OK
+        assert json.loads(summary.read_text())["rho_max"] == 0.0
+        assert not (tmp_path / "snr.summary.json").exists()
+
     def test_seg_len_below_two_exits_4(self, tmp_path, bank_cfg_file, capsys):
         data, _ = self.write_inputs(tmp_path, np.zeros(1024))
         out = tmp_path / "snr.csv"
@@ -163,6 +172,13 @@ class TestInputErrors:
         raw = self.raw_strain(tmp_path, json.dumps({"t0_s": 0.0}))
         assert self.mf_snr(tmp_path, raw, bank_cfg_file) == EXIT_INPUT
         self.assert_one_line(capsys, "input error: ")
+
+    @pytest.mark.parametrize("t0", ["NaN", "Infinity"])
+    def test_sidecar_t0_not_finite(self, tmp_path, bank_cfg_file, capsys, t0):
+        raw = self.raw_strain(tmp_path, f'{{"fs_hz": 512.0, "t0_s": {t0}}}')
+        assert self.mf_snr(tmp_path, raw, bank_cfg_file) == EXIT_INPUT
+        self.assert_one_line(capsys, "input error: ")
+        assert not (tmp_path / "snr.csv").exists()
 
     def test_bank_count_not_a_number(self, tmp_path, capsys):
         raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
@@ -437,6 +453,16 @@ class TestQsim:
                    "--out", out) == EXIT_OK
         assert len(data_rows(out)) - 1 == 1
 
+    @pytest.mark.parametrize("command,flags,outcomes", [
+        ("qsim-count", ("--p", 3), 8), ("qsim-search", ("--iterations", 1), 16)])
+    def test_marginal_out_replaces_the_derived_path(self, tmp_path, command, flags, outcomes):
+        marginal = tmp_path / "probs.csv"
+        assert run(command, "--data-bits", "0101", *flags, "--seed", 1,
+                   "--out", tmp_path / "shots.csv", "--marginal-out", marginal) == EXIT_OK
+        rows = data_rows(marginal)
+        assert rows[0] == "outcome_int,probability" and len(rows) == 1 + outcomes
+        assert not (tmp_path / "shots.marginal.csv").exists()
+
     def test_cap_exceeded_exits_3(self, tmp_path):
         assert run("qsim-count", "--data-bits", "0" * 22, "--p", 8,
                    "--shots", 1, "--seed", 1, "--cap", 26,
@@ -575,6 +601,19 @@ class TestMcBench:
         outdir.mkdir()
         assert run("mc-bench", "--config", cfg, "--out", outdir / "mc.json") == EXIT_OK
         assert sorted(p.name for p in outdir.iterdir()) == ["mc.hist.csv", "mc.json"]
+
+    def test_hist_out_replaces_the_derived_path(self, tmp_path):
+        hist = tmp_path / "evals.csv"
+        assert run("mc-bench", "--config", self.scenario(tmp_path, trials=20),
+                   "--out", tmp_path / "mc.json", "--hist-out", hist) == EXIT_OK
+        assert sum(int(r.split(",")[1]) for r in data_rows(hist)[1:]) == 20
+        assert not (tmp_path / "mc.hist.csv").exists()
+
+    def test_trials_flag_overrides_the_config(self, tmp_path):
+        out = tmp_path / "mc.json"
+        assert run("mc-bench", "--config", self.scenario(tmp_path, trials=20),
+                   "--trials", 7, "--out", out) == EXIT_OK
+        assert json.loads(out.read_text())["trials"] == 7
 
     def test_zero_trials_exits_4(self, tmp_path):
         cfg = self.scenario(tmp_path, trials=0)
@@ -805,6 +844,18 @@ class TestDetectRetrieve:
                        "Nyquist 256.0 Hz\n")
         assert not (tmp_path / "d.json").exists()
 
+    @pytest.mark.parametrize("bank_keys", [
+        {"fs_hz": 1e300, "dur_s": 1e300}, {"fs_hz": math.inf}])  # json writes Infinity
+    def test_bank_sample_count_past_float_range_exits_4(self, tmp_path, capsys, bank_keys):
+        cfg = tmp_path / "inject.json"
+        cfg.write_text(json.dumps({"bank": {**BANK_CFG, "n_f0": 2, "n_f1": 2, **bank_keys},
+                                   "inject_index": 0, "rho_thr": 10.0, "seed": 1}))
+        assert run("detect", "--config", cfg, "--out", tmp_path / "d.json") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("validation error: ")
+        assert "finite sample count" in err
+        assert not (tmp_path / "d.json").exists()
+
     def test_retrieve_keys_in_output_order(self, tmp_path):
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps({"n": 64, "r": 2, "p": 5}))
@@ -859,3 +910,65 @@ class TestDetectRetrieve:
         run("detect", "--config", cfg, "--seed", 3, "--out", out)
         payload = json.loads(out.read_text())
         assert payload["provenance"].startswith("# qmf 0.1.0 | cmd=detect | seed=3")
+
+
+class TestProvenance:
+    """Every file a command writes opens with its command, its seed and every flag."""
+
+    SCENARIO = {"n": 64, "r": 2, "p": 5, "trials": 20, "seed": 11}
+
+    def calls(self, tmp_path):
+        """command -> (argv after the command, seed, flags and configs in the echo)."""
+        t = str(tmp_path)
+        (tmp_path / "scenario.json").write_text(json.dumps(self.SCENARIO))
+        (tmp_path / "cw.json").write_text(json.dumps({"delta_target": 1e-9}))
+        (tmp_path / "bank.json").write_text(json.dumps(BANK_CFG))
+        noise = np.random.default_rng(0).normal(size=BANK_CFG["m_samples"])
+        noise.astype("<f8").tofile(tmp_path / "strain.f64")
+        (tmp_path / "strain.f64.json").write_text(json.dumps({"fs_hz": 512.0}))
+        draw = {"data_bits": "0101", "ignored": 0, "shots": 16, "seed": 5,
+                "cap": qsim.DEFAULT_QUBIT_CAP, "out": f"{t}/o.csv", "marginal_out": None}
+        scenario = {"config": f"{t}/scenario.json", "seed": 3, "out": f"{t}/o.json",
+                    "scenario": self.SCENARIO}
+        return {
+            "mf-snr": (["--data", f"{t}/strain.f64", "--bank-config", f"{t}/bank.json",
+                        "--index", 0, "--out", f"{t}/o.csv"], None,
+                       {"data": f"{t}/strain.f64", "bank_config": f"{t}/bank.json",
+                        "index": 0, "psd": None, "seg_len": None, "out": f"{t}/o.csv",
+                        "summary_out": None}),
+            "count-dist": (["--n-templates", 64, "--matches", 2, "--out", f"{t}/o.csv"], None,
+                           {"n_templates": 64, "matches": 2, "p": None, "out": f"{t}/o.csv"}),
+            "qsim-count": (["--data-bits", "0101", "--p", 3, "--shots", 16, "--seed", 5,
+                            "--out", f"{t}/o.csv"], 5, {**draw, "p": 3}),
+            "qsim-search": (["--data-bits", "0101", "--iterations", 1, "--shots", 16,
+                             "--seed", 5, "--out", f"{t}/o.csv"], 5,
+                            {**draw, "iterations": 1}),
+            "mc-bench": (["--config", f"{t}/scenario.json", "--out", f"{t}/o.json"], 11,
+                         {**scenario, "seed": None, "trials": None, "hist_out": None}),
+            "fail-bound": (["--r-max", 2, "--out", f"{t}/o.csv"], None,
+                           {"r_max": 2, "out": f"{t}/o.csv"}),
+            "cw-cost": (["--config", f"{t}/cw.json", "--out", f"{t}/o.json"], None,
+                        {"config": f"{t}/cw.json", "out": f"{t}/o.json",
+                         "spec": {"delta_target": 1e-9}}),
+            "detect": (["--config", f"{t}/scenario.json", "--seed", 3, "--out", f"{t}/o.json"],
+                       3, scenario),
+            "retrieve": (["--config", f"{t}/scenario.json", "--seed", 3,
+                          "--out", f"{t}/o.json"], 3, scenario),
+        }
+
+    @pytest.mark.parametrize("command", ["mf-snr", "count-dist", "qsim-count", "qsim-search",
+                                         "mc-bench", "fail-bound", "cw-cost", "detect",
+                                         "retrieve"])
+    def test_every_output_echoes_the_call(self, tmp_path, command):
+        argv, seed, echo = self.calls(tmp_path)[command]
+        inputs = set(tmp_path.iterdir())
+        assert run(command, *argv) == EXIT_OK
+        written = sorted(set(tmp_path.iterdir()) - inputs)
+        assert written and any(p.name.startswith("o.") for p in written)
+        for path in written:
+            with open(path) as fh:
+                line = (json.load(fh)["provenance"] if path.suffix == ".json"
+                        else fh.readline().rstrip("\n"))
+            head, blob = line.split(" | config=")
+            assert head == f"# qmf 0.1.0 | cmd={command} | seed={seed}"
+            assert json.loads(blob) == echo
