@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import itertools
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -88,29 +89,37 @@ def cmd_count_dist(args) -> None:
     blocks = amplify.outcome_blocks(args.n_templates, args.matches, p, io.ROW_BLOCK)
     prov = _provenance(args)
     # P(b) and P(2**p - b) are the same sum of the two branches, bit for
-    # bit, so only rows 0..2**(p-1) are formatted.  Each block's strings are
-    # kept as one joined str, about 22 bytes a value, for the mirrored rows.
+    # bit, so only rows 0..2**(p-1) are formatted.  As each block is
+    # written, its mirrored rows go to an unnamed spill file: their outcomes
+    # as int64, then their strings joined by "\n".  The upper half reads the
+    # blocks back in reverse order, so one block is held at a time.
     d = 1 << p
     h = d // 2
-    lower: list[tuple[int, str, np.ndarray]] = []
 
-    def rows():
+    def rows(spill):
+        sizes = []  # (rows, string bytes) of each block's mirrored rows
         for start, probs in itertools.takewhile(lambda sb: sb[0] <= h, blocks):
             probs = probs[:h + 1 - start]
             text = list(map(repr, probs.tolist()))
             # outcomes killed by exactly destructive interference are omitted
-            keep = probs > 0.0
-            lower.append((start, "\n".join(text), keep))
-            j = np.flatnonzero(keep)
+            j = np.flatnonzero(probs > 0.0)
             yield from zip((start + j).tolist(), map(text.__getitem__, j.tolist()))
-        # row 2**p - b repeats row b for 0 < b < 2**(p-1), in reverse order
-        for start, joined, keep in reversed(lower):
-            text = joined.split("\n")
-            j = np.flatnonzero(keep)[::-1]
+            # row 2**p - b repeats row b for 0 < b < 2**(p-1), in reverse order
+            j = j[::-1]
             j = j[(start + j > 0) & (start + j < h)]
-            yield from zip((d - start - j).tolist(), map(text.__getitem__, j.tolist()))
+            mirrored = "\n".join(map(text.__getitem__, j.tolist())).encode()
+            spill.write((d - start - j).tobytes())
+            spill.write(mirrored)
+            sizes.append((j.size, len(mirrored)))
+        end = spill.tell()
+        for n_rows, n_bytes in reversed(sizes):
+            end -= 8 * n_rows + n_bytes
+            spill.seek(end)
+            b = np.frombuffer(spill.read(8 * n_rows), dtype=np.int64)
+            yield from zip(b.tolist(), spill.read(n_bytes).decode().split("\n"))
 
-    io.write_csv(args.out, "b,probability", rows(), prov)
+    with tempfile.TemporaryFile(dir=Path(args.out).parent) as spill:
+        io.write_csv(args.out, "b,probability", rows(spill), prov)
     print(f"p={p}, {d} outcomes -> {args.out}")
 
 
@@ -175,7 +184,7 @@ def cmd_mc_bench(args) -> None:
     scenario, cfg, seed = _scenario_args(args)
     trials = (args.trials if args.trials is not None
               else io.config_number(cfg, "trials", int, 0))
-    summary, _ = pipeline.monte_carlo(scenario, trials, seed)
+    summary = pipeline.monte_carlo(scenario, trials, seed)
     prov = _provenance(args, seed, scenario=cfg)
     io.write_json(args.out, summary.to_dict(), prov)
     hist_out = args.hist_out or _derived_path(args.out, "hist", ".csv")

@@ -131,8 +131,12 @@ def read_time_series(path: str | Path) -> TimeSeries:
         raise InputError(f"{sidecar}: fs_hz must be positive, got {fs}")
     if not np.isfinite(t0):
         raise InputError(f"{sidecar}: t0_s must be finite, got {t0}")
+    dt = 1.0 / fs
+    if not 0.0 < dt < np.inf:  # a subnormal fs_hz overflows it, an infinite one zeroes it
+        raise InputError(f"{sidecar}: 1/fs_hz must be finite and positive, got {dt} "
+                         f"for fs_hz {fs}")
     samples = np.fromfile(path, dtype="<f8")
-    return TimeSeries(samples=samples, dt=1.0 / fs, t0=t0)
+    return TimeSeries(samples=samples, dt=dt, t0=t0)
 
 
 # The one tolerance (np.isclose keywords) of grid values that files give.

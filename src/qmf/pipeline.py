@@ -321,23 +321,30 @@ class MonteCarloSummary:
                 "histogram": [{"evals": e, "count": c} for e, c in self.histogram]}
 
 
-def monte_carlo(scenario: Scenario, trials: int, seed: int) -> tuple[MonteCarloSummary, list[TrialRecord]]:
-    """Independent trials of the retrieval procedure, fixed substreams."""
+def monte_carlo(scenario: Scenario, trials: int, seed: int) -> MonteCarloSummary:
+    """Independent trials of the retrieval procedure, fixed substreams.
+
+    Each trial's cost and outcome are folded into the tally as it
+    finishes; no per-trial record is kept.
+    """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
-    records = [
-        retrieve_until_success(scenario, np.random.default_rng((seed, t)), OracleCounter())
-        for t in range(trials)
-    ]
-    evals = [rec.oracle_evals for rec in records]
-    hist = tuple(sorted(Counter(evals).items()))
-    summary = MonteCarloSummary(
+    costs: Counter[int] = Counter()
+    n_failed = 0
+    for t in range(trials):
+        record = retrieve_until_success(scenario, np.random.default_rng((seed, t)),
+                                        OracleCounter())
+        costs[record.oracle_evals] += 1
+        n_failed += not record.succeeded
+    # the costs grouped by value: each statistic below is exact or exactly
+    # rounded, so it does not depend on the order of the trials
+    evals = list(costs.elements())
+    return MonteCarloSummary(
         trials=trials,
         mean=statistics.fmean(evals),
         median=float(statistics.median(evals)),
         stddev=statistics.pstdev(evals) if trials > 1 else 0.0,
-        histogram=hist,
-        n_failed=sum(1 for rec in records if not rec.succeeded),
+        histogram=tuple(sorted(costs.items())),
+        n_failed=n_failed,
         classical_evals=scenario.n,
     )
-    return summary, records

@@ -180,6 +180,14 @@ class TestInputErrors:
         self.assert_one_line(capsys, "input error: ")
         assert not (tmp_path / "snr.csv").exists()
 
+    @pytest.mark.parametrize("fs", ["1e-320", "Infinity"])
+    def test_sidecar_sample_spacing_not_finite(self, tmp_path, bank_cfg_file, capsys, fs):
+        # 1/fs_hz overflows to inf for a subnormal rate and is 0 for an infinite one
+        raw = self.raw_strain(tmp_path, f'{{"fs_hz": {fs}}}')
+        assert self.mf_snr(tmp_path, raw, bank_cfg_file) == EXIT_INPUT
+        self.assert_one_line(capsys, "input error: ")
+        assert not (tmp_path / "snr.csv").exists()
+
     def test_bank_count_not_a_number(self, tmp_path, capsys):
         raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
         bank_path = tmp_path / "bank.json"
@@ -421,6 +429,49 @@ class TestCountDist:
         expected = ["b,probability"] + [f"{b},{float(v)!r}" for b, v in enumerate(probs)
                                         if v > 0.0]
         assert data_rows(out) == expected
+
+    def test_peak_does_not_grow_with_p(self, tmp_path):
+        # the mirrored rows wait in a spill file, so p = 18 (32 lower-half
+        # blocks) holds about what p = 14 (3 blocks) does
+        def peak(p):
+            tracemalloc.start()
+            try:
+                assert run("count-dist", "--n-templates", 2**38, "--matches", 1000,
+                           "--p", p, "--out", tmp_path / "dist.csv") == EXIT_OK
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(14)  # first run: lazy imports are not counted
+        assert peak(18) <= peak(14) + (1 << 20)
+
+    def test_leaves_only_the_output(self, tmp_path):
+        assert run("count-dist", "--n-templates", 2**20, "--matches", 7,
+                   "--p", 14, "--out", tmp_path / "dist.csv") == EXIT_OK
+        assert os.listdir(tmp_path) == ["dist.csv"]
+
+    # p = 14 has lower-half blocks 0..2; block 3 is drawn, and ends the
+    # lower half, once the spill file holds every mirrored row
+    @pytest.mark.parametrize("failing_block", [1, 3])
+    def test_failed_write_leaves_the_prior_output(self, tmp_path, capsys, monkeypatch,
+                                                  failing_block):
+        out = tmp_path / "dist.csv"
+        out.write_text("prior\n")
+        outcome_blocks = amplify.outcome_blocks
+
+        def failing(*args):
+            for k, block in enumerate(outcome_blocks(*args)):
+                if k == failing_block:
+                    raise OSError("No space left on device")
+                yield block
+
+        monkeypatch.setattr(amplify, "outcome_blocks", failing)
+        assert run("count-dist", "--n-templates", 2**20, "--matches", 7,
+                   "--p", 14, "--out", out) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("input error: ")
+        assert out.read_text() == "prior\n"
+        assert os.listdir(tmp_path) == ["dist.csv"]
 
 
 class TestQsim:

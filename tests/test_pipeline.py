@@ -483,15 +483,17 @@ class TestDistributionCache:
 class TestMonteCarlo:
     def test_single_trial_summary(self):
         sc = pipeline.scenario_from_config({"n": 64, "r": 2, "p": 5})
-        summary, records = pipeline.monte_carlo(sc, 1, seed=5)
-        assert len(records) == 1
-        assert summary.mean == records[0].oracle_evals
+        summary = pipeline.monte_carlo(sc, 1, seed=5)
+        record = pipeline.retrieve_until_success(sc, np.random.default_rng((5, 0)),
+                                                 pipeline.OracleCounter())
+        assert summary.trials == 1
+        assert summary.mean == record.oracle_evals
         assert summary.stddev == 0.0
 
     def test_seed_determinism(self):
         sc = pipeline.scenario_from_config({"n": 2**17, "r": 9, "p": 11})
-        s1, _ = pipeline.monte_carlo(sc, 300, seed=6)
-        s2, _ = pipeline.monte_carlo(sc, 300, seed=6)
+        s1 = pipeline.monte_carlo(sc, 300, seed=6)
+        s2 = pipeline.monte_carlo(sc, 300, seed=6)
         assert s1 == s2
 
     def test_strategy_cost_ordering(self):
@@ -499,14 +501,14 @@ class TestMonteCarlo:
             {"n": 2**17, "r": 9, "p": 11, "strategy": "reuse_k"})
         recount = pipeline.scenario_from_config(
             {"n": 2**17, "r": 9, "p": 11, "strategy": "recount_each_try"})
-        m1, _ = pipeline.monte_carlo(reuse, 2000, seed=7)
-        m2, _ = pipeline.monte_carlo(recount, 2000, seed=7)
+        m1 = pipeline.monte_carlo(reuse, 2000, seed=7)
+        m2 = pipeline.monte_carlo(recount, 2000, seed=7)
         assert m1.mean <= m2.mean
         assert m2.classical_evals == 2**17
 
     def test_histogram_accounts_every_trial(self):
         sc = pipeline.scenario_from_config({"n": 1024, "r": 3, "p": 7})
-        summary, _ = pipeline.monte_carlo(sc, 500, seed=8)
+        summary = pipeline.monte_carlo(sc, 500, seed=8)
         assert sum(c for _, c in summary.histogram) == 500
 
     def test_modal_cost_is_one_ladder_plus_one_attempt(self):
@@ -516,9 +518,24 @@ class TestMonteCarlo:
         dist = amplify.counting_distribution(2**17, 9, 11)
         b_mode = int(np.argmax(dist.probs))
         k_mode = amplify.estimate_from_b(b_mode, 11, 2**17).k_star
-        summary, _ = pipeline.monte_carlo(sc, 3000, seed=9)
+        summary = pipeline.monte_carlo(sc, 3000, seed=9)
         modal_evals = max(summary.histogram, key=lambda ec: ec[1])[0]
         assert modal_evals == 2047 + k_mode + 1 == 2148
+
+    def test_trials_are_tallied_not_kept(self):
+        # a record per trial peaked at 3.2 MiB here; the tally keeps one
+        # count per distinct cost and, for the statistics, one reference a trial
+        sc = pipeline.scenario_from_config(
+            {"n": 2**17, "r": 9, "p": 11, "max_attempts": 1_000_000})
+        pipeline.monte_carlo(sc, 1, seed=1)  # first run: lazy imports are not counted
+        tracemalloc.start()
+        try:
+            summary = pipeline.monte_carlo(sc, 20_000, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * 2**20
+        assert summary.trials == 20_000
 
     def test_rejects_empty(self):
         sc = pipeline.scenario_from_config({"n": 64, "r": 2, "p": 5})
