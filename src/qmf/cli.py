@@ -119,7 +119,8 @@ def cmd_count_dist(args) -> None:
             yield from zip(b.tolist(), spill.read(n_bytes).decode().split("\n"))
 
     with tempfile.TemporaryFile(dir=Path(args.out).parent) as spill:
-        io.write_csv(args.out, "b,probability", rows(spill), prov)
+        io.write_csv(args.out, "b,probability", io.csv_lines("b,probability", rows(spill)),
+                     prov)
     print(f"p={p}, {d} outcomes -> {args.out}")
 
 
@@ -140,7 +141,8 @@ def _sample_and_write(args, marginal: np.ndarray) -> None:
         (format(b, bits), c, c / args.shots)
         for b, c in zip(drawn.tolist(), counts[drawn].tolist())
     )
-    io.write_csv(args.out, "outcome_bits,count,probability", rows, prov)
+    header = "outcome_bits,count,probability"
+    io.write_csv(args.out, header, io.csv_lines(header, rows), prov)
     marg_out = args.marginal_out or _derived_path(args.out, "marginal", ".csv")
     io.write_csv(marg_out, "outcome_int,probability",
                  io.repr_rows(marginal.size, lambda j: (j, marginal[j])), prov)
@@ -188,7 +190,8 @@ def cmd_mc_bench(args) -> None:
     prov = _provenance(args, seed, scenario=cfg)
     io.write_json(args.out, summary.to_dict(), prov)
     hist_out = args.hist_out or _derived_path(args.out, "hist", ".csv")
-    io.write_csv(hist_out, "evals,count", summary.histogram, prov)
+    io.write_csv(hist_out, "evals,count", io.csv_lines("evals,count", summary.histogram),
+                 prov)
     print(f"{trials} trials: mean={summary.mean:.1f} evals "
           f"(classical {summary.classical_evals}) -> {args.out}")
 
@@ -198,7 +201,8 @@ def cmd_fail_bound(args) -> None:
     if args.r_max > _R_MAX_CAP:
         raise CapExceededError(f"r-max {args.r_max} exceeds the cap of {_R_MAX_CAP}")
     rows = ((r, *amplify.max_fail_bound_argmax(r)) for r in range(1, args.r_max + 1))
-    io.write_csv(args.out, "r,eps_p_argmax,max_bound", rows, _provenance(args))
+    header = "r,eps_p_argmax,max_bound"
+    io.write_csv(args.out, header, io.csv_lines(header, rows), _provenance(args))
     print(f"bounds for r=1..{args.r_max} -> {args.out}")
 
 

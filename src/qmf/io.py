@@ -21,7 +21,7 @@ from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
-from . import __version__
+from . import __version__, fanout
 from .dsp import Psd, SnrSeries, TimeSeries
 from .errors import InputError, ValidationError
 
@@ -45,17 +45,22 @@ def _atomic_write(path: str | Path, write: Callable[[TextIO], object]) -> None:
         raise
 
 
-def write_csv(path: str | Path, header: str, rows, provenance: str) -> None:
-    """Stream the rows into the file, one line each, without building the text.
+def _line(width: int) -> str:
+    """The ``%`` template of one CSV line of ``width`` fields, each ``str(field)``."""
+    return ",".join(["%s"] * width) + "\n"
 
-    Each row is a tuple with one field per header column; a field is
-    written as ``str(field)``.
-    """
-    line = ",".join(["%s"] * (header.count(",") + 1)) + "\n"
+
+def csv_lines(header: str, rows) -> Iterator[str]:
+    """One CSV line per row, a tuple with one field per header column."""
+    return map(_line(header.count(",") + 1).__mod__, rows)
+
+
+def write_csv(path: str | Path, header: str, text, provenance: str) -> None:
+    """Stream the text, CSV lines in chunks, into the file below its header."""
 
     def write(fh: TextIO) -> None:
         fh.write(f"{provenance}\n{header}\n")
-        fh.writelines(map(line.__mod__, rows))
+        fh.writelines(text)
 
     _atomic_write(path, write)
 
@@ -167,17 +172,21 @@ def _grid_step(path: str | Path, x: np.ndarray, what: str) -> float:
 ROW_BLOCK = 1 << 12
 
 
-def repr_rows(n: int, columns) -> Iterator[tuple[str, ...]]:
-    """CSV rows of ``repr``-formatted values, built a block of rows at a time.
+def repr_rows(n: int, columns) -> Iterator[str]:
+    """CSV text of ``repr``-formatted values, one chunk per block of rows.
 
     ``columns(j)`` returns the int or float column arrays at the row
     indices ``j``.  ``ndarray.tolist()`` yields the Python ints and
     floats that per-element arithmetic would give, so the bytes are the
     same as with ``repr(t0 + j * dt)`` or ``repr(float(v))`` per row.
+    The blocks are formatted on every CPU (see :mod:`qmf.fanout`).
     """
-    for start in range(0, n, ROW_BLOCK):
-        j = np.arange(start, min(start + ROW_BLOCK, n))
-        yield from zip(*map(_repr_column, columns(j)))
+
+    def block(start: int) -> str:
+        cols = columns(np.arange(start, min(start + ROW_BLOCK, n)))
+        return "".join(map(_line(len(cols)).__mod__, zip(*map(_repr_column, cols))))
+
+    return fanout.fan_out(block, range(0, n, ROW_BLOCK))
 
 
 def _repr_column(col: np.ndarray) -> list[str]:
@@ -192,8 +201,8 @@ def _repr_column(col: np.ndarray) -> list[str]:
 
 
 def write_snr(path: str | Path, snr: SnrSeries, provenance: str, t0: float = 0.0) -> None:
-    rows = repr_rows(snr.rho.size, lambda j: (t0 + j * snr.dt, snr.rho[j]))
-    write_csv(path, "t,rho", rows, provenance)
+    text = repr_rows(snr.rho.size, lambda j: (t0 + j * snr.dt, snr.rho[j]))
+    write_csv(path, "t,rho", text, provenance)
 
 
 def _read_two_columns(path: Path, expected: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:

@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import amplify, dsp
+from . import amplify, dsp, fanout
 from .bank import BankSpec, bank_size, check_chirps, chirps, index_to_params, lattice, waveform
 from .errors import CapExceededError, ValidationError
 from .io import check_config_keys, config_number
@@ -82,25 +82,37 @@ class TrialRecord:
 # ---------------------------------------------------------------------------
 # classical oracle
 
-# Working-set budget of one block of templates in the search kernel.  A
-# block peaks while it normalizes: per template the chirp pair (up to 16 M
-# bytes), the pair's spectra and their normalized copy (16 M each), plus
-# float temporaries.  The filter holds less: the combined template (8 M)
-# and the integrand that the inverse FFT overwrites (16 M).  At most about
-# 50 M bytes a row, budgeted as 64 M.
+# Working-set budget of the blocks of templates that the search's workers
+# hold at once, one block each.  A block peaks while it normalizes: per
+# template the chirp pair (up to 16 M bytes), the pair's spectra and their
+# normalized copy (16 M each), plus float temporaries.  The filter holds
+# less: the combined template (8 M) and the integrand that the inverse FFT
+# overwrites (16 M).  At most about 50 M bytes a row, budgeted as 64 M.
 _BLOCK_BYTES = 32 << 20
+
+
+def _search_blocks(m_samples: int) -> tuple[int, int]:
+    """Workers and rows a block: the blocks that the workers hold at once fit the budget."""
+    fit = max(1, _BLOCK_BYTES // (64 * m_samples))
+    w = min(fanout.cpus(), fit)
+    return w, fit // w
 
 
 def _peak_snrs(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
                idx: range) -> np.ndarray:
-    """Peak SNR of every template in ``idx``, one block of rows at a time."""
-    rows = max(1, _BLOCK_BYTES // (64 * spec.m_samples))
-    peaks = np.empty(len(idx))
-    for start in range(0, len(idx), rows):
+    """Peak SNR of every template in ``idx``, one block of rows per worker at a time."""
+    w, rows = _search_blocks(spec.m_samples)
+
+    def block(start: int) -> np.ndarray:
         pairs = chirps(*lattice(spec, idx[start:start + rows]), (0.0, np.pi / 2.0),
                        spec.dur, spec.fs, spec.m_samples)
         qc = dsp.complex_templates(pairs, spec.fs, spec.m_samples, psd)
-        np.abs(dsp.filter_series(data, qc, psd)).max(axis=-1, out=peaks[start:start + rows])
+        return np.abs(dsp.filter_series(data, qc, psd)).max(axis=-1)
+
+    peaks = np.empty(len(idx))
+    starts = range(0, len(idx), rows)
+    for block_peaks, start in zip(fanout.fan_out(block, starts, w), starts):
+        peaks[start:start + rows] = block_peaks
     return peaks
 
 
@@ -321,21 +333,35 @@ class MonteCarloSummary:
                 "histogram": [{"evals": e, "count": c} for e, c in self.histogram]}
 
 
+# Consecutive trials a Monte Carlo worker tallies per result it sends.
+_TRIAL_SPAN = 500
+
+
 def monte_carlo(scenario: Scenario, trials: int, seed: int) -> MonteCarloSummary:
     """Independent trials of the retrieval procedure, fixed substreams.
 
-    Each trial's cost and outcome are folded into the tally as it
-    finishes; no per-trial record is kept.
+    Each trial's cost and outcome are folded into its span's tally as it
+    finishes; no per-trial record is kept.  The spans' tallies are merged
+    in span order.
     """
     if trials < 1:
         raise ValidationError(f"trials must be >= 1, got {trials}")
+
+    def span(start: int) -> tuple[Counter[int], int]:
+        costs: Counter[int] = Counter()
+        n_failed = 0
+        for t in range(start, min(start + _TRIAL_SPAN, trials)):
+            record = retrieve_until_success(scenario, np.random.default_rng((seed, t)),
+                                            OracleCounter())
+            costs[record.oracle_evals] += 1
+            n_failed += not record.succeeded
+        return costs, n_failed
+
     costs: Counter[int] = Counter()
     n_failed = 0
-    for t in range(trials):
-        record = retrieve_until_success(scenario, np.random.default_rng((seed, t)),
-                                        OracleCounter())
-        costs[record.oracle_evals] += 1
-        n_failed += not record.succeeded
+    for span_costs, span_failed in fanout.fan_out(span, range(0, trials, _TRIAL_SPAN)):
+        costs.update(span_costs)
+        n_failed += span_failed
     # the costs grouped by value: each statistic below is exact or exactly
     # rounded, so it does not depend on the order of the trials
     evals = list(costs.elements())

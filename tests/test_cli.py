@@ -11,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from qmf import amplify, bank, cli, dsp, io, pipeline, qsim
+from qmf import amplify, bank, cli, dsp, fanout, io, pipeline, qsim
 from qmf.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_VALIDATION
 
 BANK_CFG = {"f0_min": 40.0, "f0_max": 120.0, "n_f0": 8,
@@ -227,7 +227,8 @@ class TestInputErrors:
                                                 f_hz, message):
         raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
         psd = tmp_path / "psd.csv"
-        io.write_csv(psd, "f_hz,sn", ((repr(f), 1.0) for f in f_hz.tolist()), "# psd")
+        io.write_csv(psd, "f_hz,sn",
+                     io.csv_lines("f_hz,sn", ((repr(f), 1.0) for f in f_hz.tolist())), "# psd")
         assert run("mf-snr", "--data", raw, "--bank-config", bank_cfg_file, "--index", 0,
                    "--psd", psd, "--out", tmp_path / "snr.csv") == EXIT_INPUT
         err = capsys.readouterr().err
@@ -241,7 +242,8 @@ class TestInputErrors:
         raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
         psd = tmp_path / "psd.csv"
         f_hz = 0.5 * np.arange(int(top_hz / 0.5) + 1)
-        io.write_csv(psd, "f_hz,sn", ((repr(f), 1.0) for f in f_hz.tolist()), "# psd")
+        io.write_csv(psd, "f_hz,sn",
+                     io.csv_lines("f_hz,sn", ((repr(f), 1.0) for f in f_hz.tolist())), "# psd")
         out = tmp_path / "snr.csv"
         assert run("mf-snr", "--data", raw, "--bank-config", bank_cfg_file, "--index", 0,
                    "--psd", psd, "--out", out) == code
@@ -340,11 +342,13 @@ class TestRowWriters:
         rows = ((repr(k * psd.df), repr(float(v))) for k, v in enumerate(psd.values))
         assert (tmp_path / "psd.csv").read_text() == self.per_element_text("f_hz,sn", rows)
 
-    @pytest.mark.parametrize("pool", [
+    POOLS = pytest.mark.parametrize("pool", [
         [0.0, -0.0, 1.5],
         [math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308],
         [7, -3, 0, 2**62, -2**63],
     ], ids=["signed-zeros", "inf-nan-subnormal", "int"])
+
+    @POOLS
     def test_repr_rows_equal_per_element_repr(self, tmp_path, pool):
         # Every block holds every value, so repeats straddle each block
         # boundary, and n is not a multiple of the block.
@@ -355,9 +359,29 @@ class TestRowWriters:
         rows = ((repr(j), repr(v)) for j, v in enumerate(col.tolist()))
         assert (tmp_path / "x.csv").read_text() == self.per_element_text("j,v", rows)
 
+    @POOLS
+    def test_repr_rows_at_every_worker_count(self, tmp_path, cpus, pool):
+        self.test_repr_rows_equal_per_element_repr(tmp_path, pool)
+
+    def test_repr_rows_hold_a_few_blocks(self, tmp_path, monkeypatch):
+        # the parent holds the text a worker sent, not the rows behind it
+        monkeypatch.setattr(fanout, "cpus", lambda: 2)
+        n = 2**18
+        col = np.random.default_rng(6).random(n)
+        path = tmp_path / "x.csv"
+        io.write_csv(path, "j,v", io.repr_rows(64, lambda j: (j, col[j])), "# prov")  # warm
+        tracemalloc.start()
+        try:
+            io.write_csv(path, "j,v", io.repr_rows(n, lambda j: (j, col[j])), "# prov")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block_text = path.stat().st_size * io.ROW_BLOCK / n
+        assert peak <= 5 * block_text
+
     def test_mixed_fields(self, tmp_path):
         rows = [(3, "0110", 0.1), (17, "1000", 2.5e-300)]
-        io.write_csv(tmp_path / "x.csv", "a,b,c", iter(rows), "# prov")
+        io.write_csv(tmp_path / "x.csv", "a,b,c", io.csv_lines("a,b,c", iter(rows)), "# prov")
         assert (tmp_path / "x.csv").read_text() == self.per_element_text("a,b,c", rows)
 
 
@@ -384,6 +408,25 @@ def test_does_not_import_scipy(tmp_path, bank_cfg_file, command):
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.split()[-2:] == ["0", "False"]
+
+
+def test_fanned_out_detect_imports_no_pool(tmp_path):
+    cfg = tmp_path / "inject.json"
+    cfg.write_text(json.dumps({"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
+                               "noise_sigma": 1.0, "noise_seed": 2, "seed": 3}))
+    argv = ["detect", "--config", str(cfg), "--out", str(tmp_path / "d.json")]
+    # 2 CPUs and a 16-row budget: the 64-template search runs in 8 blocks on 2 workers
+    script = ("import os, sys; from qmf import fanout, pipeline; from qmf.cli import main; "
+              "fanout.cpus = lambda: 2; pipeline._BLOCK_BYTES = 16 * 64 * 1024; "
+              "forks = []; os.register_at_fork(after_in_parent=lambda: forks.append(1)); "
+              f"code = main({argv!r}); "
+              "print(len(forks), code, any(m.split('.')[0] in ('multiprocessing', 'concurrent') "
+              "for m in sys.modules))")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.split()[-3:] == ["2", "0", "False"]
 
 
 class TestCountDist:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qmf import amplify, dsp, io, pipeline
+from qmf import amplify, dsp, fanout, io, pipeline
 from qmf.bank import BankSpec, bank_size, index_to_params, waveform
 from qmf.errors import CapExceededError, ValidationError
 from qmf.pipeline import OracleCounter, RetrievalStrategy
@@ -152,6 +153,23 @@ class TestBatchedSearch:
         got = pipeline._peak_snrs(spec, data, psd, range(bank_size(spec)))
         assert np.array_equal(got, loop_peak_snrs(spec, data, psd))
 
+    def test_c8_peak_snr_at_every_worker_count(self, c8_bank, cpus):
+        self.test_c8_peak_snr_matches_reference(c8_bank)
+
+    @pytest.mark.parametrize("n_f0,n_f1", [(8, 8), (1, 8), (8, 1), (1, 1)])
+    @pytest.mark.parametrize("m_samples", [1024, 1023], ids=["default", "odd"])
+    def test_peak_snr_at_every_worker_count(self, monkeypatch, cpus, n_f0, n_f1, m_samples):
+        # 7 rows fit the budget: 7, 3 and 2 rows a block at 1, 2 and 3 workers
+        self.test_peak_snr_matches_reference(monkeypatch, n_f0, n_f1, m_samples)
+
+    @pytest.mark.parametrize("m_samples", [64, 1024, 2**18, 2**19])
+    def test_workers_hold_the_block_budget(self, cpus, m_samples):
+        w, rows = pipeline._search_blocks(m_samples)
+        assert 1 <= w <= cpus and rows >= 1
+        assert w * rows * 64 * m_samples <= pipeline._BLOCK_BYTES
+        if m_samples == 2**19:  # one row fills the budget
+            assert (w, rows) == (1, 1)
+
     def test_oracle_eval_is_the_one_index_search(self, toy_bank):
         spec, psd, data, _ = toy_bank
         matches = pipeline.classical_search(spec, data, psd, 10.0, OracleCounter()).tolist()
@@ -207,6 +225,10 @@ class TestBatchedSearch:
         assert matches.size == n
         assert peak - start <= 9 * n + pipeline._BLOCK_BYTES + slack
         assert held - start <= 8 * n + slack
+
+    def test_search_on_two_workers_holds_the_budgeted_arrays(self, monkeypatch):
+        monkeypatch.setattr(fanout, "cpus", lambda: 2)
+        self.test_search_holds_the_budgeted_arrays(monkeypatch)
 
 
 class TestThreshold:
@@ -536,6 +558,22 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 1.6 * 2**20
         assert summary.trials == 20_000
+
+    @pytest.mark.parametrize("strategy", ["reuse_k", "recount_each_try"])
+    def test_same_summary_at_every_worker_count(self, monkeypatch, strategy):
+        # 1000 trials in 15 spans, the last one short
+        monkeypatch.setattr(pipeline, "_TRIAL_SPAN", 70)
+        sc = pipeline.scenario_from_config({"n": 2**17, "r": 9, "p": 11, "strategy": strategy})
+        costs = sorted(Counter(
+            pipeline.retrieve_until_success(sc, np.random.default_rng((12, t)),
+                                            OracleCounter()).oracle_evals
+            for t in range(1000)).items())
+        summaries = []
+        for w in (1, 2, 3):
+            monkeypatch.setattr(fanout, "cpus", lambda: w)
+            summaries.append(pipeline.monte_carlo(sc, 1000, seed=12).to_dict())
+        assert summaries[0] == summaries[1] == summaries[2]
+        assert [(h["evals"], h["count"]) for h in summaries[0]["histogram"]] == costs
 
     def test_rejects_empty(self):
         sc = pipeline.scenario_from_config({"n": 64, "r": 2, "p": 5})
