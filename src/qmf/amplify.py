@@ -164,6 +164,15 @@ def check_register(p: int) -> None:
             f"2**{p} counting outcomes exceed the budget of 2**{_MAX_P} per call")
 
 
+def outcome_probs(n: int, r: int, p: int, start: int, stop: int) -> np.ndarray:
+    """P(b) for r matches among n entries, for start <= b < stop, after the checks."""
+    check_register(p)
+    theta, d = theta_of(n, r), 1 << p
+    if not 0 <= start <= stop <= d:
+        raise ValidationError(f"outcomes [{start}, {stop}) outside [0, 2**{p})")
+    return _mixture(theta, d, start, stop)
+
+
 def outcome_blocks(n: int, r: int, p: int,
                    size: int = _CHUNK) -> Iterator[tuple[int, np.ndarray]]:
     """P(b) for r matches among n entries, ``size`` outcomes at a time.
@@ -173,8 +182,9 @@ def outcome_blocks(n: int, r: int, p: int,
     here, before the first block is made.
     """
     check_register(p)
-    theta, d = theta_of(n, r), 1 << p
-    return ((start, _mixture(theta, d, start, min(start + size, d)))
+    theta_of(n, r)
+    d = 1 << p
+    return ((start, outcome_probs(n, r, p, start, min(start + size, d)))
             for start in range(0, d, size))
 
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import itertools
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from . import amplify, bank, cw, dsp, io, pipeline, qsim
+from . import amplify, bank, cw, dsp, fanout, io, pipeline, qsim
 from .errors import CapExceededError, InputError, ValidationError
 
 EXIT_OK = 0
@@ -85,42 +84,45 @@ def cmd_mf_snr(args) -> None:
 
 
 def cmd_count_dist(args) -> None:
-    p = args.p if args.p is not None else amplify.choose_p(args.n_templates)
-    blocks = amplify.outcome_blocks(args.n_templates, args.matches, p, io.ROW_BLOCK)
+    n, r = args.n_templates, args.matches
+    p = args.p if args.p is not None else amplify.choose_p(n)
+    amplify.check_register(p)  # refused here, before any worker is forked
+    amplify.theta_of(n, r)
     prov = _provenance(args)
     # P(b) and P(2**p - b) are the same sum of the two branches, bit for
-    # bit, so only rows 0..2**(p-1) are formatted.  As each block is
-    # written, its mirrored rows go to an unnamed spill file: their outcomes
-    # as int64, then their strings joined by "\n".  The upper half reads the
-    # blocks back in reverse order, so one block is held at a time.
+    # bit, so only rows 0..2**(p-1) are computed, in blocks on every CPU.
+    # Each block comes back as the text of its rows and the bytes of its
+    # mirrored rows, already in reverse order.  The mirrored texts wait in
+    # an unnamed spill file and are copied back last block first, so one
+    # block is held at a time.
     d = 1 << p
     h = d // 2
 
+    def block(start: int) -> tuple[str, bytes]:
+        probs = amplify.outcome_probs(n, r, p, start, min(start + io.ROW_BLOCK, h + 1))
+        # outcomes killed by exactly destructive interference are omitted
+        j = np.flatnonzero(probs > 0.0)
+        b, text = (start + j).tolist(), list(map(repr, probs[j].tolist()))
+        # row 2**p - b repeats row b for 0 < b < 2**(p-1)
+        lo, hi = np.searchsorted(j, [1 - start, h - start])
+        mirrored = zip(reversed(b[lo:hi]), reversed(text[lo:hi]))
+        return ("".join([f"{x},{t}\n" for x, t in zip(b, text)]),
+                "".join([f"{d - x},{t}\n" for x, t in mirrored]).encode())
+
     def rows(spill):
-        sizes = []  # (rows, string bytes) of each block's mirrored rows
-        for start, probs in itertools.takewhile(lambda sb: sb[0] <= h, blocks):
-            probs = probs[:h + 1 - start]
-            text = list(map(repr, probs.tolist()))
-            # outcomes killed by exactly destructive interference are omitted
-            j = np.flatnonzero(probs > 0.0)
-            yield from zip((start + j).tolist(), map(text.__getitem__, j.tolist()))
-            # row 2**p - b repeats row b for 0 < b < 2**(p-1), in reverse order
-            j = j[::-1]
-            j = j[(start + j > 0) & (start + j < h)]
-            mirrored = "\n".join(map(text.__getitem__, j.tolist())).encode()
-            spill.write((d - start - j).tobytes())
+        sizes = []
+        for lower, mirrored in fanout.fan_out(block, range(0, h + 1, io.ROW_BLOCK)):
+            yield lower
             spill.write(mirrored)
-            sizes.append((j.size, len(mirrored)))
+            sizes.append(len(mirrored))
         end = spill.tell()
-        for n_rows, n_bytes in reversed(sizes):
-            end -= 8 * n_rows + n_bytes
+        for size in reversed(sizes):
+            end -= size
             spill.seek(end)
-            b = np.frombuffer(spill.read(8 * n_rows), dtype=np.int64)
-            yield from zip(b.tolist(), spill.read(n_bytes).decode().split("\n"))
+            yield spill.read(size).decode()
 
     with tempfile.TemporaryFile(dir=Path(args.out).parent) as spill:
-        io.write_csv(args.out, "b,probability", io.csv_lines("b,probability", rows(spill)),
-                     prov)
+        io.write_csv(args.out, "b,probability", rows(spill), prov)
     print(f"p={p}, {d} outcomes -> {args.out}")
 
 
@@ -200,7 +202,8 @@ def cmd_fail_bound(args) -> None:
     _require_at_least(args.r_max, 1, "r-max")
     if args.r_max > _R_MAX_CAP:
         raise CapExceededError(f"r-max {args.r_max} exceeds the cap of {_R_MAX_CAP}")
-    rows = ((r, *amplify.max_fail_bound_argmax(r)) for r in range(1, args.r_max + 1))
+    rows = fanout.fan_out(lambda r: (r, *amplify.max_fail_bound_argmax(r)),
+                          range(1, args.r_max + 1))
     header = "r,eps_p_argmax,max_bound"
     io.write_csv(args.out, header, io.csv_lines(header, rows), _provenance(args))
     print(f"bounds for r=1..{args.r_max} -> {args.out}")

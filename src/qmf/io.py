@@ -32,11 +32,18 @@ def provenance_line(command: str, config: dict, seed: int | None) -> str:
 
 
 def _atomic_write(path: str | Path, write: Callable[[TextIO], object]) -> None:
-    """Call ``write`` on a temp file beside ``path``, then rename it over ``path``."""
+    """Call ``write`` on a temp file beside ``path``, then rename it over ``path``.
+
+    The file gets the mode ``open`` would give it, 0o666 less the umask,
+    not the 0o600 of ``mkstemp``.
+    """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
+            umask = os.umask(0)
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             write(fh)
         os.replace(tmp, path)
     except BaseException:

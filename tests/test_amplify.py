@@ -248,6 +248,20 @@ class TestStreamedDraw:
             draw(4, 1, p, 0.5)
         with pytest.raises(error):
             amplify.outcome_blocks(4, 1, p)
+        with pytest.raises(error):
+            amplify.outcome_probs(4, 1, p, 0, 1)
+
+    def test_outcome_probs_is_any_range_of_the_blocks(self, dense):
+        probs, _ = dense
+        for start, stop in [(0, 1), (5, 4101), ((1 << 16) - 3, (1 << 16) + 3),
+                            (1 << 17, 1 << 17), ((1 << 18) - 1, 1 << 18)]:
+            got = amplify.outcome_probs(self.N, self.R, self.P, start, stop)
+            assert np.array_equal(got, probs[start:stop])
+
+    @pytest.mark.parametrize("start,stop", [(-1, 2), (3, 2), (0, 33)])
+    def test_outcome_range_outside_the_register(self, start, stop):
+        with pytest.raises(ValidationError):
+            amplify.outcome_probs(64, 2, 5, start, stop)
 
 
 class TestEstimateFromB:

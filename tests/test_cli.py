@@ -35,6 +35,12 @@ def data_rows(path):
         return [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
 
 
+def _env_with_src():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    return {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+
+
 @pytest.fixture()
 def bank_cfg_file(tmp_path):
     path = tmp_path / "bank.json"
@@ -403,10 +409,8 @@ def test_does_not_import_scipy(tmp_path, bank_cfg_file, command):
     script = ("import sys; from qmf.cli import main; "
               f"code = main({[str(a) for a in argv]!r}); "
               "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, check=True).stdout
+                         env=_env_with_src(), check=True).stdout
     assert out.split()[-2:] == ["0", "False"]
 
 
@@ -422,10 +426,8 @@ def test_fanned_out_detect_imports_no_pool(tmp_path):
               f"code = main({argv!r}); "
               "print(len(forks), code, any(m.split('.')[0] in ('multiprocessing', 'concurrent') "
               "for m in sys.modules))")
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                         env=env, check=True).stdout
+                         env=_env_with_src(), check=True).stdout
     assert out.split()[-3:] == ["2", "0", "False"]
 
 
@@ -459,12 +461,15 @@ class TestCountDist:
                    "--out", out) == EXIT_OK
         assert len(data_rows(out)) - 1 == 128  # p=7
 
-    @pytest.mark.parametrize("n,r,p", [(64, 2, 5), (131072, 9, 11), (64, 0, 5), (4, 1, 1),
-                                       (2**20, 7, 14)])
+    # the writer formats only the lower half and mirrors it; at p = 14
+    # the mirrored rows cross the edges of the 4096-row blocks, at p = 13
+    # the last lower-half block holds the one row b = 2**12, and at r = 0
+    # every row but b = 0 is an exact zero and is omitted
+    CASES = pytest.mark.parametrize("n,r,p", [(64, 2, 5), (131072, 9, 11), (64, 0, 5),
+                                              (4, 1, 1), (2**20, 7, 14), (2**20, 7, 13)])
+
+    @CASES
     def test_rows_equal_per_element_repr(self, tmp_path, n, r, p):
-        # the writer formats only the lower half and mirrors it; at p = 14
-        # the mirrored rows cross the edges of the 4096-row blocks, and at
-        # r = 0 every row but b = 0 is an exact zero and is omitted
         out = tmp_path / "dist.csv"
         assert run("count-dist", "--n-templates", n, "--matches", r,
                    "--p", p, "--out", out) == EXIT_OK
@@ -472,6 +477,24 @@ class TestCountDist:
         expected = ["b,probability"] + [f"{b},{float(v)!r}" for b, v in enumerate(probs)
                                         if v > 0.0]
         assert data_rows(out) == expected
+
+    @CASES
+    def test_rows_at_every_worker_count(self, tmp_path, cpus, n, r, p):
+        self.test_rows_equal_per_element_repr(tmp_path, n, r, p)
+
+    @pytest.mark.parametrize("r,p,code", [(2, 28, EXIT_CAP), (2, 0, EXIT_VALIDATION),
+                                          (65, 5, EXIT_VALIDATION)])
+    def test_refused_before_any_worker(self, tmp_path, capsys, monkeypatch, r, p, code):
+        def no_workers(fn, items):
+            raise AssertionError("workers started")
+
+        monkeypatch.setattr(fanout, "fan_out", no_workers)
+        assert run("count-dist", "--n-templates", 64, "--matches", r, "--p", p,
+                   "--out", tmp_path / "dist.csv") == code
+        err = capsys.readouterr().err
+        prefix = "resource cap: " if code == EXIT_CAP else "validation error: "
+        assert err.count("\n") == 1 and err.startswith(prefix)
+        assert os.listdir(tmp_path) == []
 
     def test_peak_does_not_grow_with_p(self, tmp_path):
         # the mirrored rows wait in a spill file, so p = 18 (32 lower-half
@@ -493,28 +516,57 @@ class TestCountDist:
                    "--p", 14, "--out", tmp_path / "dist.csv") == EXIT_OK
         assert os.listdir(tmp_path) == ["dist.csv"]
 
-    # p = 14 has lower-half blocks 0..2; block 3 is drawn, and ends the
-    # lower half, once the spill file holds every mirrored row
+    # p = 15 has lower-half blocks 0..4; block 3 is the last one with
+    # mirrored rows, so the spill file holds nearly every mirrored row
     @pytest.mark.parametrize("failing_block", [1, 3])
     def test_failed_write_leaves_the_prior_output(self, tmp_path, capsys, monkeypatch,
                                                   failing_block):
         out = tmp_path / "dist.csv"
         out.write_text("prior\n")
-        outcome_blocks = amplify.outcome_blocks
+        outcome_probs = amplify.outcome_probs
 
-        def failing(*args):
-            for k, block in enumerate(outcome_blocks(*args)):
-                if k == failing_block:
-                    raise OSError("No space left on device")
-                yield block
+        def failing(n, r, p, start, stop):
+            if start == failing_block * io.ROW_BLOCK:
+                raise OSError("No space left on device")
+            return outcome_probs(n, r, p, start, stop)
 
-        monkeypatch.setattr(amplify, "outcome_blocks", failing)
+        monkeypatch.setattr(amplify, "outcome_probs", failing)
         assert run("count-dist", "--n-templates", 2**20, "--matches", 7,
-                   "--p", 14, "--out", out) == EXIT_INPUT
+                   "--p", 15, "--out", out) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("input error: ")
         assert out.read_text() == "prior\n"
         assert os.listdir(tmp_path) == ["dist.csv"]
+
+    @pytest.mark.parametrize("failing_block", [1, 3])
+    def test_failed_write_at_every_worker_count(self, tmp_path, capsys, monkeypatch, cpus,
+                                                failing_block):
+        self.test_failed_write_leaves_the_prior_output(tmp_path, capsys, monkeypatch,
+                                                       failing_block)
+
+    def test_peak_rss_stays_below_the_large_detect(self, tmp_path):
+        # count-dist holds one block in each process, the parent and its
+        # workers alike; ru_maxrss from os.wait4 is the largest of them.
+        # detect at p = 24 draws from 2**16-outcome chunks.  A job's peak
+        # counts the RSS of the process that starts it, so a small one does.
+        (tmp_path / "large.json").write_text(json.dumps({"n": 2**44, "r": 1000, "seed": 5}))
+        starter = ("import os, subprocess, sys; "
+                   "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+                   "_, status, usage = os.wait4(proc.pid, 0); "
+                   "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+
+        def peak_kb(*argv):
+            out = subprocess.run([sys.executable, "-c", starter, sys.executable, "-m",
+                                  "qmf.cli", *map(str, argv)], cwd=tmp_path,
+                                 env=_env_with_src(), capture_output=True, text=True,
+                                 check=True).stdout
+            code, peak = map(int, out.split())
+            assert code == EXIT_OK
+            return peak
+
+        detect = peak_kb("detect", "--config", "large.json", "--out", "d.json")
+        assert peak_kb("count-dist", "--n-templates", 2**38, "--matches", 1000,
+                       "--p", 21, "--out", "dist.csv") < detect
 
 
 class TestQsim:
@@ -763,6 +815,13 @@ class TestFailBound:
         assert err.count("\n") == 1 and err.startswith("resource cap: ")
         assert not (tmp_path / "b.csv").exists()
 
+    def test_rows_at_every_worker_count(self, tmp_path, cpus):
+        out = tmp_path / "bounds.csv"
+        assert run("fail-bound", "--r-max", 7, "--out", out) == EXIT_OK
+        rows = [(r, *amplify.max_fail_bound_argmax(r)) for r in range(1, 8)]
+        assert data_rows(out) == ["r,eps_p_argmax,max_bound"] + [
+            f"{r},{x!r},{y!r}" for r, x, y in rows]
+
 
 class TestCwCost:
     def test_defaults(self, tmp_path):
@@ -1004,6 +1063,19 @@ class TestDetectRetrieve:
         run("detect", "--config", cfg, "--seed", 3, "--out", out)
         payload = json.loads(out.read_text())
         assert payload["provenance"].startswith("# qmf 0.1.0 | cmd=detect | seed=3")
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+@pytest.mark.parametrize("command", ["count-dist", "cw-cost"])
+def test_output_mode_follows_the_umask(tmp_path, command, umask):
+    # the atomic write's temp file is made 0o600; the output is not
+    argv = (["--n-templates", 64, "--matches", 2] if command == "count-dist" else [])
+    before = os.umask(umask)
+    try:
+        assert run(command, *argv, "--out", tmp_path / "out") == EXIT_OK
+    finally:
+        os.umask(before)
+    assert (tmp_path / "out").stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 class TestProvenance:
