@@ -102,12 +102,11 @@ def cmd_count_dist(args) -> None:
         probs = amplify.outcome_probs(n, r, p, start, min(start + io.ROW_BLOCK, h + 1))
         # outcomes killed by exactly destructive interference are omitted
         j = np.flatnonzero(probs > 0.0)
-        b, text = (start + j).tolist(), list(map(repr, probs[j].tolist()))
+        b, text = start + j, list(map(repr, probs[j].tolist()))
         # row 2**p - b repeats row b for 0 < b < 2**(p-1)
         lo, hi = np.searchsorted(j, [1 - start, h - start])
-        mirrored = zip(reversed(b[lo:hi]), reversed(text[lo:hi]))
-        return ("".join([f"{x},{t}\n" for x, t in zip(b, text)]),
-                "".join([f"{d - x},{t}\n" for x, t in mirrored]).encode())
+        return (io.csv_block([b.tolist(), text]),
+                io.csv_block([(d - b[lo:hi])[::-1].tolist(), text[lo:hi][::-1]]).encode())
 
     def rows(spill):
         sizes = []

@@ -186,23 +186,39 @@ def repr_rows(n: int, columns) -> Iterator[str]:
     indices ``j``.  ``ndarray.tolist()`` yields the Python ints and
     floats that per-element arithmetic would give, so the bytes are the
     same as with ``repr(t0 + j * dt)`` or ``repr(float(v))`` per row.
-    The blocks are formatted on every CPU (see :mod:`qmf.fanout`).
+    Each block of ``ROW_BLOCK`` rows is one ``csv_block``: a column with
+    a repeated value formats each distinct value once, and one without
+    goes to ``%`` as it is.  The blocks are formatted on every CPU (see
+    :mod:`qmf.fanout`).
     """
 
     def block(start: int) -> str:
         cols = columns(np.arange(start, min(start + ROW_BLOCK, n)))
-        return "".join(map(_line(len(cols)).__mod__, zip(*map(_repr_column, cols))))
+        return csv_block(list(map(_repr_column, cols)))
 
     return fanout.fan_out(block, range(0, n, ROW_BLOCK))
 
 
-def _repr_column(col: np.ndarray) -> list[str]:
-    """``repr`` of each element, formatting each distinct value once.
+def csv_block(columns: list[list]) -> str:
+    """CSV lines of equal-length columns whose ``str`` is each field, by one ``%``."""
+    width, rows = len(columns), len(columns[0])
+    fields = [None] * (width * rows)
+    for k, column in enumerate(columns):
+        fields[k::width] = column
+    return (_line(width) * rows) % tuple(fields)
 
-    Values are told apart by their bit patterns, not by ``==``: -0.0
-    equals 0.0 but formats differently.
+
+def _repr_column(col: np.ndarray) -> list:
+    """Fields whose ``str`` is ``repr`` of each element.
+
+    A column with no repeated value is its Python ints or floats, whose
+    ``str`` is their ``repr``.  In one with a repeat, each distinct value
+    is formatted once, told apart by its bit pattern, not by ``==``:
+    -0.0 equals 0.0 but formats differently.
     """
     keys, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
+    if keys.size == col.size:
+        return col.tolist()
     text = np.array(list(map(repr, keys.view(col.dtype).tolist())), dtype=object)
     return text[inverse].tolist()
 

@@ -369,6 +369,44 @@ class TestRowWriters:
     def test_repr_rows_at_every_worker_count(self, tmp_path, cpus, pool):
         self.test_repr_rows_equal_per_element_repr(tmp_path, pool)
 
+    @staticmethod
+    def one_repeat(rng, n):
+        col = rng.random(n)
+        col[-1] = col[n // 3]
+        return col
+
+    # Two float columns beside the distinct row index: one with no repeats
+    # (formatted by ``%`` as it is) and one deduplicated.
+    @pytest.mark.parametrize("n, second", [
+        (io.ROW_BLOCK, lambda rng, n: np.resize([0.25, -0.0, 0.0], n)),
+        (io.ROW_BLOCK, one_repeat),
+        (1, lambda rng, n: np.array([-0.0])),
+        (io.ROW_BLOCK + 1, lambda rng, n: np.resize([1.5, 2.5], n)),
+    ], ids=["mixed", "one-repeat", "n1", "block-plus-one"])
+    def test_block_equal_per_element_repr(self, tmp_path, cpus, n, second):
+        rng = np.random.default_rng(7)
+        a, b = rng.random(n), second(rng, n)
+        io.write_csv(tmp_path / "x.csv", "j,a,b",
+                     io.repr_rows(n, lambda j: (j, a[j], b[j])), "# prov")
+        rows = ((repr(j), repr(x), repr(y))
+                for j, (x, y) in enumerate(zip(a.tolist(), b.tolist())))
+        assert (tmp_path / "x.csv").read_text() == self.per_element_text("j,a,b", rows)
+
+    def test_equal_floats_take_repr_once(self, monkeypatch):
+        monkeypatch.setattr(fanout, "cpus", lambda: 1)  # repr runs in this process
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return repr(value)
+
+        monkeypatch.setattr(io, "repr", counted, raising=False)
+        # the distinct row index goes to ``%`` with no ``repr`` call
+        col = np.full(io.ROW_BLOCK, 0.1)
+        text = "".join(io.repr_rows(io.ROW_BLOCK, lambda j: (j, col[j])))
+        assert text == "".join(f"{j},0.1\n" for j in range(io.ROW_BLOCK))
+        assert calls == [0.1]
+
     def test_repr_rows_hold_a_few_blocks(self, tmp_path, monkeypatch):
         # the parent holds the text a worker sent, not the rows behind it
         monkeypatch.setattr(fanout, "cpus", lambda: 2)
