@@ -173,9 +173,8 @@ def outcome_probs(n: int, r: int, p: int, start: int, stop: int) -> np.ndarray:
     return _mixture(theta, d, start, stop)
 
 
-def outcome_blocks(n: int, r: int, p: int,
-                   size: int = _CHUNK) -> Iterator[tuple[int, np.ndarray]]:
-    """P(b) for r matches among n entries, ``size`` outcomes at a time.
+def outcome_blocks(n: int, r: int, p: int) -> Iterator[tuple[int, np.ndarray]]:
+    """P(b) for r matches among n entries, a chunk of outcomes at a time.
 
     Yields ``(start, probs)`` with ``probs[i] = P(start + i)`` for every
     outcome of the p-qubit register in order.  The arguments are checked
@@ -184,8 +183,8 @@ def outcome_blocks(n: int, r: int, p: int,
     check_register(p)
     theta_of(n, r)
     d = 1 << p
-    return ((start, outcome_probs(n, r, p, start, min(start + size, d)))
-            for start in range(0, d, size))
+    return ((start, outcome_probs(n, r, p, start, min(start + _CHUNK, d)))
+            for start in range(0, d, _CHUNK))
 
 
 def counting_distribution(n: int, r: int, p: int) -> CountingDistribution:
@@ -212,7 +211,7 @@ class _StreamedCdf:
 
     def __init__(self, n: int, r: int, p: int):
         check_register(p)
-        self._theta, self._d = theta_of(n, r), 1 << p
+        self._args, self._d = (n, r, p), 1 << p
         self._chunks = -(-self._d // _CHUNK)
         self._edges: list[float] = []
         self._cdf = functools.lru_cache(maxsize=2)(self._chunk_cdf)
@@ -220,7 +219,7 @@ class _StreamedCdf:
     def _chunk_cdf(self, k: int) -> np.ndarray:
         """The cdf over chunk k; the scan has passed every chunk before it."""
         start = k * _CHUNK
-        cdf = _mixture(self._theta, self._d, start, min(start + _CHUNK, self._d))
+        cdf = outcome_probs(*self._args, start, min(start + _CHUNK, self._d))
         if k:
             cdf[0] += self._edges[k - 1]
         return np.cumsum(cdf, out=cdf)
@@ -316,7 +315,7 @@ def false_negative_prob(n: int, r: int, p: int) -> float:
     """Probability of reading b = 0 although r >= 1 matches exist."""
     if r < 1:
         raise ValidationError("false negatives are defined for r >= 1")
-    return float(next(outcome_blocks(n, r, p, 1))[1][0])
+    return float(outcome_probs(n, r, p, 0, 1)[0])
 
 
 def repetitions_for(delta_target: float) -> int:

@@ -1,7 +1,9 @@
 """Template parameterization and synthetic chirp generation.
 
-Templates are linear chirps sin(phi0 + 2 pi (f0 t + f1 t^2 / 2)) on a
+Templates are linear chirps sin(2 pi (f0 t + f1 t^2 / 2)) at phase 0 on a
 regular (f0, f1) lattice, indexed row-major with f0 varying fastest.
+The search filters each with its quarter-cycle copy, phase pi/2 (the
+``QUADRATURE`` pair), which maximizes over the signal's unknown phase.
 The family keeps the full matched-filtering structure (frequency
 evolution, phase maximization) while staying exactly reproducible.
 """
@@ -21,18 +23,24 @@ from .io import check_config_keys, config_number
 # leaks enough to break self-match dominance on coarse lattices.
 TAPER_FRAC = 0.05
 
-_CONFIG_KEYS = ("f0_min", "f0_max", "n_f0", "f1_min", "f1_max", "n_f1",
-                "fs_hz", "m_samples", "dur_s")
+# The bank config's keys, each with the kind it converts to, in the order
+# of BankSpec's fields.
+_CONFIG_KINDS = {"f0_min": float, "f0_max": float, "n_f0": int, "f1_min": float,
+                 "f1_max": float, "n_f1": int, "fs_hz": float, "m_samples": int,
+                 "dur_s": float}
+
+# The phases of a template's quadrature pair: the chirp and the same chirp
+# a quarter cycle later.
+QUADRATURE = (0.0, np.pi / 2.0)
 
 
 @dataclass(frozen=True)
 class ChirpParams:
-    """Linear chirp: start frequency, drift rate, duration, initial phase; see ``check_chirps``."""
+    """Linear chirp at phase 0: start frequency, drift rate, duration; see ``check_chirps``."""
 
     f0: float
     f1: float
     dur: float
-    phi0: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -65,18 +73,8 @@ class BankSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BankSpec":
-        check_config_keys(cfg, "bank", _CONFIG_KEYS, ())
-        return cls(
-            f0_min=config_number(cfg, "f0_min", float),
-            f0_max=config_number(cfg, "f0_max", float),
-            n_f0=config_number(cfg, "n_f0", int),
-            f1_min=config_number(cfg, "f1_min", float),
-            f1_max=config_number(cfg, "f1_max", float),
-            n_f1=config_number(cfg, "n_f1", int),
-            fs=config_number(cfg, "fs_hz", float),
-            m_samples=config_number(cfg, "m_samples", int),
-            dur=config_number(cfg, "dur_s", float),
-        )
+        check_config_keys(cfg, "bank", tuple(_CONFIG_KINDS), ())
+        return cls(*(config_number(cfg, key, kind) for key, kind in _CONFIG_KINDS.items()))
 
 
 def bank_size(spec: BankSpec) -> int:
@@ -177,7 +175,7 @@ def chirps(f0, f1, phases, dur: float, fs: float, m: int) -> np.ndarray:
 
 def waveform(params: ChirpParams, fs: float, m: int) -> TimeSeries:
     """Tapered chirp over [0, dur), zero-padded to m samples (see :func:`chirps`)."""
-    sig = chirps([params.f0], [params.f1], (params.phi0,), params.dur, fs, m)[0, 0]
+    sig = chirps([params.f0], [params.f1], (0.0,), params.dur, fs, m)[0, 0]
     out = np.zeros(m)
     out[:sig.size] = sig
     return TimeSeries(samples=out, dt=1.0 / fs)

@@ -9,7 +9,7 @@ reals; the formulas are scaling laws, not integer enumerations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .amplify import choose_p, repetitions_for
 from .errors import ValidationError
@@ -43,8 +43,7 @@ class CwSearchSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "CwSearchSpec":
-        check_config_keys(cfg, "CW", (), ("f_khz", "t_obs_yr", "delta_f_hz",
-                                           "delta_f1_hz_s", "delta_target"))
+        check_config_keys(cfg, "CW", (), tuple(f.name for f in fields(cls)))
         return cls(**{k: config_number(cfg, k, float) for k in cfg})
 
 

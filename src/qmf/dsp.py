@@ -236,10 +236,9 @@ def complex_templates(pairs: np.ndarray, fs: float, m: int, psd: Psd) -> Frequen
 
 def complex_template(params, fs: float, m: int, psd: Psd) -> FrequencySeries:
     """The complex template of one chirp: the one-template call of :func:`complex_templates`."""
-    from .bank import chirps  # deferred: bank depends on dsp
+    from .bank import QUADRATURE, chirps  # deferred: bank depends on dsp
 
-    pairs = chirps([params.f0], [params.f1], (params.phi0, params.phi0 + math.pi / 2.0),
-                   params.dur, fs, m)
+    pairs = chirps([params.f0], [params.f1], QUADRATURE, params.dur, fs, m)
     qc = complex_templates(pairs, fs, m, psd)
     return FrequencySeries(bins=qc.bins[0], df=qc.df, m_time=m)
 

@@ -120,15 +120,32 @@ def check_config_keys(cfg: dict, what: str, required: tuple, optional: tuple) ->
 
 
 def read_time_series(path: str | Path) -> TimeSeries:
-    """Load strain from CSV (t,strain) or raw float64 + JSON sidecar."""
+    """Load strain from CSV (t,strain) or raw float64 + JSON sidecar.
+
+    A raw file must hold a whole number of 8-byte samples, and either
+    format at least 2 samples.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    if path.suffix.lower() == ".csv":
-        t, strain = _read_two_columns(path, ("t", "strain"))
-        if t.size < 2:
-            raise InputError(f"{path}: need at least 2 samples")
-        return TimeSeries(samples=strain, dt=_grid_step(path, t, "time"), t0=float(t[0]))
+    csv = path.suffix.lower() == ".csv"
+    if csv:
+        t, samples = _read_two_columns(path, ("t", "strain"))
+    else:
+        dt, t0 = _read_sidecar(path)
+        size = path.stat().st_size
+        if size % 8:
+            raise InputError(f"{path}: {size} bytes is not a whole number of float64 samples")
+        samples = np.fromfile(path, dtype="<f8")
+    if samples.size < 2:
+        raise InputError(f"{path}: need at least 2 samples")
+    if csv:
+        dt, t0 = _grid_step(path, t, "time"), float(t[0])
+    return TimeSeries(samples=samples, dt=dt, t0=t0)
+
+
+def _read_sidecar(path: Path) -> tuple[float, float]:
+    """The sample step and start time that a raw file's JSON sidecar gives."""
     sidecar = path.with_suffix(path.suffix + ".json")
     if not sidecar.exists():
         raise FileNotFoundError(f"raw input {path} needs a sidecar {sidecar}")
@@ -147,8 +164,7 @@ def read_time_series(path: str | Path) -> TimeSeries:
     if not 0.0 < dt < np.inf:  # a subnormal fs_hz overflows it, an infinite one zeroes it
         raise InputError(f"{sidecar}: 1/fs_hz must be finite and positive, got {dt} "
                          f"for fs_hz {fs}")
-    samples = np.fromfile(path, dtype="<f8")
-    return TimeSeries(samples=samples, dt=dt, t0=t0)
+    return dt, t0
 
 
 # The one tolerance (np.isclose keywords) of grid values that files give.

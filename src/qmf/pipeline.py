@@ -34,7 +34,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import amplify, dsp, fanout
-from .bank import BankSpec, bank_size, check_chirps, chirps, index_to_params, lattice, waveform
+from .bank import (QUADRATURE, BankSpec, bank_size, check_chirps, chirps, index_to_params,
+                   lattice, waveform)
 from .errors import CapExceededError, ValidationError
 from .io import check_config_keys, config_number
 
@@ -64,9 +65,8 @@ class RetrievalStrategy(enum.Enum):
         try:
             return cls(name.strip().lower().replace("-", "_"))
         except (AttributeError, ValueError):
-            raise ValidationError(
-                f"unknown strategy {name!r}; use 'reuse_k' or 'recount_each_try'"
-            ) from None
+            names = " or ".join(repr(s.value) for s in cls)
+            raise ValidationError(f"unknown strategy {name!r}; use {names}") from None
 
 
 @dataclass(frozen=True)
@@ -89,11 +89,17 @@ class TrialRecord:
 # less: the combined template (8 M) and the integrand that the inverse FFT
 # overwrites (16 M).  At most about 50 M bytes a row, budgeted as 64 M.
 _BLOCK_BYTES = 32 << 20
+_SAMPLE_BYTES = 64  # the 64 of 64 M
+
+
+def _rows_held(m_samples: int) -> int:
+    """Rows that the workers' blocks hold together: as many as fit the budget, at least 1."""
+    return max(1, _BLOCK_BYTES // (_SAMPLE_BYTES * m_samples))
 
 
 def _search_blocks(m_samples: int) -> tuple[int, int]:
     """Workers and rows a block: the blocks that the workers hold at once fit the budget."""
-    fit = max(1, _BLOCK_BYTES // (64 * m_samples))
+    fit = _rows_held(m_samples)
     w = min(fanout.cpus(), fit)
     return w, fit // w
 
@@ -104,7 +110,7 @@ def _peak_snrs(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
     w, rows = _search_blocks(spec.m_samples)
 
     def block(start: int) -> np.ndarray:
-        pairs = chirps(*lattice(spec, idx[start:start + rows]), (0.0, np.pi / 2.0),
+        pairs = chirps(*lattice(spec, idx[start:start + rows]), QUADRATURE,
                        spec.dur, spec.fs, spec.m_samples)
         qc = dsp.complex_templates(pairs, spec.fs, spec.m_samples, psd)
         return np.abs(dsp.filter_series(data, qc, psd)).max(axis=-1)
@@ -167,8 +173,8 @@ def count_detections(n: int, r_true: int, p: int, trials: int, seed: int) -> int
         raise ValidationError(f"trials must be >= 1, got {trials}")
     u = np.random.default_rng(seed).random(trials)
     # a draw reads b != 0 exactly when u reaches the cdf's first value, P(0)
-    _, p0 = next(amplify.outcome_blocks(n, r_true, p, 1))
-    return int(np.count_nonzero(u >= p0[0]))
+    p0 = amplify.outcome_probs(n, r_true, p, 0, 1)[0]
+    return int(np.count_nonzero(u >= p0))
 
 
 def template_retrieval(scenario: Scenario, k_star: int, rng: np.random.Generator,
@@ -248,15 +254,17 @@ class Scenario:
 # Byte budget of an injection scenario's arrays, on the order of the 1 GiB
 # of ``qsim.DEFAULT_QUBIT_CAP``: 9 bytes a template for the bank search's
 # float64 peaks and their bool mask (then the mask and the int64 matches),
-# plus the strain (8 M bytes), its spectrum (16 per one-sided bin) and one
-# block row of the search (64 M, see _BLOCK_BYTES).
+# plus the strain (8 M bytes), its spectrum (16 per one-sided bin) and the
+# rows that the search's blocks hold together (up to _BLOCK_BYTES, whatever
+# the CPU count).
 _INJECTION_BYTES = 1 << 30
 
 
 def _check_injection_bytes(spec: BankSpec) -> None:
     """Refuse a bank whose injection scenario would hold more than the budget."""
     m = spec.m_samples
-    need = 9 * bank_size(spec) + 8 * m + 16 * (m // 2 + 1) + 64 * m
+    need = (9 * bank_size(spec) + 8 * m + 16 * (m // 2 + 1)
+            + _rows_held(m) * _SAMPLE_BYTES * m)
     if need > _INJECTION_BYTES:
         raise CapExceededError(f"injection scenario needs {need} bytes, over the budget "
                                f"of {_INJECTION_BYTES} ({bank_size(spec)} templates, "
@@ -291,7 +299,7 @@ def scenario_from_config(cfg: dict) -> Scenario:
             raise ValidationError("bank size n exceeds the float range")
         if r > np.iinfo(np.int64).max:
             raise ValidationError(f"match count r={r} exceeds 2**63 - 1, the most a draw indexes")
-    strategy = RetrievalStrategy.parse(cfg.get("strategy", "reuse_k"))
+    strategy = RetrievalStrategy.parse(cfg.get("strategy", RetrievalStrategy.REUSE_K.value))
     max_attempts = config_number(cfg, "max_attempts", int, DEFAULT_MAX_ATTEMPTS)
     if max_attempts < 1:
         raise ValidationError(f"scenario key 'max_attempts' must be >= 1, got {max_attempts}")
@@ -301,10 +309,13 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if "bank" in cfg:
         amplitude = config_number(cfg, "amplitude", float, 1.0)
         sigma = config_number(cfg, "noise_sigma", float, 0.0)
+        noise_seed = config_number(cfg, "noise_seed", int, 0)
+        if noise_seed < 0:
+            raise ValidationError(f"scenario key 'noise_seed' must be >= 0, got {noise_seed}")
         params = index_to_params(spec, config_number(cfg, "inject_index", int))
         strain = amplitude * waveform(params, spec.fs, spec.m_samples).samples
         if sigma > 0.0:
-            noise_rng = np.random.default_rng(config_number(cfg, "noise_seed", int, 0))
+            noise_rng = np.random.default_rng(noise_seed)
             strain = strain + noise_rng.normal(scale=sigma, size=strain.size)
         data = dsp.forward_fft(dsp.TimeSeries(strain, dt=1.0 / spec.fs))
         psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs, sigma=max(sigma, 1.0))

@@ -212,7 +212,7 @@ class TestStreamedDraw:
                                        (4, 2, 2), (64, 0, 5), (8, 8, 4)])
     def test_first_cdf_value_is_the_detection_threshold(self, n, r, p):
         # u reaches P(0) exactly when the draw reads b != 0
-        _, probs = next(amplify.outcome_blocks(n, r, p, 1))
+        probs = amplify.outcome_probs(n, r, p, 0, 1)
         p0 = float(probs[0])
         assert p0 == amplify.counting_distribution(n, r, p).probs[0]
         if p0 < 1.0:

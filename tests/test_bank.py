@@ -5,8 +5,8 @@ import pytest
 from scipy.signal.windows import tukey
 
 from qmf import dsp
-from qmf.bank import (BankSpec, ChirpParams, bank_size, index_to_params, lattice,
-                      tukey_window, waveform)
+from qmf.bank import (QUADRATURE, BankSpec, ChirpParams, bank_size, chirps, index_to_params,
+                      lattice, tukey_window, waveform)
 from qmf.errors import ValidationError
 
 
@@ -133,16 +133,17 @@ class TestTukeyWindow:
 
 class TestWaveform:
     def test_degenerate_chirp_is_windowed_cosine(self):
-        p = ChirpParams(f0=64.0, f1=0.0, dur=0.5, phi0=np.pi / 2)
-        ts = waveform(p, fs=512.0, m=512)
+        # the quarter-cycle copy of a constant-frequency chirp
+        sig = chirps([64.0], [0.0], QUADRATURE, 0.5, 512.0, 512)[1, 0]
+        ts = waveform(ChirpParams(f0=64.0, f1=0.0, dur=0.5), fs=512.0, m=512)
         n_sig = 256
         t = np.arange(n_sig) / 512.0
         expected = np.cos(2 * np.pi * 64.0 * t) * tukey(n_sig, alpha=0.1)
-        np.testing.assert_allclose(ts.samples[:n_sig], expected, atol=1e-12)
+        np.testing.assert_allclose(sig, expected, atol=1e-12)
         assert np.all(ts.samples[n_sig:] == 0.0)
         # interior samples are untouched by the taper
         core = slice(n_sig // 4, 3 * n_sig // 4)
-        np.testing.assert_allclose(ts.samples[core], np.cos(2 * np.pi * 64.0 * t)[core],
+        np.testing.assert_allclose(sig[core], np.cos(2 * np.pi * 64.0 * t)[core],
                                    atol=1e-12)
 
     def test_aliasing_guard(self):

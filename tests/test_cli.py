@@ -194,6 +194,18 @@ class TestInputErrors:
         self.assert_one_line(capsys, "input error: ")
         assert not (tmp_path / "snr.csv").exists()
 
+    @pytest.mark.parametrize("raw_bytes,message", [
+        (np.zeros(1024).tobytes() + b"xyz", "8195 bytes is not a whole number of float64"),
+        (np.zeros(1).tobytes(), "need at least 2 samples")], ids=["stray-bytes", "one-sample"])
+    def test_raw_strain_not_whole_samples_or_too_short_exits_2(self, tmp_path, bank_cfg_file,
+                                                              capsys, raw_bytes, message):
+        raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
+        raw.write_bytes(raw_bytes)
+        assert self.mf_snr(tmp_path, raw, bank_cfg_file) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("input error: ") and message in err
+        assert not (tmp_path / "snr.csv").exists()
+
     def test_bank_count_not_a_number(self, tmp_path, capsys):
         raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
         bank_path = tmp_path / "bank.json"
@@ -283,6 +295,11 @@ class TestInputErrors:
         ("retrieve", {"n": 64, "r": 2, "seed": 1, "max_attempts": 0}, "'max_attempts'"),
         ("detect", {"n": 64.9, "r": 2.7, "seed": 1}, "'n'"),
         ("detect", {"n": 64, "r": True, "seed": 1}, "'r'"),
+        # noise_seed is converted, and refused below 0, with or without noise
+        ("detect", {"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
+                    "noise_seed": "x", "seed": 1}, "'noise_seed'"),
+        ("detect", {"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
+                    "noise_sigma": 1.0, "noise_seed": -1, "seed": 1}, "'noise_seed'"),
     ])
     def test_scenario_key_rejected(self, tmp_path, capsys, command, cfg, key):
         path = tmp_path / "scenario.json"

@@ -7,7 +7,7 @@ import pytest
 from scipy.signal import welch
 
 from qmf import dsp
-from qmf.bank import ChirpParams, waveform
+from qmf.bank import ChirpParams, chirps, waveform
 from qmf.errors import ValidationError
 
 FS = 1024.0
@@ -26,8 +26,8 @@ def qc(white):
 
 
 def chirp_data(phi0=0.0, amplitude=1.0, shift=0):
-    ts = waveform(ChirpParams(CHIRP.f0, CHIRP.f1, CHIRP.dur, phi0), FS, M)
-    samples = amplitude * np.roll(ts.samples, shift)
+    sig = chirps([CHIRP.f0], [CHIRP.f1], (phi0,), CHIRP.dur, FS, M)[0, 0]
+    samples = amplitude * np.roll(np.pad(sig, (0, M - sig.size)), shift)
     return dsp.forward_fft(dsp.TimeSeries(samples, dt=1.0 / FS))
 
 

@@ -205,11 +205,20 @@ class TestBatchedSearch:
             pipeline.classical_search(spec, data, psd, 0.0, OracleCounter())
 
     def test_search_holds_the_budgeted_arrays(self, monkeypatch):
-        # every template matches, 7 rows a block: 9 bytes a template at the
+        # in the process, whatever the host's CPU count
+        monkeypatch.setattr(fanout, "cpus", lambda: 1)
+        self.search_holds_the_budgeted_arrays(monkeypatch)
+
+    def test_search_on_two_workers_holds_the_budgeted_arrays(self, monkeypatch):
+        monkeypatch.setattr(fanout, "cpus", lambda: 2)
+        self.search_holds_the_budgeted_arrays(monkeypatch)
+
+    def search_holds_the_budgeted_arrays(self, monkeypatch):
+        # every template matches, 64 rows a block: 9 bytes a template at the
         # peak (the peaks, then their mask) and 8 held after (the int64
         # matches); 2**16 templates, so that an 8-byte index array would
         # not fit in the slack
-        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 7 * 64 * 64)
+        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 64 * 64 * 64)
         spec = small_spec(n_f0=256, n_f1=256, m_samples=64, dur=0.1)
         psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs)
         data = injected_data(spec, 0, 5)
@@ -225,10 +234,6 @@ class TestBatchedSearch:
         assert matches.size == n
         assert peak - start <= 9 * n + pipeline._BLOCK_BYTES + slack
         assert held - start <= 8 * n + slack
-
-    def test_search_on_two_workers_holds_the_budgeted_arrays(self, monkeypatch):
-        monkeypatch.setattr(fanout, "cpus", lambda: 2)
-        self.test_search_holds_the_budgeted_arrays(monkeypatch)
 
 
 class TestThreshold:
@@ -464,8 +469,9 @@ class TestScenario:
 
 
     def test_injection_byte_budget_boundary(self):
-        # m = 2 costs 176 bytes beside 9 a template: 2**30 - 176 >= 9 * 119304627
-        spec = BankSpec(f0_min=40.0, f0_max=120.0, n_f0=119304627, f1_min=5.0, f1_max=5.0,
+        # m = 2 costs 33,554,480 bytes beside 9 a template, 2**25 of them the
+        # 262,144 rows that the search's blocks hold: 2**30 - 33554480 >= 9 * 115576371
+        spec = BankSpec(f0_min=40.0, f0_max=120.0, n_f0=115576371, f1_min=5.0, f1_max=5.0,
                         n_f1=1, fs=512.0, m_samples=2, dur=1.0)
         pipeline._check_injection_bytes(spec)
         with pytest.raises(CapExceededError, match="over the budget of 1073741824"):
