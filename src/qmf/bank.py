@@ -17,7 +17,7 @@ import numpy as np
 
 from .dsp import TimeSeries
 from .errors import ValidationError
-from .io import check_config_keys, config_number
+from .io import read_config
 
 # Fraction of the chirp tapered at each end; unwindowed truncation
 # leaks enough to break self-match dominance on coarse lattices.
@@ -73,8 +73,7 @@ class BankSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BankSpec":
-        check_config_keys(cfg, "bank", tuple(_CONFIG_KINDS), ())
-        return cls(*(config_number(cfg, key, kind) for key, kind in _CONFIG_KINDS.items()))
+        return cls(*read_config(cfg, "bank", _CONFIG_KINDS, tuple(_CONFIG_KINDS)).values())
 
 
 def bank_size(spec: BankSpec) -> int:

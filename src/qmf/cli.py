@@ -138,12 +138,10 @@ def _sample_and_write(args, marginal: np.ndarray) -> None:
     prov = _provenance(args, args.seed)
     bits = f"0{marginal.size.bit_length() - 1}b"  # w-bit strings for 2**w outcomes
     drawn = np.flatnonzero(counts)
-    rows = (
-        (format(b, bits), c, c / args.shots)
-        for b, c in zip(drawn.tolist(), counts[drawn].tolist())
-    )
-    header = "outcome_bits,count,probability"
-    io.write_csv(args.out, header, io.csv_lines(header, rows), prov)
+    counted = counts[drawn].tolist()
+    table = io.csv_block([[format(b, bits) for b in drawn.tolist()], counted,
+                          [c / args.shots for c in counted]])
+    io.write_csv(args.out, "outcome_bits,count,probability", [table], prov)
     marg_out = args.marginal_out or _derived_path(args.out, "marginal", ".csv")
     io.write_csv(marg_out, "outcome_int,probability",
                  io.repr_rows(marginal.size, lambda j: (j, marginal[j])), prov)
@@ -175,7 +173,7 @@ def _scenario_args(args) -> tuple[pipeline.Scenario, dict, int]:
     cfg = io.read_json(args.config)
     if args.seed is not None:
         seed = args.seed
-    elif cfg.get("seed") is not None:
+    elif "seed" in cfg:
         seed = io.config_number(cfg, "seed", int)
     else:
         raise ValidationError("a seed is required (flag --seed or config key)")
@@ -191,8 +189,7 @@ def cmd_mc_bench(args) -> None:
     prov = _provenance(args, seed, scenario=cfg)
     io.write_json(args.out, summary.to_dict(), prov)
     hist_out = args.hist_out or _derived_path(args.out, "hist", ".csv")
-    io.write_csv(hist_out, "evals,count", io.csv_lines("evals,count", summary.histogram),
-                 prov)
+    io.write_csv(hist_out, "evals,count", [io.csv_block(list(zip(*summary.histogram)))], prov)
     print(f"{trials} trials: mean={summary.mean:.1f} evals "
           f"(classical {summary.classical_evals}) -> {args.out}")
 
@@ -203,8 +200,8 @@ def cmd_fail_bound(args) -> None:
         raise CapExceededError(f"r-max {args.r_max} exceeds the cap of {_R_MAX_CAP}")
     rows = fanout.fan_out(lambda r: (r, *amplify.max_fail_bound_argmax(r)),
                           range(1, args.r_max + 1))
-    header = "r,eps_p_argmax,max_bound"
-    io.write_csv(args.out, header, io.csv_lines(header, rows), _provenance(args))
+    io.write_csv(args.out, "r,eps_p_argmax,max_bound", [io.csv_block(list(zip(*rows)))],
+                 _provenance(args))
     print(f"bounds for r=1..{args.r_max} -> {args.out}")
 
 
@@ -327,8 +324,8 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except CapExceededError as exc:
-        print(f"resource cap: {exc}", file=sys.stderr)
+    except (CapExceededError, MemoryError) as exc:
+        print(f"resource cap: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_CAP
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 
 from .amplify import choose_p, repetitions_for
 from .errors import ValidationError
-from .io import check_config_keys, config_number
+from .io import read_config
 
 # Reversible-circuit conversion costs a factor 3 in gates, and erasing
 # the intermediate registers doubles that.
@@ -43,8 +43,7 @@ class CwSearchSpec:
 
     @classmethod
     def from_config(cls, cfg: dict) -> "CwSearchSpec":
-        check_config_keys(cfg, "CW", (), tuple(f.name for f in fields(cls)))
-        return cls(**{k: config_number(cfg, k, float) for k in cfg})
+        return cls(**read_config(cfg, "CW", {f.name: float for f in fields(cls)}))
 
 
 def n_total(spec: CwSearchSpec) -> float:

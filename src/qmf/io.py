@@ -4,7 +4,7 @@ Time series come in as CSV with a ``t,strain`` header or as raw
 little-endian float64 with a JSON sidecar ``{"fs_hz": ..., "t0_s": ...}``.
 PSDs come in as ``f_hz,sn`` CSV on a uniform grid from 0 Hz; SNR series go
 out as ``t,rho`` CSV.
-JSON configs are objects whose numeric values ``config_number`` converts.
+Every JSON object read, a config or a sidecar, goes through ``read_config``.
 Every file written here opens with a provenance comment carrying the
 tool version, the full configuration echo and the seed, and is written
 atomically (temp file + rename) so concurrent readers never see a
@@ -57,11 +57,6 @@ def _line(width: int) -> str:
     return ",".join(["%s"] * width) + "\n"
 
 
-def csv_lines(header: str, rows) -> Iterator[str]:
-    """One CSV line per row, a tuple with one field per header column."""
-    return map(_line(header.count(",") + 1).__mod__, rows)
-
-
 def write_csv(path: str | Path, header: str, text, provenance: str) -> None:
     """Stream the text, CSV lines in chunks, into the file below its header."""
 
@@ -109,14 +104,20 @@ def config_number(cfg: dict, key: str, kind: type, default=None):
         raise ValidationError(f"config key {key!r} must be a number, got {value!r}") from None
 
 
-def check_config_keys(cfg: dict, what: str, required: tuple, optional: tuple) -> None:
-    """Refuse a config with a required key missing or a key not listed (a misspelt one)."""
+def read_config(cfg: dict, what: str, kinds: dict, required: tuple = ()) -> dict:
+    """The keys of ``cfg`` in the order of ``kinds``, each converted by ``config_number``.
+
+    Refuses a required key missing or a key not in ``kinds`` (a misspelt
+    one).  A key of kind ``None`` keeps its value as it is.
+    """
     if not isinstance(cfg, dict):
         raise ValidationError(f"{what} config must be a JSON object")
     missing = [k for k in required if k not in cfg]
-    unknown = sorted(set(cfg) - set(required) - set(optional))
+    unknown = sorted(set(cfg) - set(kinds))
     if missing or unknown:
         raise ValidationError(f"{what} config: missing keys {missing}, unknown keys {unknown}")
+    return {k: cfg[k] if kind is None else config_number(cfg, k, kind)
+            for k, kind in kinds.items() if k in cfg}
 
 
 def read_time_series(path: str | Path) -> TimeSeries:
@@ -149,13 +150,12 @@ def _read_sidecar(path: Path) -> tuple[float, float]:
     sidecar = path.with_suffix(path.suffix + ".json")
     if not sidecar.exists():
         raise FileNotFoundError(f"raw input {path} needs a sidecar {sidecar}")
-    meta = read_json(sidecar)
-    if "fs_hz" not in meta:
-        raise InputError(f"{sidecar}: missing key 'fs_hz'")
     try:
-        fs, t0 = float(meta["fs_hz"]), float(meta.get("t0_s", 0.0))
-    except (TypeError, ValueError):
-        raise InputError(f"{sidecar}: fs_hz and t0_s must be numbers") from None
+        meta = read_config(read_json(sidecar), "sidecar", {"fs_hz": float, "t0_s": float},
+                           ("fs_hz",))
+    except ValidationError as exc:
+        raise InputError(f"{sidecar}: {exc}") from None
+    fs, t0 = meta["fs_hz"], meta.get("t0_s", 0.0)
     if not fs > 0.0:
         raise InputError(f"{sidecar}: fs_hz must be positive, got {fs}")
     if not np.isfinite(t0):

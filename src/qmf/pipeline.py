@@ -37,7 +37,7 @@ from . import amplify, dsp, fanout
 from .bank import (QUADRATURE, BankSpec, bank_size, check_chirps, chirps, index_to_params,
                    lattice, waveform)
 from .errors import CapExceededError, ValidationError
-from .io import check_config_keys, config_number
+from .io import read_config
 
 DEFAULT_MAX_ATTEMPTS = 10_000
 
@@ -271,10 +271,12 @@ def _check_injection_bytes(spec: BankSpec) -> None:
                                f"{m} samples)")
 
 
-# Keys of both scenario forms; the CLI reads seed and trials.
-_SCENARIO_OPTIONAL = ("p", "strategy", "max_attempts", "seed", "trials")
-_INJECTION_KEYS = ("bank", "inject_index", "rho_thr")
-_INJECTION_OPTIONAL = ("amplitude", "noise_sigma", "noise_seed")
+# The keys of each scenario form with the kind each converts to; the CLI
+# reads seed and trials.
+_SCENARIO_KINDS = {"p": int, "strategy": None, "max_attempts": int, "seed": int, "trials": int}
+_SYNTHETIC_KINDS = {"n": int, "r": int, **_SCENARIO_KINDS}
+_INJECTION_KINDS = {"bank": None, "inject_index": int, "rho_thr": float, "amplitude": float,
+                    "noise_sigma": float, "noise_seed": int, **_SCENARIO_KINDS}
 
 
 def scenario_from_config(cfg: dict) -> Scenario:
@@ -285,42 +287,39 @@ def scenario_from_config(cfg: dict) -> Scenario:
     and r.  p is auto-selected if missing.
     """
     if "bank" in cfg:
-        check_config_keys(cfg, "injection scenario", _INJECTION_KEYS,
-                          _INJECTION_OPTIONAL + _SCENARIO_OPTIONAL)
-        spec = BankSpec.from_config(cfg["bank"])
+        values = read_config(cfg, "injection scenario", _INJECTION_KINDS,
+                           ("bank", "inject_index", "rho_thr"))
+        spec = BankSpec.from_config(values["bank"])
         _check_injection_bytes(spec)
         n = bank_size(spec)
     else:
-        check_config_keys(cfg, "synthetic scenario", ("n", "r"), _SCENARIO_OPTIONAL)
-        n, r = config_number(cfg, "n", int), config_number(cfg, "r", int)
-        if r < 0 or r > n:
-            raise ValidationError(f"match count r={r} outside [0, {n}]")
+        values = read_config(cfg, "synthetic scenario", _SYNTHETIC_KINDS, ("n", "r"))
+        n, r = values["n"], values["r"]
+        amplify.theta_of(n, r)
         if n > sys.float_info.max:
             raise ValidationError("bank size n exceeds the float range")
         if r > np.iinfo(np.int64).max:
             raise ValidationError(f"match count r={r} exceeds 2**63 - 1, the most a draw indexes")
-    strategy = RetrievalStrategy.parse(cfg.get("strategy", RetrievalStrategy.REUSE_K.value))
-    max_attempts = config_number(cfg, "max_attempts", int, DEFAULT_MAX_ATTEMPTS)
+    strategy = RetrievalStrategy.parse(values.get("strategy", RetrievalStrategy.REUSE_K.value))
+    max_attempts = values.get("max_attempts", DEFAULT_MAX_ATTEMPTS)
     if max_attempts < 1:
         raise ValidationError(f"scenario key 'max_attempts' must be >= 1, got {max_attempts}")
-    p = config_number(cfg, "p", int) if "p" in cfg else amplify.choose_p(n)
+    p = values["p"] if "p" in values else amplify.choose_p(n)
     amplify.check_register(p)  # before an injection's bank search, not after it
     counter = OracleCounter()
     if "bank" in cfg:
-        amplitude = config_number(cfg, "amplitude", float, 1.0)
-        sigma = config_number(cfg, "noise_sigma", float, 0.0)
-        noise_seed = config_number(cfg, "noise_seed", int, 0)
-        if noise_seed < 0:
-            raise ValidationError(f"scenario key 'noise_seed' must be >= 0, got {noise_seed}")
-        params = index_to_params(spec, config_number(cfg, "inject_index", int))
-        strain = amplitude * waveform(params, spec.fs, spec.m_samples).samples
+        sigma, noise_seed = values.get("noise_sigma", 0.0), values.get("noise_seed", 0)
+        for key, value in (("noise_sigma", sigma), ("noise_seed", noise_seed)):
+            if not value >= 0:
+                raise ValidationError(f"scenario key {key!r} must be >= 0, got {value}")
+        params = index_to_params(spec, values["inject_index"])
+        strain = values.get("amplitude", 1.0) * waveform(params, spec.fs, spec.m_samples).samples
         if sigma > 0.0:
             noise_rng = np.random.default_rng(noise_seed)
             strain = strain + noise_rng.normal(scale=sigma, size=strain.size)
         data = dsp.forward_fft(dsp.TimeSeries(strain, dt=1.0 / spec.fs))
         psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs, sigma=max(sigma, 1.0))
-        rho_thr = config_number(cfg, "rho_thr", float)
-        match_set = classical_search(spec, data, psd, rho_thr, counter)
+        match_set = classical_search(spec, data, psd, values["rho_thr"], counter)
     else:
         match_set = range(r)
     return Scenario(n=n, p=p, strategy=strategy, match_set=match_set,
@@ -380,7 +379,7 @@ def monte_carlo(scenario: Scenario, trials: int, seed: int) -> MonteCarloSummary
         trials=trials,
         mean=statistics.fmean(evals),
         median=float(statistics.median(evals)),
-        stddev=statistics.pstdev(evals) if trials > 1 else 0.0,
+        stddev=statistics.pstdev(evals),
         histogram=tuple(sorted(costs.items())),
         n_failed=n_failed,
         classical_evals=scenario.n,

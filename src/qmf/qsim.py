@@ -45,6 +45,7 @@ unitary on template + ancilla is identical to the full circuit's.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -278,6 +279,7 @@ def measure(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarr
 
 def _check_cap(log2_amps: int, cap: int) -> None:
     """Refuse a call whose full-size buffers hold more than 2**cap amplitudes."""
+    cap = min(cap, sys.maxsize.bit_length() - 5)  # 16-byte amplitudes an array addresses
     if log2_amps > cap:
         raise CapExceededError(f"needs 2**{log2_amps} amplitudes, over the cap of 2**{cap}")
 

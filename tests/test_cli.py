@@ -179,6 +179,17 @@ class TestInputErrors:
         assert self.mf_snr(tmp_path, raw, bank_cfg_file) == EXIT_INPUT
         self.assert_one_line(capsys, "input error: ")
 
+    @pytest.mark.parametrize("sidecar,key", [
+        ('{"fs_hz": true}', "'fs_hz' must be a number, got True"),
+        ('{"fs_hz": 512.0, "t0": 1.5}', "unknown keys ['t0']")], ids=["bool-rate", "misspelt-t0"])
+    def test_sidecar_key_refused_like_a_config_key(self, tmp_path, bank_cfg_file, capsys,
+                                                   sidecar, key):
+        raw = self.raw_strain(tmp_path, sidecar)
+        assert self.mf_snr(tmp_path, raw, bank_cfg_file) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("input error: ") and key in err
+        assert not (tmp_path / "snr.csv").exists()
+
     @pytest.mark.parametrize("t0", ["NaN", "Infinity"])
     def test_sidecar_t0_not_finite(self, tmp_path, bank_cfg_file, capsys, t0):
         raw = self.raw_strain(tmp_path, f'{{"fs_hz": 512.0, "t0_s": {t0}}}')
@@ -246,7 +257,7 @@ class TestInputErrors:
         raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
         psd = tmp_path / "psd.csv"
         io.write_csv(psd, "f_hz,sn",
-                     io.csv_lines("f_hz,sn", ((repr(f), 1.0) for f in f_hz.tolist())), "# psd")
+                     [io.csv_block([list(map(repr, f_hz.tolist())), [1.0] * f_hz.size])], "# psd")
         assert run("mf-snr", "--data", raw, "--bank-config", bank_cfg_file, "--index", 0,
                    "--psd", psd, "--out", tmp_path / "snr.csv") == EXIT_INPUT
         err = capsys.readouterr().err
@@ -261,7 +272,7 @@ class TestInputErrors:
         psd = tmp_path / "psd.csv"
         f_hz = 0.5 * np.arange(int(top_hz / 0.5) + 1)
         io.write_csv(psd, "f_hz,sn",
-                     io.csv_lines("f_hz,sn", ((repr(f), 1.0) for f in f_hz.tolist())), "# psd")
+                     [io.csv_block([list(map(repr, f_hz.tolist())), [1.0] * f_hz.size])], "# psd")
         out = tmp_path / "snr.csv"
         assert run("mf-snr", "--data", raw, "--bank-config", bank_cfg_file, "--index", 0,
                    "--psd", psd, "--out", out) == code
@@ -300,6 +311,10 @@ class TestInputErrors:
                     "noise_seed": "x", "seed": 1}, "'noise_seed'"),
         ("detect", {"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
                     "noise_sigma": 1.0, "noise_seed": -1, "seed": 1}, "'noise_seed'"),
+        ("detect", {"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
+                    "noise_sigma": -1.0, "seed": 1}, "'noise_sigma'"),
+        # trials is read by mc-bench alone, but every command converts it
+        ("detect", {"n": 64, "r": 2, "trials": "x", "seed": 1}, "'trials'"),
     ])
     def test_scenario_key_rejected(self, tmp_path, capsys, command, cfg, key):
         path = tmp_path / "scenario.json"
@@ -308,6 +323,15 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("validation error: ")
         assert key in err
+
+    def test_config_seed_checked_under_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"n": 64, "r": 2, "seed": "x"}))
+        assert run("detect", "--config", path, "--seed", 1,
+                   "--out", tmp_path / "o.json") == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == "validation error: config key 'seed' must be a number, got 'x'\n"
+        assert not (tmp_path / "o.json").exists()
 
 
     @pytest.mark.parametrize("command,cfg,keys", [
@@ -442,7 +466,7 @@ class TestRowWriters:
 
     def test_mixed_fields(self, tmp_path):
         rows = [(3, "0110", 0.1), (17, "1000", 2.5e-300)]
-        io.write_csv(tmp_path / "x.csv", "a,b,c", io.csv_lines("a,b,c", iter(rows)), "# prov")
+        io.write_csv(tmp_path / "x.csv", "a,b,c", [io.csv_block(list(zip(*rows)))], "# prov")
         assert (tmp_path / "x.csv").read_text() == self.per_element_text("a,b,c", rows)
 
 
@@ -668,6 +692,29 @@ class TestQsim:
         assert run("qsim-count", "--data-bits", "0" * 22, "--p", 8,
                    "--shots", 1, "--seed", 1, "--cap", 26,
                    "--out", tmp_path / "x.csv") == EXIT_CAP
+
+    @pytest.mark.parametrize("command,flags", [
+        ("qsim-count", ("--p", 1)), ("qsim-search", ("--iterations", 0))],
+        ids=["count", "search"])
+    def test_cap_beyond_the_addressable_exits_3(self, tmp_path, capsys, command, flags):
+        # 2**62 amplitudes are 2**66 bytes, more than an array can address
+        assert run(command, "--data-bits", "1" * 62, *flags, "--seed", 0, "--cap", 100,
+                   "--out", tmp_path / "s.csv") == EXIT_CAP
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("resource cap: needs 2**")
+
+    @pytest.mark.parametrize("message", ["Unable to allocate 64.0 GiB", ""],
+                             ids=["numpy-message", "bare"])
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, monkeypatch, message):
+        def full(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(qsim.np, "full", full)
+        assert run("qsim-search", "--data-bits", "0101", "--iterations", 1, "--seed", 0,
+                   "--out", tmp_path / "s.csv") == EXIT_CAP
+        err = capsys.readouterr().err
+        assert err == f"resource cap: {message or 'out of memory'}\n"
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("command,flags,flag", [
         ("qsim-count", ("--p", 0), "--p"),
