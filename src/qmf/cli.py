@@ -10,14 +10,39 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import importlib.util
 import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from . import amplify, bank, cw, dsp, fanout, io, pipeline, qsim
+from . import fanout, io
 from .errors import CapExceededError, InputError, ValidationError
+
+
+def _load_on_first_use(*names: str) -> None:
+    """Register each layer not yet imported as a lazy module of this package.
+
+    Its body runs when a command first touches it, so a command pays only
+    for the layers it uses.  The module object is the one that loads, so
+    a layer keeps its identity in ``sys.modules``.
+    """
+    package = sys.modules[__package__]
+    for name in names:
+        full = f"{__package__}.{name}"
+        if full in sys.modules:
+            continue
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[full] = module
+        setattr(package, name, module)
+        spec.loader.exec_module(module)
+
+
+_load_on_first_use("amplify", "bank", "cw", "dsp", "pipeline", "qsim")
+from . import amplify, bank, cw, dsp, pipeline, qsim  # noqa: E402
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -98,15 +123,15 @@ def cmd_count_dist(args) -> None:
     d = 1 << p
     h = d // 2
 
-    def block(start: int) -> tuple[str, bytes]:
+    def block(start: int) -> tuple[bytes, bytes]:
         probs = amplify.outcome_probs(n, r, p, start, min(start + io.ROW_BLOCK, h + 1))
         # outcomes killed by exactly destructive interference are omitted
         j = np.flatnonzero(probs > 0.0)
-        b, text = start + j, list(map(repr, probs[j].tolist()))
+        b, text = start + j, io.repr_column(probs[j])
         # row 2**p - b repeats row b for 0 < b < 2**(p-1)
         lo, hi = np.searchsorted(j, [1 - start, h - start])
-        return (io.csv_block([b.tolist(), text]),
-                io.csv_block([(d - b[lo:hi])[::-1].tolist(), text[lo:hi][::-1]]).encode())
+        return (io.csv_block([b, text]),
+                io.csv_block([(d - b[lo:hi])[::-1], text[lo:hi][::-1]]))
 
     def rows(spill):
         sizes = []
@@ -118,15 +143,21 @@ def cmd_count_dist(args) -> None:
         for size in reversed(sizes):
             end -= size
             spill.seek(end)
-            yield spill.read(size).decode()
+            yield spill.read(size)
 
     with tempfile.TemporaryFile(dir=Path(args.out).parent) as spill:
         io.write_csv(args.out, "b,probability", rows(spill), prov)
     print(f"p={p}, {d} outcomes -> {args.out}")
 
 
-def _require_draw_flags(args) -> None:
-    """Refuse a shot count that the int64 multinomial draw cannot hold, or a negative seed."""
+def _draw_flags(args) -> None:
+    """Fill in the default ``--cap``; refuse a shot count that the int64 draw cannot hold.
+
+    The parser leaves ``--cap`` at None so that it does not load qsim for
+    every command.  A negative seed is refused too.
+    """
+    if args.cap is None:
+        args.cap = qsim.DEFAULT_QUBIT_CAP
     _require_at_least(args.shots, 1, "--shots")
     if args.shots > np.iinfo(np.int64).max:
         raise ValidationError(f"--shots must be <= 2**63 - 1, got {args.shots}")
@@ -138,9 +169,9 @@ def _sample_and_write(args, marginal: np.ndarray) -> None:
     prov = _provenance(args, args.seed)
     bits = f"0{marginal.size.bit_length() - 1}b"  # w-bit strings for 2**w outcomes
     drawn = np.flatnonzero(counts)
-    counted = counts[drawn].tolist()
-    table = io.csv_block([[format(b, bits) for b in drawn.tolist()], counted,
-                          [c / args.shots for c in counted]])
+    counted = counts[drawn]
+    table = io.csv_block([np.array([format(b, bits) for b in drawn.tolist()], dtype="S"),
+                          counted, np.array([c / args.shots for c in counted.tolist()])])
     io.write_csv(args.out, "outcome_bits,count,probability", [table], prov)
     marg_out = args.marginal_out or _derived_path(args.out, "marginal", ".csv")
     io.write_csv(marg_out, "outcome_int,probability",
@@ -151,7 +182,7 @@ def _sample_and_write(args, marginal: np.ndarray) -> None:
 
 def cmd_qsim_count(args) -> None:
     _require_at_least(args.p, 1, "--p")
-    _require_draw_flags(args)
+    _draw_flags(args)
     spec = qsim.StringOracleSpec(args.data_bits, args.ignored)
     state = qsim.counting_state(spec.n, spec.matching_states(), args.p, cap=args.cap)
     marginal = qsim.marginal_probs(state, range(spec.n, state.num_qubits))
@@ -161,7 +192,7 @@ def cmd_qsim_count(args) -> None:
 
 def cmd_qsim_search(args) -> None:
     _require_at_least(args.iterations, 0, "--iterations")
-    _require_draw_flags(args)
+    _draw_flags(args)
     spec = qsim.StringOracleSpec(args.data_bits, args.ignored)
     state = qsim.search_state(spec.n, spec.matching_states(), args.iterations, cap=args.cap)
     marginal = qsim.marginal_probs(state, range(spec.n))
@@ -169,27 +200,23 @@ def cmd_qsim_search(args) -> None:
     _sample_and_write(args, marginal)
 
 
-def _scenario_args(args) -> tuple[pipeline.Scenario, dict, int]:
+def _scenario_args(args) -> tuple[pipeline.Scenario, dict]:
+    """The scenario of ``--config``, whose seed is ``--seed`` or the config's, and the config."""
     cfg = io.read_json(args.config)
-    if args.seed is not None:
-        seed = args.seed
-    elif "seed" in cfg:
-        seed = io.config_number(cfg, "seed", int)
-    else:
+    if args.seed is None and "seed" not in cfg:
         raise ValidationError("a seed is required (flag --seed or config key)")
-    _require_at_least(seed, 0, "seed")
-    return pipeline.scenario_from_config(cfg), cfg, seed
+    return pipeline.scenario_from_config(cfg, seed=args.seed), cfg
 
 
 def cmd_mc_bench(args) -> None:
-    scenario, cfg, seed = _scenario_args(args)
-    trials = (args.trials if args.trials is not None
-              else io.config_number(cfg, "trials", int, 0))
-    summary = pipeline.monte_carlo(scenario, trials, seed)
-    prov = _provenance(args, seed, scenario=cfg)
+    scenario, cfg = _scenario_args(args)
+    trials = args.trials if args.trials is not None else scenario.trials
+    summary = pipeline.monte_carlo(scenario, trials, scenario.seed)
+    prov = _provenance(args, scenario.seed, scenario=cfg)
     io.write_json(args.out, summary.to_dict(), prov)
     hist_out = args.hist_out or _derived_path(args.out, "hist", ".csv")
-    io.write_csv(hist_out, "evals,count", [io.csv_block(list(zip(*summary.histogram)))], prov)
+    table = io.csv_block([np.array(column) for column in zip(*summary.histogram)])
+    io.write_csv(hist_out, "evals,count", [table], prov)
     print(f"{trials} trials: mean={summary.mean:.1f} evals "
           f"(classical {summary.classical_evals}) -> {args.out}")
 
@@ -200,8 +227,8 @@ def cmd_fail_bound(args) -> None:
         raise CapExceededError(f"r-max {args.r_max} exceeds the cap of {_R_MAX_CAP}")
     rows = fanout.fan_out(lambda r: (r, *amplify.max_fail_bound_argmax(r)),
                           range(1, args.r_max + 1))
-    io.write_csv(args.out, "r,eps_p_argmax,max_bound", [io.csv_block(list(zip(*rows)))],
-                 _provenance(args))
+    table = io.csv_block([np.array(column) for column in zip(*rows)])
+    io.write_csv(args.out, "r,eps_p_argmax,max_bound", [table], _provenance(args))
     print(f"bounds for r=1..{args.r_max} -> {args.out}")
 
 
@@ -214,24 +241,24 @@ def cmd_cw_cost(args) -> None:
 
 
 def cmd_detect(args) -> None:
-    scenario, cfg, seed = _scenario_args(args)
+    scenario, cfg = _scenario_args(args)
     counter = pipeline.OracleCounter()
-    outcome = pipeline.signal_detection(scenario, np.random.default_rng(seed), counter)
+    outcome = pipeline.signal_detection(scenario, np.random.default_rng(scenario.seed), counter)
     io.write_json(args.out, {
         "b": outcome.b, "r_star": outcome.r_star, "k_star": outcome.k_star,
         "detected": outcome.detected, "oracle_evals": counter.evaluations,
         "setup_evals": scenario.setup_evals,
-    }, _provenance(args, seed, scenario=cfg))
+    }, _provenance(args, scenario.seed, scenario=cfg))
     print(f"detected={outcome.detected} (b={outcome.b}, r*={outcome.r_star}) "
           f"-> {args.out}")
 
 
 def cmd_retrieve(args) -> None:
-    scenario, cfg, seed = _scenario_args(args)
-    record = pipeline.retrieve_until_success(scenario, np.random.default_rng(seed),
+    scenario, cfg = _scenario_args(args)
+    record = pipeline.retrieve_until_success(scenario, np.random.default_rng(scenario.seed),
                                              pipeline.OracleCounter())
     io.write_json(args.out, {**dataclasses.asdict(record), "setup_evals": scenario.setup_evals},
-                  _provenance(args, seed, scenario=cfg))
+                  _provenance(args, scenario.seed, scenario=cfg))
     print(f"succeeded={record.succeeded} index={record.returned_index} "
           f"evals={record.oracle_evals} -> {args.out}")
 
@@ -259,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     draw.add_argument("--ignored", type=int, default=0, help="low-order bits ignored")
     draw.add_argument("--shots", type=int, default=2048)
     draw.add_argument("--seed", type=int, required=True)
-    draw.add_argument("--cap", type=int, default=qsim.DEFAULT_QUBIT_CAP)
+    draw.add_argument("--cap", type=int)
     draw.add_argument("--out", required=True)
     draw.add_argument("--marginal-out")
     # flags shared by the three scenario commands

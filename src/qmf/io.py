@@ -9,6 +9,14 @@ Every file written here opens with a provenance comment carrying the
 tool version, the full configuration echo and the seed, and is written
 atomically (temp file + rename) so concurrent readers never see a
 partial file.
+
+Every CSV table is built as bytes by ``csv_block``, a block of rows at a
+time, from numpy columns: ``str`` of each int, ``repr`` of each float
+and each ``S`` string as it is.  Each column becomes a NUL-padded uint8
+matrix: an int column's digits by numpy arithmetic, a float column's
+``repr`` gathered from a table of its distinct bit patterns.  The block
+is the matrices side by side with the commas and newlines, written out
+with its NULs deleted.
 """
 
 from __future__ import annotations
@@ -17,13 +25,15 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Callable, Iterator, TextIO
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import __version__, fanout
-from .dsp import Psd, SnrSeries, TimeSeries
 from .errors import InputError, ValidationError
+
+if TYPE_CHECKING:
+    from .dsp import Psd, SnrSeries, TimeSeries
 
 
 def provenance_line(command: str, config: dict, seed: int | None) -> str:
@@ -31,7 +41,7 @@ def provenance_line(command: str, config: dict, seed: int | None) -> str:
     return f"# qmf {__version__} | cmd={command} | seed={seed} | config={blob}"
 
 
-def _atomic_write(path: str | Path, write: Callable[[TextIO], object]) -> None:
+def _atomic_write(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
     """Call ``write`` on a temp file beside ``path``, then rename it over ``path``.
 
     The file gets the mode ``open`` would give it, 0o666 less the umask,
@@ -40,7 +50,7 @@ def _atomic_write(path: str | Path, write: Callable[[TextIO], object]) -> None:
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb") as fh:
             umask = os.umask(0)
             os.umask(umask)
             os.chmod(tmp, 0o666 & ~umask)
@@ -52,17 +62,12 @@ def _atomic_write(path: str | Path, write: Callable[[TextIO], object]) -> None:
         raise
 
 
-def _line(width: int) -> str:
-    """The ``%`` template of one CSV line of ``width`` fields, each ``str(field)``."""
-    return ",".join(["%s"] * width) + "\n"
+def write_csv(path: str | Path, header: str, chunks, provenance: str) -> None:
+    """Stream the chunks, bytes of CSV lines, into the file below its header."""
 
-
-def write_csv(path: str | Path, header: str, text, provenance: str) -> None:
-    """Stream the text, CSV lines in chunks, into the file below its header."""
-
-    def write(fh: TextIO) -> None:
-        fh.write(f"{provenance}\n{header}\n")
-        fh.writelines(text)
+    def write(fh: BinaryIO) -> None:
+        fh.write(f"{provenance}\n{header}\n".encode())
+        fh.writelines(chunks)
 
     _atomic_write(path, write)
 
@@ -70,7 +75,7 @@ def write_csv(path: str | Path, header: str, text, provenance: str) -> None:
 def write_json(path: str | Path, payload: dict, provenance: str) -> None:
     body = {"provenance": provenance, **payload}
     text = json.dumps(body, indent=2, sort_keys=False) + "\n"
-    _atomic_write(path, lambda fh: fh.write(text))
+    _atomic_write(path, lambda fh: fh.write(text.encode()))
 
 
 def read_json(path: str | Path) -> dict:
@@ -85,14 +90,14 @@ def read_json(path: str | Path) -> dict:
     return payload
 
 
-def config_number(cfg: dict, key: str, kind: type, default=None):
-    """``kind(cfg[key])``, or ``kind(default)`` when the key is absent.
+def config_number(cfg: dict, key: str, kind: type):
+    """``kind(cfg[key])``.
 
     A value that does not convert raises a ValidationError naming the key,
     and so does one that converts only by changing its meaning: a boolean,
     or a float with a fractional part where ``kind`` is ``int``.
     """
-    value = cfg.get(key, default)
+    value = cfg[key]
     if isinstance(value, bool):
         raise ValidationError(f"config key {key!r} must be a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
@@ -126,6 +131,8 @@ def read_time_series(path: str | Path) -> TimeSeries:
     A raw file must hold a whole number of 8-byte samples, and either
     format at least 2 samples.
     """
+    from .dsp import TimeSeries  # dsp loads only for the commands that read data
+
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
@@ -173,6 +180,8 @@ GRID_TOL = {"rtol": 1e-6, "atol": 1e-12}
 
 def read_psd(path: str | Path) -> Psd:
     """Load a PSD whose bin k sits at k * df from 0 Hz, as ``Psd`` reads it."""
+    from .dsp import Psd
+
     f, sn = _read_two_columns(Path(path), ("f_hz", "sn"))
     if f.size < 2:
         raise InputError(f"{path}: need at least 2 PSD bins")
@@ -190,58 +199,99 @@ def _grid_step(path: str | Path, x: np.ndarray, what: str) -> float:
     return step
 
 
-# Rows converted to Python objects at a time: bounds the memory a large
-# file costs while keeping the conversion in whole-array calls.
+# Rows built at a time: bounds the memory a large file costs while keeping
+# the work in whole-array calls.
 ROW_BLOCK = 1 << 12
 
 
-def repr_rows(n: int, columns) -> Iterator[str]:
-    """CSV text of ``repr``-formatted values, one chunk per block of rows.
+def repr_rows(n: int, columns) -> Iterator[bytes]:
+    """CSV lines of ``columns``, one ``csv_block`` per block of rows.
 
     ``columns(j)`` returns the int or float column arrays at the row
-    indices ``j``.  ``ndarray.tolist()`` yields the Python ints and
-    floats that per-element arithmetic would give, so the bytes are the
-    same as with ``repr(t0 + j * dt)`` or ``repr(float(v))`` per row.
-    Each block of ``ROW_BLOCK`` rows is one ``csv_block``: a column with
-    a repeated value formats each distinct value once, and one without
-    goes to ``%`` as it is.  The blocks are formatted on every CPU (see
-    :mod:`qmf.fanout`).
+    indices ``j``.  The bytes are the same as with ``repr(t0 + j * dt)``
+    or ``repr(float(v))`` per row.  The blocks of ``ROW_BLOCK`` rows are
+    built on every CPU (see :mod:`qmf.fanout`).
     """
 
-    def block(start: int) -> str:
-        cols = columns(np.arange(start, min(start + ROW_BLOCK, n)))
-        return csv_block(list(map(_repr_column, cols)))
+    def block(start: int) -> bytes:
+        return csv_block(columns(np.arange(start, min(start + ROW_BLOCK, n))))
 
     return fanout.fan_out(block, range(0, n, ROW_BLOCK))
 
 
-def csv_block(columns: list[list]) -> str:
-    """CSV lines of equal-length columns whose ``str`` is each field, by one ``%``."""
-    width, rows = len(columns), len(columns[0])
-    fields = [None] * (width * rows)
-    for k, column in enumerate(columns):
-        fields[k::width] = column
-    return (_line(width) * rows) % tuple(fields)
+def csv_block(columns: Sequence[np.ndarray]) -> bytes:
+    """CSV lines of equal-length columns: ``str`` of an int, ``repr`` of a float, ``S`` as is.
 
-
-def _repr_column(col: np.ndarray) -> list:
-    """Fields whose ``str`` is ``repr`` of each element.
-
-    A column with no repeated value is its Python ints or floats, whose
-    ``str`` is their ``repr``.  In one with a repeat, each distinct value
-    is formatted once, told apart by its bit pattern, not by ``==``:
-    -0.0 equals 0.0 but formats differently.
+    Each column is a NUL-padded uint8 matrix; they are laid side by side
+    with a comma after each and a newline in place of the last comma,
+    and the NULs are deleted from the whole block at once.
     """
-    keys, inverse = np.unique(col.view(f"i{col.itemsize}"), return_inverse=True)
-    if keys.size == col.size:
-        return col.tolist()
-    text = np.array(list(map(repr, keys.view(col.dtype).tolist())), dtype=object)
-    return text[inverse].tolist()
+    if len(columns[0]) == 0:
+        return b""
+    fields = [_byte_matrix(col) for col in columns]
+    block = np.empty((len(columns[0]), sum(f.shape[1] + 1 for f in fields)), np.uint8)
+    at = 0
+    for field in fields:
+        width = field.shape[1]
+        block[:, at:at + width] = field
+        block[:, at + width] = ord(",")
+        at += width + 1
+    block[:, -1] = ord("\n")
+    # bytes.translate deletes the NULs about twice as fast as np.compress
+    return block.tobytes().translate(None, b"\0")
+
+
+def _byte_matrix(col: np.ndarray) -> np.ndarray:
+    """The column's fields as a (rows, width) uint8 matrix, NUL-padded."""
+    kind = col.dtype.kind
+    if kind in "iu":
+        return _digit_matrix(col)
+    if kind == "f":
+        col = repr_column(col)
+    elif kind != "S":
+        raise TypeError(f"no CSV field format for dtype {col.dtype}")
+    return np.ascontiguousarray(col).view(np.uint8).reshape(col.size, col.itemsize)
+
+
+def _digit_matrix(col: np.ndarray) -> np.ndarray:
+    """``str`` of each int: a sign column, then the digits, leading zeros left NUL."""
+    negative = col < 0
+    mag = col.astype(np.uint64)  # a negative value wraps to 2**64 - |value|
+    np.negative(mag, out=mag, where=negative)
+    width = len(str(int(mag.max())))
+    out = np.zeros((col.size, width + 1), np.uint8)
+    out[:, 0] = negative * ord("-")
+    for k in range(width, 0, -1):
+        rest = mag // 10  # numpy divides by a scalar several times faster than it takes %
+        digit = (mag - rest * 10).astype(np.uint8) + ord("0")
+        out[:, k] = digit if k == width else digit * (mag > 0)
+        mag = rest
+    return out
+
+
+def repr_column(col: np.ndarray) -> np.ndarray:
+    """``repr`` of each float as a NUL-padded ``S`` array, one ``repr`` per distinct value.
+
+    The distinct values come from a sort of the bit patterns and a
+    comparison of neighbours, so -0.0 and 0.0, which are equal but
+    format differently, stay apart.
+    """
+    bits = col.view(f"i{col.itemsize}")
+    order = np.argsort(bits)
+    ranked = bits[order]
+    first = np.empty(bits.size, bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    # 24 bytes hold the longest repr of a float, as in -2.2250738585072014e-308
+    table = np.array(list(map(repr, ranked[first].view(col.dtype).tolist())), dtype="S24")
+    inverse = np.empty(bits.size, np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return table[inverse]
 
 
 def write_snr(path: str | Path, snr: SnrSeries, provenance: str, t0: float = 0.0) -> None:
-    text = repr_rows(snr.rho.size, lambda j: (t0 + j * snr.dt, snr.rho[j]))
-    write_csv(path, "t,rho", text, provenance)
+    rows = repr_rows(snr.rho.size, lambda j: (t0 + j * snr.dt, snr.rho[j]))
+    write_csv(path, "t,rho", rows, provenance)
 
 
 def _read_two_columns(path: Path, expected: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:

@@ -25,6 +25,7 @@ Trials are independent; each owns an RNG substream derived from
 from __future__ import annotations
 
 import enum
+import math
 import statistics
 import sys
 from collections import Counter
@@ -236,7 +237,9 @@ class Scenario:
     Either synthetic (n, r given directly; match set is ``range(r)``,
     never built) or derived from a template bank plus an injected
     chirp, in which case the match set is the sorted int64 index array
-    that the exhaustive classical search returns during setup.
+    that the exhaustive classical search returns during setup.  The
+    run's seed (None when there is none) and its Monte Carlo trial count
+    (0 when the config has none) ride along for the CLI.
     """
 
     n: int
@@ -245,6 +248,8 @@ class Scenario:
     match_set: Sequence[int] | np.ndarray
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
     setup_evals: int = 0
+    seed: int | None = None
+    trials: int = 0
 
     @property
     def r_true(self) -> int:
@@ -271,20 +276,21 @@ def _check_injection_bytes(spec: BankSpec) -> None:
                                f"{m} samples)")
 
 
-# The keys of each scenario form with the kind each converts to; the CLI
-# reads seed and trials.
+# The keys of each scenario form with the kind each converts to.
 _SCENARIO_KINDS = {"p": int, "strategy": None, "max_attempts": int, "seed": int, "trials": int}
 _SYNTHETIC_KINDS = {"n": int, "r": int, **_SCENARIO_KINDS}
 _INJECTION_KINDS = {"bank": None, "inject_index": int, "rho_thr": float, "amplitude": float,
                     "noise_sigma": float, "noise_seed": int, **_SCENARIO_KINDS}
 
 
-def scenario_from_config(cfg: dict) -> Scenario:
+def scenario_from_config(cfg: dict, seed: int | None = None) -> Scenario:
     """Build a scenario from the JSON block accepted by the CLI.
 
     A config with a ``bank`` block (a bank config) is an injection, whose
     match set is computed classically; otherwise it is synthetic, with n
-    and r.  p is auto-selected if missing.
+    and r.  p is auto-selected if missing.  ``seed`` (a flag) takes the
+    place of the config's ``seed``; either is refused below 0 before an
+    injection's bank search.
     """
     if "bank" in cfg:
         values = read_config(cfg, "injection scenario", _INJECTION_KINDS,
@@ -305,15 +311,22 @@ def scenario_from_config(cfg: dict) -> Scenario:
     if max_attempts < 1:
         raise ValidationError(f"scenario key 'max_attempts' must be >= 1, got {max_attempts}")
     p = values["p"] if "p" in values else amplify.choose_p(n)
-    amplify.check_register(p)  # before an injection's bank search, not after it
+    # p and the seed are checked before an injection's bank search, not after it
+    amplify.check_register(p)
+    seed = values.get("seed") if seed is None else seed
+    if seed is not None and seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
     counter = OracleCounter()
     if "bank" in cfg:
         sigma, noise_seed = values.get("noise_sigma", 0.0), values.get("noise_seed", 0)
         for key, value in (("noise_sigma", sigma), ("noise_seed", noise_seed)):
             if not value >= 0:
                 raise ValidationError(f"scenario key {key!r} must be >= 0, got {value}")
+        amplitude = values.get("amplitude", 1.0)
+        if not math.isfinite(amplitude):
+            raise ValidationError(f"scenario key 'amplitude' must be finite, got {amplitude}")
         params = index_to_params(spec, values["inject_index"])
-        strain = values.get("amplitude", 1.0) * waveform(params, spec.fs, spec.m_samples).samples
+        strain = amplitude * waveform(params, spec.fs, spec.m_samples).samples
         if sigma > 0.0:
             noise_rng = np.random.default_rng(noise_seed)
             strain = strain + noise_rng.normal(scale=sigma, size=strain.size)
@@ -323,7 +336,8 @@ def scenario_from_config(cfg: dict) -> Scenario:
     else:
         match_set = range(r)
     return Scenario(n=n, p=p, strategy=strategy, match_set=match_set,
-                    max_attempts=max_attempts, setup_evals=counter.evaluations)
+                    max_attempts=max_attempts, setup_evals=counter.evaluations, seed=seed,
+                    trials=values.get("trials", 0))
 
 
 @dataclass(frozen=True)

@@ -256,8 +256,7 @@ class TestInputErrors:
                                                 f_hz, message):
         raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
         psd = tmp_path / "psd.csv"
-        io.write_csv(psd, "f_hz,sn",
-                     [io.csv_block([list(map(repr, f_hz.tolist())), [1.0] * f_hz.size])], "# psd")
+        io.write_csv(psd, "f_hz,sn", [io.csv_block([f_hz, np.ones(f_hz.size)])], "# psd")
         assert run("mf-snr", "--data", raw, "--bank-config", bank_cfg_file, "--index", 0,
                    "--psd", psd, "--out", tmp_path / "snr.csv") == EXIT_INPUT
         err = capsys.readouterr().err
@@ -271,8 +270,7 @@ class TestInputErrors:
         raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
         psd = tmp_path / "psd.csv"
         f_hz = 0.5 * np.arange(int(top_hz / 0.5) + 1)
-        io.write_csv(psd, "f_hz,sn",
-                     [io.csv_block([list(map(repr, f_hz.tolist())), [1.0] * f_hz.size])], "# psd")
+        io.write_csv(psd, "f_hz,sn", [io.csv_block([f_hz, np.ones(f_hz.size)])], "# psd")
         out = tmp_path / "snr.csv"
         assert run("mf-snr", "--data", raw, "--bank-config", bank_cfg_file, "--index", 0,
                    "--psd", psd, "--out", out) == code
@@ -315,6 +313,11 @@ class TestInputErrors:
                     "noise_sigma": -1.0, "seed": 1}, "'noise_sigma'"),
         # trials is read by mc-bench alone, but every command converts it
         ("detect", {"n": 64, "r": 2, "trials": "x", "seed": 1}, "'trials'"),
+        # a non-finite amplitude is refused before it scales the waveform
+        ("detect", {"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
+                    "amplitude": math.inf, "seed": 1}, "'amplitude'"),
+        ("detect", {"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
+                    "amplitude": math.nan, "seed": 1}, "'amplitude'"),
     ])
     def test_scenario_key_rejected(self, tmp_path, capsys, command, cfg, key):
         path = tmp_path / "scenario.json"
@@ -392,8 +395,11 @@ class TestRowWriters:
     POOLS = pytest.mark.parametrize("pool", [
         [0.0, -0.0, 1.5],
         [math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308],
+        # the widest reprs, 24 characters, beside narrow ones
+        [-2.2250738585072014e-308, -1.7976931348623157e+308, 0.1, -0.0],
         [7, -3, 0, 2**62, -2**63],
-    ], ids=["signed-zeros", "inf-nan-subnormal", "int"])
+        [2**63 - 1, -2**63, 0, -1, 10, -10],
+    ], ids=["signed-zeros", "inf-nan-subnormal", "24-char-reprs", "int", "int64-extremes"])
 
     @POOLS
     def test_repr_rows_equal_per_element_repr(self, tmp_path, pool):
@@ -417,7 +423,7 @@ class TestRowWriters:
         return col
 
     # Two float columns beside the distinct row index: one with no repeats
-    # (formatted by ``%`` as it is) and one deduplicated.
+    # and one with few distinct values.
     @pytest.mark.parametrize("n, second", [
         (io.ROW_BLOCK, lambda rng, n: np.resize([0.25, -0.0, 0.0], n)),
         (io.ROW_BLOCK, one_repeat),
@@ -442,9 +448,9 @@ class TestRowWriters:
             return repr(value)
 
         monkeypatch.setattr(io, "repr", counted, raising=False)
-        # the distinct row index goes to ``%`` with no ``repr`` call
+        # the row index is an int column: its digits take no ``repr`` call
         col = np.full(io.ROW_BLOCK, 0.1)
-        text = "".join(io.repr_rows(io.ROW_BLOCK, lambda j: (j, col[j])))
+        text = b"".join(io.repr_rows(io.ROW_BLOCK, lambda j: (j, col[j]))).decode()
         assert text == "".join(f"{j},0.1\n" for j in range(io.ROW_BLOCK))
         assert calls == [0.1]
 
@@ -466,8 +472,37 @@ class TestRowWriters:
 
     def test_mixed_fields(self, tmp_path):
         rows = [(3, "0110", 0.1), (17, "1000", 2.5e-300)]
-        io.write_csv(tmp_path / "x.csv", "a,b,c", [io.csv_block(list(zip(*rows)))], "# prov")
+        columns = [np.array(c, dtype="S" if isinstance(c[0], str) else None) for c in zip(*rows)]
+        io.write_csv(tmp_path / "x.csv", "a,b,c", [io.csv_block(columns)], "# prov")
         assert (tmp_path / "x.csv").read_text() == self.per_element_text("a,b,c", rows)
+
+
+class TestCsvBlock:
+    """``io.csv_block`` equals ``str`` of each int and each string, field by field.
+
+    Float columns, and ints at the int64 extremes, are checked through
+    ``repr_rows`` in TestRowWriters, across block edges.
+    """
+
+    @staticmethod
+    def per_element(*columns):
+        return "".join(",".join(map(str, row)) + "\n" for row in zip(*columns)).encode()
+
+    @pytest.mark.parametrize("values", [
+        [0],
+        [0, -1, 1, 9, -9, 10, -10, 99, 100, -100, 12345, -70000],
+    ], ids=["zero", "negatives"])
+    def test_int_column(self, values):
+        col = np.array(values, dtype=np.int64)
+        assert io.csv_block([col]) == self.per_element(col.tolist())
+
+    def test_str_column(self):
+        col = np.array([b"0110", b"1", b"10000000000000000000000000", b"0"], dtype="S")
+        got = io.csv_block([col, np.arange(4)])
+        assert got == self.per_element([c.decode() for c in col.tolist()], range(4))
+
+    def test_empty_block(self):
+        assert io.csv_block([np.arange(0), np.zeros(0)]) == b""
 
 
 @pytest.mark.parametrize("command", ["detect", "mf-snr"])
@@ -508,6 +543,60 @@ def test_fanned_out_detect_imports_no_pool(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=_env_with_src(), check=True).stdout
     assert out.split()[-3:] == ["2", "0", "False"]
+
+
+# Prints the qmf layers whose body has run after ``import qmf.cli``, then,
+# given a command line, after the command.  A layer not yet loaded is a
+# lazy module, not a plain ``types.ModuleType``.
+_RAN_LAYERS = """
+import sys, types
+import qmf.cli
+
+def ran():
+    return " ".join(sorted(k.removeprefix("qmf.") for k, m in sys.modules.items()
+                           if k.startswith("qmf.") and type(m) is types.ModuleType))
+
+layers = ("amplify", "bank", "cw", "dsp", "pipeline", "qsim")
+assert all(sys.modules[f"qmf.{name}"] is getattr(qmf.cli, name) for name in layers)
+print(ran())
+if sys.argv[1:]:
+    assert qmf.cli.main(sys.argv[1:]) == 0
+    print(ran())
+"""
+
+
+class TestLayerLoading:
+    """A command runs the bodies of only the layers it uses."""
+
+    @staticmethod
+    def ran(tmp_path, *argv):
+        """The layers run after the import, and after the command (its own line between)."""
+        out = subprocess.run([sys.executable, "-c", _RAN_LAYERS, *map(str, argv)],
+                             capture_output=True, text=True, cwd=tmp_path,
+                             env=_env_with_src(), check=True).stdout.splitlines()
+        return set(out[0].split()), set(out[-1].split())
+
+    def test_import_runs_no_layer(self, tmp_path):
+        after_import, _ = self.ran(tmp_path)
+        assert after_import == {"cli", "errors", "fanout", "io"}
+
+    def test_qsim_search_runs_only_qsim(self, tmp_path):
+        _, after = self.ran(tmp_path, "qsim-search", "--data-bits", "0110", "--iterations", 1,
+                            "--seed", 1, "--out", "s.csv")
+        assert after == {"cli", "errors", "fanout", "io", "qsim"}
+
+    def test_synthetic_detect_runs_neither_qsim_nor_cw(self, tmp_path):
+        (tmp_path / "scenario.json").write_text(json.dumps({"n": 64, "r": 2, "seed": 1}))
+        _, after = self.ran(tmp_path, "detect", "--config", "scenario.json", "--out", "d.json")
+        assert {"pipeline", "amplify"} <= after and not after & {"qsim", "cw"}
+
+    def test_an_imported_layer_is_kept(self, tmp_path):
+        script = ("import sys, types; import qmf.pipeline as before; import qmf.cli; "
+                  "print(sys.modules['qmf.pipeline'] is before is qmf.cli.pipeline, "
+                  "type(sys.modules['qmf.qsim']) is types.ModuleType)")
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=_env_with_src(), check=True).stdout
+        assert out.split() == ["True", "False"]
 
 
 class TestCountDist:
@@ -1069,7 +1158,7 @@ class TestDetectRetrieve:
 
     @pytest.mark.parametrize("key,value,code", [
         ("rho_thr", 0.0, EXIT_VALIDATION), ("rho_thr", math.nan, EXIT_VALIDATION),
-        ("p", 0, EXIT_VALIDATION), ("p", 28, EXIT_CAP)])
+        ("p", 0, EXIT_VALIDATION), ("p", 28, EXIT_CAP), ("seed", -1, EXIT_VALIDATION)])
     def test_injection_refused_before_the_search(self, tmp_path, capsys, monkeypatch,
                                                  key, value, code):
         def no_search(*args):

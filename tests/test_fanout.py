@@ -97,14 +97,14 @@ def test_detect_on_a_worker_error_exits_4(tmp_path, capsys, two_workers):
 
 def test_worker_write_error_leaves_no_temp_file(tmp_path, capsys, monkeypatch, two_workers):
     # the marginal of 13 data bits is 2 blocks; the worker of the second fails
-    repr_column = io._repr_column
+    digit_matrix = io._digit_matrix
 
     def failing(col):
         if col.dtype.kind == "i" and col[0] >= io.ROW_BLOCK:
             raise OSError("No space left on device")
-        return repr_column(col)
+        return digit_matrix(col)
 
-    monkeypatch.setattr(io, "_repr_column", failing)
+    monkeypatch.setattr(io, "_digit_matrix", failing)
     assert cli.main(["qsim-search", "--data-bits", "0001101000110", "--iterations", "1",
                      "--shots", "16", "--seed", "1",
                      "--out", str(tmp_path / "shots.csv")]) == cli.EXIT_INPUT

@@ -445,9 +445,18 @@ class TestScenario:
         with pytest.raises(ValidationError, match=repr(key)):
             pipeline.scenario_from_config(cfg)
 
-    def test_config_number_default(self):
-        assert io.config_number({}, "noise_sigma", float, 0.0) == 0.0
-        assert io.config_number({"noise_seed": 7.0}, "noise_seed", int, 0) == 7
+    def test_config_number_integral_float(self):
+        assert io.config_number({"noise_seed": 7.0}, "noise_seed", int) == 7
+
+    def test_seed_and_trials_read_once(self):
+        cfg = {"n": 64, "r": 2, "seed": 3.0, "trials": 5}
+        scenario = pipeline.scenario_from_config(cfg)
+        assert (scenario.seed, scenario.trials) == (3, 5)
+        assert pipeline.scenario_from_config(cfg, seed=0).seed == 0  # the flag wins
+        bare = pipeline.scenario_from_config({"n": 64, "r": 2})
+        assert (bare.seed, bare.trials) == (None, 0)
+        with pytest.raises(ValidationError, match="seed must be >= 0, got -1"):
+            pipeline.scenario_from_config(cfg, seed=-1)
 
     def test_strategy_parse(self):
         assert RetrievalStrategy.parse("reuse-k") is RetrievalStrategy.REUSE_K
