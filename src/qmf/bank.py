@@ -11,6 +11,7 @@ evolution, phase maximization) while staying exactly reproducible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,7 @@ QUADRATURE = (0.0, np.pi / 2.0)
 
 @dataclass(frozen=True)
 class ChirpParams:
-    """Linear chirp at phase 0: start frequency, drift rate, duration; see ``check_chirps``."""
+    """Linear chirp at phase 0: start frequency, drift rate, duration; see ``BankSpec``."""
 
     f0: float
     f1: float
@@ -45,7 +46,7 @@ class ChirpParams:
 
 @dataclass(frozen=True)
 class BankSpec:
-    """Regular lattice over (f0, f1) plus the common sampling layout."""
+    """Regular (f0, f1) lattice and sampling layout; each of its chirps passes ``check_chirps``."""
 
     f0_min: float
     f0_max: float
@@ -60,16 +61,19 @@ class BankSpec:
     def __post_init__(self) -> None:
         if self.n_f0 < 1 or self.n_f1 < 1:
             raise ValidationError("lattice counts must be at least 1")
+        if max(self.n_f0, self.n_f1) > sys.float_info.max:
+            raise ValidationError("lattice counts exceed the float range")
         if self.n_f0 > 1 and not self.f0_max > self.f0_min:
             raise ValidationError("degenerate f0 range with n_f0 > 1")
         if self.n_f1 > 1 and not self.f1_max > self.f1_min:
             raise ValidationError("degenerate f1 range with n_f1 > 1")
         if not self.fs > 0.0:
             raise ValidationError(f"sampling rate must be positive, got {self.fs}")
-        if self.m_samples < 2:
-            raise ValidationError("need at least 2 samples")
-        if not self.dur > 0.0:
-            raise ValidationError(f"duration must be positive, got {self.dur}")
+        # the chirp rules bound f0 and f0 + f1*dur, monotone along both lattice
+        # axes, so the four corners hold their extremes
+        n = bank_size(self)
+        corners = lattice(self, [0, self.n_f0 - 1, n - self.n_f0, n - 1])
+        check_chirps(*corners, self.dur, self.fs, self.m_samples)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BankSpec":

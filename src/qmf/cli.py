@@ -76,8 +76,8 @@ def _derived_path(out: str, tag: str, suffix: str) -> str:
 def cmd_mf_snr(args) -> None:
     if args.seg_len is not None:
         _require_at_least(args.seg_len, 2, "--seg-len")
-    ts = io.read_time_series(args.data)
     spec = bank.BankSpec.from_config(io.read_json(args.bank_config))
+    ts = io.read_time_series(args.data)
     if ts.m != spec.m_samples:
         raise ValidationError(
             f"data has {ts.m} samples but the bank expects {spec.m_samples}"
@@ -225,8 +225,8 @@ def cmd_fail_bound(args) -> None:
     _require_at_least(args.r_max, 1, "r-max")
     if args.r_max > _R_MAX_CAP:
         raise CapExceededError(f"r-max {args.r_max} exceeds the cap of {_R_MAX_CAP}")
-    rows = fanout.fan_out(lambda r: (r, *amplify.max_fail_bound_argmax(r)),
-                          range(1, args.r_max + 1))
+    bound = amplify.max_fail_bound_argmax  # loaded here, once, not in each worker
+    rows = fanout.fan_out(lambda r: (r, *bound(r)), range(1, args.r_max + 1))
     table = io.csv_block([np.array(column) for column in zip(*rows)])
     io.write_csv(args.out, "r,eps_p_argmax,max_bound", [table], _provenance(args))
     print(f"bounds for r=1..{args.r_max} -> {args.out}")

@@ -1,5 +1,7 @@
 """Unit tests for template parameterization and chirp generation."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.signal.windows import tukey
@@ -10,10 +12,26 @@ from qmf.bank import (QUADRATURE, BankSpec, ChirpParams, bank_size, chirps, inde
 from qmf.errors import ValidationError
 
 
-def make_spec(n_f0=8, n_f1=8):
-    return BankSpec(f0_min=40.0, f0_max=120.0, n_f0=n_f0,
-                    f1_min=5.0, f1_max=45.0, n_f1=n_f1,
-                    fs=512.0, m_samples=1024, dur=1.0)
+BANK_CFG = {"f0_min": 40.0, "f0_max": 120.0, "n_f0": 8,
+            "f1_min": 5.0, "f1_max": 45.0, "n_f1": 8,
+            "fs_hz": 512.0, "m_samples": 1024, "dur_s": 1.0}
+
+
+def make_spec(n_f0=8, n_f1=8, **fields):
+    return BankSpec(**{"f0_min": 40.0, "f0_max": 120.0, "n_f0": n_f0,
+                       "f1_min": 5.0, "f1_max": 45.0, "n_f1": n_f1,
+                       "fs": 512.0, "m_samples": 1024, "dur": 1.0, **fields})
+
+
+# Banks that name an invalid chirp, each with the message of check_chirps;
+# a breach at a lattice corner, or in a field that every template shares.
+CHIRP_BREACHES = pytest.mark.parametrize("field,value,message", [
+    ("f1_max", 200.0, "instantaneous frequency 320.0 Hz reaches Nyquist 256.0 Hz"),
+    ("f1_min", -50.0, "instantaneous frequency goes non-positive"),
+    ("m_samples", 1, "chirp of 512 samples does not fit in 1 samples"),
+    ("dur", 0.0, "duration must be positive, got 0.0"),
+    ("dur", -1.0, "duration must be positive, got -1.0"),
+], ids=["past-nyquist", "non-positive", "one-sample", "zero-dur", "negative-dur"])
 
 
 class TestChirpParams:
@@ -41,10 +59,22 @@ class TestBankSpec:
                      n_f1=1, fs=512.0, m_samples=1024, dur=1.0)
 
     def test_config_round_trip(self):
-        cfg = {"f0_min": 40.0, "f0_max": 120.0, "n_f0": 8,
-               "f1_min": 5.0, "f1_max": 45.0, "n_f1": 8,
-               "fs_hz": 512.0, "m_samples": 1024, "dur_s": 1.0}
-        assert BankSpec.from_config(cfg) == make_spec()
+        assert BankSpec.from_config(BANK_CFG) == make_spec()
+
+    @CHIRP_BREACHES
+    def test_invalid_chirp_refused(self, field, value, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make_spec(**{field: value})
+
+    @CHIRP_BREACHES
+    def test_config_with_an_invalid_chirp_refused(self, field, value, message):
+        key = {"dur": "dur_s"}.get(field, field)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            BankSpec.from_config({**BANK_CFG, key: value})
+
+    def test_count_past_the_float_range_refused(self):
+        with pytest.raises(ValidationError, match="float range"):
+            make_spec(n_f1=10**400)
 
     def test_config_missing_keys(self):
         with pytest.raises(ValidationError, match="missing"):
@@ -53,11 +83,8 @@ class TestBankSpec:
     @pytest.mark.parametrize("key,value", [("n_f0", "eight"), ("fs_hz", None),
                                            ("m_samples", float("inf"))])
     def test_config_non_numeric_value(self, key, value):
-        cfg = {"f0_min": 40.0, "f0_max": 120.0, "n_f0": 8,
-               "f1_min": 5.0, "f1_max": 45.0, "n_f1": 8,
-               "fs_hz": 512.0, "m_samples": 1024, "dur_s": 1.0, key: value}
         with pytest.raises(ValidationError, match=f"'{key}' must be a number"):
-            BankSpec.from_config(cfg)
+            BankSpec.from_config({**BANK_CFG, key: value})
 
     def test_config_not_an_object(self):
         with pytest.raises(ValidationError, match="JSON object"):

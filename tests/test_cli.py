@@ -35,6 +35,23 @@ def data_rows(path):
         return [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
 
 
+def assert_same(got, expected):
+    """``got == expected`` for two texts, two byte strings or two lists of lines.
+
+    Every byte is compared.  A mismatch names the first line that differs
+    and shows both versions of it, in place of pytest's diff of the whole
+    files, which takes minutes for a few hundred kilobytes.
+    """
+    if got == expected:
+        return
+    if not isinstance(got, list):
+        got, expected = got.splitlines(keepends=True), expected.splitlines(keepends=True)
+    j = next((j for j, (a, b) in enumerate(zip(got, expected)) if a != b),
+             min(len(got), len(expected)))
+    ours, theirs = (lines[j] if j < len(lines) else "(end of file)" for lines in (got, expected))
+    pytest.fail(f"line {j + 1} differs: got {ours!r}, expected {theirs!r}", pytrace=False)
+
+
 def _env_with_src():
     """The environment with this checkout's ``src`` first on PYTHONPATH."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -318,6 +335,13 @@ class TestInputErrors:
                     "amplitude": math.inf, "seed": 1}, "'amplitude'"),
         ("detect", {"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
                     "amplitude": math.nan, "seed": 1}, "'amplitude'"),
+        # so are an infinite threshold and noise that is infinite or overflows
+        ("detect", {"bank": BANK_CFG, "inject_index": 27, "rho_thr": math.inf,
+                    "seed": 1}, "'rho_thr'"),
+        ("detect", {"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
+                    "noise_sigma": math.inf, "seed": 1}, "'noise_sigma'"),
+        ("detect", {"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0,
+                    "noise_sigma": 1e308, "seed": 1}, "'noise_sigma'"),
     ])
     def test_scenario_key_rejected(self, tmp_path, capsys, command, cfg, key):
         path = tmp_path / "scenario.json"
@@ -384,13 +408,13 @@ class TestRowWriters:
         t0 = 1126259462.4
         io.write_snr(tmp_path / "snr.csv", snr, "# prov", t0=t0)
         rows = ((repr(t0 + j * snr.dt), repr(float(v))) for j, v in enumerate(snr.rho))
-        assert (tmp_path / "snr.csv").read_text() == self.per_element_text("t,rho", rows)
+        assert_same((tmp_path / "snr.csv").read_text(), self.per_element_text("t,rho", rows))
 
     def test_write_psd(self, tmp_path):
         psd = dsp.Psd(values=np.random.default_rng(5).random(3000), df=1.0 / 7.3)
         write_psd(tmp_path / "psd.csv", psd, "# prov")
         rows = ((repr(k * psd.df), repr(float(v))) for k, v in enumerate(psd.values))
-        assert (tmp_path / "psd.csv").read_text() == self.per_element_text("f_hz,sn", rows)
+        assert_same((tmp_path / "psd.csv").read_text(), self.per_element_text("f_hz,sn", rows))
 
     POOLS = pytest.mark.parametrize("pool", [
         [0.0, -0.0, 1.5],
@@ -410,7 +434,7 @@ class TestRowWriters:
         io.write_csv(tmp_path / "x.csv", "j,v",
                      io.repr_rows(n, lambda j: (j, col[j])), "# prov")
         rows = ((repr(j), repr(v)) for j, v in enumerate(col.tolist()))
-        assert (tmp_path / "x.csv").read_text() == self.per_element_text("j,v", rows)
+        assert_same((tmp_path / "x.csv").read_text(), self.per_element_text("j,v", rows))
 
     @POOLS
     def test_repr_rows_at_every_worker_count(self, tmp_path, cpus, pool):
@@ -437,7 +461,7 @@ class TestRowWriters:
                      io.repr_rows(n, lambda j: (j, a[j], b[j])), "# prov")
         rows = ((repr(j), repr(x), repr(y))
                 for j, (x, y) in enumerate(zip(a.tolist(), b.tolist())))
-        assert (tmp_path / "x.csv").read_text() == self.per_element_text("j,a,b", rows)
+        assert_same((tmp_path / "x.csv").read_text(), self.per_element_text("j,a,b", rows))
 
     def test_equal_floats_take_repr_once(self, monkeypatch):
         monkeypatch.setattr(fanout, "cpus", lambda: 1)  # repr runs in this process
@@ -451,7 +475,7 @@ class TestRowWriters:
         # the row index is an int column: its digits take no ``repr`` call
         col = np.full(io.ROW_BLOCK, 0.1)
         text = b"".join(io.repr_rows(io.ROW_BLOCK, lambda j: (j, col[j]))).decode()
-        assert text == "".join(f"{j},0.1\n" for j in range(io.ROW_BLOCK))
+        assert_same(text, "".join(f"{j},0.1\n" for j in range(io.ROW_BLOCK)))
         assert calls == [0.1]
 
     def test_repr_rows_hold_a_few_blocks(self, tmp_path, monkeypatch):
@@ -474,7 +498,7 @@ class TestRowWriters:
         rows = [(3, "0110", 0.1), (17, "1000", 2.5e-300)]
         columns = [np.array(c, dtype="S" if isinstance(c[0], str) else None) for c in zip(*rows)]
         io.write_csv(tmp_path / "x.csv", "a,b,c", [io.csv_block(columns)], "# prov")
-        assert (tmp_path / "x.csv").read_text() == self.per_element_text("a,b,c", rows)
+        assert_same((tmp_path / "x.csv").read_text(), self.per_element_text("a,b,c", rows))
 
 
 class TestCsvBlock:
@@ -590,6 +614,17 @@ class TestLayerLoading:
         _, after = self.ran(tmp_path, "detect", "--config", "scenario.json", "--out", "d.json")
         assert {"pipeline", "amplify"} <= after and not after & {"qsim", "cw"}
 
+    def test_fail_bound_loads_amplify_before_its_workers(self, tmp_path):
+        script = ("import sys, types; from qmf import fanout; from qmf.cli import main; "
+                  "fan_out, seen = fanout.fan_out, []; "
+                  "fanout.fan_out = lambda fn, items: seen.append("
+                  "type(sys.modules['qmf.amplify']) is types.ModuleType) or fan_out(fn, items); "
+                  "code = main(['fail-bound', '--r-max', '2', '--out', 'b.csv']); "
+                  "print(code, seen)")
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             cwd=tmp_path, env=_env_with_src(), check=True).stdout
+        assert out.splitlines()[-1] == "0 [True]"
+
     def test_an_imported_layer_is_kept(self, tmp_path):
         script = ("import sys, types; import qmf.pipeline as before; import qmf.cli; "
                   "print(sys.modules['qmf.pipeline'] is before is qmf.cli.pipeline, "
@@ -644,7 +679,7 @@ class TestCountDist:
         probs = amplify.counting_distribution(n, r, p).probs
         expected = ["b,probability"] + [f"{b},{float(v)!r}" for b, v in enumerate(probs)
                                         if v > 0.0]
-        assert data_rows(out) == expected
+        assert_same(data_rows(out), expected)
 
     @CASES
     def test_rows_at_every_worker_count(self, tmp_path, cpus, n, r, p):
@@ -900,7 +935,7 @@ class TestQsim:
         assert run(*args) == EXIT_OK
         first = out.read_bytes()
         assert run(*args) == EXIT_OK
-        assert out.read_bytes() == first
+        assert_same(out.read_bytes(), first)
 
 
 class TestMcBench:
@@ -977,8 +1012,8 @@ class TestMcBench:
         first = out.read_bytes()
         hist_first = (tmp_path / "mc.hist.csv").read_bytes()
         assert run("mc-bench", "--config", cfg, "--out", out) == EXIT_OK
-        assert out.read_bytes() == first
-        assert (tmp_path / "mc.hist.csv").read_bytes() == hist_first
+        assert_same(out.read_bytes(), first)
+        assert_same((tmp_path / "mc.hist.csv").read_bytes(), hist_first)
 
 
 class TestFailBound:
@@ -1010,8 +1045,8 @@ class TestFailBound:
         out = tmp_path / "bounds.csv"
         assert run("fail-bound", "--r-max", 7, "--out", out) == EXIT_OK
         rows = [(r, *amplify.max_fail_bound_argmax(r)) for r in range(1, 8)]
-        assert data_rows(out) == ["r,eps_p_argmax,max_bound"] + [
-            f"{r},{x!r},{y!r}" for r, x, y in rows]
+        assert_same(data_rows(out), ["r,eps_p_argmax,max_bound"] + [
+            f"{r},{x!r},{y!r}" for r, x, y in rows])
 
 
 class TestCwCost:
@@ -1158,7 +1193,10 @@ class TestDetectRetrieve:
 
     @pytest.mark.parametrize("key,value,code", [
         ("rho_thr", 0.0, EXIT_VALIDATION), ("rho_thr", math.nan, EXIT_VALIDATION),
-        ("p", 0, EXIT_VALIDATION), ("p", 28, EXIT_CAP), ("seed", -1, EXIT_VALIDATION)])
+        ("p", 0, EXIT_VALIDATION), ("p", 28, EXIT_CAP), ("seed", -1, EXIT_VALIDATION),
+        ("rho_thr", math.inf, EXIT_VALIDATION), ("amplitude", math.inf, EXIT_VALIDATION),
+        ("noise_sigma", math.inf, EXIT_VALIDATION),
+        ("noise_sigma", 1e308, EXIT_VALIDATION)])  # the draw overflows
     def test_injection_refused_before_the_search(self, tmp_path, capsys, monkeypatch,
                                                  key, value, code):
         def no_search(*args):
@@ -1172,21 +1210,29 @@ class TestDetectRetrieve:
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "d.json").exists()
 
+    @pytest.mark.parametrize("command", ["mf-snr", "detect", "retrieve", "mc-bench"])
     def test_bank_past_nyquist_refused_before_the_search(self, tmp_path, capsys,
-                                                         monkeypatch):
-        # the injected template is valid; the corner f0 = 120, f1 = 200 is not
-        def no_search(*args):
-            raise AssertionError("the bank search ran")
+                                                         monkeypatch, command):
+        # template 0 is valid; the corner f0 = 120, f1 = 200 is not
+        def no_work(*args):
+            raise AssertionError("the strain was read or the bank searched")
 
-        monkeypatch.setattr(pipeline, "_peak_snrs", no_search)
-        cfg = tmp_path / "inject.json"
-        cfg.write_text(json.dumps({"bank": {**BANK_CFG, "f1_max": 200.0}, "inject_index": 0,
-                                   "rho_thr": 10.0, "seed": 1}))
-        assert run("detect", "--config", cfg, "--out", tmp_path / "d.json") == EXIT_VALIDATION
+        monkeypatch.setattr(pipeline, "_peak_snrs", no_work)
+        monkeypatch.setattr(io, "read_time_series", no_work)
+        bad_bank = {**BANK_CFG, "f1_max": 200.0}
+        cfg = tmp_path / "cfg.json"
+        if command == "mf-snr":
+            cfg.write_text(json.dumps(bad_bank))
+            argv = ["--data", tmp_path / "strain.csv", "--bank-config", cfg, "--index", 0]
+        else:
+            cfg.write_text(json.dumps({"bank": bad_bank, "inject_index": 0, "rho_thr": 10.0,
+                                       "seed": 1, "trials": 2}))
+            argv = ["--config", cfg]
+        assert run(command, *argv, "--out", tmp_path / "out") == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err == ("validation error: instantaneous frequency 320.0 Hz reaches "
                        "Nyquist 256.0 Hz\n")
-        assert not (tmp_path / "d.json").exists()
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("bank_keys", [
         {"fs_hz": 1e300, "dur_s": 1e300}, {"fs_hz": math.inf}])  # json writes Infinity

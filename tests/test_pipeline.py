@@ -178,11 +178,9 @@ class TestBatchedSearch:
         assert hits == matches
 
     def test_nyquist_error(self):
-        spec = small_spec(f0_max=300.0)
-        psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs)
-        data = injected_data(spec, 0, 1)
+        # the spec refuses the bank, so no search can take it
         with pytest.raises(ValidationError, match="reaches Nyquist"):
-            pipeline.classical_search(spec, data, psd, 5.0, OracleCounter())
+            small_spec(f0_max=300.0)
 
     def test_zero_energy_error(self, toy_bank):
         # a 2-sample chirp is all taper: tukey_window(2, 0.1) is [0, 0]
@@ -479,9 +477,10 @@ class TestScenario:
 
     def test_injection_byte_budget_boundary(self):
         # m = 2 costs 33,554,480 bytes beside 9 a template, 2**25 of them the
-        # 262,144 rows that the search's blocks hold: 2**30 - 33554480 >= 9 * 115576371
+        # 262,144 rows that the search's blocks hold: 2**30 - 33554480 >= 9 * 115576371;
+        # a 2-sample chirp, so that it fits
         spec = BankSpec(f0_min=40.0, f0_max=120.0, n_f0=115576371, f1_min=5.0, f1_max=5.0,
-                        n_f1=1, fs=512.0, m_samples=2, dur=1.0)
+                        n_f1=1, fs=512.0, m_samples=2, dur=2 / 512)
         pipeline._check_injection_bytes(spec)
         with pytest.raises(CapExceededError, match="over the budget of 1073741824"):
             pipeline._check_injection_bytes(replace(spec, n_f0=spec.n_f0 + 1))
