@@ -11,7 +11,6 @@ evolution, phase maximization) while staying exactly reproducible.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,8 +60,9 @@ class BankSpec:
     def __post_init__(self) -> None:
         if self.n_f0 < 1 or self.n_f1 < 1:
             raise ValidationError("lattice counts must be at least 1")
-        if max(self.n_f0, self.n_f1) > sys.float_info.max:
-            raise ValidationError("lattice counts exceed the float range")
+        n = bank_size(self)
+        if n > np.iinfo(np.int64).max:
+            raise ValidationError("n_f0 * n_f1 exceeds 2**63 - 1, the most an int64 index holds")
         if self.n_f0 > 1 and not self.f0_max > self.f0_min:
             raise ValidationError("degenerate f0 range with n_f0 > 1")
         if self.n_f1 > 1 and not self.f1_max > self.f1_min:
@@ -71,7 +71,6 @@ class BankSpec:
             raise ValidationError(f"sampling rate must be positive, got {self.fs}")
         # the chirp rules bound f0 and f0 + f1*dur, monotone along both lattice
         # axes, so the four corners hold their extremes
-        n = bank_size(self)
         corners = lattice(self, [0, self.n_f0 - 1, n - self.n_f0, n - 1])
         check_chirps(*corners, self.dur, self.fs, self.m_samples)
 

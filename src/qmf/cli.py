@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import importlib.util
 import sys
-import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -145,7 +144,7 @@ def cmd_count_dist(args) -> None:
             spill.seek(end)
             yield spill.read(size)
 
-    with tempfile.TemporaryFile(dir=Path(args.out).parent) as spill:
+    with io.temp_beside(args.out) as spill:
         io.write_csv(args.out, "b,probability", rows(spill), prov)
     print(f"p={p}, {d} outcomes -> {args.out}")
 
@@ -347,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.func(args)
+        with np.errstate(all="ignore"):  # the value types refuse what overflows
+            args.func(args)
     except (OSError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

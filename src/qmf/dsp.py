@@ -110,6 +110,8 @@ class SnrSeries:
         self.rho = np.asarray(self.rho, dtype=np.float64)
         if self.rho.ndim != 1 or self.rho.size == 0:
             raise ValidationError("SNR series must be non-empty")
+        if not np.isfinite(self.rho).all():
+            raise ValidationError("non-finite SNR series")
 
 
 def _band(m_time: int) -> slice:

@@ -41,14 +41,21 @@ def provenance_line(command: str, config: dict, seed: int | None) -> str:
     return f"# qmf {__version__} | cmd={command} | seed={seed} | config={blob}"
 
 
+def temp_beside(path: str | Path, make: Callable = tempfile.TemporaryFile, **kwargs):
+    """``make(dir=...)``: a temp file beside ``path``, whose OSError names ``path``."""
+    try:
+        return make(dir=Path(path).parent, **kwargs)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+
+
 def _atomic_write(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
     """Call ``write`` on a temp file beside ``path``, then rename it over ``path``.
 
     The file gets the mode ``open`` would give it, 0o666 less the umask,
     not the 0o600 of ``mkstemp``.
     """
-    path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or ".", suffix=".tmp")
+    fd, tmp = temp_beside(path, tempfile.mkstemp, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
             umask = os.umask(0)
@@ -95,7 +102,8 @@ def config_number(cfg: dict, key: str, kind: type):
 
     A value that does not convert raises a ValidationError naming the key,
     and so does one that converts only by changing its meaning: a boolean,
-    or a float with a fractional part where ``kind`` is ``int``.
+    or a float with a fractional part where ``kind`` is ``int``; so does a
+    non-finite ``float``: ``NaN``, ``Infinity``, or a ``1e400`` that json reads as inf.
     """
     value = cfg[key]
     if isinstance(value, bool):
@@ -104,9 +112,12 @@ def config_number(cfg: dict, key: str, kind: type):
         raise ValidationError(
             f"config key {key!r} must be a number with no fractional part, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"config key {key!r} must be a number, got {value!r}") from None
+    if kind is float and not np.isfinite(number):
+        raise ValidationError(f"config key {key!r} must be finite, got {value!r}")
+    return number
 
 
 def read_config(cfg: dict, what: str, kinds: dict, required: tuple = ()) -> dict:
@@ -165,12 +176,9 @@ def _read_sidecar(path: Path) -> tuple[float, float]:
     fs, t0 = meta["fs_hz"], meta.get("t0_s", 0.0)
     if not fs > 0.0:
         raise InputError(f"{sidecar}: fs_hz must be positive, got {fs}")
-    if not np.isfinite(t0):
-        raise InputError(f"{sidecar}: t0_s must be finite, got {t0}")
     dt = 1.0 / fs
-    if not 0.0 < dt < np.inf:  # a subnormal fs_hz overflows it, an infinite one zeroes it
-        raise InputError(f"{sidecar}: 1/fs_hz must be finite and positive, got {dt} "
-                         f"for fs_hz {fs}")
+    if dt == np.inf:  # a subnormal fs_hz
+        raise InputError(f"{sidecar}: 1/fs_hz overflows for fs_hz {fs}")
     return dt, t0
 
 

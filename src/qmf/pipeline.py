@@ -25,7 +25,6 @@ Trials are independent; each owns an RNG substream derived from
 from __future__ import annotations
 
 import enum
-import math
 import statistics
 import sys
 from collections import Counter
@@ -113,7 +112,11 @@ def _peak_snrs(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
         pairs = chirps(*lattice(spec, idx[start:start + rows]), QUADRATURE,
                        spec.dur, spec.fs, spec.m_samples)
         qc = dsp.complex_templates(pairs, spec.fs, spec.m_samples, psd)
-        return np.abs(dsp.filter_series(data, qc, psd)).max(axis=-1)
+        peaks = np.abs(dsp.filter_series(data, qc, psd)).max(axis=-1)
+        bad = np.flatnonzero(~np.isfinite(peaks))  # a NaN would silently miss the threshold
+        if bad.size:
+            raise ValidationError(f"template {idx[start + bad[0]]} has a non-finite peak SNR")
+        return peaks
 
     peaks = np.empty(len(idx))
     starts = range(0, len(idx), rows)
@@ -318,20 +321,17 @@ def scenario_from_config(cfg: dict, seed: int | None = None) -> Scenario:
             if not value >= 0:
                 raise ValidationError(f"scenario key {key!r} must be >= 0, got {value}")
         amplitude = values.get("amplitude", 1.0)
-        for key, value in (("rho_thr", values["rho_thr"]), ("amplitude", amplitude),
-                           ("noise_sigma", sigma)):
-            if not math.isfinite(value):
-                raise ValidationError(f"scenario key {key!r} must be finite, got {value}")
-        params = index_to_params(spec, values["inject_index"])
-        strain = amplitude * waveform(params, spec.fs, spec.m_samples).samples
-        if sigma > 0.0:
-            noise_rng = np.random.default_rng(noise_seed)
-            strain = strain + noise_rng.normal(scale=sigma, size=strain.size)
-            if not np.isfinite(strain).all():
-                raise ValidationError(
-                    f"scenario key 'noise_sigma' of {sigma} overflows the strain")
-        data = dsp.forward_fft(dsp.TimeSeries(strain, dt=1.0 / spec.fs))
-        psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs, sigma=max(sigma, 1.0))
+        wave = waveform(index_to_params(spec, values["inject_index"]), spec.fs, spec.m_samples)
+        try:  # the value types refuse a strain, spectrum or PSD that overflowed
+            strain = amplitude * wave.samples
+            if sigma > 0.0:
+                noise_rng = np.random.default_rng(noise_seed)
+                strain = strain + noise_rng.normal(scale=sigma, size=strain.size)
+            data = dsp.forward_fft(dsp.TimeSeries(strain, dt=wave.dt))
+            psd = dsp.white_psd(spec.m_samples, wave.dt, sigma=max(sigma, 1.0))
+        except ValidationError as exc:
+            raise ValidationError(f"scenario keys 'amplitude' {amplitude} and 'noise_sigma' "
+                                  f"{sigma} overflow the injection: {exc}") from None
         match_set = classical_search(spec, data, psd, values["rho_thr"], counter)
     else:
         match_set = range(r)
@@ -368,8 +368,8 @@ def monte_carlo(scenario: Scenario, trials: int, seed: int) -> MonteCarloSummary
     finishes; no per-trial record is kept.  The spans' tallies are merged
     in span order.
     """
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= np.iinfo(np.int64).max:
+        raise ValidationError(f"trials must be in [1, 2**63 - 1], got {trials}")
 
     def span(start: int) -> tuple[Counter[int], int]:
         costs: Counter[int] = Counter()

@@ -216,7 +216,7 @@ class TestInputErrors:
 
     @pytest.mark.parametrize("fs", ["1e-320", "Infinity"])
     def test_sidecar_sample_spacing_not_finite(self, tmp_path, bank_cfg_file, capsys, fs):
-        # 1/fs_hz overflows to inf for a subnormal rate and is 0 for an infinite one
+        # 1/fs_hz overflows to inf for a subnormal rate; an infinite one is not finite
         raw = self.raw_strain(tmp_path, f'{{"fs_hz": {fs}}}')
         assert self.mf_snr(tmp_path, raw, bank_cfg_file) == EXIT_INPUT
         self.assert_one_line(capsys, "input error: ")
@@ -1100,6 +1100,103 @@ class TestCwCost:
                    "--out", tmp_path / "r.json") == EXIT_VALIDATION
 
 
+def _json_with(cfg, key, literal):
+    """``cfg`` as JSON text with ``key`` written as the JSON literal ``literal`` (NaN, 1e400)."""
+    return json.dumps({**cfg, key: "@"}).replace('"@"', literal)
+
+
+def _mf_snr_files(bank=json.dumps(BANK_CFG), strain=1.0, sidecar='{"fs_hz": 512.0}', **more):
+    """mf-snr's inputs: the bank, noise strain times ``strain`` and its sidecar, and ``more``."""
+    noise = np.random.default_rng(3).normal(size=BANK_CFG["m_samples"]) * strain
+    return {"bank.json": bank, "s.f64": noise.astype("<f8").tobytes(), "s.f64.json": sidecar,
+            **more}
+
+
+_MF_SNR = ["mf-snr", "--data", "s.f64", "--bank-config", "bank.json", "--index", 5]
+_INJECTION = {"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0, "seed": 1}
+_SYNTHETIC = {"c.json": json.dumps({"n": 64, "r": 2, "seed": 1, "trials": 3})}
+_TINY_PSD = io.csv_block([0.5 * np.arange(513), np.full(513, 5e-324)])
+
+
+def _refusals():
+    """(cpus, input files, argv, exit code, what the line names) of each input refused.
+
+    Every config float that is not finite, each overflow of a result,
+    the int64 bounds on the lattice and the trial count, and an output
+    in a missing directory for every command that writes.  The
+    injections that overflow run on 1, 2 and 3 CPUs: the search's
+    workers fork inside the command's ``np.errstate``.
+    """
+    config = ["--config", "c.json"]
+    for value in ("Infinity", "NaN", "1e400"):
+        bank = _json_with(BANK_CFG, "f0_max", value)
+        yield pytest.param(1, _mf_snr_files(bank), _MF_SNR, EXIT_VALIDATION,
+                           "'f0_max' must be finite", id=f"mf-snr-f0_max-{value}")
+        yield pytest.param(1, {"c.json": _json_with(_INJECTION, "bank", bank)},
+                           ["detect", *config], EXIT_VALIDATION, "'f0_max' must be finite",
+                           id=f"detect-f0_max-{value}")
+    for key, value in (("t_obs_yr", "Infinity"), ("f_khz", "NaN")):
+        yield pytest.param(1, {"c.json": _json_with({}, key, value)}, ["cw-cost", *config],
+                           EXIT_VALIDATION, f"'{key}' must be finite", id=f"cw-{key}-{value}")
+    for key in ("rho_thr", "amplitude", "noise_sigma"):
+        for value in ("Infinity", "NaN"):
+            yield pytest.param(1, {"c.json": _json_with(_INJECTION, key, value)},
+                               ["detect", *config], EXIT_VALIDATION, f"'{key}' must be finite",
+                               id=f"{key}-{value}")
+    for key, value, names in (("amplitude", "1e305", "non-finite peak SNR"),
+                              ("amplitude", "1e308", "'amplitude' 1e+308"),
+                              ("noise_sigma", "1e306", "'noise_sigma' 1e+306"),
+                              ("noise_sigma", "1e308", "'noise_sigma' 1e+308")):
+        for w in (1, 2, 3):
+            yield pytest.param(w, {"c.json": _json_with(_INJECTION, key, value)},
+                               ["detect", *config], EXIT_VALIDATION, names,
+                               id=f"cpus{w}-{key}-{value}")
+    for key in ("t0_s", "fs_hz"):
+        sidecar = _json_with({"fs_hz": 512.0}, key, "Infinity")
+        yield pytest.param(1, _mf_snr_files(sidecar=sidecar), _MF_SNR, EXIT_INPUT,
+                           f"'{key}' must be finite", id=f"sidecar-{key}-Infinity")
+    yield pytest.param(1, _mf_snr_files(**{"psd.csv": b"f_hz,sn\n" + _TINY_PSD}),
+                       [*_MF_SNR, "--psd", "psd.csv"], EXIT_VALIDATION, "non-finite SNR",
+                       id="mf-snr-psd-5e-324")
+    yield pytest.param(1, _mf_snr_files(strain=1e306), _MF_SNR, EXIT_VALIDATION,
+                       "PSD values must be finite", id="mf-snr-strain-1e306")
+    huge = {**BANK_CFG, "n_f0": 10**20}
+    yield pytest.param(1, _mf_snr_files(json.dumps(huge)), _MF_SNR, EXIT_VALIDATION,
+                       "n_f0 * n_f1 exceeds 2**63 - 1", id="mf-snr-n_f0-1e20")
+    yield pytest.param(1, {"c.json": json.dumps({**_INJECTION, "bank": huge})},
+                       ["detect", *config], EXIT_VALIDATION, "n_f0 * n_f1 exceeds 2**63 - 1",
+                       id="detect-n_f0-1e20")
+    yield pytest.param(1, {"c.json": json.dumps({"n": 64, "r": 2, "seed": 1, "trials": 10**23})},
+                       ["mc-bench", *config], EXIT_VALIDATION, "trials must be",
+                       id="mc-bench-config-trials-1e23")
+    yield pytest.param(1, _SYNTHETIC, ["mc-bench", *config, "--trials", 10**23],
+                       EXIT_VALIDATION, "trials must be", id="mc-bench-flag-trials-1e23")
+    for files, argv in (
+            (_mf_snr_files(), _MF_SNR),
+            ({}, ["count-dist", "--n-templates", 64, "--matches", 2]),
+            ({}, ["qsim-count", "--data-bits", "0101", "--p", 3, "--seed", 1]),
+            ({}, ["qsim-search", "--data-bits", "0101", "--iterations", 1, "--seed", 1]),
+            (_SYNTHETIC, ["mc-bench", *config]), ({}, ["fail-bound", "--r-max", 2]),
+            ({}, ["cw-cost"]), (_SYNTHETIC, ["detect", *config]),
+            (_SYNTHETIC, ["retrieve", *config])):
+        yield pytest.param(1, files, [*argv, "--out", "missing/out"], EXIT_INPUT,
+                           "No such file or directory: 'missing/out'", id=f"out-{argv[0]}")
+
+
+@pytest.mark.filterwarnings("error")  # a NumPy warning, in a worker too, fails the run
+@pytest.mark.parametrize("cpus,files,argv,code,names", _refusals(), indirect=["cpus"])
+def test_refused_on_one_line(tmp_path, monkeypatch, capfd, cpus, files, argv, code, names):
+    monkeypatch.chdir(tmp_path)
+    for name, content in files.items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    if "--out" not in argv:
+        argv = [*argv, "--out", "out"]
+    assert run(*argv) == code
+    err = capfd.readouterr().err
+    assert err.count("\n") == 1 and "Warning" not in err and names in err
+    assert sorted(os.listdir()) == sorted(files)
+
+
 class TestOverflow:
     @pytest.mark.parametrize("argv", [
         ("count-dist", "--n-templates", "9" * 400, "--matches", 1),
@@ -1243,7 +1340,9 @@ class TestDetectRetrieve:
         assert run("detect", "--config", cfg, "--out", tmp_path / "d.json") == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("validation error: ")
-        assert "finite sample count" in err
+        # the config reader refuses an Infinity before the chirp rules see it
+        infinite = bank_keys["fs_hz"] == math.inf
+        assert ("'fs_hz' must be finite" if infinite else "finite sample count") in err
         assert not (tmp_path / "d.json").exists()
 
     def test_retrieve_keys_in_output_order(self, tmp_path):
