@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsp import TimeSeries
+from . import dsp
 from .errors import ValidationError
 from .io import read_config
 
@@ -175,9 +175,9 @@ def chirps(f0, f1, phases, dur: float, fs: float, m: int) -> np.ndarray:
     return out
 
 
-def waveform(params: ChirpParams, fs: float, m: int) -> TimeSeries:
+def waveform(params: ChirpParams, fs: float, m: int) -> dsp.TimeSeries:
     """Tapered chirp over [0, dur), zero-padded to m samples (see :func:`chirps`)."""
     sig = chirps([params.f0], [params.f1], (0.0,), params.dur, fs, m)[0, 0]
     out = np.zeros(m)
     out[:sig.size] = sig
-    return TimeSeries(samples=out, dt=1.0 / fs)
+    return dsp.TimeSeries(samples=out, dt=1.0 / fs)

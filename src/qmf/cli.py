@@ -10,38 +10,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import importlib.util
+import errno
+import os
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import fanout, io
-from .errors import CapExceededError, InputError, ValidationError
+from . import amplify, bank, cw, dsp, fanout, io, pipeline, qsim
+from .errors import CapExceededError, InputError, NonFiniteError, ValidationError
 
-
-def _load_on_first_use(*names: str) -> None:
-    """Register each layer not yet imported as a lazy module of this package.
-
-    Its body runs when a command first touches it, so a command pays only
-    for the layers it uses.  The module object is the one that loads, so
-    a layer keeps its identity in ``sys.modules``.
-    """
-    package = sys.modules[__package__]
-    for name in names:
-        full = f"{__package__}.{name}"
-        if full in sys.modules:
-            continue
-        spec = importlib.util.find_spec(full)
-        spec.loader = importlib.util.LazyLoader(spec.loader)
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[full] = module
-        setattr(package, name, module)
-        spec.loader.exec_module(module)
-
-
-_load_on_first_use("amplify", "bank", "cw", "dsp", "pipeline", "qsim")
-from . import amplify, bank, cw, dsp, pipeline, qsim  # noqa: E402
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -93,11 +71,16 @@ def cmd_mf_snr(args) -> None:
         seg = args.seg_len or min(max(256, min(ts.m // 8, 4096)), ts.m // 2)
         if seg > ts.m // 2:
             raise ValidationError(f"--seg-len must be <= {ts.m // 2}, half the series, got {seg}")
-        psd = dsp.estimate_psd(ts, seg_len=seg)
-    psd = dsp.interpolate_psd(psd, ts.m, ts.dt)
-    params = bank.index_to_params(spec, args.index)
-    qc = dsp.complex_template(params, spec.fs, spec.m_samples, psd)
-    snr = dsp.snr_series(dsp.forward_fft(ts), qc, psd)
+    try:  # a number that overflows comes from the data or the PSD given
+        if args.psd is None:
+            psd = dsp.estimate_psd(ts, seg_len=seg)
+        psd = dsp.interpolate_psd(psd, ts.m, ts.dt)
+        params = bank.index_to_params(spec, args.index)
+        qc = dsp.complex_template(params, spec.fs, spec.m_samples, psd)
+        snr = dsp.snr_series(dsp.forward_fft(ts), qc, psd)
+    except NonFiniteError as exc:
+        given = f"--data {args.data}" + (f" or --psd {args.psd}" if args.psd else "")
+        raise ValidationError(f"{given} overflows the matched filter: {exc}") from None
     rho_max, j_max = dsp.max_snr(snr)
     t_max = ts.t0 + j_max * snr.dt
     prov = _provenance(args)
@@ -346,6 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag in ("out", "summary_out", "marginal_out", "hist_out"):  # every output flag
+            path = getattr(args, flag, None)
+            if path is not None and os.path.isdir(path):  # refused before the work
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         with np.errstate(all="ignore"):  # the value types refuse what overflows
             args.func(args)
     except (OSError, InputError) as exc:

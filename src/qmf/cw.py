@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .amplify import choose_p, repetitions_for
+from . import amplify
 from .errors import ValidationError
 from .io import read_config
 
@@ -77,8 +77,8 @@ def quantum_cost(spec: CwSearchSpec) -> dict:
         n = total = math.inf
     if not (math.isfinite(n) and math.isfinite(total)):
         raise ValidationError("template counts exceed the float range")
-    p = choose_p(n)
-    ell = repetitions_for(spec.delta_target)
+    p = amplify.choose_p(n)
+    ell = amplify.repetitions_for(spec.delta_target)
     iterations = ell * (2.0**p - 1.0)
     quantum_ops = GATE_FACTOR * iterations
     return {

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from . import bank
+from .errors import NonFiniteError, ValidationError
 
 _GRID_RTOL = 1e-9
 
@@ -45,7 +46,7 @@ class TimeSeries:
             raise ValidationError(f"dt must be positive, got {self.dt}")
         bad = np.flatnonzero(~np.isfinite(self.samples))
         if bad.size:
-            raise ValidationError(f"non-finite sample at index {bad[0]}")
+            raise NonFiniteError(f"non-finite sample at index {bad[0]}")
 
     @property
     def m(self) -> int:
@@ -79,7 +80,7 @@ class FrequencySeries:
         if not self.df > 0.0:
             raise ValidationError(f"df must be positive, got {self.df}")
         if not np.isfinite(self.bins).all():
-            raise ValidationError("non-finite spectrum bin")
+            raise NonFiniteError("non-finite spectrum bin")
 
 
 @dataclass(eq=False)
@@ -96,7 +97,7 @@ class Psd:
         if not self.df > 0.0:
             raise ValidationError(f"df must be positive, got {self.df}")
         if not np.isfinite(self.values).all() or (self.values < 0).any():
-            raise ValidationError("PSD values must be finite and non-negative")
+            raise NonFiniteError("PSD values must be finite and non-negative")
 
 
 @dataclass(eq=False)
@@ -111,7 +112,7 @@ class SnrSeries:
         if self.rho.ndim != 1 or self.rho.size == 0:
             raise ValidationError("SNR series must be non-empty")
         if not np.isfinite(self.rho).all():
-            raise ValidationError("non-finite SNR series")
+            raise NonFiniteError("non-finite SNR series")
 
 
 def _band(m_time: int) -> slice:
@@ -238,9 +239,7 @@ def complex_templates(pairs: np.ndarray, fs: float, m: int, psd: Psd) -> Frequen
 
 def complex_template(params, fs: float, m: int, psd: Psd) -> FrequencySeries:
     """The complex template of one chirp: the one-template call of :func:`complex_templates`."""
-    from .bank import QUADRATURE, chirps  # deferred: bank depends on dsp
-
-    pairs = chirps([params.f0], [params.f1], QUADRATURE, params.dur, fs, m)
+    pairs = bank.chirps([params.f0], [params.f1], bank.QUADRATURE, params.dur, fs, m)
     qc = complex_templates(pairs, fs, m, psd)
     return FrequencySeries(bins=qc.bins[0], df=qc.df, m_time=m)
 

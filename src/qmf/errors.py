@@ -13,5 +13,9 @@ class ValidationError(ValueError):
     """A numeric or structural precondition was violated."""
 
 
+class NonFiniteError(ValidationError):
+    """A value is NaN or infinite, or a PSD value below 0; its maker names the inputs."""
+
+
 class CapExceededError(RuntimeError):
     """A configured resource cap (qubits, memory) would be exceeded."""

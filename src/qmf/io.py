@@ -25,15 +25,12 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterator, Sequence
 
 import numpy as np
 
-from . import __version__, fanout
+from . import __version__, dsp, fanout
 from .errors import InputError, ValidationError
-
-if TYPE_CHECKING:
-    from .dsp import Psd, SnrSeries, TimeSeries
 
 
 def provenance_line(command: str, config: dict, seed: int | None) -> str:
@@ -136,14 +133,12 @@ def read_config(cfg: dict, what: str, kinds: dict, required: tuple = ()) -> dict
             for k, kind in kinds.items() if k in cfg}
 
 
-def read_time_series(path: str | Path) -> TimeSeries:
+def read_time_series(path: str | Path) -> dsp.TimeSeries:
     """Load strain from CSV (t,strain) or raw float64 + JSON sidecar.
 
     A raw file must hold a whole number of 8-byte samples, and either
     format at least 2 samples.
     """
-    from .dsp import TimeSeries  # dsp loads only for the commands that read data
-
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
@@ -160,7 +155,7 @@ def read_time_series(path: str | Path) -> TimeSeries:
         raise InputError(f"{path}: need at least 2 samples")
     if csv:
         dt, t0 = _grid_step(path, t, "time"), float(t[0])
-    return TimeSeries(samples=samples, dt=dt, t0=t0)
+    return dsp.TimeSeries(samples=samples, dt=dt, t0=t0)
 
 
 def _read_sidecar(path: Path) -> tuple[float, float]:
@@ -186,17 +181,15 @@ def _read_sidecar(path: Path) -> tuple[float, float]:
 GRID_TOL = {"rtol": 1e-6, "atol": 1e-12}
 
 
-def read_psd(path: str | Path) -> Psd:
+def read_psd(path: str | Path) -> dsp.Psd:
     """Load a PSD whose bin k sits at k * df from 0 Hz, as ``Psd`` reads it."""
-    from .dsp import Psd
-
     f, sn = _read_two_columns(Path(path), ("f_hz", "sn"))
     if f.size < 2:
         raise InputError(f"{path}: need at least 2 PSD bins")
     df = _grid_step(path, f, "frequency")
     if not np.isclose(f[0], 0.0, **GRID_TOL):
         raise InputError(f"{path}: frequency column must start at 0 Hz, got {float(f[0])!r}")
-    return Psd(values=sn, df=df)
+    return dsp.Psd(values=sn, df=df)
 
 
 def _grid_step(path: str | Path, x: np.ndarray, what: str) -> float:
@@ -297,7 +290,7 @@ def repr_column(col: np.ndarray) -> np.ndarray:
     return table[inverse]
 
 
-def write_snr(path: str | Path, snr: SnrSeries, provenance: str, t0: float = 0.0) -> None:
+def write_snr(path: str | Path, snr: dsp.SnrSeries, provenance: str, t0: float = 0.0) -> None:
     rows = repr_rows(snr.rho.size, lambda j: (t0 + j * snr.dt, snr.rho[j]))
     write_csv(path, "t,rho", rows, provenance)
 

@@ -33,9 +33,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import amplify, dsp, fanout
-from .bank import QUADRATURE, BankSpec, bank_size, chirps, index_to_params, lattice, waveform
-from .errors import CapExceededError, ValidationError
+from . import amplify, bank, dsp, fanout
+from .errors import CapExceededError, NonFiniteError, ValidationError
 from .io import read_config
 
 DEFAULT_MAX_ATTEMPTS = 10_000
@@ -103,19 +102,19 @@ def _search_blocks(m_samples: int) -> tuple[int, int]:
     return w, fit // w
 
 
-def _peak_snrs(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
+def _peak_snrs(spec: bank.BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
                idx: range) -> np.ndarray:
     """Peak SNR of every template in ``idx``, one block of rows per worker at a time."""
     w, rows = _search_blocks(spec.m_samples)
 
     def block(start: int) -> np.ndarray:
-        pairs = chirps(*lattice(spec, idx[start:start + rows]), QUADRATURE,
-                       spec.dur, spec.fs, spec.m_samples)
+        pairs = bank.chirps(*bank.lattice(spec, idx[start:start + rows]), bank.QUADRATURE,
+                            spec.dur, spec.fs, spec.m_samples)
         qc = dsp.complex_templates(pairs, spec.fs, spec.m_samples, psd)
         peaks = np.abs(dsp.filter_series(data, qc, psd)).max(axis=-1)
         bad = np.flatnonzero(~np.isfinite(peaks))  # a NaN would silently miss the threshold
         if bad.size:
-            raise ValidationError(f"template {idx[start + bad[0]]} has a non-finite peak SNR")
+            raise NonFiniteError(f"template {idx[start + bad[0]]} has a non-finite peak SNR")
         return peaks
 
     peaks = np.empty(len(idx))
@@ -131,7 +130,7 @@ def _check_threshold(rho_thr: float) -> None:
         raise ValidationError(f"threshold must be positive, got {rho_thr}")
 
 
-def oracle_eval(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd, i: int,
+def oracle_eval(spec: bank.BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd, i: int,
                 rho_thr: float, counter: OracleCounter) -> int:
     """The match predicate f(i): 1 iff template i's peak SNR reaches the threshold."""
     _check_threshold(rho_thr)
@@ -140,11 +139,11 @@ def oracle_eval(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd, i: int,
     return int(hit)
 
 
-def classical_search(spec: BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
+def classical_search(spec: bank.BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
                      rho_thr: float, counter: OracleCounter) -> np.ndarray:
     """Exhaustive baseline: f(i) for every template, charged N; the sorted int64 matches."""
     _check_threshold(rho_thr)
-    n = bank_size(spec)
+    n = bank.bank_size(spec)
     hits = _peak_snrs(spec, data, psd, range(n)) >= rho_thr
     counter.add(n)
     return np.flatnonzero(hits)
@@ -263,14 +262,14 @@ class Scenario:
 _INJECTION_BYTES = 1 << 30
 
 
-def _check_injection_bytes(spec: BankSpec) -> None:
+def _check_injection_bytes(spec: bank.BankSpec) -> None:
     """Refuse a bank whose injection scenario would hold more than the budget."""
     m = spec.m_samples
-    need = (9 * bank_size(spec) + 8 * m + 16 * (m // 2 + 1)
+    need = (9 * bank.bank_size(spec) + 8 * m + 16 * (m // 2 + 1)
             + _rows_held(m) * _SAMPLE_BYTES * m)
     if need > _INJECTION_BYTES:
         raise CapExceededError(f"injection scenario needs {need} bytes, over the budget "
-                               f"of {_INJECTION_BYTES} ({bank_size(spec)} templates, "
+                               f"of {_INJECTION_BYTES} ({bank.bank_size(spec)} templates, "
                                f"{m} samples)")
 
 
@@ -293,9 +292,9 @@ def scenario_from_config(cfg: dict, seed: int | None = None) -> Scenario:
     if "bank" in cfg:
         values = read_config(cfg, "injection scenario", _INJECTION_KINDS,
                            ("bank", "inject_index", "rho_thr"))
-        spec = BankSpec.from_config(values["bank"])
+        spec = bank.BankSpec.from_config(values["bank"])
         _check_injection_bytes(spec)
-        n = bank_size(spec)
+        n = bank.bank_size(spec)
     else:
         values = read_config(cfg, "synthetic scenario", _SYNTHETIC_KINDS, ("n", "r"))
         n, r = values["n"], values["r"]
@@ -321,7 +320,8 @@ def scenario_from_config(cfg: dict, seed: int | None = None) -> Scenario:
             if not value >= 0:
                 raise ValidationError(f"scenario key {key!r} must be >= 0, got {value}")
         amplitude = values.get("amplitude", 1.0)
-        wave = waveform(index_to_params(spec, values["inject_index"]), spec.fs, spec.m_samples)
+        wave = bank.waveform(bank.index_to_params(spec, values["inject_index"]), spec.fs,
+                             spec.m_samples)
         try:  # the value types refuse a strain, spectrum or PSD that overflowed
             strain = amplitude * wave.samples
             if sigma > 0.0:
@@ -329,10 +329,14 @@ def scenario_from_config(cfg: dict, seed: int | None = None) -> Scenario:
                 strain = strain + noise_rng.normal(scale=sigma, size=strain.size)
             data = dsp.forward_fft(dsp.TimeSeries(strain, dt=wave.dt))
             psd = dsp.white_psd(spec.m_samples, wave.dt, sigma=max(sigma, 1.0))
-        except ValidationError as exc:
+        except NonFiniteError as exc:
             raise ValidationError(f"scenario keys 'amplitude' {amplitude} and 'noise_sigma' "
                                   f"{sigma} overflow the injection: {exc}") from None
-        match_set = classical_search(spec, data, psd, values["rho_thr"], counter)
+        try:  # a peak SNR that overflows comes from the injected strain
+            match_set = classical_search(spec, data, psd, values["rho_thr"], counter)
+        except NonFiniteError as exc:
+            raise ValidationError(f"scenario key 'amplitude' {amplitude} overflows the bank "
+                                  f"search: {exc}") from None
     else:
         match_set = range(r)
     return Scenario(n=n, p=p, strategy=strategy, match_set=match_set,

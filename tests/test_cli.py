@@ -612,7 +612,20 @@ class TestLayerLoading:
     def test_synthetic_detect_runs_neither_qsim_nor_cw(self, tmp_path):
         (tmp_path / "scenario.json").write_text(json.dumps({"n": 64, "r": 2, "seed": 1}))
         _, after = self.ran(tmp_path, "detect", "--config", "scenario.json", "--out", "d.json")
-        assert {"pipeline", "amplify"} <= after and not after & {"qsim", "cw"}
+        assert after == {"cli", "errors", "fanout", "io", "pipeline", "amplify"}
+
+    @pytest.mark.parametrize("command", ["retrieve", "mc-bench"])
+    def test_synthetic_scenario_runs_neither_bank_nor_dsp(self, tmp_path, command):
+        (tmp_path / "scenario.json").write_text(json.dumps({"n": 64, "r": 2, "seed": 1,
+                                                            "trials": 3}))
+        _, after = self.ran(tmp_path, command, "--config", "scenario.json", "--out", "o.json")
+        assert after == {"cli", "errors", "fanout", "io", "pipeline", "amplify"}
+
+    def test_injection_detect_runs_bank_and_dsp(self, tmp_path):
+        (tmp_path / "scenario.json").write_text(json.dumps(
+            {"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0, "seed": 1}))
+        _, after = self.ran(tmp_path, "detect", "--config", "scenario.json", "--out", "d.json")
+        assert after == {"cli", "errors", "fanout", "io", "pipeline", "amplify", "bank", "dsp"}
 
     def test_fail_bound_loads_amplify_before_its_workers(self, tmp_path):
         script = ("import sys, types; from qmf import fanout; from qmf.cli import main; "
@@ -1122,10 +1135,11 @@ def _refusals():
     """(cpus, input files, argv, exit code, what the line names) of each input refused.
 
     Every config float that is not finite, each overflow of a result,
-    the int64 bounds on the lattice and the trial count, and an output
-    in a missing directory for every command that writes.  The
-    injections that overflow run on 1, 2 and 3 CPUs: the search's
-    workers fork inside the command's ``np.errstate``.
+    the int64 bounds on the lattice and the trial count, and for every
+    command that writes an output in a missing directory and an output
+    flag that names a directory (a ``None`` file).  The injections that
+    overflow run on 1, 2 and 3 CPUs: the search's workers fork inside
+    the command's ``np.errstate``.
     """
     config = ["--config", "c.json"]
     for value in ("Infinity", "NaN", "1e400"):
@@ -1143,7 +1157,8 @@ def _refusals():
             yield pytest.param(1, {"c.json": _json_with(_INJECTION, key, value)},
                                ["detect", *config], EXIT_VALIDATION, f"'{key}' must be finite",
                                id=f"{key}-{value}")
-    for key, value, names in (("amplitude", "1e305", "non-finite peak SNR"),
+    for key, value, names in (("amplitude", "1e305", "'amplitude' 1e+305 overflows the bank "
+                                                     "search: template 3 has a non-finite peak"),
                               ("amplitude", "1e308", "'amplitude' 1e+308"),
                               ("noise_sigma", "1e306", "'noise_sigma' 1e+306"),
                               ("noise_sigma", "1e308", "'noise_sigma' 1e+308")):
@@ -1156,10 +1171,12 @@ def _refusals():
         yield pytest.param(1, _mf_snr_files(sidecar=sidecar), _MF_SNR, EXIT_INPUT,
                            f"'{key}' must be finite", id=f"sidecar-{key}-Infinity")
     yield pytest.param(1, _mf_snr_files(**{"psd.csv": b"f_hz,sn\n" + _TINY_PSD}),
-                       [*_MF_SNR, "--psd", "psd.csv"], EXIT_VALIDATION, "non-finite SNR",
+                       [*_MF_SNR, "--psd", "psd.csv"], EXIT_VALIDATION,
+                       "--psd psd.csv overflows the matched filter: non-finite SNR",
                        id="mf-snr-psd-5e-324")
     yield pytest.param(1, _mf_snr_files(strain=1e306), _MF_SNR, EXIT_VALIDATION,
-                       "PSD values must be finite", id="mf-snr-strain-1e306")
+                       "--data s.f64 overflows the matched filter: PSD values must be finite",
+                       id="mf-snr-strain-1e306")
     huge = {**BANK_CFG, "n_f0": 10**20}
     yield pytest.param(1, _mf_snr_files(json.dumps(huge)), _MF_SNR, EXIT_VALIDATION,
                        "n_f0 * n_f1 exceeds 2**63 - 1", id="mf-snr-n_f0-1e20")
@@ -1181,6 +1198,14 @@ def _refusals():
             (_SYNTHETIC, ["retrieve", *config])):
         yield pytest.param(1, files, [*argv, "--out", "missing/out"], EXIT_INPUT,
                            "No such file or directory: 'missing/out'", id=f"out-{argv[0]}")
+        yield pytest.param(1, {**files, "dir": None}, [*argv, "--out", "dir"], EXIT_INPUT,
+                           "Is a directory: 'dir'", id=f"out-dir-{argv[0]}")
+    for flag, files, argv in (
+            ("--summary-out", _mf_snr_files(), _MF_SNR),
+            ("--marginal-out", {}, ["qsim-count", "--data-bits", "0101", "--p", 3, "--seed", 1]),
+            ("--hist-out", _SYNTHETIC, ["mc-bench", *config])):
+        yield pytest.param(1, {**files, "dir": None}, [*argv, flag, "dir"], EXIT_INPUT,
+                           "Is a directory: 'dir'", id=f"{flag[2:]}-dir-{argv[0]}")
 
 
 @pytest.mark.filterwarnings("error")  # a NumPy warning, in a worker too, fails the run
@@ -1188,7 +1213,11 @@ def _refusals():
 def test_refused_on_one_line(tmp_path, monkeypatch, capfd, cpus, files, argv, code, names):
     monkeypatch.chdir(tmp_path)
     for name, content in files.items():
-        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+        if content is None:
+            (tmp_path / name).mkdir()
+        else:
+            (tmp_path / name).write_bytes(
+                content if isinstance(content, bytes) else content.encode())
     if "--out" not in argv:
         argv = [*argv, "--out", "out"]
     assert run(*argv) == code

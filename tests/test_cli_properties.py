@@ -1,16 +1,22 @@
 """Property test of the CLI boundary: any input ends in a known exit code.
 
-Whatever the argv of ``qsim-count`` / ``qsim-search`` and whatever the
-scenario, bank or CW config, a command exits 0, 2, 3 or 4 and writes at
-most one line to stderr; it never ends in a traceback.  Work-sizing
-numbers (register widths, bank and series sizes, trial counts) are drawn
-small so each example runs in milliseconds, or past the injection byte
-budget, where an injection scenario exits 3 before it builds an array.
+Whatever the argv of ``qsim-count``, ``qsim-search``, ``count-dist`` and
+``fail-bound``, whatever the scenario, bank or CW config, and whatever
+``mf-snr``'s strain, sidecar and PSD file, a command exits 0, 2, 3 or 4,
+writes at most one line to stderr and no NumPy warning, and leaves no
+output file when it fails; it never ends in a traceback.  A float drawn
+is now and then at or past the edge of the float range, and an int past
+the int64 range.  Work-sizing numbers (register widths, bank and series
+sizes, trial and round counts) are drawn small so each example runs in
+milliseconds, or past the injection byte budget, where an injection
+scenario exits 3 before it builds an array.
 """
 
 import contextlib
 import io
 import json
+import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -25,12 +31,13 @@ from qmf import cli  # noqa: E402
 EXIT_CODES = {cli.EXIT_OK, cli.EXIT_INPUT, cli.EXIT_CAP, cli.EXIT_VALIDATION}
 SETTINGS = settings(max_examples=60, deadline=None)
 
+# A NumPy floating-point warning, in a worker too, raises and fails the example.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 # A config key holds a number around its valid range most of the time,
 # and now and then a value of the wrong JSON type.
 junk = st.one_of(st.none(), st.booleans(), st.text(max_size=4),
                  st.lists(st.integers(0, 3), max_size=2), st.just({}))
-small_int = st.integers(-3, 64)
-small_float = st.one_of(st.floats(-10.0, 200.0), st.sampled_from([0.0, 0.5, 1e-9]))
 
 
 def mostly(good, bad, weight=7):
@@ -39,6 +46,26 @@ def mostly(good, bad, weight=7):
     ``st.one_of`` would weight each branch of a nested ``one_of`` alike.
     """
     return st.sampled_from([good] * weight + [bad]).flatmap(lambda s: s)
+
+
+# Numbers at or past the edge of the float range and of int64.
+edge_float = st.sampled_from([math.nan, math.inf, -math.inf, 1e308, -1e308, 5e-324, 1e-320,
+                              0.0, -0.0, 1e300, 1e-300])
+edge_int = st.one_of(st.sampled_from([0, -1]), st.integers(2**62, 2**70))
+
+
+def floats(lo=None, hi=None):
+    """Floats in [lo, hi] (any float by default), or an edge float a quarter of the time."""
+    return mostly(st.floats(lo, hi), edge_float, 3)
+
+
+def ints(lo, hi):
+    """Ints in [lo, hi], or an edge int a fifth of the time."""
+    return mostly(st.integers(lo, hi), edge_int, 4)
+
+
+small_int = ints(-3, 64)
+small_float = st.one_of(floats(-10.0, 200.0), st.sampled_from([0.0, 0.5, 1e-9]))
 
 
 def value(numbers):
@@ -71,53 +98,58 @@ past_budget_count = st.integers(2**27 + 1, 10**12)
 past_budget_samples = st.integers(2**24, 10**13)
 
 BANK = {
-    "f0_min": value(around(st.floats(10.0, 60.0), small_float)),
-    "f0_max": value(around(st.floats(60.0, 120.0), small_float)),
-    "n_f0": value(around(st.integers(1, 4), st.one_of(st.integers(-1, 0), past_budget_count))),
-    "f1_min": value(st.floats(-20.0, 60.0)), "f1_max": value(st.floats(-20.0, 60.0)),
-    "n_f1": value(around(st.integers(1, 4), st.one_of(st.integers(-1, 0), past_budget_count))),
-    "fs_hz": value(around(st.just(512.0), st.floats(-1.0, 1024.0))),
-    "m_samples": value(around(st.just(128),
-                              st.one_of(st.integers(-1, 256), past_budget_samples))),
-    "dur_s": value(around(st.floats(0.05, 0.25), st.floats(-0.1, 1.0))),
+    "f0_min": value(around(floats(10.0, 60.0), small_float)),
+    "f0_max": value(around(floats(60.0, 120.0), small_float)),
+    "n_f0": value(around(ints(1, 4), st.one_of(st.integers(-1, 0), past_budget_count))),
+    "f1_min": value(floats(-20.0, 60.0)), "f1_max": value(floats(-20.0, 60.0)),
+    "n_f1": value(around(ints(1, 4), st.one_of(st.integers(-1, 0), past_budget_count))),
+    "fs_hz": value(around(st.just(512.0), floats(-1.0, 1024.0))),
+    "m_samples": value(around(st.just(128), st.one_of(ints(-1, 256), past_budget_samples))),
+    "dur_s": value(around(floats(0.05, 0.25), floats(-0.1, 1.0))),
 }
 # The CLI's scenario keys are optional, but drawn like required ones, so
-# that most runs get past the seed check.
-CLI_KEYS = {"seed": value(st.integers(-2, 2**40)), "trials": value(st.integers(-1, 8))}
-OPTIONAL = {"p": value(st.integers(-1, 12)),
+# that most runs get past the seed check.  The trial count, p and
+# max_attempts size the work, so they draw no edge int: at n = 2**62, a
+# p far under choose_p's with 2**62 rounds runs for hours.
+CLI_KEYS = {"seed": value(ints(-2, 2**40)), "trials": value(st.integers(-1, 8))}
+OPTIONAL = {"p": value(st.integers(-1, 16)),
             "strategy": value(st.sampled_from(["reuse_k", "recount_each_try", "reuse-k",
                                                "none"])),
-            "max_attempts": value(st.integers(-1, 40))}
-SYNTHETIC = config({**CLI_KEYS, "n": value(around(st.integers(2, 4096), st.integers(-2, 1))),
+            "max_attempts": value(st.integers(-1, 64))}
+SYNTHETIC = config({**CLI_KEYS, "n": value(around(ints(2, 4096), st.integers(-2, 1))),
                     "r": value(small_int)}, OPTIONAL)
 INJECTION = config(
     {**CLI_KEYS, "bank": mostly(config(BANK, {}), junk),
-     "inject_index": value(st.integers(-1, 20)), "rho_thr": value(small_float)},
+     "inject_index": value(ints(-1, 20)), "rho_thr": value(small_float)},
     {**OPTIONAL, "amplitude": value(small_float),
-     "noise_sigma": value(st.floats(0.0, 3.0)), "noise_seed": value(st.integers(-1, 2**40))})
-CW = config({}, {k: value(st.one_of(st.floats(allow_nan=False), small_float))
+     "noise_sigma": value(floats(0.0, 3.0)), "noise_seed": value(ints(-1, 2**40))})
+CW = config({}, {k: value(st.one_of(floats(), small_float))
                  for k in ("f_khz", "t_obs_yr", "delta_f_hz", "delta_f1_hz_s",
                            "delta_target")})
 
 
 def run(argv, files=()):
-    """Run ``qmf`` on argv in a fresh directory; return (exit code, stderr)."""
+    """Run ``qmf`` on argv in a fresh directory; return (exit code, stderr, files it made)."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         for name, write in files:
             write(Path(tmp) / name)
+        inputs = set(os.listdir(tmp))
         argv = [a.replace("{tmp}", tmp) for a in argv]
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+        made = set(os.listdir(tmp)) - inputs
+    return code, err.getvalue(), made
 
 
-def assert_clean_exit(code, err):
+def assert_clean_exit(code, err, made):
     assert code in EXIT_CODES, (code, err)
     assert err.count("\n") <= 1 and (err == "" or err.endswith("\n")), err
+    assert "Warning" not in err, err
+    assert code == cli.EXIT_OK or not made, (code, err, made)
 
 
 def write_json(payload):
@@ -165,24 +197,61 @@ def test_injection_past_the_byte_budget_exits_3(command, size):
             "n_f1": 2, "fs_hz": 512.0, "m_samples": 128, "dur_s": 0.25, **size}
     cfg = {"bank": bank, "inject_index": 0, "rho_thr": 5.0, "seed": 1, "trials": 2}
     argv = [command, "--config", "{tmp}/scenario.json", "--out", "{tmp}/out.json"]
-    code, err = run(argv, [("scenario.json", write_json(cfg))])
+    code, err, _ = run(argv, [("scenario.json", write_json(cfg))])
     assert code == cli.EXIT_CAP, err
     assert err.startswith("resource cap: injection scenario needs ") and err.count("\n") == 1
 
 
+# The sidecar of the strain, and the PSD file: a grid step and one level for every bin.
+SIDECAR = config({"fs_hz": value(around(st.just(512.0), floats(-1.0, 1e4)))},
+                 {"t0_s": value(floats(-1e3, 1e3))})
+PSD = st.tuples(around(st.just(4.0), floats(0.5, 8.0)), floats(1e-6, 10.0))
+
+
 @SETTINGS
-@given(bank=mostly(config(BANK, {}), junk), index=st.integers(-1, 20),
-       seg_len=st.one_of(st.none(), st.integers(-1, 300)))
-def test_bank_config(bank, index, seg_len):
+@given(bank=mostly(config(BANK, {}), junk), index=ints(-1, 20),
+       seg_len=st.one_of(st.none(), ints(-1, 300)),
+       scale=around(st.just(1.0), floats(0.0, 1e300)), sidecar=mostly(SIDECAR, junk),
+       psd=st.one_of(st.none(), PSD))
+def test_bank_config(bank, index, seg_len, scale, sidecar, psd):
     def strain(path):
-        np.random.default_rng(0).normal(size=128).astype("<f8").tofile(path)
-        path.with_name("strain.f64.json").write_text(json.dumps({"fs_hz": 512.0}))
+        with np.errstate(over="ignore"):  # a scale past 1e306 may give inf samples
+            samples = np.random.default_rng(0).normal(size=128) * scale
+        samples.astype("<f8").tofile(path)
+        path.with_name("strain.f64.json").write_text(json.dumps(sidecar))
 
     argv = ["mf-snr", "--data", "{tmp}/strain.f64", "--bank-config", "{tmp}/bank.json",
             "--index", str(index), "--out", "{tmp}/snr.csv"]
+    files = [("strain.f64", strain), ("bank.json", write_json(bank))]
     if seg_len is not None:
         argv += ["--seg-len", str(seg_len)]
-    assert_clean_exit(*run(argv, [("strain.f64", strain), ("bank.json", write_json(bank))]))
+    if psd is not None:
+        df, level = psd
+        files.append(("psd.csv", lambda path: path.write_text("f_hz,sn\n" + "".join(
+            f"{k * df!r},{level!r}\n" for k in range(65)))))
+        argv += ["--psd", "{tmp}/psd.csv"]
+    assert_clean_exit(*run(argv, files))
+
+
+def int_flag(lo, hi):
+    """An int flag in [lo, hi] or at an edge, and now and then one that does not parse."""
+    return mostly(ints(lo, hi).map(str), st.sampled_from(["", "x", "1.5"]))
+
+
+@SETTINGS
+@given(n=int_flag(-2, 4096), r=int_flag(-2, 64),
+       p=st.one_of(st.none(), st.integers(-1, 16).map(str)))
+def test_count_dist_argv(n, r, p):
+    argv = ["count-dist", "--n-templates", n, "--matches", r, "--out", "{tmp}/dist.csv"]
+    if p is not None:
+        argv += ["--p", p]
+    assert_clean_exit(*run(argv))
+
+
+@SETTINGS
+@given(r_max=int_flag(-1, 3))
+def test_fail_bound_argv(r_max):
+    assert_clean_exit(*run(["fail-bound", "--r-max", r_max, "--out", "{tmp}/bound.csv"]))
 
 
 @SETTINGS

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qmf import amplify, dsp, fanout, io, pipeline
+from qmf import amplify, bank, dsp, fanout, io, pipeline
 from qmf.bank import BankSpec, bank_size, index_to_params, waveform
 from qmf.errors import CapExceededError, ValidationError
 from qmf.pipeline import OracleCounter, RetrievalStrategy
@@ -491,7 +491,7 @@ class TestScenario:
         def waveform(*args):
             raise AssertionError("the injection was synthesized")
 
-        monkeypatch.setattr(pipeline, "waveform", waveform)
+        monkeypatch.setattr(bank, "waveform", waveform)
         cfg = {"bank": {"f0_min": 40.0, "f0_max": 120.0, "n_f0": 8,
                         "f1_min": 5.0, "f1_max": 45.0, "n_f1": 8,
                         "fs_hz": 512.0, "m_samples": 1024, "dur_s": 1.0, **bank_keys},

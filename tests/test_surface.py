@@ -7,11 +7,16 @@ it, when a string literal is exactly the name (as in
 ``perfbench/launcher.TRACED``), or when a docstring refers to it in
 double backquotes.  Comments do not count.  Code that only unit tests
 reach is deleted together with those tests.
+
+Every module of ``qmf`` also imports a lazy layer by one rule, checked
+on its syntax tree: as a module, at the top.
 """
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 REFERRERS = [*sorted((ROOT / "src").rglob("*.py")), *sorted((ROOT / "perfbench").rglob("*.py")),
@@ -68,3 +73,50 @@ def test_every_public_name_is_reached():
                 unreached.append(f"{path.stem}.{name}")
     assert not unreached, f"reached only by unit tests: {', '.join(unreached)}"
 
+
+
+# The layers that ``qmf/__init__.py`` registers as lazy modules.
+LAZY_LAYERS = {"amplify", "bank", "cw", "dsp", "pipeline", "qsim"}
+
+
+def loading_faults(tree: ast.Module) -> list[str]:
+    """Each import that bypasses the one loading rule, as ``line: what``.
+
+    A layer is imported as a module at the top of a module (``from . import
+    bank``): never inside a function, never under ``TYPE_CHECKING``, and
+    never by member (``from .bank import BankSpec``), which would run the
+    layer's body as soon as the importer loads.
+    """
+    faults = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            faults += [f"{sub.lineno}: import inside {getattr(node, 'name', 'a lambda')}"
+                       for sub in ast.walk(node) if isinstance(sub, (ast.Import, ast.ImportFrom))]
+        elif isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+            faults.append(f"{node.lineno}: TYPE_CHECKING block")
+        elif isinstance(node, ast.ImportFrom):
+            module = f"{'.' * node.level}{node.module or ''}"
+            if module.rpartition(".")[2] in LAZY_LAYERS:
+                faults.append(f"{node.lineno}: from {module} import by member")
+        elif isinstance(node, ast.Import):
+            faults += [f"{node.lineno}: import {alias.name}" for alias in node.names
+                       if alias.name.partition(".")[2] in LAZY_LAYERS]
+    return faults
+
+
+def test_every_layer_is_imported_as_a_module_at_the_top():
+    faults = [f"{path.name}:{fault}" for path in sorted((ROOT / "src" / "qmf").glob("*.py"))
+              for fault in loading_faults(ast.parse(path.read_text()))]
+    assert not faults, "; ".join(faults)
+
+
+@pytest.mark.parametrize("source", [
+    "def f():\n    import json\n",
+    "def f():\n    from . import bank\n",
+    "from typing import TYPE_CHECKING\nif TYPE_CHECKING:\n    pass\n",
+    "from .bank import BankSpec\n",
+    "from qmf.dsp import TimeSeries\n",
+    "import qmf.pipeline\n",
+])
+def test_a_fault_of_the_loading_rule_is_found(source):
+    assert len(loading_faults(ast.parse(source))) == 1
