@@ -267,7 +267,6 @@ class CountEstimate:
     """
 
     b: int
-    theta_star: float
     r_star: int
     k_star: int | None
 
@@ -277,8 +276,8 @@ class CountEstimate:
         return self.b != 0
 
 
-def decode_outcomes(b, p: int, n: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode counting outcomes b (a scalar or an array) into (theta*, r*, k*).
+def decode_outcomes(b, p: int, n: float) -> tuple[np.ndarray, np.ndarray]:
+    """Decode counting outcomes b (a scalar or an array) into (r*, k*).
 
     theta* folds the two eigenvalue branches onto [0, pi/2]; r* rounds
     n*sin^2(theta*) and is clamped to at least 1, since b != 0 cannot
@@ -292,7 +291,7 @@ def decode_outcomes(b, p: int, n: float) -> tuple[np.ndarray, np.ndarray, np.nda
     theta_star = np.pi * b / d
     theta_star = np.where(b <= d // 2, theta_star, np.pi - theta_star)
     r_star = np.maximum(round_half_away(n * _c_pow(np.sin(theta_star), 2.0)), 1.0)
-    return theta_star, r_star.astype(np.int64), _optimal_k_arr(n, r_star).astype(np.int64)
+    return r_star.astype(np.int64), _optimal_k_arr(n, r_star).astype(np.int64)
 
 
 # A one-element array decode costs several times the scalar formulas it
@@ -300,15 +299,14 @@ def decode_outcomes(b, p: int, n: float) -> tuple[np.ndarray, np.ndarray, np.nda
 # over; estimates are immutable, so they are shared.
 @functools.lru_cache(maxsize=4096)
 def estimate_from_b(b: int, p: int, n: float) -> CountEstimate:
-    """Decode one outcome b into (theta*, r*, k*); see :func:`decode_outcomes`."""
+    """Decode one outcome b into (r*, k*); see :func:`decode_outcomes`."""
     d = 1 << p
     if b < 0 or b >= d:
         raise ValidationError(f"outcome b={b} outside [0, 2**{p})")
     if b == 0:
-        return CountEstimate(b=0, theta_star=0.0, r_star=0, k_star=None)
-    theta_star, r_star, k_star = decode_outcomes(b, p, n)
-    return CountEstimate(b=b, theta_star=float(theta_star), r_star=int(r_star),
-                         k_star=int(k_star))
+        return CountEstimate(b=0, r_star=0, k_star=None)
+    r_star, k_star = decode_outcomes(b, p, n)
+    return CountEstimate(b=b, r_star=int(r_star), k_star=int(k_star))
 
 
 def false_negative_prob(n: int, r: int, p: int) -> float:
@@ -352,7 +350,7 @@ def p_fail_total(n: int, r: int, p: int) -> float:
         raise ValidationError("retrieval failure is defined for r >= 1")
     theta, total = theta_of(n, r), 0.0
     for start, probs in outcome_blocks(n, r, p):
-        _, _, k_star = decode_outcomes(np.arange(start, start + probs.size), p, n)
+        _, k_star = decode_outcomes(np.arange(start, start + probs.size), p, n)
         fail = np.cos((2.0 * k_star + 1.0) * theta) ** 2
         if start == 0:
             fail[0] = 1.0

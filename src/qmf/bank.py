@@ -36,10 +36,13 @@ QUADRATURE = (0.0, np.pi / 2.0)
 
 @dataclass(frozen=True)
 class ChirpParams:
-    """Linear chirp at phase 0: start frequency, drift rate, duration; see ``BankSpec``."""
+    """Linear chirps at phase 0: start frequency, drift rate, duration; see ``BankSpec``.
 
-    f0: float
-    f1: float
+    One chirp has float ``f0`` and ``f1``; a block has arrays of one shape.
+    """
+
+    f0: float | np.ndarray
+    f1: float | np.ndarray
     dur: float
 
 
@@ -72,7 +75,7 @@ class BankSpec:
         # the chirp rules bound f0 and f0 + f1*dur, monotone along both lattice
         # axes, so the four corners hold their extremes
         corners = lattice(self, [0, self.n_f0 - 1, n - self.n_f0, n - 1])
-        check_chirps(*corners, self.dur, self.fs, self.m_samples)
+        check_chirps(corners, self.fs, self.m_samples)
 
     @classmethod
     def from_config(cls, cfg: dict) -> "BankSpec":
@@ -90,21 +93,22 @@ def _axis_values(lo: float, hi: float, count: int, i: np.ndarray) -> np.ndarray:
     return lo + (hi - lo) * i / (count - 1)
 
 
-def lattice(spec: BankSpec, idx) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form lattice lookup of (f0, f1) arrays, row-major with f0 fastest."""
+def lattice(spec: BankSpec, idx) -> ChirpParams:
+    """Closed-form lattice lookup, row-major with f0 fastest: fields in the shape of ``idx``."""
     idx = np.asarray(idx)
     n = bank_size(spec)
     outside = (idx < 0) | (idx >= n)
     if outside.any():
         raise ValidationError(f"template index {idx[outside][0]} outside [0, {n})")
-    return (_axis_values(spec.f0_min, spec.f0_max, spec.n_f0, idx % spec.n_f0),
-            _axis_values(spec.f1_min, spec.f1_max, spec.n_f1, idx // spec.n_f0))
+    return ChirpParams(_axis_values(spec.f0_min, spec.f0_max, spec.n_f0, idx % spec.n_f0),
+                       _axis_values(spec.f1_min, spec.f1_max, spec.n_f1, idx // spec.n_f0),
+                       spec.dur)
 
 
 def index_to_params(spec: BankSpec, idx: int) -> ChirpParams:
-    """Parameters of one template: the one-index call of :func:`lattice`."""
-    f0, f1 = lattice(spec, [idx])
-    return ChirpParams(f0=float(f0[0]), f1=float(f1[0]), dur=spec.dur)
+    """Parameters of one template, with float fields: the one-index call of :func:`lattice`."""
+    params = lattice(spec, idx)
+    return ChirpParams(f0=float(params.f0), f1=float(params.f1), dur=spec.dur)
 
 
 def tukey_window(m: int, alpha: float) -> np.ndarray:
@@ -124,14 +128,15 @@ def tukey_window(m: int, alpha: float) -> np.ndarray:
     return w
 
 
-def check_chirps(f0: np.ndarray, f1: np.ndarray, dur: float, fs: float, m: int) -> int:
-    """The chirp rules for every (f0[j], f1[j]); returns n_sig = round(dur * fs).
+def check_chirps(params: ChirpParams, fs: float, m: int) -> int:
+    """The chirp rules for every chirp of ``params``; returns n_sig = round(dur * fs).
 
     Refuses a start frequency or duration that is not positive, an
     instantaneous frequency that goes non-positive or reaches the
     Nyquist frequency anywhere in [0, dur), and a dur * fs that is not
     finite or rounds to an n_sig outside [2, m].
     """
+    f0, f1, dur = np.asarray(params.f0), np.asarray(params.f1), params.dur
     bad = ~(f0 > 0.0)
     if bad.any():
         raise ValidationError(f"start frequency must be positive, got {f0[bad][0]}")
@@ -156,19 +161,19 @@ def check_chirps(f0: np.ndarray, f1: np.ndarray, dur: float, fs: float, m: int) 
     return n_sig
 
 
-def chirps(f0, f1, phases, dur: float, fs: float, m: int) -> np.ndarray:
-    """Tapered chirps over [0, dur) for every phase and every (f0[j], f1[j]).
+def chirps(params: ChirpParams, phases, fs: float, m: int) -> np.ndarray:
+    """Tapered chirps over [0, dur) for every phase and every chirp of ``params``.
 
-    Returns shape ``(len(phases), len(f0), n_sig)``, not zero-padded,
+    Returns shape ``(len(phases), *f0.shape, n_sig)``, not zero-padded,
     after :func:`check_chirps` has passed every chirp.
     """
-    f0 = np.asarray(f0, dtype=np.float64)
-    f1 = np.asarray(f1, dtype=np.float64)
-    n_sig = check_chirps(f0, f1, dur, fs, m)
+    n_sig = check_chirps(params, fs, m)
+    f0 = np.asarray(params.f0, dtype=np.float64)[..., None]
+    f1 = np.asarray(params.f1, dtype=np.float64)[..., None]
     t = np.arange(n_sig) / fs
-    sweep = 2.0 * np.pi * (f0[:, None] * t + 0.5 * f1[:, None] * t * t)
+    sweep = 2.0 * np.pi * (f0 * t + 0.5 * f1 * t * t)
     taper = tukey_window(n_sig, 2.0 * TAPER_FRAC)
-    out = np.empty((len(phases), f0.size, n_sig))
+    out = np.empty((len(phases), *sweep.shape))
     for row, phi0 in zip(out, phases):
         np.sin(phi0 + sweep, out=row)
         row *= taper
@@ -177,7 +182,7 @@ def chirps(f0, f1, phases, dur: float, fs: float, m: int) -> np.ndarray:
 
 def waveform(params: ChirpParams, fs: float, m: int) -> dsp.TimeSeries:
     """Tapered chirp over [0, dur), zero-padded to m samples (see :func:`chirps`)."""
-    sig = chirps([params.f0], [params.f1], (0.0,), params.dur, fs, m)[0, 0]
+    sig = chirps(params, (0.0,), fs, m)[0]
     out = np.zeros(m)
     out[:sig.size] = sig
     return dsp.TimeSeries(samples=out, dt=1.0 / fs)

@@ -41,10 +41,30 @@ def _require_at_least(value: int, minimum: int, flag: str) -> None:
         raise ValidationError(f"{flag} must be >= {minimum}, got {value}")
 
 
-def _derived_path(out: str, tag: str, suffix: str) -> str:
-    """``stem.tag.suffix`` in the directory of ``out``."""
-    p = Path(out)
+# Each command that writes a second output: its flag ``--<tag>-out``, and the
+# suffix of the path ``<stem>.<tag><suffix>`` derived beside --out without it.
+_SECOND_OUTPUT = {"mf-snr": ("--summary-out", ".json"), "mc-bench": ("--hist-out", ".csv"),
+                  "qsim-count": ("--marginal-out", ".csv"),
+                  "qsim-search": ("--marginal-out", ".csv")}
+
+
+def _second_out(args) -> str:
+    """The path of this command's second output: its flag as given, else derived beside --out."""
+    flag, suffix = _SECOND_OUTPUT[args.command]
+    tag = flag[2:-4]
+    given = getattr(args, f"{tag}_out")
+    if given is not None:
+        return given
+    p = Path(args.out)
     return str(p.with_name(f"{p.stem}.{tag}{suffix}"))
+
+
+def _check_output(flag: str, path: str) -> None:
+    """Refuse an output path that is empty or an existing directory; run before the work."""
+    if not path:
+        raise InputError(f"empty path for {flag}")
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 # ---------------------------------------------------------------------------
@@ -85,8 +105,7 @@ def cmd_mf_snr(args) -> None:
     t_max = ts.t0 + j_max * snr.dt
     prov = _provenance(args)
     io.write_snr(args.out, snr, prov, t0=ts.t0)
-    summary = args.summary_out or _derived_path(args.out, "summary", ".json")
-    io.write_json(summary, {"rho_max": rho_max, "t_max": t_max, "j_max": j_max}, prov)
+    io.write_json(_second_out(args), {"rho_max": rho_max, "t_max": t_max, "j_max": j_max}, prov)
     print(f"rho_max={rho_max:.6g} at t={t_max:.6g}s -> {args.out}")
 
 
@@ -155,8 +174,7 @@ def _sample_and_write(args, marginal: np.ndarray) -> None:
     table = io.csv_block([np.array([format(b, bits) for b in drawn.tolist()], dtype="S"),
                           counted, np.array([c / args.shots for c in counted.tolist()])])
     io.write_csv(args.out, "outcome_bits,count,probability", [table], prov)
-    marg_out = args.marginal_out or _derived_path(args.out, "marginal", ".csv")
-    io.write_csv(marg_out, "outcome_int,probability",
+    io.write_csv(_second_out(args), "outcome_int,probability",
                  io.repr_rows(marginal.size, lambda j: (j, marginal[j])), prov)
     mode = format(int(np.argmax(counts)), bits)
     print(f"{args.shots} shots, modal outcome {mode} -> {args.out}")
@@ -196,9 +214,8 @@ def cmd_mc_bench(args) -> None:
     summary = pipeline.monte_carlo(scenario, trials, scenario.seed)
     prov = _provenance(args, scenario.seed, scenario=cfg)
     io.write_json(args.out, summary.to_dict(), prov)
-    hist_out = args.hist_out or _derived_path(args.out, "hist", ".csv")
     table = io.csv_block([np.array(column) for column in zip(*summary.histogram)])
-    io.write_csv(hist_out, "evals,count", [table], prov)
+    io.write_csv(_second_out(args), "evals,count", [table], prov)
     print(f"{trials} trials: mean={summary.mean:.1f} evals "
           f"(classical {summary.classical_evals}) -> {args.out}")
 
@@ -329,10 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag in ("out", "summary_out", "marginal_out", "hist_out"):  # every output flag
-            path = getattr(args, flag, None)
-            if path is not None and os.path.isdir(path):  # refused before the work
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        _check_output("--out", args.out)  # first, since the second output derives from it
+        if args.command in _SECOND_OUTPUT:
+            _check_output(_SECOND_OUTPUT[args.command][0], _second_out(args))
         with np.errstate(all="ignore"):  # the value types refuse what overflows
             args.func(args)
     except (OSError, InputError) as exc:

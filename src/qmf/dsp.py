@@ -218,30 +218,22 @@ def normalize_template(s: FrequencySeries, psd: Psd) -> FrequencySeries:
                            m_time=s.m_time)
 
 
-def complex_templates(pairs: np.ndarray, fs: float, m: int, psd: Psd) -> FrequencySeries:
-    """Phase-maximizing complex templates, one row per quadrature pair.
+def complex_template(params, fs: float, m: int, psd: Psd) -> FrequencySeries:
+    """Phase-maximizing complex templates of ``params``, a :class:`qmf.bank.ChirpParams`.
 
-    ``pairs`` has shape ``(2, rows, n)``, as :func:`qmf.bank.chirps`
-    returns it: row j of ``pairs[0]`` is a chirp at its reference phase
-    and row j of ``pairs[1]`` the same chirp a quarter cycle later, both
-    sampled at ``fs`` and taken as zero-padded to ``m`` samples.  Each
-    is normalized and the pair combined as (Q0 - i Qq)/2.  Under exact
-    quadrature this collapses to Q0 alone, and in general |z| of the
-    filtered output is independent of the signal phase while Re z
-    recovers the phase-0 filter output.
+    One chirp gives one template, a block a row per chirp in the shape of
+    ``params.f0``.  Each chirp and its quarter-cycle copy, sampled at
+    ``fs`` and zero-padded to ``m`` samples, are normalized and combined
+    as (Q0 - i Qq)/2.  Under exact quadrature this collapses to Q0 alone,
+    and in general |z| of the filtered output is independent of the
+    signal phase while Re z recovers the phase-0 filter output.
     """
+    pairs = bank.chirps(params, bank.QUADRATURE, fs, m)
     df = 1.0 / (m * (1.0 / fs))  # forward_fft's grid of an m-sample series at fs
     q = normalize_template(
         FrequencySeries(bins=np.fft.rfft(pairs, n=m, axis=-1), df=df, m_time=m), psd
     ).bins
     return FrequencySeries(bins=0.5 * (q[0] - 1j * q[1]), df=df, m_time=m)
-
-
-def complex_template(params, fs: float, m: int, psd: Psd) -> FrequencySeries:
-    """The complex template of one chirp: the one-template call of :func:`complex_templates`."""
-    pairs = bank.chirps([params.f0], [params.f1], bank.QUADRATURE, params.dur, fs, m)
-    qc = complex_templates(pairs, fs, m, psd)
-    return FrequencySeries(bins=qc.bins[0], df=qc.df, m_time=m)
 
 
 def filter_series(data: FrequencySeries, template: FrequencySeries, psd: Psd) -> np.ndarray:

@@ -108,9 +108,8 @@ def _peak_snrs(spec: bank.BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
     w, rows = _search_blocks(spec.m_samples)
 
     def block(start: int) -> np.ndarray:
-        pairs = bank.chirps(*bank.lattice(spec, idx[start:start + rows]), bank.QUADRATURE,
-                            spec.dur, spec.fs, spec.m_samples)
-        qc = dsp.complex_templates(pairs, spec.fs, spec.m_samples, psd)
+        qc = dsp.complex_template(bank.lattice(spec, idx[start:start + rows]), spec.fs,
+                                  spec.m_samples, psd)
         peaks = np.abs(dsp.filter_series(data, qc, psd)).max(axis=-1)
         bad = np.flatnonzero(~np.isfinite(peaks))  # a NaN would silently miss the threshold
         if bad.size:

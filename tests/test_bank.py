@@ -136,13 +136,22 @@ class TestLattice:
         def axis(lo, hi, count, i):
             return lo if count == 1 else lo + (hi - lo) * i / (count - 1)
 
-        f0, f1 = lattice(spec, np.arange(bank_size(spec)))
+        params = lattice(spec, np.arange(bank_size(spec)))
+        f0, f1 = params.f0, params.f1
         for i in range(bank_size(spec)):
             a, b = i % n_f0, i // n_f0
             assert f0[i] == axis(spec.f0_min, spec.f0_max, n_f0, a)
             assert f1[i] == axis(spec.f1_min, spec.f1_max, n_f1, b)
             p = index_to_params(spec, i)
             assert (p.f0, p.f1) == (f0[i], f1[i])
+
+    def test_scalar_index_gives_zero_d_fields(self):
+        spec = make_spec(7, 5)
+        params = lattice(spec, 23)
+        assert (np.ndim(params.f0), np.ndim(params.f1), params.dur) == (0, 0, spec.dur)
+        block = lattice(spec, [[23]])
+        assert (block.f0.shape, block.f1.shape) == ((1, 1), (1, 1))
+        assert (params.f0, params.f1) == (block.f0[0, 0], block.f1[0, 0])
 
     def test_rejects_any_index_outside(self):
         with pytest.raises(ValidationError, match="template index 64 outside"):
@@ -161,7 +170,7 @@ class TestTukeyWindow:
 class TestWaveform:
     def test_degenerate_chirp_is_windowed_cosine(self):
         # the quarter-cycle copy of a constant-frequency chirp
-        sig = chirps([64.0], [0.0], QUADRATURE, 0.5, 512.0, 512)[1, 0]
+        sig = chirps(ChirpParams(f0=64.0, f1=0.0, dur=0.5), QUADRATURE, 512.0, 512)[1]
         ts = waveform(ChirpParams(f0=64.0, f1=0.0, dur=0.5), fs=512.0, m=512)
         n_sig = 256
         t = np.arange(n_sig) / 512.0
@@ -172,6 +181,14 @@ class TestWaveform:
         core = slice(n_sig // 4, 3 * n_sig // 4)
         np.testing.assert_allclose(sig[core], np.cos(2 * np.pi * 64.0 * t)[core],
                                    atol=1e-12)
+
+    def test_one_chirp_equals_a_one_element_block(self):
+        one = chirps(ChirpParams(f0=64.0, f1=7.5, dur=0.5), QUADRATURE, 512.0, 512)
+        block = chirps(ChirpParams(f0=np.array([64.0]), f1=np.array([7.5]), dur=0.5),
+                       QUADRATURE, 512.0, 512)
+        assert one.shape == (len(QUADRATURE), 256)
+        assert block.shape == (len(QUADRATURE), 1, 256)
+        assert np.array_equal(one, block[:, 0])
 
     def test_aliasing_guard(self):
         with pytest.raises(ValidationError, match="Nyquist"):

@@ -1136,8 +1136,9 @@ def _refusals():
 
     Every config float that is not finite, each overflow of a result,
     the int64 bounds on the lattice and the trial count, and for every
-    command that writes an output in a missing directory and an output
-    flag that names a directory (a ``None`` file).  The injections that
+    command that writes an output in a missing directory, an empty output
+    path, and an output path, given or derived beside ``--out``, that
+    names a directory (a ``None`` file).  The injections that
     overflow run on 1, 2 and 3 CPUs: the search's workers fork inside
     the command's ``np.errstate``.
     """
@@ -1200,12 +1201,23 @@ def _refusals():
                            "No such file or directory: 'missing/out'", id=f"out-{argv[0]}")
         yield pytest.param(1, {**files, "dir": None}, [*argv, "--out", "dir"], EXIT_INPUT,
                            "Is a directory: 'dir'", id=f"out-dir-{argv[0]}")
-    for flag, files, argv in (
-            ("--summary-out", _mf_snr_files(), _MF_SNR),
-            ("--marginal-out", {}, ["qsim-count", "--data-bits", "0101", "--p", 3, "--seed", 1]),
-            ("--hist-out", _SYNTHETIC, ["mc-bench", *config])):
+        yield pytest.param(1, files, [*argv, "--out", ""], EXIT_INPUT, "empty path for --out",
+                           id=f"out-empty-{argv[0]}")
+    for flag, derived, files, argv in (
+            ("--summary-out", "o.summary.json", _mf_snr_files(), _MF_SNR),
+            ("--marginal-out", "o.marginal.csv", {},
+             ["qsim-count", "--data-bits", "0101", "--p", 3, "--seed", 1]),
+            ("--marginal-out", "o.marginal.csv", {},
+             ["qsim-search", "--data-bits", "0101", "--iterations", 1, "--seed", 1]),
+            ("--hist-out", "o.hist.csv", _SYNTHETIC, ["mc-bench", *config])):
+        yield pytest.param(1, {**files, derived: None}, [*argv, "--out", "o.csv"], EXIT_INPUT,
+                           f"Is a directory: '{derived}'", id=f"derived-dir-{argv[0]}")
+        if argv[0] == "qsim-search":  # its flag's refusals are qsim-count's
+            continue
         yield pytest.param(1, {**files, "dir": None}, [*argv, flag, "dir"], EXIT_INPUT,
                            "Is a directory: 'dir'", id=f"{flag[2:]}-dir-{argv[0]}")
+        yield pytest.param(1, files, [*argv, flag, ""], EXIT_INPUT, f"empty path for {flag}",
+                           id=f"{flag[2:]}-empty-{argv[0]}")
 
 
 @pytest.mark.filterwarnings("error")  # a NumPy warning, in a worker too, fails the run

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.signal import welch
 
-from qmf import dsp
+from qmf import bank, dsp
 from qmf.bank import ChirpParams, chirps, waveform
 from qmf.errors import ValidationError
 
@@ -26,7 +26,7 @@ def qc(white):
 
 
 def chirp_data(phi0=0.0, amplitude=1.0, shift=0):
-    sig = chirps([CHIRP.f0], [CHIRP.f1], (phi0,), CHIRP.dur, FS, M)[0, 0]
+    sig = chirps(CHIRP, (phi0,), FS, M)[0]
     samples = amplitude * np.roll(np.pad(sig, (0, M - sig.size)), shift)
     return dsp.forward_fft(dsp.TimeSeries(samples, dt=1.0 / FS))
 
@@ -202,6 +202,34 @@ class TestComplexTemplate:
         values[200] = 0.0
         with pytest.raises(ValidationError):
             dsp.complex_template(CHIRP, FS, M, dsp.Psd(values, 1.0 / (M / FS)))
+
+
+# The acceptance suite's c8 lattice, and one block of it the size that the
+# bank search cuts at 1024 samples on two CPUs.
+C8_SPEC = bank.BankSpec(f0_min=30.0, f0_max=180.0, n_f0=64, f1_min=5.0, f1_max=50.0,
+                        n_f1=64, fs=512.0, m_samples=1024, dur=1.0)
+C8_BLOCK = range(512, 768)
+
+
+@pytest.fixture(scope="module")
+def c8_block_templates():
+    psd = dsp.white_psd(C8_SPEC.m_samples, 1.0 / C8_SPEC.fs)
+    block = dsp.complex_template(bank.lattice(C8_SPEC, C8_BLOCK), C8_SPEC.fs,
+                                 C8_SPEC.m_samples, psd)
+    return psd, block
+
+
+class TestOneChirpAndBlock:
+    @pytest.mark.parametrize("j", [0, len(C8_BLOCK) // 2, len(C8_BLOCK) - 1],
+                             ids=["first", "middle", "last"])
+    def test_one_chirp_equals_its_block_row_bit_for_bit(self, c8_block_templates, j):
+        psd, block = c8_block_templates
+        one = dsp.complex_template(bank.index_to_params(C8_SPEC, C8_BLOCK[j]), C8_SPEC.fs,
+                                   C8_SPEC.m_samples, psd)
+        assert block.bins.shape == (len(C8_BLOCK), C8_SPEC.m_samples // 2 + 1)
+        assert one.bins.shape == block.bins.shape[1:]
+        assert (one.df, one.m_time) == (block.df, block.m_time)
+        assert np.array_equal(one.bins.view(np.float64), block.bins[j].view(np.float64))
 
 
 class TestSnrSeries:
