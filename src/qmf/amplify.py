@@ -407,11 +407,6 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> tuple[float, flo
     return x, f(x)
 
 
-def max_fail_bound(r: int, grid_points: int = 20001) -> float:
-    """Worst-case failure bound over all register-width excesses eps_p."""
-    return max_fail_bound_argmax(r, grid_points)[1]
-
-
 def max_fail_bound_argmax(r: int, grid_points: int = 20001) -> tuple[float, float]:
     """Return (argmax eps_p, sup fail_bound(r, eps_p)) over eps_p in (0, 1).
 

@@ -244,9 +244,8 @@ def cmd_detect(args) -> None:
     counter = pipeline.OracleCounter()
     outcome = pipeline.signal_detection(scenario, np.random.default_rng(scenario.seed), counter)
     io.write_json(args.out, {
-        "b": outcome.b, "r_star": outcome.r_star, "k_star": outcome.k_star,
-        "detected": outcome.detected, "oracle_evals": counter.evaluations,
-        "setup_evals": scenario.setup_evals,
+        **dataclasses.asdict(outcome), "detected": outcome.detected,
+        "oracle_evals": counter.evaluations, "setup_evals": scenario.setup_evals,
     }, _provenance(args, scenario.seed, scenario=cfg))
     print(f"detected={outcome.detected} (b={outcome.b}, r*={outcome.r_star}) "
           f"-> {args.out}")
@@ -348,7 +347,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_output("--out", args.out)  # first, since the second output derives from it
         if args.command in _SECOND_OUTPUT:
-            _check_output(_SECOND_OUTPUT[args.command][0], _second_out(args))
+            flag, second = _SECOND_OUTPUT[args.command][0], _second_out(args)
+            _check_output(flag, second)
+            if os.path.realpath(second) == os.path.realpath(args.out):
+                raise InputError(f"{flag} and --out name one file: {second!r}")
         with np.errstate(all="ignore"):  # the value types refuse what overflows
             args.func(args)
     except (OSError, InputError) as exc:

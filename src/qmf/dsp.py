@@ -115,16 +115,9 @@ class SnrSeries:
             raise NonFiniteError("non-finite SNR series")
 
 
-def _band(m_time: int) -> slice:
+def band(m_time: int) -> slice:
     """The analysis band: DC excluded, and Nyquist when ``m_time`` is even."""
     return slice(1, (m_time + 1) // 2)
-
-
-def band_mask(m_time: int) -> np.ndarray:
-    """Boolean mask of the analysis band over the one-sided grid."""
-    mask = np.zeros(m_time // 2 + 1, dtype=bool)
-    mask[_band(m_time)] = True
-    return mask
 
 
 def forward_fft(ts: TimeSeries) -> FrequencySeries:
@@ -163,7 +156,7 @@ def estimate_psd(ts: TimeSeries, seg_len: int) -> Psd:
     power = np.ascontiguousarray((spectra.real ** 2 + spectra.imag ** 2).T)
     power[1:-1 if seg_len % 2 == 0 else None] *= 2
     psd = Psd(values=power.mean(axis=-1), df=float(np.fft.rfftfreq(seg_len, period)[1]))
-    if not (psd.values[_band(seg_len)] > 0.0).all():
+    if not (psd.values[band(seg_len)] > 0.0).all():
         raise ValidationError("estimated PSD is not positive on the analysis band")
     return psd
 
@@ -184,7 +177,8 @@ def interpolate_psd(psd: Psd, m_time: int, dt: float) -> Psd:
     return Psd(values=np.interp(f_new, f_old, psd.values), df=df)
 
 
-def _check_grids(*series, psd: Psd) -> None:
+def _analysis_band(*series: FrequencySeries, psd: Psd) -> slice:
+    """The analysis band of spectra on one grid, checked against the PSD."""
     n_bins = series[0].bins.shape[-1]
     df = series[0].df
     for s in series[1:]:
@@ -192,14 +186,10 @@ def _check_grids(*series, psd: Psd) -> None:
             raise ValidationError("frequency series are on different grids")
     if psd.values.size != n_bins or not math.isclose(psd.df, df, rel_tol=_GRID_RTOL):
         raise ValidationError("PSD grid does not match the spectra")
-
-
-def _analysis_band(m_time: int, psd: Psd) -> slice:
-    """The analysis band, checked against the PSD."""
-    band = _band(m_time)
-    if (psd.values[band] <= 0.0).any():
+    in_band = band(series[0].m_time)
+    if (psd.values[in_band] <= 0.0).any():
         raise ValidationError("PSD vanishes inside the analysis band")
-    return band
+    return in_band
 
 
 def normalize_template(s: FrequencySeries, psd: Psd) -> FrequencySeries:
@@ -209,9 +199,8 @@ def normalize_template(s: FrequencySeries, psd: Psd) -> FrequencySeries:
     Invariant under positive rescaling of the input; rejects templates
     with no energy in the band and PSDs that vanish inside it.
     """
-    _check_grids(s, psd=psd)
-    band = _analysis_band(s.m_time, psd)
-    sigma_sq = np.sum(np.abs(s.bins[..., band]) ** 2 / psd.values[band], axis=-1) * s.df
+    in_band = _analysis_band(s, psd=psd)
+    sigma_sq = np.sum(np.abs(s.bins[..., in_band]) ** 2 / psd.values[in_band], axis=-1) * s.df
     if (sigma_sq <= 0.0).any():
         raise ValidationError("template has zero energy in the analysis band")
     return FrequencySeries(bins=s.bins / np.sqrt(sigma_sq)[..., None], df=s.df,
@@ -247,13 +236,12 @@ def filter_series(data: FrequencySeries, template: FrequencySeries, psd: Psd) ->
     spectrum, Re z is the signed phase-0 filter output and |z| the
     phase-maximized SNR.  The result has the template's leading axes.
     """
-    _check_grids(data, template, psd=psd)
-    band = _analysis_band(data.m_time, psd)
+    in_band = _analysis_band(data, template, psd=psd)
     m = data.m_time
     integrand = np.zeros(template.bins.shape[:-1] + (m,), dtype=np.complex128)
-    weighted = np.conj(template.bins[..., band], out=integrand[..., band])
-    weighted *= data.bins[..., band]
-    weighted /= psd.values[band]
+    weighted = np.conj(template.bins[..., in_band], out=integrand[..., in_band])
+    weighted *= data.bins[..., in_band]
+    weighted /= psd.values[in_band]
     z = np.fft.ifft(integrand, axis=-1, out=integrand)
     z *= m  # ifft carries 1/M; the sum does not
     z *= 2.0 / m

@@ -3,10 +3,11 @@
 ``fan_out(fn, items)`` yields ``fn(item)`` for each item, in order.  With
 w >= 2 workers it forks them, and worker k computes ``items[k::w]``: the
 fork hands ``fn`` and the items over, so neither is pickled.  Each result
-comes back down the worker's own pipe as the bytes of ``pickle.dumps``
-after an 8-byte length, and a worker whose pipe is full waits, so the
-parent holds about one result per worker.  An exception ``fn`` raises is
-sent back and raised again in the parent at that item's place.
+comes back down the worker's own pipe as one pickle, which marks its own
+end, and a worker whose pipe is full waits, so the parent holds about one
+result per worker.  An exception ``fn`` raises is sent back and raised
+again in the parent at that item's place; a worker that ends before
+sending a result raises ``ChildProcessError`` there.
 
 A worker leaves only by ``os._exit``: it never returns into the caller's
 code, never runs the caller's ``finally`` or ``except`` blocks, and never
@@ -60,7 +61,10 @@ def fan_out(fn: Callable, items: Sequence, workers: int | None = None) -> Iterat
             os.close(wr)
             readers.append(open(r, "rb"))
         for i in range(len(items)):
-            ok, value = pickle.loads(_frame(readers[i % w]))
+            try:
+                ok, value = pickle.load(readers[i % w])
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError("a worker ended before sending its result") from None
             if not ok:
                 raise value
             yield value
@@ -77,26 +81,15 @@ def _work(fn: Callable, items: Sequence, out: int, parent_fds: list[int]) -> NoR
     try:
         for fd in parent_fds:  # a dead parent leaves no reader: the next write fails
             os.close(fd)
+        writer = open(out, "wb")
         for item in items:
             try:
                 result = (True, fn(item))
             except Exception as exc:
                 result = (False, exc)
-            frame = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
-            view = memoryview(len(frame).to_bytes(8, "little") + frame)
-            while view:
-                view = view[os.write(out, view):]
+            pickle.dump(result, writer, pickle.HIGHEST_PROTOCOL)
+            writer.flush()
             if not result[0]:
                 break
     finally:
         os._exit(0)
-
-
-def _frame(reader: BinaryIO) -> bytes:
-    """The next length-prefixed frame a worker sent."""
-    head = reader.read(8)
-    size = int.from_bytes(head, "little")
-    body = reader.read(size)
-    if len(head) < 8 or len(body) < size:
-        raise ChildProcessError("a worker ended before sending its result")
-    return body

@@ -122,19 +122,19 @@ def test_c05_total_failure_reference_value():
 
 
 def test_c05_single_match_bound():
-    value = amplify.max_fail_bound(1)
+    value = amplify.max_fail_bound_argmax(1)[1]
     assert check("c5", "worst-case bound for one match = 0.453 +- 0.002",
                  abs(value - 0.453) <= 0.002, f"value={value:.4f}")
 
 
 def test_c05_bound_family():
-    worst = max(amplify.max_fail_bound(r, grid_points=4001) for r in range(1, 51))
+    worst = max(amplify.max_fail_bound_argmax(r, grid_points=4001)[1] for r in range(1, 51))
     assert check("c5", "bound <= 0.455 for 1..50 matches", worst <= 0.455,
                  f"worst={worst:.4f}")
 
 
 def test_c05_large_match_limit():
-    value = amplify.max_fail_bound(10_000, grid_points=40001)
+    value = amplify.max_fail_bound_argmax(10_000, grid_points=40001)[1]
     limit = 1 - 8 / math.pi**2
     assert check("c5", "bound approaches 1 - 8/pi^2 for 10^4 matches",
                  abs(value - limit) <= 0.02, f"value={value:.4f} limit={limit:.4f}")
@@ -207,7 +207,7 @@ def test_c08_fft_equals_direct_sum(m):
     qc = dsp.complex_template(params, fs, m, psd)
     h = dsp.forward_fft(dsp.TimeSeries(rng.normal(size=m), dt=1.0 / fs))
     fast = dsp.snr_series(h, qc, psd).rho
-    ks = np.flatnonzero(dsp.band_mask(m))
+    ks = np.arange(m // 2 + 1)[dsp.band(m)]
     weights = np.conj(qc.bins[ks]) * h.bins[ks] / psd.values[ks]
     phases = np.exp(2j * np.pi * np.outer(np.arange(m), ks) / m)
     direct = np.abs(2.0 / m * (weights[None, :] * phases).sum(axis=1))

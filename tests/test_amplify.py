@@ -493,7 +493,7 @@ class TestFailBound:
 
 class TestMaxFailBound:
     def test_single_match_worst_case(self):
-        assert amplify.max_fail_bound(1) == pytest.approx(0.453, abs=0.002)
+        assert amplify.max_fail_bound_argmax(1)[1] == pytest.approx(0.453, abs=0.002)
 
     def test_argmax_is_reported_and_consistent(self):
         eps, bound = amplify.max_fail_bound_argmax(5)
@@ -520,7 +520,7 @@ class TestMaxFailBound:
 
     @pytest.mark.parametrize("r", [2, 3, 7, 12])
     def test_never_exceeds_single_match_case(self, r):
-        assert amplify.max_fail_bound(r, grid_points=4001) <= 0.453 + 1e-6
+        assert amplify.max_fail_bound_argmax(r, grid_points=4001)[1] <= 0.453 + 1e-6
 
 
 class TestRounding:

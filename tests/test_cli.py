@@ -1137,8 +1137,9 @@ def _refusals():
     Every config float that is not finite, each overflow of a result,
     the int64 bounds on the lattice and the trial count, and for every
     command that writes an output in a missing directory, an empty output
-    path, and an output path, given or derived beside ``--out``, that
-    names a directory (a ``None`` file).  The injections that
+    path, an output path, given or derived beside ``--out``, that names a
+    directory (a ``None`` file), and a second output that names the file
+    of ``--out``.  The injections that
     overflow run on 1, 2 and 3 CPUs: the search's workers fork inside
     the command's ``np.errstate``.
     """
@@ -1218,6 +1219,16 @@ def _refusals():
                            "Is a directory: 'dir'", id=f"{flag[2:]}-dir-{argv[0]}")
         yield pytest.param(1, files, [*argv, flag, ""], EXIT_INPUT, f"empty path for {flag}",
                            id=f"{flag[2:]}-empty-{argv[0]}")
+    for flag, same, files, argv in (
+            ("--summary-out", "o.json", _mf_snr_files(), _MF_SNR),
+            ("--marginal-out", "./o.json", {},
+             ["qsim-count", "--data-bits", "0101", "--p", 3, "--seed", 1]),
+            ("--marginal-out", "o.json", {},
+             ["qsim-search", "--data-bits", "0101", "--iterations", 1, "--seed", 1]),
+            ("--hist-out", "o.json", _SYNTHETIC, ["mc-bench", *config])):
+        yield pytest.param(1, files, [*argv, "--out", "o.json", flag, same], EXIT_INPUT,
+                           f"{flag} and --out name one file: '{same}'",
+                           id=f"{flag[2:]}-same-{argv[0]}")
 
 
 @pytest.mark.filterwarnings("error")  # a NumPy warning, in a worker too, fails the run

@@ -250,7 +250,7 @@ class TestSnrSeries:
         q = dsp.complex_template(params, fs, m, psd)
         h = dsp.forward_fft(dsp.TimeSeries(rng.normal(size=m), dt=1.0 / fs))
         fast = dsp.snr_series(h, q, psd).rho
-        ks = np.flatnonzero(dsp.band_mask(m))
+        ks = np.arange(m // 2 + 1)[dsp.band(m)]
         j = np.arange(m)
         weights = np.conj(q.bins[ks]) * h.bins[ks] / psd.values[ks]
         direct = np.abs(
@@ -302,9 +302,7 @@ class TestMaxSnrAndPredicate:
         assert dsp.max_snr(dsp.SnrSeries(rho, dt=1.0)) == (rho[best], best)
 
 
-class TestBandMask:
+class TestBand:
     def test_excludes_dc_and_even_nyquist(self):
-        mask = dsp.band_mask(8)
-        assert mask.tolist() == [False, True, True, True, False]
-        mask_odd = dsp.band_mask(9)
-        assert mask_odd.tolist() == [False, True, True, True, True]
+        assert np.arange(5)[dsp.band(8)].tolist() == [1, 2, 3]
+        assert np.arange(5)[dsp.band(9)].tolist() == [1, 2, 3, 4]

@@ -67,6 +67,20 @@ def test_error_raised_at_its_item(two_workers):
     assert_no_child_left()
 
 
+def test_worker_death_raised_at_its_item(two_workers):
+    def fn(x):
+        if x == 5:
+            os._exit(1)  # the worker dies without sending a result
+        return x
+
+    got = []
+    with pytest.raises(ChildProcessError, match="^a worker ended before sending its result$"):
+        for value in fanout.fan_out(fn, range(9)):
+            got.append(value)
+    assert got == [0, 1, 2, 3, 4]
+    assert_no_child_left()
+
+
 def test_search_error_reaches_the_caller(monkeypatch, two_workers):
     spec = BankSpec.from_config(ZERO_ENERGY_BANK)
     psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs)

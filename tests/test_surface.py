@@ -3,9 +3,9 @@
 A public module-level function, class or constant, or a public method,
 must be named somewhere in ``src/``, ``perfbench/`` or the acceptance
 suite other than in its own definition.  A name counts when code uses
-it, when a string literal is exactly the name (as in
-``perfbench/launcher.TRACED``), or when a docstring refers to it in
-double backquotes.  Comments do not count.  Code that only unit tests
+it, or when a string literal is exactly the name (as in
+``perfbench/launcher.TRACED``).  Comments and docstrings do not count,
+so no code survives on a mention alone.  Code that only unit tests
 reach is deleted together with those tests.
 
 Every module of ``qmf`` also imports a lazy layer by one rule, checked
@@ -13,7 +13,6 @@ on its syntax tree: as a module, at the top.
 """
 
 import ast
-import re
 from pathlib import Path
 
 import pytest
@@ -54,8 +53,6 @@ def names_in(tree: ast.AST, skip: ast.AST | None = None) -> set[str]:
         elif isinstance(node, ast.Constant) and isinstance(node.value, str):
             if node.value.isidentifier():
                 names.add(node.value)
-            for ref in re.findall(r"``([\w.]+)``", node.value):
-                names.update(ref.split("."))
         stack.extend(ast.iter_child_nodes(node))
     return names
 
