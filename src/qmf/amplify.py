@@ -354,7 +354,7 @@ def p_fail_total(n: int, r: int, p: int) -> float:
         fail = np.cos((2.0 * k_star + 1.0) * theta) ** 2
         if start == 0:
             fail[0] = 1.0
-        total += float(np.dot(probs, fail))
+        total += float((probs * fail).sum())  # not BLAS, whose bits vary with its threads
     return total
 
 

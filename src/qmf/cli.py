@@ -15,6 +15,10 @@ import os
 import sys
 from pathlib import Path
 
+# No command calls BLAS, so numpy's import starts no OpenBLAS thread pool;
+# a value set by the caller is kept.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import numpy as np
 
 from . import amplify, bank, cw, dsp, fanout, io, pipeline, qsim
@@ -97,14 +101,20 @@ def cmd_mf_snr(args) -> None:
         psd = dsp.interpolate_psd(psd, ts.m, ts.dt)
         params = bank.index_to_params(spec, args.index)
         qc = dsp.complex_template(params, spec.fs, spec.m_samples, psd)
-        snr = dsp.snr_series(dsp.forward_fft(ts), qc, psd)
+        data = dsp.forward_fft(ts)
+        t0, dt = ts.t0, 1.0 / (data.df * data.m_time)
+        del ts  # each full-length array goes once used: the transform runs beside the PSD alone
+        integrand = dsp.filter_integrand(data, qc, psd)
+        del data, qc
+        snr = dsp.snr_series(integrand, dt)
+        del integrand
     except NonFiniteError as exc:
         given = f"--data {args.data}" + (f" or --psd {args.psd}" if args.psd else "")
         raise ValidationError(f"{given} overflows the matched filter: {exc}") from None
     rho_max, j_max = dsp.max_snr(snr)
-    t_max = ts.t0 + j_max * snr.dt
+    t_max = t0 + j_max * snr.dt
     prov = _provenance(args)
-    io.write_snr(args.out, snr, prov, t0=ts.t0)
+    io.write_snr(args.out, snr, prov, t0=t0)
     io.write_json(_second_out(args), {"rho_max": rho_max, "t_max": t_max, "j_max": j_max}, prov)
     print(f"rho_max={rho_max:.6g} at t={t_max:.6g}s -> {args.out}")
 

@@ -14,7 +14,8 @@ Conventions, fixed once here and relied on everywhere else:
   exp(2 pi i j k / M)|.
 
 All operations are pure functions of value-like inputs and are safe to
-call concurrently.
+call concurrently, except :func:`snr_series`, which transforms the
+integrand it is given in place.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ from . import bank
 from .errors import NonFiniteError, ValidationError
 
 _GRID_RTOL = 1e-9
+# Segments a Welch block detrends, windows and transforms at once: 2 MB a copy at 4096 samples.
+_WELCH_BLOCK = 64
 
 
 @dataclass(eq=False)
@@ -150,10 +153,14 @@ def estimate_psd(ts: TimeSeries, seg_len: int) -> Psd:
     # Density scaling; the built-in sum adds in order, as scipy's does.
     win = win * (1.0 / np.sqrt(sum(win ** 2) / period))
     segments = np.lib.stride_tricks.sliding_window_view(ts.samples, seg_len)[::hop]
-    segments = segments - segments.mean(axis=-1, keepdims=True)
-    spectra = np.fft.rfft(segments * win, axis=-1)
-    # Laid out (frequency, segment), so the mean adds each bin's segments as scipy's does.
-    power = np.ascontiguousarray((spectra.real ** 2 + spectra.imag ** 2).T)
+    # Laid out (frequency, segment), so the mean adds each bin's segments as scipy's does,
+    # and filled a block of segments at a time, so each copy is one block's, not the series'.
+    power = np.empty((seg_len // 2 + 1, n_segments))
+    for start in range(0, n_segments, _WELCH_BLOCK):
+        block = segments[start:start + _WELCH_BLOCK]
+        block = block - block.mean(axis=-1, keepdims=True)
+        spectra = np.fft.rfft(block * win, axis=-1)
+        power[:, start:start + _WELCH_BLOCK] = (spectra.real ** 2 + spectra.imag ** 2).T
     power[1:-1 if seg_len % 2 == 0 else None] *= 2
     psd = Psd(values=power.mean(axis=-1), df=float(np.fft.rfftfreq(seg_len, period)[1]))
     if not (psd.values[band(seg_len)] > 0.0).all():
@@ -225,6 +232,30 @@ def complex_template(params, fs: float, m: int, psd: Psd) -> FrequencySeries:
     return FrequencySeries(bins=0.5 * (q[0] - 1j * q[1]), df=df, m_time=m)
 
 
+def filter_integrand(data: FrequencySeries, template: FrequencySeries,
+                     psd: Psd) -> np.ndarray:
+    """conj(Q_k) h_k / S_n(f_k) on the band, zero elsewhere, per template row.
+
+    Full length M along the last axis: the buffer that :func:`filter_series`
+    and :func:`snr_series` transform in place.
+    """
+    in_band = _analysis_band(data, template, psd=psd)
+    integrand = np.zeros(template.bins.shape[:-1] + (data.m_time,), dtype=np.complex128)
+    weighted = np.conj(template.bins[..., in_band], out=integrand[..., in_band])
+    weighted *= data.bins[..., in_band]
+    weighted /= psd.values[in_band]
+    return integrand
+
+
+def _transform(integrand: np.ndarray) -> np.ndarray:
+    """z = 2/M * sum_k integrand_k e^{2 pi i jk/M}, computed in the integrand's buffer."""
+    m = integrand.shape[-1]
+    z = np.fft.ifft(integrand, axis=-1, out=integrand)
+    z *= m  # ifft carries 1/M; the sum does not
+    z *= 2.0 / m
+    return z
+
+
 def filter_series(data: FrequencySeries, template: FrequencySeries, psd: Psd) -> np.ndarray:
     """Complex matched-filter output of one data spectrum, per template row.
 
@@ -236,23 +267,15 @@ def filter_series(data: FrequencySeries, template: FrequencySeries, psd: Psd) ->
     spectrum, Re z is the signed phase-0 filter output and |z| the
     phase-maximized SNR.  The result has the template's leading axes.
     """
-    in_band = _analysis_band(data, template, psd=psd)
-    m = data.m_time
-    integrand = np.zeros(template.bins.shape[:-1] + (m,), dtype=np.complex128)
-    weighted = np.conj(template.bins[..., in_band], out=integrand[..., in_band])
-    weighted *= data.bins[..., in_band]
-    weighted /= psd.values[in_band]
-    z = np.fft.ifft(integrand, axis=-1, out=integrand)
-    z *= m  # ifft carries 1/M; the sum does not
-    z *= 2.0 / m
-    return z
+    return _transform(filter_integrand(data, template, psd))
 
 
-def snr_series(data: FrequencySeries, qc: FrequencySeries, psd: Psd) -> SnrSeries:
-    """Matched-filter SNR series rho(t_j) = |filter_series(...)|."""
-    z = filter_series(data, qc, psd)
-    dt = 1.0 / (data.df * data.m_time)
-    return SnrSeries(rho=np.abs(z), dt=dt)
+def snr_series(integrand: np.ndarray, dt: float) -> SnrSeries:
+    """SNR series rho(t_j) = |z(t_j)| of one :func:`filter_integrand`, ``dt`` apart.
+
+    The transform runs in place: ``integrand`` holds z afterwards.
+    """
+    return SnrSeries(rho=np.abs(_transform(integrand)), dt=dt)
 
 
 def max_snr(snr: SnrSeries) -> tuple[float, int]:

@@ -16,9 +16,9 @@ worker when the results end, when one is an error, and when the consumer
 stops early.  With one CPU, or without ``fork``, it is ``map`` in this
 process.
 
-The fork copies only the calling thread.  The one other thread a qmf
-process has is OpenBLAS's pool, which its own fork handlers stop, and
-no unit of work calls BLAS.
+The fork copies only the calling thread.  A qmf process has no other:
+no unit of work calls BLAS, and the CLI asks OpenBLAS for one thread
+before numpy is imported, so numpy starts no pool.
 """
 
 from __future__ import annotations

@@ -206,7 +206,7 @@ def test_c08_fft_equals_direct_sum(m):
     params = bank.ChirpParams(f0=10.0, f1=8.0, dur=min(1.0, m / fs / 2))
     qc = dsp.complex_template(params, fs, m, psd)
     h = dsp.forward_fft(dsp.TimeSeries(rng.normal(size=m), dt=1.0 / fs))
-    fast = dsp.snr_series(h, qc, psd).rho
+    fast = dsp.snr_series(dsp.filter_integrand(h, qc, psd), 1.0 / fs).rho
     ks = np.arange(m // 2 + 1)[dsp.band(m)]
     weights = np.conj(qc.bins[ks]) * h.bins[ks] / psd.values[ks]
     phases = np.exp(2j * np.pi * np.outer(np.arange(m), ks) / m)
@@ -229,7 +229,7 @@ def synthetic_bank_scenario():
     data = dsp.forward_fft(dsp.TimeSeries(strain, dt=1.0 / spec.fs))
     qc = dsp.complex_template(bank.index_to_params(spec, inject),
                               spec.fs, spec.m_samples, psd)
-    rho_inj = dsp.max_snr(dsp.snr_series(data, qc, psd))[0]
+    rho_inj = dsp.max_snr(dsp.snr_series(dsp.filter_integrand(data, qc, psd), 1.0 / spec.fs))[0]
     rho_thr = 0.8 * rho_inj
     counter = OracleCounter()
     match_set = pipeline.classical_search(spec, data, psd, rho_thr, counter)
@@ -242,7 +242,8 @@ def test_c08_injection_recovered_at_index(synthetic_bank_scenario):
     for i in range(rhos.size):
         qc = dsp.complex_template(bank.index_to_params(spec, i),
                                   spec.fs, spec.m_samples, psd)
-        rhos[i] = dsp.max_snr(dsp.snr_series(data, qc, psd))[0]
+        rhos[i] = dsp.max_snr(dsp.snr_series(dsp.filter_integrand(data, qc, psd),
+                                              1.0 / spec.fs))[0]
     best = int(np.argmax(rhos))
     assert check("c8", "loudest template is the injected lattice point",
                  best == inject, f"best={best} inject={inject}")

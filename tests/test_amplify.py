@@ -1,6 +1,9 @@
 """Unit tests for the closed-form amplification/counting model."""
 
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -438,6 +441,17 @@ class TestPFailTotal:
     def test_success_bound(self, n, r):
         p = amplify.choose_p(n)
         assert 1.0 - amplify.p_fail_total(n, r, p) >= 0.547
+
+    def test_same_bits_for_any_blas_thread_count(self):
+        # 2**17 outcomes: OpenBLAS splits a dot product of more than 10,000
+        # elements over its threads, and the split changes the last bits
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = "from qmf import amplify; print(repr(amplify.p_fail_total(2**30, 100, 17)))"
+        reprs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                                check=True, env={**os.environ, "PYTHONPATH": src,
+                                                 "OPENBLAS_NUM_THREADS": threads}).stdout
+                 for threads in ("1", "2")]
+        assert reprs[0] == reprs[1]
 
 
 class TestFailBound:

@@ -215,5 +215,6 @@ class TestSelfMatchDominance:
         ]
         for i in range(bank_size(spec)):
             data = dsp.forward_fft(waveform(index_to_params(spec, i), spec.fs, spec.m_samples))
-            rhos = [dsp.max_snr(dsp.snr_series(data, q, psd))[0] for q in templates]
+            rhos = [dsp.max_snr(dsp.snr_series(dsp.filter_integrand(data, q, psd),
+                                               1.0 / spec.fs))[0] for q in templates]
             assert int(np.argmax(rhos)) == i

@@ -157,6 +157,37 @@ class TestMfSnr:
         assert run("mf-snr", "--data", data, "--bank-config", bank_cfg_file, "--index", 0,
                    "--seg-len", 257, "--out", tmp_path / "snr.csv") == EXIT_OK
 
+    def test_peak_within_the_stated_bytes(self, tmp_path, monkeypatch):
+        # README: the transform runs beside the PSD alone (4 bytes a sample)
+        # in the integrand's buffer (16); pocketfft's scratch is not traced.
+        # The traced peak is the template build: the strain (8), the PSD
+        # (4), the template's two spectra (16) and two temporaries of the
+        # same size (16).  255 segments of 1024 fill three Welch blocks and
+        # part of a fourth, each a quarter of the series.
+        m = 2**18
+        (tmp_path / "bank.json").write_text(json.dumps({**BANK_CFG, "m_samples": m}))
+        np.random.default_rng(3).normal(size=m).astype("<f8").tofile(tmp_path / "s.f64")
+        (tmp_path / "s.f64.json").write_text('{"fs_hz": 512.0}')
+        argv = ("mf-snr", "--data", tmp_path / "s.f64", "--bank-config", tmp_path / "bank.json",
+                "--index", 5, "--seg-len", 1024, "--out", tmp_path / "o.csv")
+        assert run(*argv) == EXIT_OK  # first run: lazy imports are not counted
+        at_transform = []
+        snr_series = dsp.snr_series
+
+        def transform(*args):
+            at_transform.append(tracemalloc.get_traced_memory()[0])
+            return snr_series(*args)
+
+        monkeypatch.setattr(dsp, "snr_series", transform)
+        tracemalloc.start()
+        try:
+            assert run(*argv) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert at_transform[0] < 21 * m
+        assert peak < 48 * m
+
     def test_missing_file_exits_2(self, tmp_path, bank_cfg_file):
         assert run("mf-snr", "--data", tmp_path / "absent.csv",
                    "--bank-config", bank_cfg_file, "--index", 0,
@@ -645,6 +676,26 @@ class TestLayerLoading:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env=_env_with_src(), check=True).stdout
         assert out.split() == ["True", "False"]
+
+
+class TestBlasThreads:
+    """No command calls BLAS, so the CLI asks OpenBLAS for one thread unless told otherwise."""
+
+    # the variable and the threads of a fresh interpreter after ``import qmf.cli``
+    SCRIPT = ("import os, qmf.cli; "
+              "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') "
+              "else 1; print(os.environ.get('OPENBLAS_NUM_THREADS'), tasks)")
+
+    def after_import(self, **preset):
+        env = {k: v for k, v in _env_with_src().items() if k != "OPENBLAS_NUM_THREADS"}
+        return subprocess.run([sys.executable, "-c", self.SCRIPT], capture_output=True,
+                              text=True, env={**env, **preset}, check=True).stdout.split()
+
+    def test_one_thread_by_default(self):
+        assert self.after_import() == ["1", "1"]
+
+    def test_a_preset_value_is_kept(self):
+        assert self.after_import(OPENBLAS_NUM_THREADS="2")[0] == "2"
 
 
 class TestCountDist:

@@ -31,6 +31,12 @@ def chirp_data(phi0=0.0, amplitude=1.0, shift=0):
     return dsp.forward_fft(dsp.TimeSeries(samples, dt=1.0 / FS))
 
 
+def snr_of(data, template, psd):
+    """The SNR series of one data spectrum and one template, on the data's time grid."""
+    return dsp.snr_series(dsp.filter_integrand(data, template, psd),
+                          1.0 / (data.df * data.m_time))
+
+
 class TestTypes:
     def test_time_series_rejects_non_finite(self):
         with pytest.raises(ValidationError, match="index 3"):
@@ -120,6 +126,13 @@ class TestEstimatePsd:
         (4099, 31, 1.0 / 3000, 2.5),       # nonzero mean
         (3000, 256, 1.0 / 7.3, -4.0),
         (64, 3, 0.1, 1.0),
+        # 2, 63, 64, 65 and 129 segments of 16: one block of 64, part of one,
+        # exactly one, one and one segment more, two and one segment more
+        (16 + 1 * 8, 16, 1.0 / 1024, 0.5),
+        (16 + 62 * 8 + 5, 16, 1.0 / 1024, 0.0),
+        (16 + 63 * 8, 16, 1.0 / 1024, 0.0),
+        (16 + 64 * 8 + 7, 16, 1.0 / 1024, 0.0),
+        (16 + 128 * 8, 16, 1.0 / 1024, 0.0),
     ])
     def test_equals_scipy_welch_bit_for_bit(self, m, seg_len, dt, mean):
         x = np.random.default_rng(seg_len).normal(size=m) + mean
@@ -193,7 +206,7 @@ class TestComplexTemplate:
     def test_peak_is_phase_invariant(self, white, qc):
         maxima = []
         for phi in (0.0, np.pi / 4, np.pi / 2, 1.3):
-            snr = dsp.snr_series(chirp_data(phi0=phi), qc, white)
+            snr = snr_of(chirp_data(phi0=phi), qc, white)
             maxima.append(dsp.max_snr(snr)[0])
         assert (max(maxima) - min(maxima)) / np.mean(maxima) < 0.01
 
@@ -235,11 +248,11 @@ class TestOneChirpAndBlock:
 class TestSnrSeries:
     def test_zero_data_gives_zero_snr(self, white, qc):
         zero = dsp.FrequencySeries(np.zeros(M // 2 + 1, complex), qc.df, M)
-        snr = dsp.snr_series(zero, qc, white)
+        snr = snr_of(zero, qc, white)
         assert np.all(snr.rho == 0.0)
 
     def test_injection_peaks_at_offset(self, white, qc):
-        snr = dsp.snr_series(chirp_data(shift=300), qc, white)
+        snr = snr_of(chirp_data(shift=300), qc, white)
         assert dsp.max_snr(snr)[1] == 300
 
     def test_fft_path_equals_direct_sum(self):
@@ -249,7 +262,7 @@ class TestSnrSeries:
         params = ChirpParams(f0=20.0, f1=5.0, dur=1.0)
         q = dsp.complex_template(params, fs, m, psd)
         h = dsp.forward_fft(dsp.TimeSeries(rng.normal(size=m), dt=1.0 / fs))
-        fast = dsp.snr_series(h, q, psd).rho
+        fast = snr_of(h, q, psd).rho
         ks = np.arange(m // 2 + 1)[dsp.band(m)]
         j = np.arange(m)
         weights = np.conj(q.bins[ks]) * h.bins[ks] / psd.values[ks]
@@ -261,7 +274,7 @@ class TestSnrSeries:
     def test_grid_mismatch_rejected(self, white, qc):
         other = dsp.forward_fft(dsp.TimeSeries(np.zeros(M // 2), dt=1.0 / FS))
         with pytest.raises(ValidationError):
-            dsp.snr_series(other, qc, white)
+            snr_of(other, qc, white)
 
     def test_self_match_scales_linearly(self, white, qc):
         # data built as the inverse transform of S_n * Q
@@ -270,14 +283,14 @@ class TestSnrSeries:
         rhos = []
         for amp in (1.0, 3.0, 11.0):
             h = dsp.forward_fft(dsp.TimeSeries(amp * base, dt=1.0 / FS))
-            rhos.append(dsp.max_snr(dsp.snr_series(h, qc, white))[0])
+            rhos.append(dsp.max_snr(snr_of(h, qc, white))[0])
         assert rhos[1] / rhos[0] == pytest.approx(3.0, rel=1e-9)
         assert rhos[2] / rhos[0] == pytest.approx(11.0, rel=1e-9)
 
     def test_noise_calibration(self, white, qc):
         rng = np.random.default_rng(6)
         means = [
-            np.mean(dsp.snr_series(
+            np.mean(snr_of(
                 dsp.forward_fft(dsp.TimeSeries(rng.normal(size=M), dt=1.0 / FS)),
                 qc, white).rho ** 2)
             for _ in range(30)

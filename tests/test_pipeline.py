@@ -86,7 +86,8 @@ class TestClassicalSearch:
         for i in range(bank_size(spec)):
             qc = dsp.complex_template(index_to_params(spec, i), spec.fs,
                                       spec.m_samples, psd)
-            rho = float(np.max(dsp.snr_series(data, qc, psd).rho))
+            integrand = dsp.filter_integrand(data, qc, psd)
+            rho = float(np.max(dsp.snr_series(integrand, 1.0 / spec.fs).rho))
             if rho >= thr:
                 expected.append(i)
         assert matches == expected
@@ -95,8 +96,8 @@ class TestClassicalSearch:
 def loop_peak_snrs(spec, data, psd):
     """Reference: one complex_template + snr_series per template."""
     return np.array([
-        dsp.max_snr(dsp.snr_series(data, dsp.complex_template(
-            index_to_params(spec, i), spec.fs, spec.m_samples, psd), psd))[0]
+        dsp.max_snr(dsp.snr_series(dsp.filter_integrand(data, dsp.complex_template(
+            index_to_params(spec, i), spec.fs, spec.m_samples, psd), psd), 1.0 / spec.fs))[0]
         for i in range(bank_size(spec))
     ])
 

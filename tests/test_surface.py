@@ -9,7 +9,8 @@ so no code survives on a mention alone.  Code that only unit tests
 reach is deleted together with those tests.
 
 Every module of ``qmf`` also imports a lazy layer by one rule, checked
-on its syntax tree: as a module, at the top.
+on its syntax tree: as a module, at the top.  And no module calls BLAS,
+whose sums change their last bits with OpenBLAS's thread count.
 """
 
 import ast
@@ -117,3 +118,49 @@ def test_every_layer_is_imported_as_a_module_at_the_top():
 ])
 def test_a_fault_of_the_loading_rule_is_found(source):
     assert len(loading_faults(ast.parse(source))) == 1
+
+
+# numpy's ways into BLAS (``@`` is checked as an operator).
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "einsum", "tensordot", "linalg"}
+
+
+def blas_calls(tree: ast.Module) -> list[str]:
+    """Each use of a BLAS routine in ``tree``, as ``line: what``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append(f"{node.lineno}: @")
+        elif isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES:
+            found.append(f"{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Name) and node.id in BLAS_NAMES:
+            found.append(f"{node.lineno}: {node.id}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            names = {part for name in [*modules, *(a.name for a in node.names)]
+                     for part in name.split(".")}
+            found += [f"{node.lineno}: import {name}" for name in sorted(names & BLAS_NAMES)]
+    return found
+
+
+def test_no_module_calls_blas():
+    calls = [f"{path.name}:{call}" for path in sorted((ROOT / "src" / "qmf").glob("*.py"))
+             for call in blas_calls(ast.parse(path.read_text()))]
+    assert not calls, "; ".join(calls)
+
+
+@pytest.mark.parametrize("source", [
+    "np.dot(a, b)",
+    "a.dot(b)",
+    "a @ b",
+    "a @= b",
+    "np.matmul(a, b)",
+    "np.inner(a, b)",
+    "np.vdot(a, b)",
+    "np.einsum('i,i', a, b)",
+    "np.tensordot(a, b, 1)",
+    "np.linalg.norm(a)",
+    "from numpy import dot",
+    "from numpy.linalg import norm",
+])
+def test_a_blas_call_is_found(source):
+    assert len(blas_calls(ast.parse(source))) == 1
