@@ -85,7 +85,7 @@ def cmd_mf_snr(args) -> None:
         )
     if args.psd is not None:
         psd = io.read_psd(args.psd)
-        top = ((ts.m + 1) // 2 - 1) / (ts.m * ts.dt)  # top bin of the analysis band
+        top = (dsp.band(ts.m).stop - 1) / (ts.m * ts.dt)  # top bin of the analysis band
         reach = (psd.values.size - 1) * psd.df
         # short of the band top by more than the input-grid tolerance: refused, not extended
         if reach < top and not np.isclose(reach, top, **io.GRID_TOL):

@@ -297,16 +297,19 @@ def write_snr(path: str | Path, snr: dsp.SnrSeries, provenance: str, t0: float =
 
 def _read_two_columns(path: Path, expected: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("#")]
-    if not lines:
-        raise InputError(f"{path}: empty file")
-    header = tuple(c.strip() for c in lines[0].split(","))
-    if header != expected:
-        raise InputError(f"{path}: expected header {','.join(expected)!r}")
-    try:
-        data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-    except ValueError as exc:
-        raise InputError(f"{path}: malformed row ({exc})") from None
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise InputError(f"{path}: expected two columns")
-    return data[:, 0], data[:, 1]
+        rows = ((k, ln.strip().split(",")) for k, ln in enumerate(fh, 1)
+                if ln.strip() and not ln.startswith("#"))
+        _, header = next(rows, (0, None))
+        if header is None:
+            raise InputError(f"{path}: empty file")
+        if tuple(c.strip() for c in header) != expected:
+            raise InputError(f"{path}: expected header {','.join(expected)!r}")
+        values = []
+        for k, fields in rows:
+            if len(fields) != 2:
+                raise InputError(f"{path}: line {k}: expected two columns, got {len(fields)}")
+            try:
+                values += [float(v) for v in fields]
+            except ValueError as exc:
+                raise InputError(f"{path}: line {k}: malformed row ({exc})") from None
+    return np.array(values[0::2]), np.array(values[1::2])

@@ -123,29 +123,26 @@ def _peak_snrs(spec: bank.BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
     return peaks
 
 
-def _check_threshold(rho_thr: float) -> None:
-    """Refuse a match threshold that is not positive; run before any template is made."""
-    if not rho_thr > 0.0:
+def _oracle(spec: bank.BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd, idx: range,
+            rho_thr: float, counter: OracleCounter) -> np.ndarray:
+    """The sorted int64 offsets into ``idx`` where f(i), peak SNR >= rho_thr, is 1."""
+    if not rho_thr > 0.0:  # refused before any template is made
         raise ValidationError(f"threshold must be positive, got {rho_thr}")
+    hits = _peak_snrs(spec, data, psd, idx) >= rho_thr
+    counter.add(len(idx))  # one query a template, once the search has returned
+    return np.flatnonzero(hits)
 
 
 def oracle_eval(spec: bank.BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd, i: int,
                 rho_thr: float, counter: OracleCounter) -> int:
-    """The match predicate f(i): 1 iff template i's peak SNR reaches the threshold."""
-    _check_threshold(rho_thr)
-    hit = _peak_snrs(spec, data, psd, range(i, i + 1))[0] >= rho_thr
-    counter.add(1)
-    return int(hit)
+    """The match predicate f(i) of one template, charged 1."""
+    return _oracle(spec, data, psd, range(i, i + 1), rho_thr, counter).size
 
 
 def classical_search(spec: bank.BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
                      rho_thr: float, counter: OracleCounter) -> np.ndarray:
     """Exhaustive baseline: f(i) for every template, charged N; the sorted int64 matches."""
-    _check_threshold(rho_thr)
-    n = bank.bank_size(spec)
-    hits = _peak_snrs(spec, data, psd, range(n)) >= rho_thr
-    counter.add(n)
-    return np.flatnonzero(hits)
+    return _oracle(spec, data, psd, range(bank.bank_size(spec)), rho_thr, counter)
 
 
 # ---------------------------------------------------------------------------

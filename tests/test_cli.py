@@ -265,6 +265,42 @@ class TestInputErrors:
         assert err.count("\n") == 1 and err.startswith("input error: ") and message in err
         assert not (tmp_path / "snr.csv").exists()
 
+    def mf_snr_on_csv(self, tmp_path, bank_cfg_file, header, text):
+        """mf-snr with ``text`` below ``header`` as its CSV strain or as its CSV PSD."""
+        path = tmp_path / "two_columns.csv"
+        path.write_text(f"# provenance\n{header}\n{text}")
+        if header == "t,strain":
+            return self.mf_snr(tmp_path, path, bank_cfg_file)
+        raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
+        return run("mf-snr", "--data", raw, "--bank-config", bank_cfg_file, "--index", 0,
+                   "--psd", path, "--out", tmp_path / "snr.csv")
+
+    @pytest.mark.parametrize("header", ["t,strain", "f_hz,sn"], ids=["strain", "psd"])
+    @pytest.mark.parametrize("row,message", [
+        ("1.0,0.5,0.5", "line 6: expected two columns, got 3"),
+        ("1.0", "line 6: expected two columns, got 1"),
+        ("1.0,zero", "line 6: malformed row (could not convert string to float: 'zero')")],
+        ids=["three-fields", "one-field", "not-a-number"])
+    def test_csv_row_refused_by_its_line(self, tmp_path, bank_cfg_file, capsys, header, row,
+                                         message):
+        # lines 1 and 2 are the comment and the header, line 4 is blank
+        text = f"0.0,1.0\n\n0.5,1.0\n{row}\n1.5,1.0\n"
+        assert self.mf_snr_on_csv(tmp_path, bank_cfg_file, header, text) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("input error: ")
+        assert err.endswith(f"two_columns.csv: {message}\n")
+        assert not (tmp_path / "snr.csv").exists()
+
+    @pytest.mark.parametrize("header,message", [
+        ("t,strain", "need at least 2 samples"), ("f_hz,sn", "need at least 2 PSD bins")],
+        ids=["strain", "psd"])
+    def test_csv_header_without_rows_is_too_short(self, tmp_path, bank_cfg_file, capsys,
+                                                  header, message):
+        assert self.mf_snr_on_csv(tmp_path, bank_cfg_file, header, "") == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith(f"two_columns.csv: {message}\n")
+        assert not (tmp_path / "snr.csv").exists()
+
     def test_bank_count_not_a_number(self, tmp_path, capsys):
         raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
         bank_path = tmp_path / "bank.json"

@@ -238,17 +238,26 @@ class TestBatchedSearch:
 class TestThreshold:
     """The match predicate's threshold: inclusive, and positive or refused."""
 
-    @pytest.mark.parametrize("step,expected", [(0.0, 1), (1.0, 0), (-1.0, 1)],
-                             ids=["at-peak", "above-peak", "below-peak"])
-    def test_inclusive(self, toy_bank, step, expected):
+    # the threshold sits at the peak of the template of this rank, loudest
+    # first: rank 0 is the injection, rank 63 the quietest of the 64
+    @pytest.mark.parametrize("rank,step,expected", [
+        pytest.param(rank, step, expected, id=f"rank{rank}-{name}" if rank else name)
+        for rank in (0, 1, 4, 16, 40, 63)
+        for step, expected, name in [(0.0, 1, "at-peak"), (1.0, 0, "above-peak"),
+                                     (-1.0, 1, "below-peak")]])
+    def test_inclusive(self, toy_bank, step, expected, rank):
         spec, psd, data, inject = toy_bank
-        rho = pipeline._peak_snrs(spec, data, psd, range(inject, inject + 1))[0]
+        peaks = pipeline._peak_snrs(spec, data, psd, range(bank_size(spec)))  # one search
+        i = int(np.argsort(-peaks, kind="stable")[rank])
+        assert rank or i == inject
+        rho = peaks[i]
         thr = float(np.nextafter(rho, step * np.inf) if step else rho)
-        assert pipeline.oracle_eval(spec, data, psd, inject, thr, OracleCounter()) == expected
+        assert pipeline.oracle_eval(spec, data, psd, i, thr, OracleCounter()) == expected
         matches = pipeline.classical_search(spec, data, psd, thr, OracleCounter())
-        assert (inject in matches) == bool(expected)
+        assert (i in matches) == bool(expected)
+        assert matches.tolist() == np.flatnonzero(peaks >= thr).tolist()
 
-    @pytest.mark.parametrize("thr", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("thr", [0.0, -0.0, -1.0, -math.inf, math.nan])
     def test_refused_before_any_template(self, toy_bank, monkeypatch, thr):
         spec, psd, data, inject = toy_bank
         monkeypatch.setattr(pipeline, "_peak_snrs", no_search)

@@ -11,9 +11,13 @@ reach is deleted together with those tests.
 Every module of ``qmf`` also imports a lazy layer by one rule, checked
 on its syntax tree: as a module, at the top.  And no module calls BLAS,
 whose sums change their last bits with OpenBLAS's thread count.
+
+Every name that the benchmark harness reads from a layer resolves there,
+checked on the harness's syntax tree, so that a rename fails here.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -71,6 +75,42 @@ def test_every_public_name_is_reached():
                 unreached.append(f"{path.stem}.{name}")
     assert not unreached, f"reached only by unit tests: {', '.join(unreached)}"
 
+
+def traced_names(tree: ast.Module) -> list[tuple[str, str]]:
+    """(layer, name) of each function in the module's ``TRACED`` table."""
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets))
+    return [(layer, name) for layer, names in ast.literal_eval(table).items() for name in names]
+
+
+def layer_attributes(tree: ast.Module) -> list[tuple[str, str]]:
+    """(layer, attribute) of each ``layer.attribute`` read, for layers ``from qmf import``-ed."""
+    layers = {alias.asname or alias.name: alias.name for node in tree.body
+              if isinstance(node, ast.ImportFrom) and node.module == "qmf" for alias in node.names}
+    return sorted({(layers[node.value.id], node.attr) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                   and node.value.id in layers})
+
+
+def unresolved(names: list[tuple[str, str]]) -> list[str]:
+    """``layer.name`` of each pair whose layer has no such attribute."""
+    return [f"{layer}.{name}" for layer, name in names
+            if not hasattr(importlib.import_module(f"qmf.{layer}"), name)]
+
+
+def test_every_name_the_benchmark_reads_resolves_in_its_layer():
+    perfbench = ROOT / "perfbench"
+    traced = traced_names(ast.parse((perfbench / "launcher.py").read_text()))
+    read = layer_attributes(ast.parse((perfbench / "workloads.py").read_text()))
+    assert ("pipeline", "classical_search") in traced and ("pipeline", "oracle_eval") in read
+    missing = unresolved(traced + read)
+    assert not missing, f"read by perfbench but not in qmf: {', '.join(missing)}"
+
+
+def test_a_name_missing_from_its_layer_is_found():
+    traced = traced_names(ast.parse('TRACED = {"dsp": ("band", "no_such_kernel")}'))
+    read = layer_attributes(ast.parse("from qmf import pipeline as pl\npl.gone(pl.oracle_eval)"))
+    assert unresolved(traced + read) == ["dsp.no_such_kernel", "pipeline.gone"]
 
 
 # The layers that ``qmf/__init__.py`` registers as lazy modules.
