@@ -1,8 +1,10 @@
-"""Shared exception types.
+"""Shared exception types, and the one byte budget of every memory cap.
 
 The CLI maps these onto exit codes: bad input files exit 2,
 ``CapExceededError`` exits 3 and ``ValidationError`` exits 4.
 """
+
+BYTE_BUDGET = 1 << 30  # what qsim's default cap, an injection and mf-snr may hold
 
 
 class InputError(ValueError):
@@ -19,3 +21,9 @@ class NonFiniteError(ValidationError):
 
 class CapExceededError(RuntimeError):
     """A configured resource cap (qubits, memory) would be exceeded."""
+
+
+def check_bytes(what: str, need: int, budget: int = BYTE_BUDGET) -> None:
+    """Refuse ``what`` when the ``need`` bytes it would hold pass ``budget``."""
+    if need > budget:
+        raise CapExceededError(f"{what} needs {need} bytes, over the budget of {budget}")

@@ -133,28 +133,39 @@ def read_config(cfg: dict, what: str, kinds: dict, required: tuple = ()) -> dict
             for k, kind in kinds.items() if k in cfg}
 
 
-def read_time_series(path: str | Path) -> dsp.TimeSeries:
-    """Load strain from CSV (t,strain) or raw float64 + JSON sidecar.
+def is_csv(path: str | Path) -> bool:
+    """Whether a strain file is CSV, by its suffix, rather than raw float64."""
+    return Path(path).suffix.lower() == ".csv"
+
+
+def read_time_series(path: str | Path, m: int) -> dsp.TimeSeries:
+    """Load the m samples of a strain from CSV (t,strain) or raw float64 + JSON sidecar.
 
     A raw file must hold a whole number of 8-byte samples, and either
-    format at least 2 samples.
+    format at least 2 samples.  Any count but m is refused: a raw file's
+    from its size, before it is read, a CSV's once it is parsed.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    csv = path.suffix.lower() == ".csv"
+    csv = is_csv(path)
     if csv:
         t, samples = _read_two_columns(path, ("t", "strain"))
+        count = samples.size
     else:
         dt, t0 = _read_sidecar(path)
         size = path.stat().st_size
         if size % 8:
             raise InputError(f"{path}: {size} bytes is not a whole number of float64 samples")
-        samples = np.fromfile(path, dtype="<f8")
-    if samples.size < 2:
+        count = size // 8
+    if count < 2:
         raise InputError(f"{path}: need at least 2 samples")
     if csv:
         dt, t0 = _grid_step(path, t, "time"), float(t[0])
+    if count != m:
+        raise ValidationError(f"data has {count} samples but the bank expects {m}")
+    if not csv:
+        samples = np.fromfile(path, dtype="<f8", count=m)
     return dsp.TimeSeries(samples=samples, dt=dt, t0=t0)
 
 

@@ -34,7 +34,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import amplify, bank, dsp, fanout
-from .errors import CapExceededError, NonFiniteError, ValidationError
+from .errors import NonFiniteError, ValidationError, check_bytes
 from .io import read_config
 
 DEFAULT_MAX_ATTEMPTS = 10_000
@@ -249,24 +249,14 @@ class Scenario:
         return len(self.match_set)
 
 
-# Byte budget of an injection scenario's arrays, on the order of the 1 GiB
-# of ``qsim.DEFAULT_QUBIT_CAP``: 9 bytes a template for the bank search's
-# float64 peaks and their bool mask (then the mask and the int64 matches),
-# plus the strain (8 M bytes), its spectrum (16 per one-sided bin) and the
-# rows that the search's blocks hold together (up to _BLOCK_BYTES, whatever
-# the CPU count).
-_INJECTION_BYTES = 1 << 30
-
-
 def _check_injection_bytes(spec: bank.BankSpec) -> None:
-    """Refuse a bank whose injection scenario would hold more than the budget."""
+    """Refuse a bank whose injection scenario's arrays would pass the byte budget."""
+    # 9 bytes a template for the bank search's float64 peaks and their bool mask
+    # (then the mask and the int64 matches), the strain (8 M bytes), its spectrum
+    # (16 a one-sided bin) and the rows that the search's blocks hold together
     m = spec.m_samples
-    need = (9 * bank.bank_size(spec) + 8 * m + 16 * (m // 2 + 1)
-            + _rows_held(m) * _SAMPLE_BYTES * m)
-    if need > _INJECTION_BYTES:
-        raise CapExceededError(f"injection scenario needs {need} bytes, over the budget "
-                               f"of {_INJECTION_BYTES} ({bank.bank_size(spec)} templates, "
-                               f"{m} samples)")
+    check_bytes("injection scenario", 9 * bank.bank_size(spec) + 8 * m + 16 * (m // 2 + 1)
+                + _rows_held(m) * _SAMPLE_BYTES * m)
 
 
 # The keys of each scenario form with the kind each converts to.
@@ -389,12 +379,8 @@ def monte_carlo(scenario: Scenario, trials: int, seed: int) -> MonteCarloSummary
     # the costs grouped by value: each statistic below is exact or exactly
     # rounded, so it does not depend on the order of the trials
     evals = list(costs.elements())
-    return MonteCarloSummary(
-        trials=trials,
-        mean=statistics.fmean(evals),
-        median=float(statistics.median(evals)),
-        stddev=statistics.pstdev(evals),
-        histogram=tuple(sorted(costs.items())),
-        n_failed=n_failed,
-        classical_evals=scenario.n,
-    )
+    return MonteCarloSummary(trials=trials, mean=statistics.fmean(evals),
+                             median=float(statistics.median(evals)),
+                             stddev=statistics.pstdev(evals),
+                             histogram=tuple(sorted(costs.items())), n_failed=n_failed,
+                             classical_evals=scenario.n)

@@ -50,11 +50,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceededError, ValidationError
+from .errors import BYTE_BUDGET, ValidationError, check_bytes
 
-# Budget of 2**26 complex128 amplitudes (1 GiB) over all full-size
-# buffers a call holds at once; override per call if needed.
-DEFAULT_QUBIT_CAP = 26
+# The complex128 amplitudes of the byte budget, 2**26 at 1 GiB, over all
+# full-size buffers a call holds at once; override per call if needed.
+DEFAULT_QUBIT_CAP = (BYTE_BUDGET // 16).bit_length() - 1
 
 # Amplitudes per block of ``marginal_probs`` (8 bytes each once squared).
 _BLOCK_LOG2 = 16
@@ -71,10 +71,8 @@ class StateVector:
 
     def __post_init__(self) -> None:
         if self.amps.shape != (1 << self.num_qubits,):
-            raise ValidationError(
-                f"amplitude array shape {self.amps.shape} does not match "
-                f"{self.num_qubits} qubits"
-            )
+            raise ValidationError(f"amplitude array shape {self.amps.shape} does not match "
+                                  f"{self.num_qubits} qubits")
 
 
 @dataclass(frozen=True)
@@ -93,9 +91,7 @@ class StringOracleSpec:
         if not self.data_bits or set(self.data_bits) - {"0", "1"}:
             raise ValidationError(f"data_bits must be a 0/1 string, got {self.data_bits!r}")
         if not 0 <= self.q_ignored <= len(self.data_bits):
-            raise ValidationError(
-                f"q_ignored={self.q_ignored} outside [0, {len(self.data_bits)}]"
-            )
+            raise ValidationError(f"q_ignored={self.q_ignored} outside [0, {len(self.data_bits)}]")
 
     @property
     def n(self) -> int:
@@ -278,10 +274,11 @@ def measure(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarr
 # end-to-end circuits on the template vector
 
 def _check_cap(log2_amps: int, cap: int) -> None:
-    """Refuse a call whose full-size buffers hold more than 2**cap amplitudes."""
-    cap = min(cap, sys.maxsize.bit_length() - 5)  # 16-byte amplitudes an array addresses
-    if log2_amps > cap:
-        raise CapExceededError(f"needs 2**{log2_amps} amplitudes, over the cap of 2**{cap}")
+    """Refuse full-size buffers past 2**cap amplitudes of 16 bytes; shift neither past 2**59."""
+    top = sys.maxsize.bit_length() - 5  # 2**58 amplitudes: what an array addresses
+    cap, k = min(cap, top), min(log2_amps, top + 1)
+    what = f"2**{k}" if k == log2_amps else f"over 2**{top}"
+    check_bytes(f"a state of {what} amplitudes", 16 << k, 16 << cap if cap >= 0 else 0)
 
 
 def _check_run(n: int, matched: range) -> slice:

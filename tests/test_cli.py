@@ -188,6 +188,32 @@ class TestMfSnr:
         assert at_transform[0] < 21 * m
         assert peak < 48 * m
 
+    @pytest.mark.parametrize("suffix,formula,m", [
+        (".f64", 64, 2**16), (".f64", 64, 2**17), (".csv", 128, 2**15), (".csv", 128, 2**16)],
+        ids=["raw-65536", "raw-131072", "csv-32768", "csv-65536"])
+    def test_peak_within_the_byte_budget_formula(self, tmp_path, suffix, formula, m):
+        # README "Resource limits": the byte budget counts 64 bytes a sample of a
+        # raw strain and 128 of a CSV one, whose reader holds a list of floats.
+        # Below 2**16 raw samples Welch's fixed blocks reach past 64.
+        (tmp_path / "bank.json").write_text(json.dumps({**BANK_CFG, "m_samples": m}))
+        strain = np.random.default_rng(3).normal(size=m)
+        data = tmp_path / f"s{suffix}"
+        if suffix == ".csv":
+            data.write_bytes(b"t,strain\n" + io.csv_block([np.arange(m) / 512.0, strain]))
+        else:
+            strain.astype("<f8").tofile(data)
+            (tmp_path / "s.f64.json").write_text('{"fs_hz": 512.0}')
+        argv = ("mf-snr", "--data", data, "--bank-config", tmp_path / "bank.json",
+                "--index", 5, "--seg-len", 1024, "--out", tmp_path / "o.csv")
+        assert run(*argv) == EXIT_OK  # first run: lazy imports are not counted
+        tracemalloc.start()
+        try:
+            assert run(*argv) == EXIT_OK
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < formula * m
+
     def test_missing_file_exits_2(self, tmp_path, bank_cfg_file):
         assert run("mf-snr", "--data", tmp_path / "absent.csv",
                    "--bank-config", bank_cfg_file, "--index", 0,
@@ -253,16 +279,28 @@ class TestInputErrors:
         self.assert_one_line(capsys, "input error: ")
         assert not (tmp_path / "snr.csv").exists()
 
-    @pytest.mark.parametrize("raw_bytes,message", [
-        (np.zeros(1024).tobytes() + b"xyz", "8195 bytes is not a whole number of float64"),
-        (np.zeros(1).tobytes(), "need at least 2 samples")], ids=["stray-bytes", "one-sample"])
+    @pytest.mark.parametrize("raw_bytes,code,message", [
+        (np.zeros(1024).tobytes() + b"xyz", EXIT_INPUT,
+         "input error: 8195 bytes is not a whole number of float64"),
+        (np.zeros(1).tobytes(), EXIT_INPUT, "input error: need at least 2 samples"),
+        (np.zeros(1023).tobytes(), EXIT_VALIDATION,
+         "validation error: data has 1023 samples but the bank expects 1024")],
+        ids=["stray-bytes", "one-sample", "wrong-length"])
     def test_raw_strain_not_whole_samples_or_too_short_exits_2(self, tmp_path, bank_cfg_file,
-                                                              capsys, raw_bytes, message):
+                                                              capsys, monkeypatch, raw_bytes,
+                                                              code, message):
+        # each is refused from the file's size, before a sample is read; a count
+        # other than the bank's exits 4
+        def fromfile(*args, **kwargs):
+            raise AssertionError("the strain was read")
+
+        monkeypatch.setattr(np, "fromfile", fromfile)
         raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0}))
         raw.write_bytes(raw_bytes)
-        assert self.mf_snr(tmp_path, raw, bank_cfg_file) == EXIT_INPUT
+        assert self.mf_snr(tmp_path, raw, bank_cfg_file) == code
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("input error: ") and message in err
+        prefix, text = message.split(": ", 1)
+        assert err.count("\n") == 1 and err.startswith(prefix) and text in err
         assert not (tmp_path / "snr.csv").exists()
 
     def mf_snr_on_csv(self, tmp_path, bank_cfg_file, header, text):
@@ -912,20 +950,34 @@ class TestQsim:
         assert rows[0] == "outcome_int,probability" and len(rows) == 1 + outcomes
         assert not (tmp_path / "shots.marginal.csv").exists()
 
-    def test_cap_exceeded_exits_3(self, tmp_path):
+    def test_cap_exceeded_exits_3(self, tmp_path, capsys):
         assert run("qsim-count", "--data-bits", "0" * 22, "--p", 8,
                    "--shots", 1, "--seed", 1, "--cap", 26,
                    "--out", tmp_path / "x.csv") == EXIT_CAP
+        assert capsys.readouterr().err == ("resource cap: a state of 2**30 amplitudes needs "
+                                           "17179869184 bytes, over the budget of 1073741824\n")
+        # a negative cap is a budget of 0 bytes, not a shift by a negative count
+        assert run("qsim-count", "--data-bits", "01", "--p", 1, "--seed", 1, "--cap", -3,
+                   "--out", tmp_path / "x.csv") == EXIT_CAP
+        assert capsys.readouterr().err == ("resource cap: a state of 2**3 amplitudes needs "
+                                           "128 bytes, over the budget of 0\n")
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("command,flags", [
         ("qsim-count", ("--p", 1)), ("qsim-search", ("--iterations", 0))],
         ids=["count", "search"])
     def test_cap_beyond_the_addressable_exits_3(self, tmp_path, capsys, command, flags):
-        # 2**62 amplitudes are 2**66 bytes, more than an array can address
+        # 2**62 amplitudes are 2**66 bytes, more than an array can address; the
+        # check counts a state past 2**58 amplitudes as 2**59, and the cap as 2**58
         assert run(command, "--data-bits", "1" * 62, *flags, "--seed", 0, "--cap", 100,
                    "--out", tmp_path / "s.csv") == EXIT_CAP
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("resource cap: needs 2**")
+        assert capsys.readouterr().err == (
+            "resource cap: a state of over 2**58 amplitudes needs 9223372036854775808 bytes, "
+            "over the budget of 4611686018427387904\n")
+        assert not (tmp_path / "s.csv").exists()
+        # a cap far past the addressable is clamped before it is shifted
+        assert run(command, "--data-bits", "0101", *flags, "--seed", 0, "--cap", 10**18,
+                   "--out", tmp_path / "s.csv") == EXIT_OK
 
     @pytest.mark.parametrize("message", ["Unable to allocate 64.0 GiB", ""],
                              ids=["numpy-message", "bare"])
@@ -1126,9 +1178,10 @@ class TestFailBound:
         assert r1 == pytest.approx(0.453, abs=0.002)
         assert all(float(r.split(",")[2]) <= 0.455 for r in rows)
 
-    def test_bad_rmax_exits_4(self, tmp_path):
+    def test_bad_rmax_exits_4(self, tmp_path, capsys):
         assert run("fail-bound", "--r-max", 0,
                    "--out", tmp_path / "b.csv") == EXIT_VALIDATION
+        assert capsys.readouterr().err == "validation error: --r-max must be >= 1, got 0\n"
 
     def test_rmax_above_cap_exits_3_before_any_work(self, tmp_path, capsys, monkeypatch):
         def no_work(r):
@@ -1138,7 +1191,7 @@ class TestFailBound:
         assert run("fail-bound", "--r-max", 100_000_000,
                    "--out", tmp_path / "b.csv") == EXIT_CAP
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("resource cap: ")
+        assert err == "resource cap: --r-max 100000000 exceeds the cap of 10000\n"
         assert not (tmp_path / "b.csv").exists()
 
     def test_rows_at_every_worker_count(self, tmp_path, cpus):
@@ -1468,6 +1521,31 @@ class TestDetectRetrieve:
         err = capsys.readouterr().err
         assert err == ("validation error: instantaneous frequency 320.0 Hz reaches "
                        "Nyquist 256.0 Hz\n")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    @pytest.mark.parametrize("data,m,read", [
+        ("strain.f64", 2**24, True), ("strain.f64", 2**24 + 1, False),
+        ("strain.csv", 2**23, True), ("strain.csv", 2**23 + 1, False)],
+        ids=["raw-at-budget", "raw-past-budget", "csv-at-budget", "csv-past-budget"])
+    def test_mf_snr_held_to_the_byte_budget_before_the_read(self, tmp_path, capsys,
+                                                            monkeypatch, data, m, read):
+        # 64 bytes a sample of a raw strain, 128 of a CSV one, against 2**30
+        def no_work(*args):
+            raise AssertionError("the strain was read or the bank searched")
+
+        monkeypatch.setattr(io, "read_time_series", no_work)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**BANK_CFG, "m_samples": m}))
+        argv = ["mf-snr", "--data", tmp_path / data, "--bank-config", cfg, "--index", 0,
+                "--out", tmp_path / "out"]
+        if read:
+            with pytest.raises(AssertionError, match="the strain was read"):
+                run(*argv)
+        else:
+            assert run(*argv) == EXIT_CAP
+            need = (128 if data.endswith(".csv") else 64) * m
+            assert capsys.readouterr().err == (f"resource cap: mf-snr on {m} samples needs "
+                                               f"{need} bytes, over the budget of 1073741824\n")
         assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("bank_keys", [

@@ -97,7 +97,8 @@ class TestInitState:
         with pytest.raises(CapExceededError):
             qsim.init_state(20, 10, cap=26)
         qsim.init_state(4, 5, cap=10)  # 2**10 amplitudes, ancilla included, fit
-        with pytest.raises(CapExceededError, match="over the cap of 2\\*\\*10"):
+        with pytest.raises(CapExceededError, match="^a state of 2\\*\\*11 amplitudes needs 32768 "
+                                                   "bytes, over the budget of 16384$"):
             qsim.init_state(4, 6, cap=10)
 
 

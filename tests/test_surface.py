@@ -10,7 +10,9 @@ reach is deleted together with those tests.
 
 Every module of ``qmf`` also imports a lazy layer by one rule, checked
 on its syntax tree: as a module, at the top.  And no module calls BLAS,
-whose sums change their last bits with OpenBLAS's thread count.
+whose sums change their last bits with OpenBLAS's thread count.  A
+resource cap is refused in one of three places: ``errors.check_bytes``
+for every memory cap, and the two work caps.
 
 Every name that the benchmark harness reads from a layer resolves there,
 checked on the harness's syntax tree, so that a rename fails here.
@@ -204,3 +206,38 @@ def test_no_module_calls_blas():
 ])
 def test_a_blas_call_is_found(source):
     assert len(blas_calls(ast.parse(source))) == 1
+
+
+# The functions that construct CapExceededError: the byte budget, then the
+# outcomes that a draw scans and fail-bound's --r-max, which bound time.
+CAP_RAISERS = {"errors.check_bytes", "amplify.check_register", "cli.cmd_fail_bound"}
+
+
+def cap_raisers(tree: ast.AST, where: str) -> list[str]:
+    """The scope of each ``CapExceededError(...)``: ``where``, then its functions and classes."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "CapExceededError":
+                found.append(where)
+        scope = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        found += cap_raisers(node, f"{where}.{node.name}" if scope else where)
+    return found
+
+
+def test_every_cap_raises_in_its_one_place():
+    found = {raiser for path in sorted((ROOT / "src" / "qmf").glob("*.py"))
+             for raiser in cap_raisers(ast.parse(path.read_text()), path.stem)}
+    assert found == CAP_RAISERS
+
+
+@pytest.mark.parametrize("source", [
+    "def f():\n    raise CapExceededError('x')\n",
+    "raise errors.CapExceededError('x')\n",
+    "class A:\n    def f(self):\n        error = CapExceededError('x')\n",
+    "def check_bytes():\n    def inner():\n        raise CapExceededError('x')\n",
+])
+def test_a_stray_cap_error_is_found(source):
+    found = cap_raisers(ast.parse(source), "errors")
+    assert len(found) == 1 and found[0] not in CAP_RAISERS
