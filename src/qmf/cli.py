@@ -79,8 +79,8 @@ def cmd_mf_snr(args) -> None:
         _require_at_least(args.seg_len, 2, "--seg-len")
     spec = bank.BankSpec.from_config(io.read_json(args.bank_config))
     m = spec.m_samples
-    # peak RSS over the interpreter at 2**20 samples: 54 bytes a sample raw, 105 as CSV
-    check_bytes(f"mf-snr on {m} samples", (128 if io.is_csv(args.data) else 64) * m)
+    # peak RSS over the interpreter at 2**20 samples: 54 bytes a sample raw, 55 as CSV
+    check_bytes(f"mf-snr on {m} samples", 64 * m)
     ts = io.read_time_series(args.data, m)
     if args.psd is not None:
         psd = io.read_psd(args.psd)

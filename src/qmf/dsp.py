@@ -29,8 +29,6 @@ from . import bank
 from .errors import NonFiniteError, ValidationError
 
 _GRID_RTOL = 1e-9
-# Segments a Welch block detrends, windows and transforms at once: 2 MB a copy at 4096 samples.
-_WELCH_BLOCK = 64
 
 
 @dataclass(eq=False)
@@ -54,10 +52,6 @@ class TimeSeries:
     @property
     def m(self) -> int:
         return self.samples.size
-
-    @property
-    def fs(self) -> float:
-        return 1.0 / self.dt
 
 
 @dataclass(eq=False)
@@ -147,20 +141,22 @@ def estimate_psd(ts: TimeSeries, seg_len: int) -> Psd:
     n_segments = 1 + (ts.m - seg_len) // hop
     if n_segments < 2:
         raise ValidationError("need at least 2 segments to average")
-    period = 1.0 / ts.fs  # scipy's sample period, which can differ from dt in the last bit
+    period = 1.0 / (1.0 / ts.dt)  # scipy's 1/fs, which can differ from dt in the last bit
     # Periodic Hann: the symmetric window over seg_len + 1 points, last one dropped.
     win = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, seg_len + 1)))[:-1]
     # Density scaling; the built-in sum adds in order, as scipy's does.
     win = win * (1.0 / np.sqrt(sum(win ** 2) / period))
     segments = np.lib.stride_tricks.sliding_window_view(ts.samples, seg_len)[::hop]
-    # Laid out (frequency, segment), so the mean adds each bin's segments as scipy's does,
-    # and filled a block of segments at a time, so each copy is one block's, not the series'.
+    # Laid out (frequency, segment), so the mean adds each bin's segments as scipy's does, and
+    # filled a block of segments at a time: an eighth of the series (one segment at least), as
+    # is each copy that a block makes.
     power = np.empty((seg_len // 2 + 1, n_segments))
-    for start in range(0, n_segments, _WELCH_BLOCK):
-        block = segments[start:start + _WELCH_BLOCK]
+    per_block = max(1, ts.m // (8 * seg_len))
+    for start in range(0, n_segments, per_block):
+        block = segments[start:start + per_block]
         block = block - block.mean(axis=-1, keepdims=True)
         spectra = np.fft.rfft(block * win, axis=-1)
-        power[:, start:start + _WELCH_BLOCK] = (spectra.real ** 2 + spectra.imag ** 2).T
+        power[:, start:start + per_block] = (spectra.real ** 2 + spectra.imag ** 2).T
     power[1:-1 if seg_len % 2 == 0 else None] *= 2
     psd = Psd(values=power.mean(axis=-1), df=float(np.fft.rfftfreq(seg_len, period)[1]))
     if not (psd.values[band(seg_len)] > 0.0).all():

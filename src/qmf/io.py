@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import os
+import struct
 import tempfile
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterator, Sequence
@@ -133,13 +134,8 @@ def read_config(cfg: dict, what: str, kinds: dict, required: tuple = ()) -> dict
             for k, kind in kinds.items() if k in cfg}
 
 
-def is_csv(path: str | Path) -> bool:
-    """Whether a strain file is CSV, by its suffix, rather than raw float64."""
-    return Path(path).suffix.lower() == ".csv"
-
-
 def read_time_series(path: str | Path, m: int) -> dsp.TimeSeries:
-    """Load the m samples of a strain from CSV (t,strain) or raw float64 + JSON sidecar.
+    """The m samples of a strain: CSV (t,strain) by a ``.csv`` suffix, else raw float64.
 
     A raw file must hold a whole number of 8-byte samples, and either
     format at least 2 samples.  Any count but m is refused: a raw file's
@@ -148,7 +144,7 @@ def read_time_series(path: str | Path, m: int) -> dsp.TimeSeries:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    csv = is_csv(path)
+    csv = path.suffix.lower() == ".csv"
     if csv:
         t, samples = _read_two_columns(path, ("t", "strain"))
         count = samples.size
@@ -166,7 +162,7 @@ def read_time_series(path: str | Path, m: int) -> dsp.TimeSeries:
         raise ValidationError(f"data has {count} samples but the bank expects {m}")
     if not csv:
         samples = np.fromfile(path, dtype="<f8", count=m)
-    return dsp.TimeSeries(samples=samples, dt=dt, t0=t0)
+    return _named(path, dsp.TimeSeries, samples=samples, dt=dt, t0=t0)
 
 
 def _read_sidecar(path: Path) -> tuple[float, float]:
@@ -174,11 +170,8 @@ def _read_sidecar(path: Path) -> tuple[float, float]:
     sidecar = path.with_suffix(path.suffix + ".json")
     if not sidecar.exists():
         raise FileNotFoundError(f"raw input {path} needs a sidecar {sidecar}")
-    try:
-        meta = read_config(read_json(sidecar), "sidecar", {"fs_hz": float, "t0_s": float},
-                           ("fs_hz",))
-    except ValidationError as exc:
-        raise InputError(f"{sidecar}: {exc}") from None
+    meta = _named(sidecar, read_config, read_json(sidecar), "sidecar",
+                  {"fs_hz": float, "t0_s": float}, ("fs_hz",), error=InputError)
     fs, t0 = meta["fs_hz"], meta.get("t0_s", 0.0)
     if not fs > 0.0:
         raise InputError(f"{sidecar}: fs_hz must be positive, got {fs}")
@@ -193,14 +186,22 @@ GRID_TOL = {"rtol": 1e-6, "atol": 1e-12}
 
 
 def read_psd(path: str | Path) -> dsp.Psd:
-    """Load a PSD whose bin k sits at k * df from 0 Hz, as ``Psd`` reads it."""
+    """Load a PSD whose bin k sits at k * df from 0 Hz; what ``Psd`` refuses names the file."""
     f, sn = _read_two_columns(Path(path), ("f_hz", "sn"))
     if f.size < 2:
         raise InputError(f"{path}: need at least 2 PSD bins")
     df = _grid_step(path, f, "frequency")
     if not np.isclose(f[0], 0.0, **GRID_TOL):
         raise InputError(f"{path}: frequency column must start at 0 Hz, got {float(f[0])!r}")
-    return dsp.Psd(values=sn, df=df)
+    return _named(path, dsp.Psd, values=sn, df=df)
+
+
+def _named(path: str | Path, make: Callable, *args, error: type | None = None, **kwargs):
+    """``make(...)``; its ValidationError is raised again naming ``path``, as ``error`` if set."""
+    try:
+        return make(*args, **kwargs)
+    except ValidationError as exc:
+        raise (error or type(exc))(f"{path}: {exc}") from None
 
 
 def _grid_step(path: str | Path, x: np.ndarray, what: str) -> float:
@@ -306,7 +307,8 @@ def write_snr(path: str | Path, snr: dsp.SnrSeries, provenance: str, t0: float =
     write_csv(path, "t,rho", rows, provenance)
 
 
-def _read_two_columns(path: Path, expected: tuple[str, str]) -> tuple[np.ndarray, np.ndarray]:
+def _read_two_columns(path: Path, expected: tuple[str, str]) -> np.ndarray:
+    """The two columns below the header, as the two rows of a view of one float64 array."""
     with open(path) as fh:
         rows = ((k, ln.strip().split(",")) for k, ln in enumerate(fh, 1)
                 if ln.strip() and not ln.startswith("#"))
@@ -315,12 +317,12 @@ def _read_two_columns(path: Path, expected: tuple[str, str]) -> tuple[np.ndarray
             raise InputError(f"{path}: empty file")
         if tuple(c.strip() for c in header) != expected:
             raise InputError(f"{path}: expected header {','.join(expected)!r}")
-        values = []
+        values = bytearray()
         for k, fields in rows:
             if len(fields) != 2:
                 raise InputError(f"{path}: line {k}: expected two columns, got {len(fields)}")
             try:
-                values += [float(v) for v in fields]
+                values += struct.pack("dd", *map(float, fields))
             except ValueError as exc:
                 raise InputError(f"{path}: line {k}: malformed row ({exc})") from None
-    return np.array(values[0::2]), np.array(values[1::2])
+    return np.frombuffer(values).reshape(-1, 2).T

@@ -162,8 +162,8 @@ class TestMfSnr:
         # in the integrand's buffer (16); pocketfft's scratch is not traced.
         # The traced peak is the template build: the strain (8), the PSD
         # (4), the template's two spectra (16) and two temporaries of the
-        # same size (16).  255 segments of 1024 fill three Welch blocks and
-        # part of a fourth, each a quarter of the series.
+        # same size (16).  511 segments of 1024 fill 15 Welch blocks of 32
+        # and part of a 16th, each an eighth of the series.
         m = 2**18
         (tmp_path / "bank.json").write_text(json.dumps({**BANK_CFG, "m_samples": m}))
         np.random.default_rng(3).normal(size=m).astype("<f8").tofile(tmp_path / "s.f64")
@@ -188,13 +188,12 @@ class TestMfSnr:
         assert at_transform[0] < 21 * m
         assert peak < 48 * m
 
-    @pytest.mark.parametrize("suffix,formula,m", [
-        (".f64", 64, 2**16), (".f64", 64, 2**17), (".csv", 128, 2**15), (".csv", 128, 2**16)],
-        ids=["raw-65536", "raw-131072", "csv-32768", "csv-65536"])
-    def test_peak_within_the_byte_budget_formula(self, tmp_path, suffix, formula, m):
-        # README "Resource limits": the byte budget counts 64 bytes a sample of a
-        # raw strain and 128 of a CSV one, whose reader holds a list of floats.
-        # Below 2**16 raw samples Welch's fixed blocks reach past 64.
+    @pytest.mark.parametrize("suffix,m", [
+        (".f64", 2**15), (".f64", 2**16), (".csv", 2**15), (".csv", 2**16)],
+        ids=["raw-32768", "raw-65536", "csv-32768", "csv-65536"])
+    def test_peak_within_the_byte_budget_formula(self, tmp_path, suffix, m):
+        # README "Resource limits": the byte budget counts 64 bytes a sample of
+        # either format; the CSV reader holds its rows as float64s, 16 bytes a row.
         (tmp_path / "bank.json").write_text(json.dumps({**BANK_CFG, "m_samples": m}))
         strain = np.random.default_rng(3).normal(size=m)
         data = tmp_path / f"s{suffix}"
@@ -212,7 +211,32 @@ class TestMfSnr:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < formula * m
+        assert peak < 64 * m
+
+    def test_csv_and_raw_strains_give_the_same_bytes(self, tmp_path, bank_cfg_file):
+        # The CSV reader keeps each float() as a float64: -0.0, a subnormal and
+        # a field that float() reads past an underscore keep the raw file's bits.
+        strain = np.random.default_rng(4).normal(size=1024)
+        strain[[10, 11, 12]] = -0.0, 5e-324, 10.0
+        fields = [repr(s) for s in strain.tolist()]
+        fields[12] = "1_0"
+        csv = tmp_path / "s.csv"
+        csv.write_text("t,strain\n" + "".join(f"{j / 512.0!r},{field}\n"
+                                              for j, field in enumerate(fields)))
+        raw = tmp_path / "s.f64"
+        strain.astype("<f8").tofile(raw)
+        (tmp_path / "s.f64.json").write_text('{"fs_hz": 512.0}')
+        assert io.read_time_series(csv, 1024).samples.tobytes() == raw.read_bytes()
+        outputs = []
+        for data in (csv, raw):
+            out = tmp_path / f"snr-{data.suffix[1:]}.csv"
+            assert run("mf-snr", "--data", data, "--bank-config", bank_cfg_file,
+                       "--index", 5, "--out", out) == EXIT_OK
+            summary = json.loads(out.with_suffix(".summary.json").read_text())
+            del summary["provenance"]
+            outputs.append((data_rows(out), summary))
+        assert_same(outputs[0][0], outputs[1][0])
+        assert outputs[0][1] == outputs[1][1]
 
     def test_missing_file_exits_2(self, tmp_path, bank_cfg_file):
         assert run("mf-snr", "--data", tmp_path / "absent.csv",
@@ -1274,8 +1298,9 @@ _TINY_PSD = io.csv_block([0.5 * np.arange(513), np.full(513, 5e-324)])
 def _refusals():
     """(cpus, input files, argv, exit code, what the line names) of each input refused.
 
-    Every config float that is not finite, each overflow of a result,
-    the int64 bounds on the lattice and the trial count, and for every
+    Every config float that is not finite, each overflow of a result, a
+    strain or PSD file's value that its value type refuses, the int64
+    bounds on the lattice and the trial count, and for every
     command that writes an output in a missing directory, an empty output
     path, an output path, given or derived beside ``--out``, that names a
     directory (a ``None`` file), and a second output that names the file
@@ -1319,6 +1344,23 @@ def _refusals():
     yield pytest.param(1, _mf_snr_files(strain=1e306), _MF_SNR, EXIT_VALIDATION,
                        "--data s.f64 overflows the matched filter: PSD values must be finite",
                        id="mf-snr-strain-1e306")
+    # a value that the value types refuse: the line names the file it came from
+    bad_bin = np.full(513, 2.0 / 512)
+    for name, level in (("negative", -1.0), ("nan", math.nan)):
+        bad_bin[7] = level
+        psd = b"f_hz,sn\n" + io.csv_block([0.5 * np.arange(513), bad_bin])
+        yield pytest.param(1, _mf_snr_files(**{"psd.csv": psd}), [*_MF_SNR, "--psd", "psd.csv"],
+                           EXIT_VALIDATION, "psd.csv: PSD values must be finite and non-negative",
+                           id=f"psd-{name}-bin")
+    nan_at_3 = np.where(np.arange(BANK_CFG["m_samples"]) == 3, math.nan, 1.0)
+    yield pytest.param(1, _mf_snr_files(strain=nan_at_3), _MF_SNR, EXIT_VALIDATION,
+                       "s.f64: non-finite sample at index 3", id="strain-nan-sample")
+    backwards = io.csv_block([-np.arange(BANK_CFG["m_samples"]) / 512.0,
+                              np.zeros(BANK_CFG["m_samples"])])
+    yield pytest.param(1, {"bank.json": json.dumps(BANK_CFG),
+                           "s.csv": b"t,strain\n" + backwards},
+                       ["mf-snr", "--data", "s.csv", *_MF_SNR[3:]], EXIT_VALIDATION,
+                       "s.csv: dt must be positive, got -0.001953125", id="csv-strain-t-decreasing")
     huge = {**BANK_CFG, "n_f0": 10**20}
     yield pytest.param(1, _mf_snr_files(json.dumps(huge)), _MF_SNR, EXIT_VALIDATION,
                        "n_f0 * n_f1 exceeds 2**63 - 1", id="mf-snr-n_f0-1e20")
@@ -1525,11 +1567,11 @@ class TestDetectRetrieve:
 
     @pytest.mark.parametrize("data,m,read", [
         ("strain.f64", 2**24, True), ("strain.f64", 2**24 + 1, False),
-        ("strain.csv", 2**23, True), ("strain.csv", 2**23 + 1, False)],
+        ("strain.csv", 2**24, True), ("strain.csv", 2**24 + 1, False)],
         ids=["raw-at-budget", "raw-past-budget", "csv-at-budget", "csv-past-budget"])
     def test_mf_snr_held_to_the_byte_budget_before_the_read(self, tmp_path, capsys,
                                                             monkeypatch, data, m, read):
-        # 64 bytes a sample of a raw strain, 128 of a CSV one, against 2**30
+        # 64 bytes a sample of a strain in either format, against 2**30
         def no_work(*args):
             raise AssertionError("the strain was read or the bank searched")
 
@@ -1543,9 +1585,8 @@ class TestDetectRetrieve:
                 run(*argv)
         else:
             assert run(*argv) == EXIT_CAP
-            need = (128 if data.endswith(".csv") else 64) * m
             assert capsys.readouterr().err == (f"resource cap: mf-snr on {m} samples needs "
-                                               f"{need} bytes, over the budget of 1073741824\n")
+                                               f"{64 * m} bytes, over the budget of 1073741824\n")
         assert os.listdir(tmp_path) == ["cfg.json"]
 
     @pytest.mark.parametrize("bank_keys", [

@@ -2,14 +2,15 @@
 
 Whatever the argv of ``qsim-count``, ``qsim-search``, ``count-dist`` and
 ``fail-bound``, whatever the scenario, bank or CW config, and whatever
-``mf-snr``'s strain, sidecar and PSD file, a command exits 0, 2, 3 or 4,
-writes at most one line to stderr and no NumPy warning, and leaves no
-output file when it fails; it never ends in a traceback.  A float drawn
-is now and then at or past the edge of the float range, and an int past
-the int64 range.  Work-sizing numbers (register widths, bank and series
-sizes, trial and round counts) are drawn small so each example runs in
-milliseconds, or past the injection byte budget, where an injection
-scenario exits 3 before it builds an array.
+``mf-snr``'s strain (raw with its sidecar, or CSV) and PSD file, a
+command exits 0, 2, 3 or 4, writes at most one line to stderr and no
+NumPy warning, and leaves no output file when it fails; it never ends
+in a traceback.  A float drawn is now and then at or past the edge of
+the float range, and an int past the int64 range.  Work-sizing numbers
+(register widths, bank and series sizes, trial and round counts) are
+drawn small so each example runs in milliseconds, or past the injection
+byte budget, where an injection scenario exits 3 before it builds an
+array.
 """
 
 import contextlib
@@ -206,23 +207,37 @@ def test_injection_past_the_byte_budget_exits_3(command, size):
 SIDECAR = config({"fs_hz": value(around(st.just(512.0), floats(-1.0, 1e4)))},
                  {"t0_s": value(floats(-1e3, 1e3))})
 PSD = st.tuples(around(st.just(4.0), floats(0.5, 8.0)), floats(1e-6, 10.0))
+# A CSV strain: rows of (t, sample), where a few fields hold an edge float,
+# and now and then one row gets a stray third field or a number float() refuses.
+CSV_EDGES = st.lists(st.tuples(st.integers(0, 127), st.integers(0, 1), edge_float), max_size=3)
+CSV_FLAW = rarely(st.tuples(st.integers(0, 127), st.sampled_from([",0.0", ",", "x", "_"])))
 
 
 @SETTINGS
 @given(bank=mostly(config(BANK, {}), junk), index=ints(-1, 20),
        seg_len=st.one_of(st.none(), ints(-1, 300)),
        scale=around(st.just(1.0), floats(0.0, 1e300)), sidecar=mostly(SIDECAR, junk),
-       psd=st.one_of(st.none(), PSD))
-def test_bank_config(bank, index, seg_len, scale, sidecar, psd):
+       psd=st.one_of(st.none(), PSD), suffix=st.sampled_from(["f64", "csv"]),
+       edges=CSV_EDGES, flaw=CSV_FLAW)
+def test_bank_config(bank, index, seg_len, scale, sidecar, psd, suffix, edges, flaw):
     def strain(path):
         with np.errstate(over="ignore"):  # a scale past 1e306 may give inf samples
             samples = np.random.default_rng(0).normal(size=128) * scale
-        samples.astype("<f8").tofile(path)
-        path.with_name("strain.f64.json").write_text(json.dumps(sidecar))
+        if suffix == "f64":
+            samples.astype("<f8").tofile(path)
+            path.with_name("strain.f64.json").write_text(json.dumps(sidecar))
+            return
+        rows = [[j / 512.0, s] for j, s in enumerate(samples.tolist())]
+        for j, column, edge in edges:
+            rows[j][column] = edge
+        lines = [f"{t!r},{s!r}" for t, s in rows]
+        if flaw is not None:
+            lines[flaw[0]] += flaw[1]
+        path.write_text("t,strain\n" + "".join(f"{line}\n" for line in lines))
 
-    argv = ["mf-snr", "--data", "{tmp}/strain.f64", "--bank-config", "{tmp}/bank.json",
+    argv = ["mf-snr", "--data", f"{{tmp}}/strain.{suffix}", "--bank-config", "{tmp}/bank.json",
             "--index", str(index), "--out", "{tmp}/snr.csv"]
-    files = [("strain.f64", strain), ("bank.json", write_json(bank))]
+    files = [(f"strain.{suffix}", strain), ("bank.json", write_json(bank))]
     if seg_len is not None:
         argv += ["--seg-len", str(seg_len)]
     if psd is not None:

@@ -126,8 +126,9 @@ class TestEstimatePsd:
         (4099, 31, 1.0 / 3000, 2.5),       # nonzero mean
         (3000, 256, 1.0 / 7.3, -4.0),
         (64, 3, 0.1, 1.0),
-        # 2, 63, 64, 65 and 129 segments of 16: one block of 64, part of one,
-        # exactly one, one and one segment more, two and one segment more
+        # 2, 63, 64, 65 and 129 segments of 16 in blocks of m // 128: two blocks
+        # of one, 15 of 4 and part of one, exactly 16 of 4, 16 of 4 and one segment
+        # more, 16 of 8 and one segment more
         (16 + 1 * 8, 16, 1.0 / 1024, 0.5),
         (16 + 62 * 8 + 5, 16, 1.0 / 1024, 0.0),
         (16 + 63 * 8, 16, 1.0 / 1024, 0.0),
@@ -138,7 +139,7 @@ class TestEstimatePsd:
         x = np.random.default_rng(seg_len).normal(size=m) + mean
         ts = dsp.TimeSeries(x, dt=dt)
         psd = dsp.estimate_psd(ts, seg_len=seg_len)
-        freqs, pxx = welch(x, fs=ts.fs, window="hann", nperseg=seg_len,
+        freqs, pxx = welch(x, fs=1.0 / ts.dt, window="hann", nperseg=seg_len,
                            noverlap=seg_len // 2)
         assert np.array_equal(psd.values, pxx)
         assert psd.df == freqs[1] - freqs[0]
