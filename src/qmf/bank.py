@@ -4,8 +4,10 @@ Templates are linear chirps sin(2 pi (f0 t + f1 t^2 / 2)) at phase 0 on a
 regular (f0, f1) lattice, indexed row-major with f0 varying fastest.
 The search filters each with its quarter-cycle copy, phase pi/2 (the
 ``QUADRATURE`` pair), which maximizes over the signal's unknown phase.
-The family keeps the full matched-filtering structure (frequency
-evolution, phase maximization) while staying exactly reproducible.
+The pair's spectra are made here too (:func:`quadrature_spectra`); the
+filter in :mod:`qmf.dsp` knows no family.  The family keeps the full
+matched-filtering structure (frequency evolution, phase maximization)
+while staying exactly reproducible.
 """
 
 from __future__ import annotations
@@ -178,6 +180,16 @@ def chirps(params: ChirpParams, phases, fs: float, m: int) -> np.ndarray:
         np.sin(phi0 + sweep, out=row)
         row *= taper
     return out
+
+
+def quadrature_spectra(params: ChirpParams, fs: float, m: int) -> dsp.FrequencySeries:
+    """One-sided spectra of the ``QUADRATURE`` pair of each chirp, zero-padded to m samples.
+
+    Bins of shape ``(2, *f0.shape, m // 2 + 1)`` on the grid of an
+    m-sample series at ``fs``; the chirps go once transformed.
+    """
+    return dsp.FrequencySeries(bins=np.fft.rfft(chirps(params, QUADRATURE, fs, m), n=m, axis=-1),
+                               df=1.0 / (m * (1.0 / fs)), m_time=m)
 
 
 def waveform(params: ChirpParams, fs: float, m: int) -> dsp.TimeSeries:

@@ -78,10 +78,14 @@ def cmd_mf_snr(args) -> None:
     if args.seg_len is not None:
         _require_at_least(args.seg_len, 2, "--seg-len")
     spec = bank.BankSpec.from_config(io.read_json(args.bank_config))
+    params = bank.index_to_params(spec, args.index)
     m = spec.m_samples
     # peak RSS over the interpreter at 2**20 samples: 54 bytes a sample raw, 55 as CSV
     check_bytes(f"mf-snr on {m} samples", 64 * m)
     ts = io.read_time_series(args.data, m)
+    if not dsp.same_grid(1.0 / ts.dt, spec.fs):  # the filter's grid tolerance, put on the rates
+        raise ValidationError(f"{args.data}: sampled at {1.0 / ts.dt!r} Hz but the bank "
+                              f"at {spec.fs!r} Hz")
     if args.psd is not None:
         psd = io.read_psd(args.psd)
         top = (dsp.band(ts.m).stop - 1) / (ts.m * ts.dt)  # top bin of the analysis band
@@ -98,8 +102,7 @@ def cmd_mf_snr(args) -> None:
         if args.psd is None:
             psd = dsp.estimate_psd(ts, seg_len=seg)
         psd = dsp.interpolate_psd(psd, ts.m, ts.dt)
-        params = bank.index_to_params(spec, args.index)
-        qc = dsp.complex_template(params, spec.fs, spec.m_samples, psd)
+        qc = dsp.complex_template(bank.quadrature_spectra(params, spec.fs, m), psd)
         data = dsp.forward_fft(ts)
         t0, dt = ts.t0, 1.0 / (data.df * data.m_time)
         del ts  # each full-length array goes once used: the transform runs beside the PSD alone

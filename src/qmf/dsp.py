@@ -13,6 +13,9 @@ Conventions, fixed once here and relied on everywhere else:
   rho(t_j) = 2/(M dt) * |sum_band conj(Qc(f_k)) h(f_k) / S_n(f_k)
   exp(2 pi i j k / M)|.
 
+The engine knows no template family and imports no other layer:
+:mod:`qmf.bank` makes the quadrature spectra that :func:`complex_template` combines.
+
 All operations are pure functions of value-like inputs and are safe to
 call concurrently, except :func:`snr_series`, which transforms the
 integrand it is given in place.
@@ -25,10 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bank
 from .errors import NonFiniteError, ValidationError
-
-_GRID_RTOL = 1e-9
 
 
 @dataclass(eq=False)
@@ -180,14 +180,19 @@ def interpolate_psd(psd: Psd, m_time: int, dt: float) -> Psd:
     return Psd(values=np.interp(f_new, f_old, psd.values), df=df)
 
 
+def same_grid(step: float, other: float) -> bool:
+    """Whether two spacings, of bins or of samples, are one grid: equal to a relative 1e-9."""
+    return math.isclose(step, other, rel_tol=1e-9)
+
+
 def _analysis_band(*series: FrequencySeries, psd: Psd) -> slice:
     """The analysis band of spectra on one grid, checked against the PSD."""
     n_bins = series[0].bins.shape[-1]
     df = series[0].df
     for s in series[1:]:
-        if s.bins.shape[-1] != n_bins or not math.isclose(s.df, df, rel_tol=_GRID_RTOL):
+        if s.bins.shape[-1] != n_bins or not same_grid(s.df, df):
             raise ValidationError("frequency series are on different grids")
-    if psd.values.size != n_bins or not math.isclose(psd.df, df, rel_tol=_GRID_RTOL):
+    if psd.values.size != n_bins or not same_grid(psd.df, df):
         raise ValidationError("PSD grid does not match the spectra")
     in_band = band(series[0].m_time)
     if (psd.values[in_band] <= 0.0).any():
@@ -210,22 +215,19 @@ def normalize_template(s: FrequencySeries, psd: Psd) -> FrequencySeries:
                            m_time=s.m_time)
 
 
-def complex_template(params, fs: float, m: int, psd: Psd) -> FrequencySeries:
-    """Phase-maximizing complex templates of ``params``, a :class:`qmf.bank.ChirpParams`.
+def complex_template(pair: FrequencySeries, psd: Psd) -> FrequencySeries:
+    """Phase-maximizing complex templates of a quadrature pair, such as ``bank.quadrature_spectra``.
 
-    One chirp gives one template, a block a row per chirp in the shape of
-    ``params.f0``.  Each chirp and its quarter-cycle copy, sampled at
-    ``fs`` and zero-padded to ``m`` samples, are normalized and combined
-    as (Q0 - i Qq)/2.  Under exact quadrature this collapses to Q0 alone,
-    and in general |z| of the filtered output is independent of the
-    signal phase while Re z recovers the phase-0 filter output.
+    ``pair.bins[0]`` and ``pair.bins[1]`` hold a template's spectra at a
+    phase and a quarter cycle later, one row per template.  Each is
+    normalized and they are combined as (Q0 - i Qq)/2.  Under exact
+    quadrature this collapses to Q0 alone, and in general |z| of the
+    filtered output is independent of the signal phase while Re z
+    recovers the phase-0 filter output.
     """
-    pairs = bank.chirps(params, bank.QUADRATURE, fs, m)
-    df = 1.0 / (m * (1.0 / fs))  # forward_fft's grid of an m-sample series at fs
-    q = normalize_template(
-        FrequencySeries(bins=np.fft.rfft(pairs, n=m, axis=-1), df=df, m_time=m), psd
-    ).bins
-    return FrequencySeries(bins=0.5 * (q[0] - 1j * q[1]), df=df, m_time=m)
+    q = normalize_template(pair, psd)
+    del pair  # a caller's temporary goes here, before the combination
+    return FrequencySeries(bins=0.5 * (q.bins[0] - 1j * q.bins[1]), df=q.df, m_time=q.m_time)
 
 
 def filter_integrand(data: FrequencySeries, template: FrequencySeries,

@@ -159,7 +159,7 @@ def read_time_series(path: str | Path, m: int) -> dsp.TimeSeries:
     if csv:
         dt, t0 = _grid_step(path, t, "time"), float(t[0])
     if count != m:
-        raise ValidationError(f"data has {count} samples but the bank expects {m}")
+        raise ValidationError(f"{path}: data has {count} samples but the bank expects {m}")
     if not csv:
         samples = np.fromfile(path, dtype="<f8", count=m)
     return _named(path, dsp.TimeSeries, samples=samples, dt=dt, t0=t0)

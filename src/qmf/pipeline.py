@@ -82,10 +82,10 @@ class TrialRecord:
 
 # Working-set budget of the blocks of templates that the search's workers
 # hold at once, one block each.  A block peaks while it normalizes: per
-# template the chirp pair (up to 16 M bytes), the pair's spectra and their
-# normalized copy (16 M each), plus float temporaries.  The filter holds
+# template the pair's spectra and their normalized copy (16 M bytes each),
+# 33 M traced; the chirp pair goes once transformed.  The filter holds
 # less: the combined template (8 M) and the integrand that the inverse FFT
-# overwrites (16 M).  At most about 50 M bytes a row, budgeted as 64 M.
+# overwrites (16 M).  Budgeted as 64 M bytes a row.
 _BLOCK_BYTES = 32 << 20
 _SAMPLE_BYTES = 64  # the 64 of 64 M
 
@@ -108,8 +108,8 @@ def _peak_snrs(spec: bank.BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
     w, rows = _search_blocks(spec.m_samples)
 
     def block(start: int) -> np.ndarray:
-        qc = dsp.complex_template(bank.lattice(spec, idx[start:start + rows]), spec.fs,
-                                  spec.m_samples, psd)
+        qc = dsp.complex_template(bank.quadrature_spectra(
+            bank.lattice(spec, idx[start:start + rows]), spec.fs, spec.m_samples), psd)
         peaks = np.abs(dsp.filter_series(data, qc, psd)).max(axis=-1)
         bad = np.flatnonzero(~np.isfinite(peaks))  # a NaN would silently miss the threshold
         if bad.size:

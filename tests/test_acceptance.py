@@ -204,7 +204,7 @@ def test_c08_fft_equals_direct_sum(m):
     rng = np.random.default_rng(m)
     psd = dsp.white_psd(m, 1.0 / fs)
     params = bank.ChirpParams(f0=10.0, f1=8.0, dur=min(1.0, m / fs / 2))
-    qc = dsp.complex_template(params, fs, m, psd)
+    qc = dsp.complex_template(bank.quadrature_spectra(params, fs, m), psd)
     h = dsp.forward_fft(dsp.TimeSeries(rng.normal(size=m), dt=1.0 / fs))
     fast = dsp.snr_series(dsp.filter_integrand(h, qc, psd), 1.0 / fs).rho
     ks = np.arange(m // 2 + 1)[dsp.band(m)]
@@ -227,8 +227,8 @@ def synthetic_bank_scenario():
     strain = bank.waveform(bank.index_to_params(spec, inject),
                            spec.fs, spec.m_samples).samples + noise
     data = dsp.forward_fft(dsp.TimeSeries(strain, dt=1.0 / spec.fs))
-    qc = dsp.complex_template(bank.index_to_params(spec, inject),
-                              spec.fs, spec.m_samples, psd)
+    qc = dsp.complex_template(bank.quadrature_spectra(bank.index_to_params(spec, inject),
+                                                      spec.fs, spec.m_samples), psd)
     rho_inj = dsp.max_snr(dsp.snr_series(dsp.filter_integrand(data, qc, psd), 1.0 / spec.fs))[0]
     rho_thr = 0.8 * rho_inj
     counter = OracleCounter()
@@ -240,8 +240,8 @@ def test_c08_injection_recovered_at_index(synthetic_bank_scenario):
     spec, psd, data, inject, _, _ = synthetic_bank_scenario
     rhos = np.empty(bank.bank_size(spec))
     for i in range(rhos.size):
-        qc = dsp.complex_template(bank.index_to_params(spec, i),
-                                  spec.fs, spec.m_samples, psd)
+        qc = dsp.complex_template(bank.quadrature_spectra(bank.index_to_params(spec, i),
+                                                          spec.fs, spec.m_samples), psd)
         rhos[i] = dsp.max_snr(dsp.snr_series(dsp.filter_integrand(data, qc, psd),
                                               1.0 / spec.fs))[0]
     best = int(np.argmax(rhos))

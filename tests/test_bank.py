@@ -8,7 +8,7 @@ from scipy.signal.windows import tukey
 
 from qmf import dsp
 from qmf.bank import (QUADRATURE, BankSpec, ChirpParams, bank_size, chirps, index_to_params,
-                      lattice, tukey_window, waveform)
+                      lattice, quadrature_spectra, tukey_window, waveform)
 from qmf.errors import ValidationError
 
 
@@ -210,7 +210,8 @@ class TestSelfMatchDominance:
         spec = make_spec(4, 4)
         psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs)
         templates = [
-            dsp.complex_template(index_to_params(spec, i), spec.fs, spec.m_samples, psd)
+            dsp.complex_template(quadrature_spectra(index_to_params(spec, i), spec.fs,
+                                                    spec.m_samples), psd)
             for i in range(bank_size(spec))
         ]
         for i in range(bank_size(spec)):

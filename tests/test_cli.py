@@ -327,6 +327,16 @@ class TestInputErrors:
         assert err.count("\n") == 1 and err.startswith(prefix) and text in err
         assert not (tmp_path / "snr.csv").exists()
 
+    @pytest.mark.parametrize("rel,code", [(5e-10, EXIT_OK), (2e-9, EXIT_VALIDATION)],
+                             ids=["within", "past"])
+    def test_strain_rate_one_tolerance_at_the_read_and_in_the_filter(
+            self, tmp_path, bank_cfg_file, capsys, rel, code):
+        # a rate the read lets through, the filter's grid check passes too
+        raw = self.raw_strain(tmp_path, json.dumps({"fs_hz": 512.0 * (1 + rel)}))
+        raw.write_bytes(np.random.default_rng(3).normal(size=1024).astype("<f8").tobytes())
+        assert self.mf_snr(tmp_path, raw, bank_cfg_file) == code
+        assert ("Hz but the bank at 512.0 Hz" in capsys.readouterr().err) == (code != EXIT_OK)
+
     def mf_snr_on_csv(self, tmp_path, bank_cfg_file, header, text):
         """mf-snr with ``text`` below ``header`` as its CSV strain or as its CSV PSD."""
         path = tmp_path / "two_columns.csv"
@@ -1299,7 +1309,9 @@ def _refusals():
     """(cpus, input files, argv, exit code, what the line names) of each input refused.
 
     Every config float that is not finite, each overflow of a result, a
-    strain or PSD file's value that its value type refuses, the int64
+    strain or PSD file's value that its value type refuses, a strain's
+    sample count or rate that is not the bank's, an mf-snr index outside
+    the bank, the int64
     bounds on the lattice and the trial count, and for every
     command that writes an output in a missing directory, an empty output
     path, an output path, given or derived beside ``--out``, that names a
@@ -1361,6 +1373,24 @@ def _refusals():
                            "s.csv": b"t,strain\n" + backwards},
                        ["mf-snr", "--data", "s.csv", *_MF_SNR[3:]], EXIT_VALIDATION,
                        "s.csv: dt must be positive, got -0.001953125", id="csv-strain-t-decreasing")
+    # a strain that does not fit the bank, and an index outside it, named before any work
+    noise = np.random.default_rng(3).normal(size=BANK_CFG["m_samples"])
+    csv_at = {rate: b"t,strain\n" + io.csv_block([np.arange(n) / rate, noise[:n]])
+              for rate, n in ((512.0, 1000), (1024.0, noise.size))}
+    short = {"bank.json": json.dumps(BANK_CFG), "s.f64": noise[:1000].astype("<f8").tobytes(),
+             "s.f64.json": '{"fs_hz": 512.0}', "s.csv": csv_at[512.0]}
+    for name in ("s.f64", "s.csv"):
+        yield pytest.param(1, short, ["mf-snr", "--data", name, *_MF_SNR[3:]], EXIT_VALIDATION,
+                           f"{name}: data has 1000 samples but the bank expects 1024",
+                           id=f"strain-count-{name}")
+    yield pytest.param(1, short, [*_MF_SNR[:-1], 99], EXIT_VALIDATION,
+                       "template index 99 outside [0, 64)", id="mf-snr-index-before-strain")
+    fast = {**_mf_snr_files(sidecar='{"fs_hz": 1024.0}'), "s.csv": csv_at[1024.0],
+            "psd.csv": b"f_hz,sn\n" + io.csv_block([0.5 * np.arange(513), np.full(513, 1.0)])}
+    for name, more in (("s.f64", []), ("s.f64", ["--psd", "psd.csv"]), ("s.csv", [])):
+        yield pytest.param(1, fast, ["mf-snr", "--data", name, *_MF_SNR[3:], *more],
+                           EXIT_VALIDATION, f"{name}: sampled at 1024.0 Hz but the bank at "
+                           "512.0 Hz", id=f"strain-rate-{name}{'-psd' if more else ''}")
     huge = {**BANK_CFG, "n_f0": 10**20}
     yield pytest.param(1, _mf_snr_files(json.dumps(huge)), _MF_SNR, EXIT_VALIDATION,
                        "n_f0 * n_f1 exceeds 2**63 - 1", id="mf-snr-n_f0-1e20")

@@ -1,6 +1,7 @@
 """Unit tests for the matched-filtering engine."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ def white():
 
 @pytest.fixture(scope="module")
 def qc(white):
-    return dsp.complex_template(CHIRP, FS, M, white)
+    return dsp.complex_template(bank.quadrature_spectra(CHIRP, FS, M), white)
 
 
 def chirp_data(phi0=0.0, amplitude=1.0, shift=0):
@@ -196,7 +197,7 @@ class TestComplexTemplate:
         fs, m = 256.0, 512
         psd = dsp.white_psd(m, 1.0 / fs)
         params = ChirpParams(f0=32.0, f1=0.0, dur=m / fs)
-        qc = dsp.complex_template(params, fs, m, psd)
+        qc = dsp.complex_template(bank.quadrature_spectra(params, fs, m), psd)
         q0 = dsp.normalize_template(dsp.forward_fft(waveform(params, fs, m)), psd)
         data = dsp.forward_fft(waveform(params, fs, m))
         z_c = dsp.filter_series(data, qc, psd)
@@ -215,7 +216,8 @@ class TestComplexTemplate:
         values = np.full(M // 2 + 1, 2.0 / FS)
         values[200] = 0.0
         with pytest.raises(ValidationError):
-            dsp.complex_template(CHIRP, FS, M, dsp.Psd(values, 1.0 / (M / FS)))
+            dsp.complex_template(bank.quadrature_spectra(CHIRP, FS, M),
+                                 dsp.Psd(values, 1.0 / (M / FS)))
 
 
 # The acceptance suite's c8 lattice, and one block of it the size that the
@@ -228,22 +230,52 @@ C8_BLOCK = range(512, 768)
 @pytest.fixture(scope="module")
 def c8_block_templates():
     psd = dsp.white_psd(C8_SPEC.m_samples, 1.0 / C8_SPEC.fs)
-    block = dsp.complex_template(bank.lattice(C8_SPEC, C8_BLOCK), C8_SPEC.fs,
-                                 C8_SPEC.m_samples, psd)
-    return psd, block
+    spectra = bank.quadrature_spectra(bank.lattice(C8_SPEC, C8_BLOCK), C8_SPEC.fs,
+                                      C8_SPEC.m_samples)
+    return psd, spectra, dsp.complex_template(spectra, psd)
 
 
 class TestOneChirpAndBlock:
     @pytest.mark.parametrize("j", [0, len(C8_BLOCK) // 2, len(C8_BLOCK) - 1],
                              ids=["first", "middle", "last"])
     def test_one_chirp_equals_its_block_row_bit_for_bit(self, c8_block_templates, j):
-        psd, block = c8_block_templates
-        one = dsp.complex_template(bank.index_to_params(C8_SPEC, C8_BLOCK[j]), C8_SPEC.fs,
-                                   C8_SPEC.m_samples, psd)
-        assert block.bins.shape == (len(C8_BLOCK), C8_SPEC.m_samples // 2 + 1)
+        psd, spectra, block = c8_block_templates
+        params = bank.index_to_params(C8_SPEC, C8_BLOCK[j])
+        pair = bank.quadrature_spectra(params, C8_SPEC.fs, C8_SPEC.m_samples)
+        assert spectra.bins.shape == (2, len(C8_BLOCK), C8_SPEC.m_samples // 2 + 1)
+        assert pair.bins.shape == (2, C8_SPEC.m_samples // 2 + 1)
+        assert (pair.df, pair.m_time) == (spectra.df, spectra.m_time)
+        assert np.array_equal(pair.bins.view(np.float64), spectra.bins[:, j].view(np.float64))
+        one = dsp.complex_template(pair, psd)
+        assert block.bins.shape == spectra.bins.shape[1:]
         assert one.bins.shape == block.bins.shape[1:]
         assert (one.df, one.m_time) == (block.df, block.m_time)
         assert np.array_equal(one.bins.view(np.float64), block.bins[j].view(np.float64))
+
+    def test_block_build_holds_the_pair_spectra_and_their_normalized_copy(self):
+        # Per sample and row, at the traced peak: the pair's two spectra (16
+        # bytes), their normalized copy (16) and its finiteness mask (1),
+        # 33.1 in all; the chirps go once transformed.  The template held
+        # after is one spectrum (8).
+        psd = dsp.white_psd(C8_SPEC.m_samples, 1.0 / C8_SPEC.fs)
+        params = bank.lattice(C8_SPEC, range(512))
+
+        def build():
+            return dsp.complex_template(
+                bank.quadrature_spectra(params, C8_SPEC.fs, C8_SPEC.m_samples), psd)
+
+        build()  # warm caches
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            template = build()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        per_row = 512 * C8_SPEC.m_samples
+        assert template.bins.shape == (512, C8_SPEC.m_samples // 2 + 1)
+        assert (peak - start) / per_row < 34.0
+        assert (held - start) / per_row < 8.1
 
 
 class TestSnrSeries:
@@ -261,7 +293,7 @@ class TestSnrSeries:
         rng = np.random.default_rng(5)
         psd = dsp.white_psd(m, 1.0 / fs)
         params = ChirpParams(f0=20.0, f1=5.0, dur=1.0)
-        q = dsp.complex_template(params, fs, m, psd)
+        q = dsp.complex_template(bank.quadrature_spectra(params, fs, m), psd)
         h = dsp.forward_fft(dsp.TimeSeries(rng.normal(size=m), dt=1.0 / fs))
         fast = snr_of(h, q, psd).rho
         ks = np.arange(m // 2 + 1)[dsp.band(m)]

@@ -84,8 +84,8 @@ class TestClassicalSearch:
         matches = pipeline.classical_search(spec, data, psd, rho_thr=thr, counter=c).tolist()
         expected = []
         for i in range(bank_size(spec)):
-            qc = dsp.complex_template(index_to_params(spec, i), spec.fs,
-                                      spec.m_samples, psd)
+            qc = dsp.complex_template(bank.quadrature_spectra(index_to_params(spec, i),
+                                                              spec.fs, spec.m_samples), psd)
             integrand = dsp.filter_integrand(data, qc, psd)
             rho = float(np.max(dsp.snr_series(integrand, 1.0 / spec.fs).rho))
             if rho >= thr:
@@ -97,7 +97,8 @@ def loop_peak_snrs(spec, data, psd):
     """Reference: one complex_template + snr_series per template."""
     return np.array([
         dsp.max_snr(dsp.snr_series(dsp.filter_integrand(data, dsp.complex_template(
-            index_to_params(spec, i), spec.fs, spec.m_samples, psd), psd), 1.0 / spec.fs))[0]
+            bank.quadrature_spectra(index_to_params(spec, i), spec.fs, spec.m_samples), psd),
+            psd), 1.0 / spec.fs))[0]
         for i in range(bank_size(spec))
     ])
 

@@ -9,7 +9,8 @@ so no code survives on a mention alone.  Code that only unit tests
 reach is deleted together with those tests.
 
 Every module of ``qmf`` also imports a lazy layer by one rule, checked
-on its syntax tree: as a module, at the top.  And no module calls BLAS,
+on its syntax tree: as a module, at the top; and the modules import
+each other without a cycle.  And no module calls BLAS,
 whose sums change their last bits with OpenBLAS's thread count.  A
 resource cap is refused in one of three places: ``errors.check_bytes``
 for every memory cap, and the two work caps.
@@ -160,6 +161,53 @@ def test_every_layer_is_imported_as_a_module_at_the_top():
 ])
 def test_a_fault_of_the_loading_rule_is_found(source):
     assert len(loading_faults(ast.parse(source))) == 1
+
+
+def import_cycles(sources: dict[str, str]) -> list[str]:
+    """Each cycle among the modules of one package, as ``a -> b -> a``, given their sources.
+
+    A module imports another by ``from . import b`` or ``from .b import
+    name``; a cycle is reported once, from its least module.
+    """
+    edges = {}
+    for name, source in sources.items():
+        edges[name] = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                edges[name].update(t for t in targets if t in sources)
+    cycles = []
+
+    def walk(path: list[str]) -> None:
+        for nxt in sorted(edges[path[-1]]):
+            if nxt == path[0]:
+                cycles.append(" -> ".join([*path, nxt]))
+            elif nxt > path[0] and nxt not in path:
+                walk([*path, nxt])
+
+    for name in sorted(sources):
+        walk([name])
+    return cycles
+
+
+def test_the_modules_import_each_other_without_a_cycle():
+    sources = {path.stem: path.read_text() for path in (ROOT / "src" / "qmf").glob("*.py")}
+    cycles = import_cycles(sources)
+    assert not cycles, "; ".join(cycles)
+
+
+@pytest.mark.parametrize("sources,cycle", [
+    ({"bank": "from . import dsp\n", "dsp": "from . import bank\n"}, "bank -> dsp -> bank"),
+    ({"bank": "from .dsp import band\n", "dsp": "from .bank import chirps\n"},
+     "bank -> dsp -> bank"),
+    ({"bank": "from .io import read_config\n", "dsp": "from . import bank\n",
+      "io": "from . import __version__, dsp\n"}, "bank -> io -> dsp -> bank"),
+    ({"a": "from . import a\n"}, "a -> a"),
+    ({"a": "from . import b\n", "b": "from .errors import E\nfrom . import a\n",
+      "errors": ""}, "a -> b -> a"),
+], ids=["by-module", "by-member", "three-modules", "itself", "beside-an-edge"])
+def test_an_import_cycle_is_found(sources, cycle):
+    assert import_cycles(sources) == [cycle]
 
 
 # numpy's ways into BLAS (``@`` is checked as an operator).
