@@ -50,25 +50,35 @@ def _require_at_least(value: int, minimum: int, flag: str) -> None:
 _SECOND_OUTPUT = {"mf-snr": ("--summary-out", ".json"), "mc-bench": ("--hist-out", ".csv"),
                   "qsim-count": ("--marginal-out", ".csv"),
                   "qsim-search": ("--marginal-out", ".csv")}
+# The flags that name a file a call reads; a raw --data names its sidecar too.
+_READS = ("--data", "--psd", "--bank-config", "--config")
 
 
 def _second_out(args) -> str:
     """The path of this command's second output: its flag as given, else derived beside --out."""
     flag, suffix = _SECOND_OUTPUT[args.command]
-    tag = flag[2:-4]
+    tag, p = flag[2:-4], Path(args.out)
     given = getattr(args, f"{tag}_out")
-    if given is not None:
-        return given
-    p = Path(args.out)
-    return str(p.with_name(f"{p.stem}.{tag}{suffix}"))
+    return given if given is not None else str(p.with_name(f"{p.stem}.{tag}{suffix}"))
 
 
-def _check_output(flag: str, path: str) -> None:
-    """Refuse an output path that is empty or an existing directory; run before the work."""
-    if not path:
-        raise InputError(f"empty path for {flag}")
-    if os.path.isdir(path):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+def _check_files(args) -> None:
+    """Refuse, before the work, a write that is empty, a directory, in no directory, or the
+    file of a read or of --out: ``os.path.samefile`` where both exist, else equal realpaths."""
+    named = [(flag, getattr(args, flag[2:].replace("-", "_"), None)) for flag in _READS]
+    named.append(("the sidecar of --data", named[0][1] and io.sidecar_path(named[0][1])))
+    for flag in ("--out", *_SECOND_OUTPUT.get(args.command, ())[:1]):
+        path = args.out if flag == "--out" else _second_out(args)  # derived once --out holds
+        if not path:
+            raise InputError(f"empty path for {flag}")
+        if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+            code = errno.EISDIR if os.path.isdir(path) else errno.ENOENT
+            raise OSError(code, os.strerror(code), path)  # IsADirectory-, FileNotFoundError
+        for other, p in named:
+            if p and (os.path.realpath(p) == os.path.realpath(path) or os.path.exists(p)
+                      and os.path.exists(path) and os.path.samefile(p, path)):
+                raise InputError(f"{flag} and {other} name one file: {path!r}")
+        named.append((flag, path))
 
 
 # ---------------------------------------------------------------------------
@@ -354,20 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_output("--out", args.out)  # first, since the second output derives from it
-        if args.command in _SECOND_OUTPUT:
-            flag, second = _SECOND_OUTPUT[args.command][0], _second_out(args)
-            _check_output(flag, second)
-            if os.path.realpath(second) == os.path.realpath(args.out):
-                raise InputError(f"{flag} and --out name one file: {second!r}")
+        _check_files(args)
         with np.errstate(all="ignore"):  # the value types refuse what overflows
             args.func(args)
+    except (CapExceededError, MemoryError, ChildProcessError) as exc:  # the last an OSError
+        print(f"resource cap: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return EXIT_CAP
     except (OSError, InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (CapExceededError, MemoryError) as exc:
-        print(f"resource cap: {str(exc) or 'out of memory'}", file=sys.stderr)
-        return EXIT_CAP
     except ValidationError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

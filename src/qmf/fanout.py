@@ -7,7 +7,7 @@ comes back down the worker's own pipe as one pickle, which marks its own
 end, and a worker whose pipe is full waits, so the parent holds about one
 result per worker.  An exception ``fn`` raises is sent back and raised
 again in the parent at that item's place; a worker that ends before
-sending a result raises ``ChildProcessError`` there.
+sending a result, or a fork that fails, raises ``ChildProcessError``.
 
 A worker leaves only by ``os._exit``: it never returns into the caller's
 code, never runs the caller's ``finally`` or ``except`` blocks, and never
@@ -51,10 +51,10 @@ def fan_out(fn: Callable, items: Sequence, workers: int | None = None) -> Iterat
             r, wr = os.pipe()
             try:
                 pid = os.fork()
-            except OSError:
+            except OSError as exc:  # no process to be had: a resource, not an input
                 os.close(r)
                 os.close(wr)
-                raise
+                raise ChildProcessError(f"cannot fork a worker: {exc}") from exc
             if pid == 0:
                 _work(fn, items[k::w], wr, [r, *(f.fileno() for f in readers)])
             pids.append(pid)

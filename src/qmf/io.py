@@ -144,7 +144,7 @@ def read_time_series(path: str | Path, m: int) -> dsp.TimeSeries:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(path)
-    csv = path.suffix.lower() == ".csv"
+    csv = sidecar_path(path) is None
     if csv:
         t, samples = _read_two_columns(path, ("t", "strain"))
         count = samples.size
@@ -165,9 +165,14 @@ def read_time_series(path: str | Path, m: int) -> dsp.TimeSeries:
     return _named(path, dsp.TimeSeries, samples=samples, dt=dt, t0=t0)
 
 
+def sidecar_path(path: str | Path) -> Path | None:
+    """``<path>.json``, the JSON sidecar of a raw strain file; None for a ``.csv`` strain."""
+    return None if Path(path).suffix.lower() == ".csv" else Path(f"{Path(path)}.json")
+
+
 def _read_sidecar(path: Path) -> tuple[float, float]:
     """The sample step and start time that a raw file's JSON sidecar gives."""
-    sidecar = path.with_suffix(path.suffix + ".json")
+    sidecar = sidecar_path(path)
     if not sidecar.exists():
         raise FileNotFoundError(f"raw input {path} needs a sidecar {sidecar}")
     meta = _named(sidecar, read_config, read_json(sidecar), "sidecar",

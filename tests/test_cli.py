@@ -1,5 +1,7 @@
 """CLI integration tests: subcommands, file formats, exit codes."""
 
+import argparse
+import errno
 import json
 import math
 import os
@@ -1315,8 +1317,10 @@ def _refusals():
     bounds on the lattice and the trial count, and for every
     command that writes an output in a missing directory, an empty output
     path, an output path, given or derived beside ``--out``, that names a
-    directory (a ``None`` file), and a second output that names the file
-    of ``--out``.  The injections that
+    directory (a ``None`` file), a second output that names the file of
+    ``--out`` or sits in a missing directory, and a write that names a
+    file the call reads, by a ``./``, a symbolic-link or a hard-link alias
+    too (an ``(os.symlink or os.link, target)`` file).  The injections that
     overflow run on 1, 2 and 3 CPUs: the search's workers fork inside
     the command's ``np.errstate``.
     """
@@ -1441,6 +1445,53 @@ def _refusals():
         yield pytest.param(1, files, [*argv, "--out", "o.json", flag, same], EXIT_INPUT,
                            f"{flag} and --out name one file: '{same}'",
                            id=f"{flag[2:]}-same-{argv[0]}")
+    # a write that names a file the call reads: as --out, and as the second output
+    psd = b"f_hz,sn\n" + io.csv_block([0.5 * np.arange(513), np.full(513, 1.0)])
+    csv = b"t,strain\n" + io.csv_block([np.arange(1024) / 512.0, np.zeros(1024)])
+    mf_snr = _mf_snr_files(**{"s.csv": csv, "psd.csv": psd})
+    for read, name, argv in (
+            ("--data", "s.f64", _MF_SNR), ("--data", "s.csv", ["mf-snr", "--data", "s.csv",
+                                                             *_MF_SNR[3:]]),
+            ("the sidecar of --data", "s.f64.json", _MF_SNR),
+            ("--psd", "psd.csv", [*_MF_SNR, "--psd", "psd.csv"]),
+            ("--bank-config", "bank.json", _MF_SNR)):
+        for flag, more in (("--out", []), ("--summary-out", ["--out", "o.csv"])):
+            yield pytest.param(1, mf_snr, [*argv, *more, flag, name], EXIT_INPUT,
+                               f"{flag} and {read} name one file: '{name}'",
+                               id=f"{flag[2:]}-is-{name}-mf-snr")
+    for command in ("detect", "retrieve", "mc-bench", "cw-cost"):
+        files = {"c.json": "{}"} if command == "cw-cost" else _SYNTHETIC
+        yield pytest.param(1, files, [command, *config, "--out", "c.json"], EXIT_INPUT,
+                           "--out and --config name one file: 'c.json'",
+                           id=f"out-is-config-{command}")
+    yield pytest.param(1, _SYNTHETIC, ["mc-bench", *config, "--out", "o.json", "--hist-out",
+                                       "c.json"], EXIT_INPUT,
+                       "--hist-out and --config name one file: 'c.json'",
+                       id="hist-out-is-config-mc-bench")
+    yield pytest.param(1, _mf_snr_files(**{"o.summary.json": "{}"}),
+                       ["mf-snr", "--data", "s.f64", "--bank-config", "o.summary.json",
+                        "--index", 5, "--out", "o.csv"], EXIT_INPUT,
+                       "--summary-out and --bank-config name one file: 'o.summary.json'",
+                       id="derived-is-bank-config-mf-snr")
+    # a --data with no file name, whose sidecar path is still made
+    yield pytest.param(1, _mf_snr_files(), ["mf-snr", "--data", ".", *_MF_SNR[3:]], EXIT_INPUT,
+                       "raw input . needs a sidecar ..json", id="data-is-a-directory")
+    # one file by another name: ./, a symbolic link, a hard link
+    for name, alias in (("./s.f64", None), ("sym.f64", (os.symlink, "s.f64")),
+                        ("hard.f64", (os.link, "s.f64"))):
+        files = _mf_snr_files() if alias is None else {**_mf_snr_files(), name: alias}
+        yield pytest.param(1, files, [*_MF_SNR, "--out", name], EXIT_INPUT,
+                           f"--out and --data name one file: '{name}'",
+                           id=f"out-is-data-as-{name}")
+    # a second output in a missing directory, refused before --out is written
+    for flag, files, argv in (
+            ("--summary-out", _mf_snr_files(), _MF_SNR),
+            ("--marginal-out", {}, ["qsim-count", "--data-bits", "0101", "--p", 3,
+                                    "--seed", 1]),
+            ("--hist-out", _SYNTHETIC, ["mc-bench", *config])):
+        yield pytest.param(1, files, [*argv, "--out", "o.csv", flag, "missing/s"], EXIT_INPUT,
+                           "No such file or directory: 'missing/s'",
+                           id=f"{flag[2:]}-missing-dir-{argv[0]}")
 
 
 @pytest.mark.filterwarnings("error")  # a NumPy warning, in a worker too, fails the run
@@ -1450,6 +1501,8 @@ def test_refused_on_one_line(tmp_path, monkeypatch, capfd, cpus, files, argv, co
     for name, content in files.items():
         if content is None:
             (tmp_path / name).mkdir()
+        elif isinstance(content, tuple):  # (os.symlink or os.link, the file it names)
+            content[0](content[1], name)
         else:
             (tmp_path / name).write_bytes(
                 content if isinstance(content, bytes) else content.encode())
@@ -1459,6 +1512,60 @@ def test_refused_on_one_line(tmp_path, monkeypatch, capfd, cpus, files, argv, co
     err = capfd.readouterr().err
     assert err.count("\n") == 1 and "Warning" not in err and names in err
     assert sorted(os.listdir()) == sorted(files)
+    for name, content in files.items():  # every input as it was
+        if isinstance(content, tuple):
+            assert os.path.samefile(name, content[1])
+        elif content is not None:
+            assert (tmp_path / name).read_bytes() == (
+                content if isinstance(content, bytes) else content.encode())
+
+
+def test_every_file_flag_is_in_the_rule():
+    """Each option whose value is a path is a read or a write of ``cli._check_files``."""
+    not_paths = {"--data-bits"}  # the one string option that names no file
+    writes = {"--out", *(flag for flag, _ in cli._SECOND_OUTPUT.values())}
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    strings = set()
+    for command, parser in commands.items():
+        for action in parser._actions:
+            if action.option_strings and action.type is None and action.nargs is None \
+                    and isinstance(action, argparse._StoreAction):
+                flag, = action.option_strings
+                strings.add(flag)
+                assert action.dest == flag[2:].replace("-", "_"), flag  # how the rule reads it
+        if command in cli._SECOND_OUTPUT:
+            assert cli._SECOND_OUTPUT[command][0] in parser._option_string_actions
+    assert strings - not_paths == set(cli._READS) | writes
+    assert not set(cli._READS) & writes
+
+
+@pytest.mark.parametrize("cpus", [2], indirect=True)
+class TestLostWorker:
+    """A worker that dies, or one that cannot be forked, is a resource failure: exit 3."""
+
+    def test_a_worker_that_dies_exits_3(self, tmp_path, capfd, monkeypatch, cpus):
+        bound = amplify.max_fail_bound_argmax
+        # as a worker the OOM killer takes ends: no result, no exception
+        monkeypatch.setattr(amplify, "max_fail_bound_argmax",
+                            lambda r: os._exit(9) if r == 2 else bound(r))
+        monkeypatch.chdir(tmp_path)
+        assert run("fail-bound", "--r-max", 3, "--out", "b.csv") == EXIT_CAP
+        err = capfd.readouterr().err
+        assert err == "resource cap: a worker ended before sending its result\n"
+        assert os.listdir() == []
+
+    def test_a_fork_that_fails_exits_3(self, tmp_path, capfd, monkeypatch, cpus):
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.chdir(tmp_path)
+        assert run("fail-bound", "--r-max", 3, "--out", "b.csv") == EXIT_CAP
+        err = capfd.readouterr().err
+        assert err == ("resource cap: cannot fork a worker: [Errno 11] Resource temporarily "
+                       "unavailable\n")
+        assert os.listdir() == []
 
 
 class TestOverflow:

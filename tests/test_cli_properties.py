@@ -4,8 +4,10 @@ Whatever the argv of ``qsim-count``, ``qsim-search``, ``count-dist`` and
 ``fail-bound``, whatever the scenario, bank or CW config, and whatever
 ``mf-snr``'s strain (raw with its sidecar, or CSV) and PSD file, a
 command exits 0, 2, 3 or 4, writes at most one line to stderr and no
-NumPy warning, and leaves no output file when it fails; it never ends
-in a traceback.  A float drawn is now and then at or past the edge of
+NumPy warning, leaves no output file when it fails and changes no input
+file; it never ends in a traceback.  Now and then an output flag names
+one of the call's input files: that call exits 2 on one line, before
+any work.  A float drawn is now and then at or past the edge of
 the float range, and an int past the int64 range.  Work-sizing numbers
 (register widths, bank and series sizes, trial and round counts) are
 drawn small so each example runs in milliseconds, or past the injection
@@ -130,27 +132,41 @@ CW = config({}, {k: value(st.one_of(floats(), small_float))
 
 
 def run(argv, files=()):
-    """Run ``qmf`` on argv in a fresh directory; return (exit code, stderr, files it made)."""
+    """Run ``qmf`` on argv in a fresh directory.
+
+    Returns the exit code, stderr, the files it made and the input files
+    whose bytes it changed.
+    """
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         for name, write in files:
             write(Path(tmp) / name)
-        inputs = set(os.listdir(tmp))
+        inputs = {name: (Path(tmp) / name).read_bytes() for name in os.listdir(tmp)}
         argv = [a.replace("{tmp}", tmp) for a in argv]
         try:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-        made = set(os.listdir(tmp)) - inputs
-    return code, err.getvalue(), made
+        made = set(os.listdir(tmp)) - set(inputs)
+        changed = {name for name, data in inputs.items()
+                   if not os.path.isfile(Path(tmp) / name)
+                   or (Path(tmp) / name).read_bytes() != data}
+    return code, err.getvalue(), made, changed
 
 
-def assert_clean_exit(code, err, made):
+def assert_clean_exit(code, err, made, changed):
     assert code in EXIT_CODES, (code, err)
     assert err.count("\n") <= 1 and (err == "" or err.endswith("\n")), err
     assert "Warning" not in err, err
     assert code == cli.EXIT_OK or not made, (code, err, made)
+    assert not changed, (code, err, changed)
+
+
+def assert_clash_refused(code, err, made, changed):
+    """An output that names an input file: exit 2 on one line, no file made or changed."""
+    assert code == cli.EXIT_INPUT and err.count("\n") == 1 and "name one file" in err, err
+    assert not made and not changed, (made, changed)
 
 
 def write_json(payload):
@@ -182,10 +198,14 @@ def test_qsim_argv(command, bits, flags, unknown_flag, keep_required):
 
 @SETTINGS
 @given(command=st.sampled_from(["detect", "retrieve", "mc-bench"]),
-       cfg=mostly(st.one_of(SYNTHETIC, INJECTION), junk))
-def test_scenario_config(command, cfg):
+       cfg=mostly(st.one_of(SYNTHETIC, INJECTION), junk),
+       clash=rarely(st.sampled_from(["--out", "--hist-out"])))
+def test_scenario_config(command, cfg, clash):
     argv = [command, "--config", "{tmp}/scenario.json", "--out", "{tmp}/out.json"]
-    assert_clean_exit(*run(argv, [("scenario.json", write_json(cfg))]))
+    if clash is not None:  # an output that names the config
+        argv += ["--out" if command != "mc-bench" else clash, "{tmp}/scenario.json"]
+    result = run(argv, [("scenario.json", write_json(cfg))])
+    (assert_clean_exit if clash is None else assert_clash_refused)(*result)
 
 
 @SETTINGS
@@ -198,7 +218,7 @@ def test_injection_past_the_byte_budget_exits_3(command, size):
             "n_f1": 2, "fs_hz": 512.0, "m_samples": 128, "dur_s": 0.25, **size}
     cfg = {"bank": bank, "inject_index": 0, "rho_thr": 5.0, "seed": 1, "trials": 2}
     argv = [command, "--config", "{tmp}/scenario.json", "--out", "{tmp}/out.json"]
-    code, err, _ = run(argv, [("scenario.json", write_json(cfg))])
+    code, err, _, _ = run(argv, [("scenario.json", write_json(cfg))])
     assert code == cli.EXIT_CAP, err
     assert err.startswith("resource cap: injection scenario needs ") and err.count("\n") == 1
 
@@ -218,8 +238,10 @@ CSV_FLAW = rarely(st.tuples(st.integers(0, 127), st.sampled_from([",0.0", ",", "
        seg_len=st.one_of(st.none(), ints(-1, 300)),
        scale=around(st.just(1.0), floats(0.0, 1e300)), sidecar=mostly(SIDECAR, junk),
        psd=st.one_of(st.none(), PSD), suffix=st.sampled_from(["f64", "csv"]),
-       edges=CSV_EDGES, flaw=CSV_FLAW)
-def test_bank_config(bank, index, seg_len, scale, sidecar, psd, suffix, edges, flaw):
+       edges=CSV_EDGES, flaw=CSV_FLAW,
+       clash=rarely(st.tuples(st.sampled_from(["--out", "--summary-out"]),
+                              st.sampled_from(["strain", "sidecar", "bank.json", "psd.csv"]))))
+def test_bank_config(bank, index, seg_len, scale, sidecar, psd, suffix, edges, flaw, clash):
     def strain(path):
         with np.errstate(over="ignore"):  # a scale past 1e306 may give inf samples
             samples = np.random.default_rng(0).normal(size=128) * scale
@@ -245,7 +267,16 @@ def test_bank_config(bank, index, seg_len, scale, sidecar, psd, suffix, edges, f
         files.append(("psd.csv", lambda path: path.write_text("f_hz,sn\n" + "".join(
             f"{k * df!r},{level!r}\n" for k in range(65)))))
         argv += ["--psd", "{tmp}/psd.csv"]
-    assert_clean_exit(*run(argv, files))
+    if clash is None:
+        assert_clean_exit(*run(argv, files))
+        return
+    # an output that names an input file; the strain stands in for one this call lacks
+    flag, name = clash
+    given = {"strain": f"strain.{suffix}", "bank.json": "bank.json",
+             "sidecar": "strain.f64.json" if suffix == "f64" else None,
+             "psd.csv": "psd.csv" if psd is not None else None}[name]
+    argv += [flag, "{tmp}/" + (given or f"strain.{suffix}")]
+    assert_clash_refused(*run(argv, files))
 
 
 def int_flag(lo, hi):

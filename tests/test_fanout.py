@@ -1,5 +1,6 @@
 """The fan-out: results in item order, errors at their item, no worker left behind."""
 
+import errno
 import json
 import os
 
@@ -64,6 +65,22 @@ def test_error_raised_at_its_item(two_workers):
         for value in fanout.fan_out(fn, range(9)):
             got.append(value)
     assert got == [0, 1, 2, 3, 4]
+    assert_no_child_left()
+
+
+def test_failed_fork_raised_as_a_lost_worker(two_workers, monkeypatch):
+    forks = []
+
+    def fork(fork=os.fork):
+        forks.append(1)
+        if len(forks) == 2:  # the second worker cannot be had; the first is reaped
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    with pytest.raises(ChildProcessError, match="^cannot fork a worker: .Errno 11.") as info:
+        list(fanout.fan_out(square, range(9)))
+    assert isinstance(info.value.__cause__, BlockingIOError)
     assert_no_child_left()
 
 
