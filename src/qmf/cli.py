@@ -63,11 +63,17 @@ def _second_out(args) -> str:
 
 
 def _check_files(args) -> None:
-    """Refuse, before the work, a write that is empty, a directory, in no directory, or the
-    file of a read or of --out: ``os.path.samefile`` where both exist, else equal realpaths."""
-    named = [(flag, getattr(args, flag[2:].replace("-", "_"), None)) for flag in _READS]
+    """Refuse, before the work, a read or write with a NUL byte, and a write that is empty, a
+    directory, in no directory, or the file of a read or of --out: ``os.path.samefile`` where
+    both exist, else equal realpaths."""
+    writes = ("--out", *_SECOND_OUTPUT.get(args.command, ())[:1])
+    given = {flag: getattr(args, flag[2:].replace("-", "_"), None) for flag in (*_READS, *writes)}
+    for flag, path in given.items():  # a derived second output holds a NUL only if --out does
+        if path and "\0" in path:
+            raise InputError(f"NUL byte in the path for {flag}: {path!r}")
+    named = [(flag, given[flag]) for flag in _READS]
     named.append(("the sidecar of --data", named[0][1] and io.sidecar_path(named[0][1])))
-    for flag in ("--out", *_SECOND_OUTPUT.get(args.command, ())[:1]):
+    for flag in writes:
         path = args.out if flag == "--out" else _second_out(args)  # derived once --out holds
         if not path:
             raise InputError(f"empty path for {flag}")

@@ -1320,7 +1320,8 @@ def _refusals():
     directory (a ``None`` file), a second output that names the file of
     ``--out`` or sits in a missing directory, and a write that names a
     file the call reads, by a ``./``, a symbolic-link or a hard-link alias
-    too (an ``(os.symlink or os.link, target)`` file).  The injections that
+    too (an ``(os.symlink or os.link, target)`` file), and a read or a write
+    whose path holds a NUL byte.  The injections that
     overflow run on 1, 2 and 3 CPUs: the search's workers fork inside
     the command's ``np.errstate``.
     """
@@ -1483,6 +1484,16 @@ def _refusals():
         yield pytest.param(1, files, [*_MF_SNR, "--out", name], EXIT_INPUT,
                            f"--out and --data name one file: '{name}'",
                            id=f"out-is-data-as-{name}")
+    # a NUL byte, which no file name holds: a read refused before its realpath, a write
+    # before the work
+    for files, argv in (
+            ({"c.json": "{}"}, ["cw-cost", "--config", "c\0.json"]),
+            (_SYNTHETIC, ["detect", "--config", "c\0.json"]),
+            (_mf_snr_files(), ["mf-snr", *_MF_SNR[3:], "--data", "s\0.f64"]),
+            ({}, ["count-dist", "--n-templates", 64, "--matches", 2, "--out", "a\0b"])):
+        flag, path = argv[-2:]
+        yield pytest.param(1, files, argv, EXIT_INPUT,
+                           f"NUL byte in the path for {flag}: {path!r}", id=f"nul-{argv[0]}")
     # a second output in a missing directory, refused before --out is written
     for flag, files, argv in (
             ("--summary-out", _mf_snr_files(), _MF_SNR),

@@ -16,18 +16,25 @@ to one CPU (the lowest of them) by ``os.sched_setaffinity``, so both the
 forked and the in-process path of ``qmf.fanout`` are covered.  Only the
 tool's own child processes are pinned.
 
-Then it compares the two trees' results file by file, prints the first
-file that differs, and exits 0 only when every file is identical (1 when
-one differs, 2 when a tree cannot build its workloads).  It imports
-nothing of either tree itself, writes only into a temporary directory
-and no bytecode into the trees.
+Then it compares the two trees' manifests (the SHA-256 of each file,
+keyed by its relative path), prints every file that changed, is missing
+from the change or is extra in it, and exits 0 only when every file is
+identical (1 when one moved, 2 when a tree cannot build its workloads).
+It imports nothing of either tree itself, writes only into a temporary
+directory and no bytecode into the trees.
+
+The same manifest, of one tree at seed 41 and smoke sizes, is committed
+as ``tests/data/smoke-41.sha256``; ``tests/test_same_bytes.py`` checks
+this tree against it.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -77,15 +84,44 @@ def run_tree(tree: Path, out: Path, seeds: list[int], workloads: list[str], smok
                 (work / "jobs" / f"{i:02d}.code").write_text(f"{job.returncode}\n")
 
 
-def first_difference(a: Path, b: Path) -> tuple[str | None, int]:
-    """The first relative path whose bytes differ under ``a`` and ``b``, and the file count."""
-    files = sorted({p.relative_to(root).as_posix() for root in (a, b)
-                    for p in root.rglob("*") if p.is_file()})
-    for rel in files:
-        pa, pb = a / rel, b / rel
-        if not (pa.is_file() and pb.is_file()) or pa.read_bytes() != pb.read_bytes():
-            return rel, len(files)
-    return None, len(files)
+def manifest(root: Path) -> dict[str, str]:
+    """The SHA-256 of each file under ``root``, keyed by its relative POSIX path."""
+    files = {p.relative_to(root).as_posix(): p for p in root.rglob("*") if p.is_file()}
+    return {rel: hashlib.sha256(files[rel].read_bytes()).hexdigest() for rel in sorted(files)}
+
+
+def moved(expected: dict[str, str], found: dict[str, str]) -> list[str]:
+    """``changed: path``, ``missing: path`` or ``extra: path`` for every file that moved."""
+    lines = []
+    for rel in sorted(expected.keys() | found.keys()):
+        if expected.get(rel) != found.get(rel):
+            kind = "missing" if rel not in found else "extra" if rel not in expected else "changed"
+            lines.append(f"{kind}: {rel}")
+    return lines
+
+
+def environment() -> str:
+    """The Python and numpy versions, and the SIMD targets numpy dispatches to."""
+    import numpy as np  # only here: the byte check itself needs no numpy
+    from numpy._core._multiarray_umath import (
+        __cpu_baseline__, __cpu_dispatch__, __cpu_features__)
+    found = [t for t in __cpu_dispatch__ if __cpu_features__[t]]
+    return (f"python {platform.python_version()}, numpy {np.__version__} (SIMD baseline "
+            f"{' '.join(__cpu_baseline__)}; dispatched {' '.join(found) or 'none'})")
+
+
+def manifest_text(digests: dict[str, str], header: str) -> str:
+    """A manifest file: ``# header`` lines, then ``digest  path`` a line, as sha256sum writes."""
+    comments = "".join(f"# {line}\n" for line in header.splitlines())
+    return comments + "".join(f"{digest}  {rel}\n" for rel, digest in digests.items())
+
+
+def read_manifest(text: str) -> tuple[str, dict[str, str]]:
+    """The header and the digests of a manifest that ``manifest_text`` wrote."""
+    lines = text.splitlines()
+    header = "\n".join(line[2:] for line in lines if line.startswith("#"))
+    pairs = (line.split("  ", 1) for line in lines if line and not line.startswith("#"))
+    return header, {rel: digest for digest, rel in pairs}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -107,11 +143,12 @@ def main(argv: list[str] | None = None) -> int:
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 2
-        differs, count = first_difference(results / "parent", results / "change")
-    if differs is not None:
-        print(f"differs: {differs}")
+        parent, change = manifest(results / "parent"), manifest(results / "change")
+    for line in moved(parent, change):
+        print(line)
+    if parent != change:
         return 1
-    print(f"same bytes: {count} files (outputs, stdout, stderr and exit code of each job)")
+    print(f"same bytes: {len(change)} files (outputs, stdout, stderr and exit code of each job)")
     return 0
 
 

@@ -13,28 +13,30 @@ skip, an xfail, a collection error, either check passing, or fewer than
 ``MIN_PASSED`` passing tests (a test module gone missing) breaks the
 gate.  Then it runs ``perfbench/run.py --self-test``.  Exit code 0 means
 both held.  It first prints what it runs on: the Python and numpy
-versions, the number of CPUs it may use and ``OPENBLAS_NUM_THREADS`` as
-it sees it, since timings and BLAS's bits vary with these.  Then it
-prints the file and line count of ``src/qmf`` and each file's line
-count, so each log records the size of the code it passed, and two logs
-give a change's lines per module.
+versions and the SIMD targets numpy dispatches to (the line the smoke
+manifest ``tests/data/smoke-41.sha256`` records, since the output bytes
+depend on them), the number of CPUs it may use and
+``OPENBLAS_NUM_THREADS`` as it sees it, since timings and BLAS's bits
+vary with these.  Then it prints the file and line count of ``src/qmf``
+and each file's line count, so each log records the size of the code it
+passed, and two logs give a change's lines per module.
 """
 
 from __future__ import annotations
 
-import importlib.metadata
 import os
-import platform
 import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+from same_bytes import environment  # beside this file
+
 ROOT = Path(__file__).resolve().parent.parent
 MUST_FAIL = {"test_c05_total_failure_reference_value", "test_c06_recount_mean_reference_value"}
 # The tier-1 pass count at the last change; one that deletes tests lowers it.
-MIN_PASSED = 1004
+MIN_PASSED = 1010
 
 
 def outcomes(report: Path) -> dict[str, str]:
@@ -80,12 +82,13 @@ def source_size() -> list[str]:
 
 
 def platform_lines() -> list[str]:
-    """The Python and numpy versions, the CPUs this process may use, and OPENBLAS_NUM_THREADS."""
+    """The Python and numpy versions with numpy's SIMD targets, the CPUs this process may use,
+    and OPENBLAS_NUM_THREADS."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count()
-    return [f"python {platform.python_version()}, numpy {importlib.metadata.version('numpy')}",
+    return [environment(),
             f"cpus (affinity): {cpus}",
             f"OPENBLAS_NUM_THREADS: {os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')}"]
 
