@@ -177,19 +177,23 @@ def chirps(params: ChirpParams, phases, fs: float, m: int) -> np.ndarray:
     taper = tukey_window(n_sig, 2.0 * TAPER_FRAC)
     out = np.empty((len(phases), *sweep.shape))
     for row, phi0 in zip(out, phases):
-        np.sin(phi0 + sweep, out=row)
+        np.add(sweep, phi0, out=row)
+        np.sin(row, out=row)
         row *= taper
     return out
 
 
-def quadrature_spectra(params: ChirpParams, fs: float, m: int) -> dsp.FrequencySeries:
+def quadrature_spectra(params: ChirpParams, fs: float, m: int,
+                       out: np.ndarray | None = None) -> dsp.FrequencySeries:
     """One-sided spectra of the ``QUADRATURE`` pair of each chirp, zero-padded to m samples.
 
     Bins of shape ``(2, *f0.shape, m // 2 + 1)`` on the grid of an
-    m-sample series at ``fs``; the chirps go once transformed.
+    m-sample series at ``fs``, in ``out`` when given; the chirps go once
+    transformed.
     """
-    return dsp.FrequencySeries(bins=np.fft.rfft(chirps(params, QUADRATURE, fs, m), n=m, axis=-1),
-                               df=1.0 / (m * (1.0 / fs)), m_time=m)
+    return dsp.FrequencySeries(
+        bins=np.fft.rfft(chirps(params, QUADRATURE, fs, m), n=m, axis=-1, out=out),
+        df=1.0 / (m * (1.0 / fs)), m_time=m)
 
 
 def waveform(params: ChirpParams, fs: float, m: int) -> dsp.TimeSeries:

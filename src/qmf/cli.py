@@ -63,14 +63,18 @@ def _second_out(args) -> str:
 
 
 def _check_files(args) -> None:
-    """Refuse, before the work, a read or write with a NUL byte, and a write that is empty, a
-    directory, in no directory, or the file of a read or of --out: ``os.path.samefile`` where
-    both exist, else equal realpaths."""
+    """Refuse, before the work, a read or write with a NUL byte or that the file system cannot
+    encode, and a write that is empty, a directory, in no directory, or the file of a read or
+    of --out: ``os.path.samefile`` where both exist, else equal realpaths."""
     writes = ("--out", *_SECOND_OUTPUT.get(args.command, ())[:1])
     given = {flag: getattr(args, flag[2:].replace("-", "_"), None) for flag in (*_READS, *writes)}
-    for flag, path in given.items():  # a derived second output holds a NUL only if --out does
+    for flag, path in given.items():  # a derived path is refused only if its source is
         if path and "\0" in path:
             raise InputError(f"NUL byte in the path for {flag}: {path!r}")
+        try:
+            os.fsencode(path or "")
+        except UnicodeEncodeError:  # a lone surrogate, say
+            raise InputError(f"the path for {flag} cannot be encoded: {path!r}") from None
     named = [(flag, given[flag]) for flag in _READS]
     named.append(("the sidecar of --data", named[0][1] and io.sidecar_path(named[0][1])))
     for flag in writes:
@@ -194,16 +198,17 @@ def _draw_flags(args) -> None:
 
 
 def _sample_and_write(args, marginal: np.ndarray) -> None:
-    counts = qsim.measure(marginal, args.shots, np.random.default_rng(args.seed))
+    """Write the marginal, then draw from it: the draw normalizes it in place."""
     prov = _provenance(args, args.seed)
+    io.write_csv(_second_out(args), "outcome_int,probability",
+                 io.repr_rows(marginal.size, lambda j: (j, marginal[j])), prov)
+    counts = qsim.measure(marginal, args.shots, np.random.default_rng(args.seed))
     bits = f"0{marginal.size.bit_length() - 1}b"  # w-bit strings for 2**w outcomes
     drawn = np.flatnonzero(counts)
     counted = counts[drawn]
     table = io.csv_block([np.array([format(b, bits) for b in drawn.tolist()], dtype="S"),
                           counted, np.array([c / args.shots for c in counted.tolist()])])
     io.write_csv(args.out, "outcome_bits,count,probability", [table], prov)
-    io.write_csv(_second_out(args), "outcome_int,probability",
-                 io.repr_rows(marginal.size, lambda j: (j, marginal[j])), prov)
     mode = format(int(np.argmax(counts)), bits)
     print(f"{args.shots} shots, modal outcome {mode} -> {args.out}")
 

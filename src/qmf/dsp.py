@@ -17,8 +17,13 @@ The engine knows no template family and imports no other layer:
 :mod:`qmf.bank` makes the quadrature spectra that :func:`complex_template` combines.
 
 All operations are pure functions of value-like inputs and are safe to
-call concurrently, except :func:`snr_series`, which transforms the
-integrand it is given in place.
+call concurrently, except two that reuse a buffer they are given:
+:func:`complex_template` normalizes and combines in its pair's buffer,
+so it consumes the pair, and :func:`snr_series` transforms the integrand
+it is given in place.  :func:`complex_template`,
+:func:`filter_integrand` and :func:`filter_series` also take an ``out=``
+array for their result, so that a caller filtering block after block
+allocates its buffers once.
 """
 
 from __future__ import annotations
@@ -200,6 +205,22 @@ def _analysis_band(*series: FrequencySeries, psd: Psd) -> slice:
     return in_band
 
 
+def _sigma(s: FrequencySeries, psd: Psd) -> np.ndarray:
+    """Each row's sigma, sqrt(sum_band |s_k|^2 / S_n(f_k) * df), with a trailing axis.
+
+    Refuses a template with no energy in the band and a PSD that
+    vanishes inside it.  Holds one band-sized float copy of the spectra.
+    """
+    in_band = _analysis_band(s, psd=psd)
+    power = np.abs(s.bins[..., in_band])
+    np.square(power, out=power)
+    np.divide(power, psd.values[in_band], out=power)
+    sigma_sq = np.sum(power, axis=-1) * s.df
+    if (sigma_sq <= 0.0).any():
+        raise ValidationError("template has zero energy in the analysis band")
+    return np.sqrt(sigma_sq)[..., None]
+
+
 def normalize_template(s: FrequencySeries, psd: Psd) -> FrequencySeries:
     """Scale each template spectrum (row) to unit noise-weighted norm.
 
@@ -207,15 +228,11 @@ def normalize_template(s: FrequencySeries, psd: Psd) -> FrequencySeries:
     Invariant under positive rescaling of the input; rejects templates
     with no energy in the band and PSDs that vanish inside it.
     """
-    in_band = _analysis_band(s, psd=psd)
-    sigma_sq = np.sum(np.abs(s.bins[..., in_band]) ** 2 / psd.values[in_band], axis=-1) * s.df
-    if (sigma_sq <= 0.0).any():
-        raise ValidationError("template has zero energy in the analysis band")
-    return FrequencySeries(bins=s.bins / np.sqrt(sigma_sq)[..., None], df=s.df,
-                           m_time=s.m_time)
+    return FrequencySeries(bins=s.bins / _sigma(s, psd), df=s.df, m_time=s.m_time)
 
 
-def complex_template(pair: FrequencySeries, psd: Psd) -> FrequencySeries:
+def complex_template(pair: FrequencySeries, psd: Psd,
+                     out: np.ndarray | None = None) -> FrequencySeries:
     """Phase-maximizing complex templates of a quadrature pair, such as ``bank.quadrature_spectra``.
 
     ``pair.bins[0]`` and ``pair.bins[1]`` hold a template's spectra at a
@@ -224,21 +241,33 @@ def complex_template(pair: FrequencySeries, psd: Psd) -> FrequencySeries:
     quadrature this collapses to Q0 alone, and in general |z| of the
     filtered output is independent of the signal phase while Re z
     recovers the phase-0 filter output.
+
+    The pair is consumed: it is normalized and combined in its own
+    buffer, so a caller must not use it again.  The templates go into
+    ``out`` (``pair.bins[0]`` itself may be given), or else into a fresh
+    array, and the pair's buffer is dropped.
     """
-    q = normalize_template(pair, psd)
-    del pair  # a caller's temporary goes here, before the combination
-    return FrequencySeries(bins=0.5 * (q.bins[0] - 1j * q.bins[1]), df=q.df, m_time=q.m_time)
+    q = pair.bins
+    q /= _sigma(pair, psd)
+    q[1] *= 1j
+    out = np.subtract(q[0], q[1], out=out)
+    out *= 0.5
+    return FrequencySeries(bins=out, df=pair.df, m_time=pair.m_time)
 
 
 def filter_integrand(data: FrequencySeries, template: FrequencySeries,
-                     psd: Psd) -> np.ndarray:
+                     psd: Psd, out: np.ndarray | None = None) -> np.ndarray:
     """conj(Q_k) h_k / S_n(f_k) on the band, zero elsewhere, per template row.
 
     Full length M along the last axis: the buffer that :func:`filter_series`
-    and :func:`snr_series` transform in place.
+    and :func:`snr_series` transform in place.  It is ``out`` when given,
+    whose bins outside the band are zeroed again, or else a fresh array.
     """
     in_band = _analysis_band(data, template, psd=psd)
-    integrand = np.zeros(template.bins.shape[:-1] + (data.m_time,), dtype=np.complex128)
+    shape = template.bins.shape[:-1] + (data.m_time,)
+    integrand = np.empty(shape, dtype=np.complex128) if out is None else out
+    integrand[..., :in_band.start] = 0.0
+    integrand[..., in_band.stop:] = 0.0
     weighted = np.conj(template.bins[..., in_band], out=integrand[..., in_band])
     weighted *= data.bins[..., in_band]
     weighted /= psd.values[in_band]
@@ -254,7 +283,8 @@ def _transform(integrand: np.ndarray) -> np.ndarray:
     return z
 
 
-def filter_series(data: FrequencySeries, template: FrequencySeries, psd: Psd) -> np.ndarray:
+def filter_series(data: FrequencySeries, template: FrequencySeries, psd: Psd,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Complex matched-filter output of one data spectrum, per template row.
 
     z(t_j) = 2/(M dt) * sum_band conj(Q_k) (dt h_k) / S_n(f_k) e^{2 pi i jk/M},
@@ -263,9 +293,10 @@ def filter_series(data: FrequencySeries, template: FrequencySeries, psd: Psd) ->
     With this calibration pure unit-variance noise gives E[|z|^2] = 2,
     so z is on the conventional SNR scale.  For a real template's
     spectrum, Re z is the signed phase-0 filter output and |z| the
-    phase-maximized SNR.  The result has the template's leading axes.
+    phase-maximized SNR.  The result has the template's leading axes, in
+    ``out`` when given (see :func:`filter_integrand`).
     """
-    return _transform(filter_integrand(data, template, psd))
+    return _transform(filter_integrand(data, template, psd, out))
 
 
 def snr_series(integrand: np.ndarray, dt: float) -> SnrSeries:

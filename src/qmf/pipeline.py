@@ -81,13 +81,16 @@ class TrialRecord:
 # classical oracle
 
 # Working-set budget of the blocks of templates that the search's workers
-# hold at once, one block each.  A block peaks while it normalizes: per
-# template the pair's spectra and their normalized copy (16 M bytes each),
-# 33 M traced; the chirp pair goes once transformed.  The filter holds
-# less: the combined template (8 M) and the integrand that the inverse FFT
-# overwrites (16 M).  Budgeted as 64 M bytes a row.
+# hold at once, one block each.  Each worker allocates its block's buffers on
+# its first block and holds them for the whole search: per template row the
+# pair's spectra (16 M bytes), normalized and combined in place, and the
+# integrand that the inverse FFT overwrites (16 M); |z| (8 M) goes into the
+# pair's buffer once the integrand holds the filter.  Beside them a block
+# makes its chirp pair (16 M at n_sig = M) from a phase sweep (8 M), 24 M at
+# most, and the normalization a band copy of |s|^2 (8 M): 56 M at the peak.
+# Budgeted as 64 M bytes a row.
 _BLOCK_BYTES = 32 << 20
-_SAMPLE_BYTES = 64  # the 64 of 64 M
+_SAMPLE_BYTES = 64  # the 64 of 64 M, held by each worker for the whole search
 
 
 def _rows_held(m_samples: int) -> int:
@@ -104,13 +107,29 @@ def _search_blocks(m_samples: int) -> tuple[int, int]:
 
 def _peak_snrs(spec: bank.BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
                idx: range) -> np.ndarray:
-    """Peak SNR of every template in ``idx``, one block of rows per worker at a time."""
+    """Peak SNR of every template in ``idx``, one block of rows per worker at a time.
+
+    A worker makes its block buffers on its first block and reuses them for
+    every later one; a short last block uses their leading rows.
+    """
     w, rows = _search_blocks(spec.m_samples)
+    m = spec.m_samples
+    buffers = []  # filled by the first block a worker runs: a worker is a fork, so its own
 
     def block(start: int) -> np.ndarray:
-        qc = dsp.complex_template(bank.quadrature_spectra(
-            bank.lattice(spec, idx[start:start + rows]), spec.fs, spec.m_samples), psd)
-        peaks = np.abs(dsp.filter_series(data, qc, psd)).max(axis=-1)
+        if not buffers:
+            size = min(rows, len(idx))  # a bank smaller than a block is one block
+            pair = np.empty((2, size, m // 2 + 1), dtype=np.complex128)
+            # |z| goes into the pair's bytes, free once the integrand holds the filter
+            buffers.extend((pair, np.empty((size, m), dtype=np.complex128),
+                            pair.reshape(-1).view(np.float64)))
+        pair, integrand, rho = buffers
+        n = min(rows, len(idx) - start)
+        spectra = bank.quadrature_spectra(bank.lattice(spec, idx[start:start + n]), spec.fs,
+                                          m, out=pair[:, :n])
+        qc = dsp.complex_template(spectra, psd, out=spectra.bins[0])
+        z = dsp.filter_series(data, qc, psd, out=integrand[:n])
+        peaks = np.abs(z, out=rho[:n * m].reshape(n, m)).max(axis=-1)
         bad = np.flatnonzero(~np.isfinite(peaks))  # a NaN would silently miss the threshold
         if bad.size:
             raise NonFiniteError(f"template {idx[start + bad[0]]} has a non-finite peak SNR")

@@ -264,10 +264,15 @@ def marginal_probs(state: StateVector, qubits: range) -> np.ndarray:
 
 
 def measure(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial draw of ``shots`` outcomes from a marginal: the count of each outcome."""
+    """Multinomial draw of ``shots`` outcomes from a marginal: the count of each outcome.
+
+    ``probs`` is normalized in place before the draw, so the call holds the
+    marginal and the counts alone.
+    """
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
-    return rng.multinomial(shots, probs / probs.sum())
+    probs /= probs.sum()
+    return rng.multinomial(shots, probs)
 
 
 # ---------------------------------------------------------------------------

@@ -162,10 +162,11 @@ class TestMfSnr:
     def test_peak_within_the_stated_bytes(self, tmp_path, monkeypatch):
         # README: the transform runs beside the PSD alone (4 bytes a sample)
         # in the integrand's buffer (16); pocketfft's scratch is not traced.
-        # The traced peak is the template build: the strain (8), the PSD
-        # (4), the template's two spectra (16) and two temporaries of the
-        # same size (16).  511 segments of 1024 fill 15 Welch blocks of 32
-        # and part of a 16th, each an eighth of the series.
+        # The traced peak is the template build, 36.7: the strain (8), the
+        # PSD (4), the template's two spectra (16), normalized in their own
+        # buffer, and the band's |s|^2 that normalizes them (8).  511
+        # segments of 1024 fill 15 Welch blocks of 32 and part of a 16th,
+        # each an eighth of the series.
         m = 2**18
         (tmp_path / "bank.json").write_text(json.dumps({**BANK_CFG, "m_samples": m}))
         np.random.default_rng(3).normal(size=m).astype("<f8").tofile(tmp_path / "s.f64")
@@ -250,6 +251,45 @@ class TestMfSnr:
         path.write_text("t,strain\n0.0,zero\n")
         assert run("mf-snr", "--data", path, "--bank-config", bank_cfg_file,
                    "--index", 0, "--out", tmp_path / "o.csv") == EXIT_INPUT
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["cpus1", "cpus2"], indirect=True)
+def test_no_caller_reads_a_consumed_pair(tmp_path, monkeypatch, cpus):
+    """``dsp.complex_template`` consumes its pair, and neither caller reads it after.
+
+    The bank search (7 rows fit its budget, so blocks of 7 and of 3 end in a
+    short one) and mf-snr give the same bytes when every row of a pair that
+    the template does not hold is NaN once the call returns.
+    """
+    monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 7 * 64 * BANK_CFG["m_samples"])
+    spec = bank.BankSpec.from_config(BANK_CFG)
+    psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs)
+    data = dsp.forward_fft(bank.waveform(bank.index_to_params(spec, 27), spec.fs,
+                                         spec.m_samples))
+    for name, content in _mf_snr_files().items():
+        (tmp_path / name).write_bytes(content if isinstance(content, bytes) else content.encode())
+    argv = ("mf-snr", "--data", tmp_path / "s.f64", "--bank-config", tmp_path / "bank.json",
+            "--index", 5, "--out", tmp_path / "snr.csv")
+
+    def outputs():
+        assert run(*argv) == EXIT_OK
+        peaks = pipeline._peak_snrs(spec, data, psd, range(bank.bank_size(spec)))
+        return peaks.tobytes(), (tmp_path / "snr.csv").read_bytes()
+
+    expected = outputs()
+    consume, poisoned = dsp.complex_template, []
+
+    def poisoning(pair, psd, out=None):
+        template = consume(pair, psd, out=out)
+        for row in pair.bins:
+            if not np.may_share_memory(row, template.bins):
+                row[...] = np.nan
+                poisoned.append(row.shape)
+        return template
+
+    monkeypatch.setattr(dsp, "complex_template", poisoning)
+    assert outputs() == expected
+    assert poisoned  # mf-snr's pair, in this process
 
 
 class TestInputErrors:
@@ -1065,7 +1105,7 @@ class TestQsim:
                                                             command, flags):
         from qmf import qsim
 
-        states, marginals = [], []
+        states, marginals, snapshots = [], [], []
         make = {"qsim-count": "counting_state", "qsim-search": "search_state"}[command]
         original_make, original_marginal = getattr(qsim, make), qsim.marginal_probs
         original_measure = qsim.measure
@@ -1077,6 +1117,7 @@ class TestQsim:
 
         def marginal(*args):
             marginals.append(original_marginal(*args))
+            snapshots.append(marginals[-1].copy())  # the draw normalizes the marginal in place
             return marginals[-1]
 
         def measure(probs, *args):
@@ -1092,16 +1133,16 @@ class TestQsim:
                    "--seed", 1, "--out", out) == EXIT_OK
         assert len(marginals) == 1
         written = [float(r.split(",")[1]) for r in data_rows(tmp_path / "shots.marginal.csv")[1:]]
-        assert written == marginals[0].tolist()
+        assert written == snapshots[0].tolist()
 
     @pytest.mark.parametrize("command,flags", [
         ("qsim-count", ("--data-bits", "0" * 10, "--p", 8)),
         ("qsim-search", ("--data-bits", "0" * 18, "--iterations", 4))])
     def test_peak_within_the_stated_bytes(self, tmp_path, command, flags):
         # README: search holds 24 bytes an amplitude (the state and its
-        # marginal, then the marginal, its normalised copy and the counts);
-        # counting holds the state and its small marginal.  Both also hold
-        # one block of the marginal reduction.
+        # marginal), then 16 (the marginal, normalised in place, and the
+        # counts); counting holds the state and its small marginal.  Both
+        # also hold one block of the marginal reduction.
         from qmf import qsim
 
         block = 8 << qsim._BLOCK_LOG2
@@ -1115,6 +1156,31 @@ class TestQsim:
         finally:
             tracemalloc.stop()
         assert peak < 1.05 * (stated + block)
+
+    def test_search_draw_holds_the_marginal_and_the_counts(self, tmp_path, monkeypatch):
+        # README: the draw holds 16 bytes an amplitude, the marginal normalised
+        # in place and the int64 counts, where a normalised copy made it 24
+        from qmf import qsim
+
+        n, peaks = 18, []
+        measure = qsim.measure
+
+        def traced(*args):
+            tracemalloc.reset_peak()
+            counts = measure(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            return counts
+
+        monkeypatch.setattr(qsim, "measure", traced)
+        argv = ("qsim-search", "--data-bits", "0" * n, "--iterations", 4, "--seed", 1,
+                "--out", tmp_path / "o.csv")
+        assert run(*argv) == EXIT_OK  # first run: lazy imports are not counted
+        tracemalloc.start()
+        try:
+            assert run(*argv) == EXIT_OK
+        finally:
+            tracemalloc.stop()
+        assert peaks[-1] <= (16 << n) + (128 << 10)
 
     def test_seed_rerun_byte_identical(self, tmp_path):
         out = tmp_path / "shots.csv"
@@ -1321,7 +1387,7 @@ def _refusals():
     ``--out`` or sits in a missing directory, and a write that names a
     file the call reads, by a ``./``, a symbolic-link or a hard-link alias
     too (an ``(os.symlink or os.link, target)`` file), and a read or a write
-    whose path holds a NUL byte.  The injections that
+    whose path holds a NUL byte or cannot be encoded.  The injections that
     overflow run on 1, 2 and 3 CPUs: the search's workers fork inside
     the command's ``np.errstate``.
     """
@@ -1494,6 +1560,13 @@ def _refusals():
         flag, path = argv[-2:]
         yield pytest.param(1, files, argv, EXIT_INPUT,
                            f"NUL byte in the path for {flag}: {path!r}", id=f"nul-{argv[0]}")
+    # a path the file system cannot encode, a lone surrogate: refused before the work
+    for argv, flag, path in ((["count-dist", "--n-templates", 64, "--matches", 2], "--out",
+                              "\ud800"),
+                             (["cw-cost", "--out", "o.json"], "--config", "\ud800.json")):
+        yield pytest.param(1, {}, [*argv, flag, path], EXIT_INPUT,
+                           f"the path for {flag} cannot be encoded: {path!r}",
+                           id=f"unencodable-{argv[0]}")
     # a second output in a missing directory, refused before --out is written
     for flag, files, argv in (
             ("--summary-out", _mf_snr_files(), _MF_SNR),

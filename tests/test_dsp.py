@@ -230,9 +230,12 @@ C8_BLOCK = range(512, 768)
 @pytest.fixture(scope="module")
 def c8_block_templates():
     psd = dsp.white_psd(C8_SPEC.m_samples, 1.0 / C8_SPEC.fs)
-    spectra = bank.quadrature_spectra(bank.lattice(C8_SPEC, C8_BLOCK), C8_SPEC.fs,
-                                      C8_SPEC.m_samples)
-    return psd, spectra, dsp.complex_template(spectra, psd)
+
+    def spectra():
+        return bank.quadrature_spectra(bank.lattice(C8_SPEC, C8_BLOCK), C8_SPEC.fs,
+                                       C8_SPEC.m_samples)
+
+    return psd, spectra(), dsp.complex_template(spectra(), psd)  # which consumes its pair
 
 
 class TestOneChirpAndBlock:
@@ -254,9 +257,10 @@ class TestOneChirpAndBlock:
 
     def test_block_build_holds_the_pair_spectra_and_their_normalized_copy(self):
         # Per sample and row, at the traced peak: the pair's two spectra (16
-        # bytes), their normalized copy (16) and its finiteness mask (1),
-        # 33.1 in all; the chirps go once transformed.  The template held
-        # after is one spectrum (8).
+        # bytes), normalized in their own buffer by the band's |s|^2 (8), 24.6
+        # in all; the chirps go once transformed.  Without out=, the template
+        # is combined into a fresh spectrum (8), the one held after, and the
+        # pair is dropped.
         psd = dsp.white_psd(C8_SPEC.m_samples, 1.0 / C8_SPEC.fs)
         params = bank.lattice(C8_SPEC, range(512))
 

@@ -127,7 +127,8 @@ def test_detect_on_a_worker_error_exits_4(tmp_path, capsys, two_workers):
 
 
 def test_worker_write_error_leaves_no_temp_file(tmp_path, capsys, monkeypatch, two_workers):
-    # the marginal of 13 data bits is 2 blocks; the worker of the second fails
+    # the marginal of 13 data bits is 2 blocks; the worker of the second fails,
+    # and the marginal is written before the draw, so the shots are never written
     digit_matrix = io._digit_matrix
 
     def failing(col):
@@ -140,7 +141,7 @@ def test_worker_write_error_leaves_no_temp_file(tmp_path, capsys, monkeypatch, t
                      "--shots", "16", "--seed", "1",
                      "--out", str(tmp_path / "shots.csv")]) == cli.EXIT_INPUT
     assert capsys.readouterr().err == "input error: No space left on device\n"
-    assert os.listdir(tmp_path) == ["shots.csv"]
+    assert os.listdir(tmp_path) == []
     assert_no_child_left()
 
 

@@ -164,6 +164,20 @@ class TestBatchedSearch:
         # 7 rows fit the budget: 7, 3 and 2 rows a block at 1, 2 and 3 workers
         self.test_peak_snr_matches_reference(monkeypatch, n_f0, n_f1, m_samples)
 
+    @pytest.mark.parametrize("cpus", [1, 2], ids=["cpus1", "cpus2"], indirect=True)
+    def test_reused_block_buffers_leak_nothing(self, monkeypatch, cpus):
+        # 4 rows fit the budget: 4 rows a block on 1 CPU, 2 on 2, so each worker
+        # filters block after block in its buffers and the 35 templates end in a
+        # short block on their leading rows.  A bin outside the band that kept
+        # the last block's transform, or a row of the last block, would move a peak.
+        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 4 * 64 * 1024)
+        assert pipeline._search_blocks(1024) == (cpus, 4 // cpus)
+        spec = small_spec(n_f0=5, n_f1=7)
+        psd = dsp.white_psd(spec.m_samples, 1.0 / spec.fs)
+        data = injected_data(spec, 17, 5)
+        got = pipeline._peak_snrs(spec, data, psd, range(bank_size(spec)))
+        assert got.tobytes() == loop_peak_snrs(spec, data, psd).tobytes()
+
     @pytest.mark.parametrize("m_samples", [64, 1024, 2**18, 2**19])
     def test_workers_hold_the_block_budget(self, cpus, m_samples):
         w, rows = pipeline._search_blocks(m_samples)
