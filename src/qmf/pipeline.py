@@ -24,7 +24,9 @@ Trials are independent; each owns an RNG substream derived from
 
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
 import statistics
 import sys
 from collections import Counter
@@ -395,11 +397,25 @@ def monte_carlo(scenario: Scenario, trials: int, seed: int) -> MonteCarloSummary
     for span_costs, span_failed in fanout.fan_out(span, range(0, trials, _TRIAL_SPAN)):
         costs.update(span_costs)
         n_failed += span_failed
-    # the costs grouped by value: each statistic below is exact or exactly
-    # rounded, so it does not depend on the order of the trials
-    evals = list(costs.elements())
-    return MonteCarloSummary(trials=trials, mean=statistics.fmean(evals),
-                             median=float(statistics.median(evals)),
-                             stddev=statistics.pstdev(evals),
+    mean, median, stddev = _statistics(costs)
+    return MonteCarloSummary(trials=trials, mean=mean, median=median, stddev=stddev,
                              histogram=tuple(sorted(costs.items())), n_failed=n_failed,
                              classical_evals=scenario.n)
+
+
+def _statistics(costs: Counter[int]) -> tuple[float, float, float]:
+    """The mean, median and population stddev of the tallied costs, bit for bit
+    ``statistics.fmean``, ``median`` and ``pstdev`` of their list.
+
+    No value a trial is held: the mean and stddev stream ``elements()`` through exact sums,
+    so neither depends on the order, and the median walks the sorted tally.
+    """
+    histogram = sorted(costs.items())
+    ends = list(itertools.accumulate(n for _, n in histogram))
+
+    def nth(i: int) -> int:  # the i-th smallest cost, from 0
+        return histogram[bisect.bisect_right(ends, i)][0]
+
+    low, high = nth((ends[-1] - 1) // 2), nth(ends[-1] // 2)
+    median = float(high if ends[-1] % 2 else (low + high) / 2)
+    return statistics.fmean(costs.elements()), median, statistics.pstdev(costs.elements())

@@ -1,6 +1,7 @@
 """Unit tests for detection/retrieval orchestration and cost accounting."""
 
 import math
+import statistics
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -585,7 +586,7 @@ class TestMonteCarlo:
 
     def test_trials_are_tallied_not_kept(self):
         # a record per trial peaked at 3.2 MiB here; the tally keeps one
-        # count per distinct cost and, for the statistics, one reference a trial
+        # count per distinct cost, and the statistics are taken from it
         sc = pipeline.scenario_from_config(
             {"n": 2**17, "r": 9, "p": 11, "max_attempts": 1_000_000})
         pipeline.monte_carlo(sc, 1, seed=1)  # first run: lazy imports are not counted
@@ -597,6 +598,35 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 1.6 * 2**20
         assert summary.trials == 20_000
+
+    def test_statistics_from_the_tally_are_the_lists_bits(self):
+        rng = np.random.default_rng(2024)
+        totals = set()
+        for _ in range(1000):
+            costs = rng.integers(0, 10**12, size=rng.integers(1, 20), endpoint=True)
+            counts = rng.integers(1, 20, costs.size)
+            tally = Counter({int(c): int(n) for c, n in zip(costs, counts)})
+            evals = [c for c, n in tally.items() for _ in range(n)]
+            rng.shuffle(evals)
+            expected = (statistics.fmean(evals), float(statistics.median(evals)),
+                        statistics.pstdev(evals))
+            found = pipeline._statistics(tally)
+            assert [x.hex() for x in found] == [x.hex() for x in expected], tally
+            totals.add(len(evals) % 2)
+        assert totals == {0, 1}
+
+    def test_a_million_trial_tally_is_summarised_in_under_a_mebibyte(self):
+        # a list of the costs, and its sorted copy for the median, take 16.4 MB
+        tally = Counter({2047 + k: 1000 for k in range(1000)})
+        pipeline._statistics(Counter({1: 1}))  # first run: lazy imports are not counted
+        tracemalloc.start()
+        try:
+            mean, median, _ = pipeline._statistics(tally)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert mean == median == 2047 + 499.5
 
     @pytest.mark.parametrize("strategy", ["reuse_k", "recount_each_try"])
     def test_same_summary_at_every_worker_count(self, monkeypatch, strategy):

@@ -77,3 +77,5 @@ def test_two_trees_compared_by_their_manifests(tmp_path, monkeypatch, capsys):
         f"changed: cpu{min(os.sched_getaffinity(0))}/41/o.csv", "changed: unpinned/41/o.csv"]
     assert tool.main([a, str(tmp_path / "broken")]) == 2
     assert "building statevector failed" in capsys.readouterr().err
+    with pytest.raises(SystemExit):  # seeds, sizes and workloads are constants
+        tool.main([a, b, "--seeds", "41"])

@@ -2,19 +2,19 @@
 
 Usage (from anywhere):
 
-    python3 tools/same_bytes.py PARENT_TREE CHANGE_TREE [--seeds 41 77] [--smoke]
-        [--workloads bank-search counting-model statevector]
+    python3 tools/same_bytes.py PARENT_TREE CHANGE_TREE
 
-For each tree, seed and workload, a subprocess builds the workload's
-inputs with that tree's own ``perfbench/workloads.build`` into a fresh
-directory, and each job then runs there as a CLI process with that
-tree's ``src`` first on ``PYTHONPATH`` (the entry line of that tree's
-``perfbench/run.py``).  The tool keeps every file the jobs leave, and
-each job's stdout, stderr and exit code.  Every workload runs twice: once
-on all the CPUs this process may use, and once with its processes pinned
-to one CPU (the lowest of them) by ``os.sched_setaffinity``, so both the
-forked and the in-process path of ``qmf.fanout`` are covered.  Only the
-tool's own child processes are pinned.
+For each tree, seed (41 and 77) and workload (all three, at full
+size), a subprocess builds the workload's inputs with that tree's own
+``perfbench/workloads.build`` into a fresh directory, and each job
+then runs there as a CLI process with that tree's ``src`` first on
+``PYTHONPATH`` (the entry line of that tree's ``perfbench/run.py``).
+The tool keeps every file the jobs leave, and each job's stdout,
+stderr and exit code.  Every workload runs twice: once on all the CPUs
+this process may use, and once with its processes pinned to one CPU
+(the lowest of them) by ``os.sched_setaffinity``, so both the forked
+and the in-process path of ``qmf.fanout`` are covered.  Only the tool's
+own child processes are pinned.
 
 Then it compares the two trees' manifests (the SHA-256 of each file,
 keyed by its relative path), prints every file that changed, is missing
@@ -41,6 +41,7 @@ import tempfile
 from pathlib import Path
 
 WORKLOADS = ("bank-search", "counting-model", "statevector")
+SEEDS = (41, 77)
 # Run in a subprocess with the tree's perfbench and src first on sys.path:
 # writes the inputs and prints the CLI entry line and each job's argv.
 BUILD = """
@@ -128,9 +129,6 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", type=Path, help="the parent's source tree")
     ap.add_argument("change", type=Path, help="the change's source tree")
-    ap.add_argument("--seeds", type=int, nargs="+", default=[41, 77])
-    ap.add_argument("--smoke", action="store_true", help="the workloads' smoke sizes")
-    ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = ap.parse_args(argv)
     cpu = min(os.sched_getaffinity(0))
     with tempfile.TemporaryDirectory(prefix="same_bytes.") as tmp:
@@ -138,8 +136,8 @@ def main(argv: list[str] | None = None) -> int:
         try:
             for mode, cpus in (("unpinned", None), (f"cpu{cpu}", {cpu})):
                 for label, tree in (("parent", args.parent), ("change", args.change)):
-                    run_tree(tree.resolve(), results / label / mode, args.seeds,
-                             args.workloads, args.smoke, cpus)
+                    run_tree(tree.resolve(), results / label / mode, list(SEEDS),
+                             list(WORKLOADS), False, cpus)
         except RuntimeError as exc:
             print(exc, file=sys.stderr)
             return 2

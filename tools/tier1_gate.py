@@ -15,7 +15,8 @@ gate.  Then it runs ``perfbench/run.py --self-test``.  Exit code 0 means
 both held.  It first prints what it runs on: the Python and numpy
 versions and the SIMD targets numpy dispatches to (the line the smoke
 manifest ``tests/data/smoke-41.sha256`` records, since the output bytes
-depend on them), the number of CPUs it may use and
+depend on them), the scipy and hypothesis versions (tests hold qmf to
+scipy's exact bits), the number of CPUs it may use and
 ``OPENBLAS_NUM_THREADS`` as it sees it, since timings and BLAS's bits
 vary with these.  Then it prints the file and line count of ``src/qmf``
 and each file's line count, so each log records the size of the code it
@@ -29,6 +30,7 @@ import subprocess
 import sys
 import tempfile
 import xml.etree.ElementTree as ET
+from importlib import metadata
 from pathlib import Path
 
 from same_bytes import environment  # beside this file
@@ -36,7 +38,7 @@ from same_bytes import environment  # beside this file
 ROOT = Path(__file__).resolve().parent.parent
 MUST_FAIL = {"test_c05_total_failure_reference_value", "test_c06_recount_mean_reference_value"}
 # The tier-1 pass count at the last change; one that deletes tests lowers it.
-MIN_PASSED = 1017
+MIN_PASSED = 1040
 
 
 def outcomes(report: Path) -> dict[str, str]:
@@ -73,28 +75,36 @@ def run_tests() -> list[str]:
     return broken
 
 
-def source_size() -> list[str]:
-    """``src/qmf: F files, L lines``, then ``  name.py: l`` a file, counted as ``wc -l`` counts."""
-    files = sorted((ROOT / "src" / "qmf").glob("*.py"))
+def source_size(root: Path) -> list[str]:
+    """``src/qmf: F files, L lines`` of the tree at ``root``, then ``  name.py: l`` a file,
+    counted as ``wc -l`` counts."""
+    files = sorted((root / "src" / "qmf").glob("*.py"))
     lines = {f.name: f.read_bytes().count(b"\n") for f in files}
     return [f"src/qmf: {len(files)} files, {sum(lines.values())} lines",
             *(f"  {name}: {count}" for name, count in lines.items())]
 
 
 def platform_lines() -> list[str]:
-    """The Python and numpy versions with numpy's SIMD targets, the CPUs this process may use,
-    and OPENBLAS_NUM_THREADS."""
+    """The Python and numpy versions with numpy's SIMD targets, the scipy and hypothesis
+    versions (tests hold qmf to scipy's exact bits), the CPUs this process may use, and
+    OPENBLAS_NUM_THREADS."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         cpus = os.cpu_count()
-    return [environment(),
+    tested_with = []
+    for name in ("scipy", "hypothesis"):
+        try:
+            tested_with.append(f"{name} {metadata.version(name)}")
+        except metadata.PackageNotFoundError:
+            tested_with.append(f"{name} (not installed)")
+    return [environment(), ", ".join(tested_with),
             f"cpus (affinity): {cpus}",
             f"OPENBLAS_NUM_THREADS: {os.environ.get('OPENBLAS_NUM_THREADS', '(unset)')}"]
 
 
 def main() -> int:
-    print("\n".join([*platform_lines(), *source_size()]))
+    print("\n".join([*platform_lines(), *source_size(ROOT)]))
     broken = run_tests()
     for line in broken:
         print(f"gate: {line}")
