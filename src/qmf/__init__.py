@@ -8,9 +8,10 @@ detection/retrieval orchestration and query-cost benchmarks
 (:mod:`qmf.pipeline`), and a continuous-wave search cost estimator
 (:mod:`qmf.cw`).
 
-``import qmf`` registers those six layers as lazy modules: a layer's
-body runs when its first attribute is read, so a command pays only for
-the layers it uses.  Every module imports a layer as a module, at its
+``import qmf`` registers those six layers as lazy modules, and
+:mod:`qmf.seeding`, the Monte Carlo trials' substreams: a layer's body
+runs when its first attribute is read, so a command pays only for the
+layers it uses.  Every module imports a layer as a module, at its
 top (``from . import bank``), and names the member where it is used.
 """
 
@@ -39,4 +40,4 @@ def _register_lazily(*names: str) -> None:
         spec.loader.exec_module(module)
 
 
-_register_lazily("amplify", "bank", "cw", "dsp", "pipeline", "qsim")
+_register_lazily("amplify", "bank", "cw", "dsp", "pipeline", "qsim", "seeding")

@@ -243,7 +243,7 @@ class _StreamedCdf:
         k = self._chunk_of(u)
         if k == self._chunks:
             return self._d - 1
-        return k * _CHUNK + int(np.searchsorted(self._cdf(k), u, side="right"))
+        return k * _CHUNK + int(self._cdf(k).searchsorted(u, side="right"))
 
 
 # Monte Carlo trials draw from one distribution many thousand times, so

@@ -18,14 +18,17 @@ controlled-iteration ladder), one retrieval attempt costs ``k* + 1``
 (the Grover ladder plus one classical verification of the returned
 candidate).
 
-Trials are independent; each owns an RNG substream derived from
-``(seed, trial_index)`` so results do not depend on execution order.
+Trials are independent: trial t draws from the substream
+``np.random.default_rng((seed, t))``, so results do not depend on
+execution order.  A span of trials seeds its substreams at once, bit for
+bit the same (:mod:`qmf.seeding`).
 """
 
 from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import itertools
 import statistics
 import sys
@@ -35,7 +38,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import amplify, bank, dsp, fanout
+from . import amplify, bank, dsp, fanout, seeding
 from .errors import NonFiniteError, ValidationError, check_bytes
 from .io import read_config
 
@@ -205,10 +208,15 @@ def template_retrieval(scenario: Scenario, k_star: int, rng: np.random.Generator
     if len(match_set) == 0:
         raise ValidationError("retrieval needs at least one true match")
     counter.add(k_star + 1)
-    success = amplify.p_match(amplify.theta_of(scenario.n, len(match_set)), k_star)
-    if rng.random() < success:
+    if rng.random() < _success_prob(scenario.n, len(match_set), k_star):
         return int(match_set[int(rng.integers(len(match_set)))])
     return None
+
+
+@functools.lru_cache
+def _success_prob(n: int, r: int, k_star: int) -> float:
+    """sin^2((2k*+1) theta) of one attempt, kept: a trial repeats its attempts."""
+    return amplify.p_match(amplify.theta_of(n, r), k_star)
 
 
 def retrieve_until_success(scenario: Scenario, rng: np.random.Generator,
@@ -381,13 +389,14 @@ def monte_carlo(scenario: Scenario, trials: int, seed: int) -> MonteCarloSummary
     """
     if not 1 <= trials <= np.iinfo(np.int64).max:
         raise ValidationError(f"trials must be in [1, 2**63 - 1], got {trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
 
     def span(start: int) -> tuple[Counter[int], int]:
         costs: Counter[int] = Counter()
         n_failed = 0
-        for t in range(start, min(start + _TRIAL_SPAN, trials)):
-            record = retrieve_until_success(scenario, np.random.default_rng((seed, t)),
-                                            OracleCounter())
+        for rng in seeding.trial_rngs(seed, start, min(start + _TRIAL_SPAN, trials)):
+            record = retrieve_until_success(scenario, rng, OracleCounter())
             costs[record.oracle_evals] += 1
             n_failed += not record.succeeded
         return costs, n_failed

@@ -1,7 +1,11 @@
 """Unit tests for detection/retrieval orchestration and cost accounting."""
 
+import itertools
 import math
+import os
 import statistics
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import replace
@@ -11,7 +15,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qmf import amplify, bank, dsp, fanout, io, pipeline
+from qmf import amplify, bank, dsp, fanout, io, pipeline, seeding
 from qmf.bank import BankSpec, bank_size, index_to_params, waveform
 from qmf.errors import CapExceededError, ValidationError
 from qmf.pipeline import OracleCounter, RetrievalStrategy
@@ -644,6 +648,32 @@ class TestMonteCarlo:
         assert summaries[0] == summaries[1] == summaries[2]
         assert [(h["evals"], h["count"]) for h in summaries[0]["histogram"]] == costs
 
+    @pytest.mark.parametrize("start", [0, 2**32 - 250], ids=["from-0", "across-2**32"])
+    @pytest.mark.parametrize("seed", [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 + 5])
+    def test_span_seeding_is_default_rng(self, seed, start):
+        # across 2**32 one span holds t of one uint32 word and of two; with a seed
+        # of 2 words t's words end the pool of 4, with 3 its high word is past it
+        span = seeding.trial_rngs(seed, start, start + pipeline._TRIAL_SPAN)
+        for t, rng in zip(itertools.count(start), span):
+            ref = np.random.default_rng((seed, t))
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.random(3).tolist() == ref.random(3).tolist()
+        assert t == start + pipeline._TRIAL_SPAN - 1
+
+    def test_fanned_out_parent_never_imports_numpy_random(self):
+        # numpy.random adds about 6 MB of RSS: only the process that seeds a span
+        # loads it, and runs the body of the lazy module qmf.seeding
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        script = ("import sys, types; from qmf import fanout, pipeline; fanout.cpus = lambda: {}; "
+                  "sc = pipeline.scenario_from_config({{'n': 2**17, 'r': 9, 'p': 11}}); "
+                  "pipeline.monte_carlo(sc, 1000, seed=3); print('numpy.random' in sys.modules, "
+                  "type(sys.modules['qmf.seeding']) is types.ModuleType)")
+        loaded = [subprocess.run([sys.executable, "-c", script.format(w)], capture_output=True,
+                                 text=True, check=True,
+                                 env={**os.environ, "PYTHONPATH": src}).stdout.split()[-2:]
+                  for w in (2, 1)]
+        assert loaded == [["False", "False"], ["True", "True"]]  # one process runs the spans
+
     def test_rejects_empty(self):
         sc = pipeline.scenario_from_config({"n": 64, "r": 2, "p": 5})
         with pytest.raises(ValidationError):
@@ -651,6 +681,8 @@ class TestMonteCarlo:
         sc0 = pipeline.scenario_from_config({"n": 64, "r": 0, "p": 5})
         with pytest.raises(ValidationError):
             pipeline.monte_carlo(sc0, 10, seed=1)
+        with pytest.raises(ValidationError, match="seed must be >= 0"):
+            pipeline.monte_carlo(sc, 10, seed=-1)  # a seed's words are unsigned
 
 
 class TestEndToEndSoundness:

@@ -117,7 +117,7 @@ def test_a_name_missing_from_its_layer_is_found():
 
 
 # The layers that ``qmf/__init__.py`` registers as lazy modules.
-LAZY_LAYERS = {"amplify", "bank", "cw", "dsp", "pipeline", "qsim"}
+LAZY_LAYERS = {"amplify", "bank", "cw", "dsp", "pipeline", "qsim", "seeding"}
 
 
 def loading_faults(tree: ast.Module) -> list[str]:
