@@ -9,7 +9,7 @@ detection/retrieval orchestration and query-cost benchmarks
 (:mod:`qmf.cw`).
 
 ``import qmf`` registers those six layers as lazy modules, and
-:mod:`qmf.seeding`, the Monte Carlo trials' substreams: a layer's body
+:mod:`qmf.seeding`, the streams every scalar draw uses: a layer's body
 runs when its first attribute is read, so a command pays only for the
 layers it uses.  Every module imports a layer as a module, at its
 top (``from . import bank``), and names the member where it is used.

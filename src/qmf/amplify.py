@@ -10,7 +10,8 @@ cross-validate each other.
 
 All functions are pure.  ``CountingDistribution`` instances are
 immutable after construction; sampling takes a caller-supplied
-``numpy.random.Generator`` so reproducibility is owned by the caller.
+stream (``qmf.seeding.Stream``: qmf's own PCG64 stream, or numpy's
+``Generator``) so reproducibility is owned by the caller.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from . import seeding
 from .errors import CapExceededError, ValidationError
 
 # Below this distance from an aligned outcome the geometric sum is
@@ -253,8 +255,8 @@ def _streamed_cdf(n: int, r: int, p: int) -> _StreamedCdf:
     return _StreamedCdf(n, r, p)
 
 
-def sample_b(n: int, r: int, p: int, rng: np.random.Generator) -> int:
-    """Draw one counting outcome by inverse CDF at u = ``rng.random()``."""
+def sample_b(n: int, r: int, p: int, rng: seeding.Stream) -> int:
+    """Draw one counting outcome by inverse CDF at u = ``rng.random()``, one double drawn."""
     return _streamed_cdf(n, r, p).outcome(rng.random())
 
 

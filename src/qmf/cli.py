@@ -21,7 +21,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
-from . import amplify, bank, cw, dsp, fanout, io, pipeline, qsim
+from . import amplify, bank, cw, dsp, fanout, io, pipeline, qsim, seeding
 from .errors import CapExceededError, InputError, NonFiniteError, ValidationError, check_bytes
 
 
@@ -275,7 +275,7 @@ def cmd_cw_cost(args) -> None:
 def cmd_detect(args) -> None:
     scenario, cfg = _scenario_args(args)
     counter = pipeline.OracleCounter()
-    outcome = pipeline.signal_detection(scenario, np.random.default_rng(scenario.seed), counter)
+    outcome = pipeline.signal_detection(scenario, seeding.default_rng(scenario.seed), counter)
     io.write_json(args.out, {
         **dataclasses.asdict(outcome), "detected": outcome.detected,
         "oracle_evals": counter.evaluations, "setup_evals": scenario.setup_evals,
@@ -286,7 +286,7 @@ def cmd_detect(args) -> None:
 
 def cmd_retrieve(args) -> None:
     scenario, cfg = _scenario_args(args)
-    record = pipeline.retrieve_until_success(scenario, np.random.default_rng(scenario.seed),
+    record = pipeline.retrieve_until_success(scenario, seeding.default_rng(scenario.seed),
                                              pipeline.OracleCounter())
     io.write_json(args.out, {**dataclasses.asdict(record), "setup_evals": scenario.setup_evals},
                   _provenance(args, scenario.seed, scenario=cfg))

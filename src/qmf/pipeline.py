@@ -18,10 +18,14 @@ controlled-iteration ladder), one retrieval attempt costs ``k* + 1``
 (the Grover ladder plus one classical verification of the returned
 candidate).
 
-Trials are independent: trial t draws from the substream
-``np.random.default_rng((seed, t))``, so results do not depend on
-execution order.  A span of trials seeds its substreams at once, bit for
-bit the same (:mod:`qmf.seeding`).
+Detection and retrieval draw scalars from a :mod:`qmf.seeding` stream,
+numpy's PCG64 bit for bit, without loading ``numpy.random``: ``detect``
+and ``retrieve`` draw from the stream ``np.random.default_rng(seed)``
+starts.  Trials are independent: trial t draws from the stream
+``np.random.default_rng((seed, t))`` starts, so results do not depend on
+execution order, and a span of trials seeds its streams at once.  A
+vector or a normal draw (``count_detections``, an injection's noise)
+takes numpy's ``Generator``.
 """
 
 from __future__ import annotations
@@ -172,7 +176,7 @@ def classical_search(spec: bank.BankSpec, data: dsp.FrequencySeries, psd: dsp.Ps
 # ---------------------------------------------------------------------------
 # distribution-level quantum procedures
 
-def signal_detection(scenario: Scenario, rng: np.random.Generator,
+def signal_detection(scenario: Scenario, rng: seeding.Stream,
                      counter: OracleCounter) -> amplify.CountEstimate:
     """One counting run: sample an outcome b and decode it.
 
@@ -195,7 +199,7 @@ def count_detections(n: int, r_true: int, p: int, trials: int, seed: int) -> int
     return int(np.count_nonzero(u >= p0))
 
 
-def template_retrieval(scenario: Scenario, k_star: int, rng: np.random.Generator,
+def template_retrieval(scenario: Scenario, k_star: int, rng: seeding.Stream,
                        counter: OracleCounter) -> int | None:
     """One amplification run: succeed with probability sin^2((2k*+1) theta).
 
@@ -219,7 +223,7 @@ def _success_prob(n: int, r: int, k_star: int) -> float:
     return amplify.p_match(amplify.theta_of(n, r), k_star)
 
 
-def retrieve_until_success(scenario: Scenario, rng: np.random.Generator,
+def retrieve_until_success(scenario: Scenario, rng: seeding.Stream,
                            counter: OracleCounter) -> TrialRecord:
     """Repeat detection/retrieval until a match comes back.
 

@@ -793,22 +793,23 @@ class TestLayerLoading:
     def test_synthetic_detect_runs_neither_qsim_nor_cw(self, tmp_path):
         (tmp_path / "scenario.json").write_text(json.dumps({"n": 64, "r": 2, "seed": 1}))
         _, after = self.ran(tmp_path, "detect", "--config", "scenario.json", "--out", "d.json")
-        assert after == {"cli", "errors", "fanout", "io", "pipeline", "amplify"}
+        assert after == {"cli", "errors", "fanout", "io", "pipeline", "amplify", "seeding"}
 
     @pytest.mark.parametrize("command", ["retrieve", "mc-bench"])
     def test_synthetic_scenario_runs_neither_bank_nor_dsp(self, tmp_path, command):
         (tmp_path / "scenario.json").write_text(json.dumps({"n": 64, "r": 2, "seed": 1,
                                                             "trials": 3}))
         _, after = self.ran(tmp_path, command, "--config", "scenario.json", "--out", "o.json")
-        # mc-bench's one span of 3 trials runs in this process, and seeds its trials
-        trials = {"seeding"} if command == "mc-bench" else set()
-        assert after == {"cli", "errors", "fanout", "io", "pipeline", "amplify", *trials}
+        # retrieve draws from seeding's stream; mc-bench's one span of 3 trials runs
+        # in this process, and seeds its trials
+        assert after == {"cli", "errors", "fanout", "io", "pipeline", "amplify", "seeding"}
 
     def test_injection_detect_runs_bank_and_dsp(self, tmp_path):
         (tmp_path / "scenario.json").write_text(json.dumps(
             {"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0, "seed": 1}))
         _, after = self.ran(tmp_path, "detect", "--config", "scenario.json", "--out", "d.json")
-        assert after == {"cli", "errors", "fanout", "io", "pipeline", "amplify", "bank", "dsp"}
+        assert after == {"cli", "errors", "fanout", "io", "pipeline", "amplify", "bank", "dsp",
+                         "seeding"}
 
     def test_fail_bound_loads_amplify_before_its_workers(self, tmp_path):
         script = ("import sys, types; from qmf import fanout; from qmf.cli import main; "
@@ -828,6 +829,69 @@ class TestLayerLoading:
         out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                              env=_env_with_src(), check=True).stdout
         assert out.split() == ["True", "False"]
+
+
+# Runs a command line with ``fanout.cpus`` at argv[1].  Each unit of work the
+# command fans out, in a worker or in this process, writes to stderr whether
+# numpy.random is loaded once it is done; then the process prints its exit
+# code and the same.
+_LOADS_NUMPY_RANDOM = """
+import os, sys
+from qmf import fanout
+from qmf.cli import main
+
+fan_out = fanout.fan_out
+
+def reporting(fn):
+    def run(item):
+        result = fn(item)
+        os.write(2, f"unit {'numpy.random' in sys.modules}\\n".encode())
+        return result
+    return run
+
+fanout.cpus = lambda: int(sys.argv[1])
+fanout.fan_out = lambda fn, items, workers=None: fan_out(reporting(fn), items, workers)
+print(main(sys.argv[2:]), "numpy.random" in sys.modules)
+"""
+
+
+class TestNumpyRandomLoading:
+    """numpy.random (about 6 MB of RSS) loads only for a vector or a non-uniform draw."""
+
+    @staticmethod
+    def loaded(tmp_path, cpus, *argv):
+        """The exit code and whether the process loaded numpy.random; what each unit saw."""
+        proc = subprocess.run([sys.executable, "-c", _LOADS_NUMPY_RANDOM, str(cpus),
+                               *map(str, argv)], capture_output=True, text=True, cwd=tmp_path,
+                              env=_env_with_src(), check=True)
+        units = [line.split()[1] for line in proc.stderr.splitlines() if line.startswith("unit ")]
+        return proc.stdout.split()[-2:], units
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("command", ["detect", "retrieve", "mc-bench"])
+    def test_synthetic_scenario_never_loads_it(self, tmp_path, command, cpus):
+        # 1000 trials are two spans: at 2 CPUs each runs in its own worker
+        (tmp_path / "scenario.json").write_text(json.dumps(
+            {"n": 2**17, "r": 9, "p": 11, "seed": 1, "trials": 1000}))
+        loaded, units = self.loaded(tmp_path, cpus, command, "--config", "scenario.json",
+                                    "--out", "o.json")
+        assert loaded == ["0", "False"]
+        assert units == (["False", "False"] if command == "mc-bench" else [])
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_injection_noise_loads_it(self, tmp_path, cpus):
+        (tmp_path / "scenario.json").write_text(json.dumps(
+            {"bank": BANK_CFG, "inject_index": 27, "rho_thr": 10.0, "noise_sigma": 1.0,
+             "noise_seed": 2, "seed": 3}))
+        loaded, _ = self.loaded(tmp_path, cpus, "detect", "--config", "scenario.json",
+                                "--out", "d.json")
+        assert loaded == ["0", "True"]
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_qsim_shots_load_it(self, tmp_path, cpus):
+        loaded, _ = self.loaded(tmp_path, cpus, "qsim-search", "--data-bits", "0110",
+                                "--iterations", 1, "--seed", 1, "--out", "s.csv")
+        assert loaded == ["0", "True"]
 
 
 class TestBlasThreads:
