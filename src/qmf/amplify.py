@@ -9,9 +9,10 @@ gate-by-gate for small registers, which is how the two modules
 cross-validate each other.
 
 All functions are pure.  ``CountingDistribution`` instances are
-immutable after construction; sampling takes a caller-supplied
+immutable after construction.  A draw reads the caller's ``StreamedCdf``
+(a ``pipeline.Scenario`` holds its own) at a double from the caller's
 stream (``qmf.seeding.Stream``: qmf's own PCG64 stream, or numpy's
-``Generator``) so reproducibility is owned by the caller.
+``Generator``), so reproducibility is owned by the caller.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ def counting_distribution(n: int, r: int, p: int) -> CountingDistribution:
     return CountingDistribution(p=p, theta=theta_of(n, r), probs=probs)
 
 
-class _StreamedCdf:
+class StreamedCdf:
     """The cdf of one counting distribution, a chunk of outcomes at a time.
 
     A chunk's cdf is ``np.cumsum`` of its P(b) after the cdf value before
@@ -248,16 +249,9 @@ class _StreamedCdf:
         return k * _CHUNK + int(self._cdf(k).searchsorted(u, side="right"))
 
 
-# Monte Carlo trials draw from one distribution many thousand times, so
-# the last two distributions drawn from keep their scan.
-@functools.lru_cache(maxsize=2)
-def _streamed_cdf(n: int, r: int, p: int) -> _StreamedCdf:
-    return _StreamedCdf(n, r, p)
-
-
-def sample_b(n: int, r: int, p: int, rng: seeding.Stream) -> int:
-    """Draw one counting outcome by inverse CDF at u = ``rng.random()``, one double drawn."""
-    return _streamed_cdf(n, r, p).outcome(rng.random())
+def sample_b(cdf: StreamedCdf, rng: seeding.Stream) -> int:
+    """Draw one counting outcome from ``cdf`` at u = ``rng.random()``, one double drawn."""
+    return cdf.outcome(rng.random())
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ The engine knows no template family and imports no other layer:
 :mod:`qmf.bank` makes the quadrature spectra that :func:`complex_template` combines.
 
 All operations are pure functions of value-like inputs and are safe to
-call concurrently, except two that reuse a buffer they are given:
+call concurrently, except three that reuse a buffer they are given:
+:func:`normalize_template` scales its spectra in place,
 :func:`complex_template` normalizes and combines in its pair's buffer,
 so it consumes the pair, and :func:`snr_series` transforms the integrand
 it is given in place.  :func:`complex_template`,
@@ -205,11 +206,13 @@ def _analysis_band(*series: FrequencySeries, psd: Psd) -> slice:
     return in_band
 
 
-def _sigma(s: FrequencySeries, psd: Psd) -> np.ndarray:
-    """Each row's sigma, sqrt(sum_band |s_k|^2 / S_n(f_k) * df), with a trailing axis.
+def normalize_template(s: FrequencySeries, psd: Psd) -> FrequencySeries:
+    """Scale each template spectrum (row) to unit noise-weighted norm, in place; returns ``s``.
 
-    Refuses a template with no energy in the band and a PSD that
-    vanishes inside it.  Holds one band-sized float copy of the spectra.
+    Divides by sigma with sigma^2 = sum_band |s_k|^2 / S_n(f_k) * df.
+    Invariant under positive rescaling of the input; rejects templates
+    with no energy in the band and PSDs that vanish inside it.  Holds one
+    band-sized float copy of the spectra.
     """
     in_band = _analysis_band(s, psd=psd)
     power = np.abs(s.bins[..., in_band])
@@ -218,17 +221,8 @@ def _sigma(s: FrequencySeries, psd: Psd) -> np.ndarray:
     sigma_sq = np.sum(power, axis=-1) * s.df
     if (sigma_sq <= 0.0).any():
         raise ValidationError("template has zero energy in the analysis band")
-    return np.sqrt(sigma_sq)[..., None]
-
-
-def normalize_template(s: FrequencySeries, psd: Psd) -> FrequencySeries:
-    """Scale each template spectrum (row) to unit noise-weighted norm.
-
-    Divides by sigma with sigma^2 = sum_band |s_k|^2 / S_n(f_k) * df.
-    Invariant under positive rescaling of the input; rejects templates
-    with no energy in the band and PSDs that vanish inside it.
-    """
-    return FrequencySeries(bins=s.bins / _sigma(s, psd), df=s.df, m_time=s.m_time)
+    s.bins /= np.sqrt(sigma_sq)[..., None]
+    return s
 
 
 def complex_template(pair: FrequencySeries, psd: Psd,
@@ -247,8 +241,7 @@ def complex_template(pair: FrequencySeries, psd: Psd,
     ``out`` (``pair.bins[0]`` itself may be given), or else into a fresh
     array, and the pair's buffer is dropped.
     """
-    q = pair.bins
-    q /= _sigma(pair, psd)
+    q = normalize_template(pair, psd).bins
     q[1] *= 1j
     out = np.subtract(q[0], q[1], out=out)
     out *= 0.5

@@ -90,13 +90,13 @@ class TrialRecord:
 # classical oracle
 
 # Working-set budget of the blocks of templates that the search's workers
-# hold at once, one block each.  Each worker allocates its block's buffers on
-# its first block and holds them for the whole search: per template row the
-# pair's spectra (16 M bytes), normalized and combined in place, and the
-# integrand that the inverse FFT overwrites (16 M); |z| (8 M) goes into the
-# pair's buffer once the integrand holds the filter.  Beside them a block
-# makes its chirp pair (16 M at n_sig = M) from a phase sweep (8 M), 24 M at
-# most, and the normalization a band copy of |s|^2 (8 M): 56 M at the peak.
+# hold at once, one block each.  A search makes the buffers of one block once,
+# and each worker writes its own copy of them: per template row the pair's
+# spectra (16 M bytes), normalized and combined in place, and the integrand
+# that the inverse FFT overwrites (16 M); |z| (8 M) goes into the pair's
+# buffer once the integrand holds the filter.  Beside them a block makes its
+# chirp pair (16 M at n_sig = M) from a phase sweep (8 M), 24 M at most, and
+# the normalization a band copy of |s|^2 (8 M): 56 M at the peak.
 # Budgeted as 64 M bytes a row.
 _BLOCK_BYTES = 32 << 20
 _SAMPLE_BYTES = 64  # the 64 of 64 M, held by each worker for the whole search
@@ -118,21 +118,18 @@ def _peak_snrs(spec: bank.BankSpec, data: dsp.FrequencySeries, psd: dsp.Psd,
                idx: range) -> np.ndarray:
     """Peak SNR of every template in ``idx``, one block of rows per worker at a time.
 
-    A worker makes its block buffers on its first block and reuses them for
-    every later one; a short last block uses their leading rows.
+    The block buffers are made once, before the workers fork, and every block
+    reuses them; a short last block uses their leading rows.  The parent never
+    writes them, so each worker's first write makes its own pages.
     """
     w, rows = _search_blocks(spec.m_samples)
     m = spec.m_samples
-    buffers = []  # filled by the first block a worker runs: a worker is a fork, so its own
+    size = min(rows, len(idx))  # a bank smaller than a block is one block
+    pair = np.empty((2, size, m // 2 + 1), dtype=np.complex128)
+    integrand = np.empty((size, m), dtype=np.complex128)
+    rho = pair.reshape(-1).view(np.float64)  # |z|, once the integrand holds the filter
 
     def block(start: int) -> np.ndarray:
-        if not buffers:
-            size = min(rows, len(idx))  # a bank smaller than a block is one block
-            pair = np.empty((2, size, m // 2 + 1), dtype=np.complex128)
-            # |z| goes into the pair's bytes, free once the integrand holds the filter
-            buffers.extend((pair, np.empty((size, m), dtype=np.complex128),
-                            pair.reshape(-1).view(np.float64)))
-        pair, integrand, rho = buffers
         n = min(rows, len(idx) - start)
         spectra = bank.quadrature_spectra(bank.lattice(spec, idx[start:start + n]), spec.fs,
                                           m, out=pair[:, :n])
@@ -180,11 +177,11 @@ def signal_detection(scenario: Scenario, rng: seeding.Stream,
                      counter: OracleCounter) -> amplify.CountEstimate:
     """One counting run: sample an outcome b and decode it.
 
-    Charges the full controlled ladder of ``2**p - 1`` oracle queries
-    once the draw has checked p.  With no matches the outcome is 0 with
-    certainty, so the procedure can never raise a false alarm.
+    Charges the full controlled ladder of ``2**p - 1`` oracle queries.
+    With no matches the outcome is 0 with certainty, so the procedure can
+    never raise a false alarm.
     """
-    b = amplify.sample_b(scenario.n, scenario.r_true, scenario.p, rng)
+    b = amplify.sample_b(scenario.cdf, rng)
     counter.add((1 << scenario.p) - 1)
     return amplify.estimate_from_b(b, scenario.p, scenario.n)
 
@@ -265,7 +262,10 @@ class Scenario:
     chirp, in which case the match set is the sorted int64 index array
     that the exhaustive classical search returns during setup.  The
     run's seed (None when there is none) and its Monte Carlo trial count
-    (0 when the config has none) ride along for the CLI.
+    (0 when the config has none) ride along for the CLI.  ``cdf`` is the
+    ``amplify.StreamedCdf`` that its detections draw from, made with the
+    scenario, which refuses a register outside the budget.  It computes no
+    chunk before a draw needs one, so a forked Monte Carlo worker scans its own.
     """
 
     n: int
@@ -280,6 +280,11 @@ class Scenario:
     @property
     def r_true(self) -> int:
         return len(self.match_set)
+
+    def __post_init__(self) -> None:
+        # set as the frozen fields are: a write to the instance's __dict__, as by
+        # functools.cached_property, slows every later attribute read in a trial
+        object.__setattr__(self, "cdf", amplify.StreamedCdf(self.n, self.r_true, self.p))
 
 
 def _check_injection_bytes(spec: bank.BankSpec) -> None:

@@ -39,7 +39,7 @@ REFERENCE_TABLE = [
 
 def draw(n, r, p, u):
     """``sample_b`` at cumulative probability u, from a generator stub that returns u."""
-    return amplify.sample_b(n, r, p, SimpleNamespace(random=lambda: u))
+    return amplify.sample_b(amplify.StreamedCdf(n, r, p), SimpleNamespace(random=lambda: u))
 
 
 class TestThetaOf:
@@ -154,19 +154,20 @@ class TestCountingDistribution:
 
 class TestSampleB:
     def test_point_mass(self):
-        rng = np.random.default_rng(0)
-        assert all(amplify.sample_b(64, 0, 5, rng) == 0 for _ in range(200))
+        rng, cdf = np.random.default_rng(0), amplify.StreamedCdf(64, 0, 5)
+        assert all(amplify.sample_b(cdf, rng) == 0 for _ in range(200))
 
     def test_seed_reproducibility(self):
         rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-        s1 = [amplify.sample_b(64, 2, 5, rng1) for _ in range(50)]
-        s2 = [amplify.sample_b(64, 2, 5, rng2) for _ in range(50)]
+        cdf = amplify.StreamedCdf(64, 2, 5)
+        s1 = [amplify.sample_b(cdf, rng1) for _ in range(50)]
+        s2 = [amplify.sample_b(cdf, rng2) for _ in range(50)]
         assert s1 == s2
 
     def test_near_peak_mass_bound(self):
         # at least 8/pi^2 of the draws land within one unit of a peak
-        rng = np.random.default_rng(3)
-        draws = np.array([amplify.sample_b(64, 2, 5, rng) for _ in range(100_000)])
+        rng, cdf = np.random.default_rng(3), amplify.StreamedCdf(64, 2, 5)
+        draws = np.array([amplify.sample_b(cdf, rng) for _ in range(100_000)])
         near = np.isin(draws, [1, 2, 3, 29, 30, 31]).mean()
         p0 = 8.0 / PI**2
         assert near >= p0 - 3 * math.sqrt(p0 * (1 - p0) / 100_000)
@@ -188,7 +189,7 @@ class TestStreamedDraw:
         assert len(blocks) == 4
         assert [start for start, _ in blocks] == [0, 1 << 16, 2 << 16, 3 << 16]
         assert np.array_equal(np.concatenate([b for _, b in blocks]), probs)
-        streamed = amplify._StreamedCdf(self.N, self.R, self.P)
+        streamed = amplify.StreamedCdf(self.N, self.R, self.P)
         assert streamed._chunk_of(1.0) == 4  # the scan passes every chunk
         # the first two chunks were evicted, so they are computed again
         chunks = [streamed._cdf(k).copy() for k in range(4)]
@@ -226,24 +227,24 @@ class TestStreamedDraw:
     def test_sample_b_equals_dense_draw(self, dense):
         _, cdf = dense
         rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+        streamed = amplify.StreamedCdf(self.N, self.R, self.P)
         for _ in range(20):
             want = min(int(np.searchsorted(cdf, ref.random(), side="right")), cdf.size - 1)
-            assert amplify.sample_b(self.N, self.R, self.P, rng) == want
+            assert amplify.sample_b(streamed, rng) == want
 
     def test_repeated_draws_compute_one_chunk_each(self, dense, monkeypatch):
         _, cdf = dense
-        amplify._streamed_cdf.cache_clear()
         calls = []
         mixture = amplify._mixture
         monkeypatch.setattr(amplify, "_mixture", lambda *a: calls.append(a) or mixture(*a))
         u = [cdf[-2], cdf[3], cdf[-3], cdf[(2 << 16) + 9], cdf[-4], cdf[7]]
-        got = [draw(self.N, self.R, self.P, x) for x in u]
+        streamed = amplify.StreamedCdf(self.N, self.R, self.P)
+        got = [amplify.sample_b(streamed, SimpleNamespace(random=lambda: x)) for x in u]
         assert got == np.searchsorted(cdf, u, side="right").tolist()
         # the scan to the last chunk, then the first, the third, and the
         # first again after the third evicted it; the draws in the last
         # chunk, which stays kept, compute nothing
         assert [a[2] >> 16 for a in calls] == [0, 1, 2, 3, 0, 2, 0]
-        amplify._streamed_cdf.cache_clear()
 
     @pytest.mark.parametrize("p,error", [(0, ValidationError), (28, CapExceededError)])
     def test_register_outside_the_budget(self, p, error):

@@ -153,29 +153,43 @@ class TestEstimatePsd:
 
 
 class TestNormalizeTemplate:
+    @staticmethod
+    def copy(s):
+        return dsp.FrequencySeries(s.bins.copy(), s.df, s.m_time)
+
     def test_idempotent(self, white):
         s = dsp.forward_fft(waveform(CHIRP, FS, M))
         once = dsp.normalize_template(s, white)
-        twice = dsp.normalize_template(once, white)
+        twice = dsp.normalize_template(self.copy(once), white)
         np.testing.assert_allclose(twice.bins, once.bins, rtol=1e-12)
 
     def test_scale_invariant(self, white):
         s = dsp.forward_fft(waveform(CHIRP, FS, M))
         scaled = dsp.FrequencySeries(7.0 * s.bins, s.df, s.m_time)
-        a = dsp.normalize_template(s, white)
-        b = dsp.normalize_template(scaled, white)
+        block = dsp.FrequencySeries(np.stack([s.bins, scaled.bins]), s.df, s.m_time)
+        a = dsp.normalize_template(self.copy(s), white)
+        b = dsp.normalize_template(self.copy(scaled), white)
         np.testing.assert_allclose(b.bins, a.bins, rtol=1e-12)
         # a 2-row block normalizes each row bit for bit as a 1-row call does
-        block = dsp.FrequencySeries(np.stack([s.bins, scaled.bins]), s.df, s.m_time)
         assert np.array_equal(dsp.normalize_template(block, white).bins,
                               np.stack([a.bins, b.bins]))
+
+    def test_divides_in_place_by_sigma(self, white):
+        s = dsp.forward_fft(waveform(CHIRP, FS, M))
+        for bins in (s.bins, np.stack([s.bins, 3.0 * s.bins])):  # one row, then a block
+            power = np.abs(bins[..., 1:M // 2]) ** 2 / white.values[1:M // 2]
+            want = bins / np.sqrt(np.sum(power, axis=-1) * s.df)[..., None]
+            given = dsp.FrequencySeries(bins.copy(), s.df, s.m_time)
+            q = dsp.normalize_template(given, white)
+            assert q is given
+            assert np.array_equal(q.bins, want)
 
     def test_norm_matches_brute_force_sum(self, white):
         s = dsp.forward_fft(waveform(CHIRP, FS, M))
         sigma_sq = 0.0
         for k in range(1, M // 2):  # skip DC and Nyquist
             sigma_sq += abs(s.bins[k]) ** 2 / white.values[k] * s.df
-        q = dsp.normalize_template(s, white)
+        q = dsp.normalize_template(self.copy(s), white)
         np.testing.assert_allclose(q.bins, s.bins / math.sqrt(sigma_sq), rtol=1e-10)
 
     def test_zero_energy_rejected(self, white):

@@ -306,7 +306,8 @@ class TestSignalDetection:
         (8, 8, 4, 6)])
     def test_count_equals_scalar_draws(self, n, r, p, seed):
         u = np.random.default_rng(seed).random(2000)
-        want = sum(amplify.sample_b(n, r, p, SimpleNamespace(random=lambda: x)) != 0
+        cdf = amplify.StreamedCdf(n, r, p)
+        want = sum(amplify.sample_b(cdf, SimpleNamespace(random=lambda: x)) != 0
                    for x in u.tolist())
         assert pipeline.count_detections(n, r, p, 2000, seed) == want
 
@@ -530,20 +531,35 @@ class TestScenario:
             pipeline.scenario_from_config(cfg)
 
 
-class TestDistributionCache:
-    def test_third_key_evicts_the_oldest(self):
-        # the streamed cdfs that detections draw from
-        cached = amplify._streamed_cdf
-        cached.cache_clear()
-        try:
-            first = cached(64, 2, 5)
-            second = cached(64, 3, 5)
-            cached(64, 4, 5)
-            assert cached.cache_info().currsize == 2
-            assert cached(64, 3, 5) is second
-            assert cached(64, 2, 5) is not first
-        finally:
-            cached.cache_clear()
+class TestScenarioCdf:
+    """A scenario builds the cdf its detections draw from once, however many draws."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        monkeypatch.setattr(fanout, "cpus", lambda: 1)  # every draw in this process
+        built = []
+
+        class Counted(amplify.StreamedCdf):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(amplify, "StreamedCdf", Counted)
+        return built
+
+    def test_monte_carlo_builds_one(self, built):
+        sc = synthetic(2**17, 9, 11)
+        pipeline.monte_carlo(sc, 1000, seed=1)
+        assert built == [(2**17, 9, 11)]
+
+    def test_recounting_rounds_build_one(self, built):
+        sc = synthetic(64, 2, 5, strategy=RetrievalStrategy.RECOUNT_EACH_TRY, max_attempts=5)
+        # u = 0.999 reads b = 31, which decodes to k* = 6, and fails every attempt
+        record = pipeline.retrieve_until_success(sc, SimpleNamespace(random=lambda: 0.999),
+                                                 OracleCounter())
+        assert (record.attempts, record.succeeded) == (5, False)
+        assert record.oracle_evals == 5 * (31 + 7)  # every round counted again
+        assert built == [(64, 2, 5)]
 
 
 class TestMonteCarlo:
